@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import add, itemgetter, le, mul, sub
 from typing import Callable, Iterable, Mapping
 
 __all__ = [
@@ -38,8 +39,6 @@ __all__ = [
     "Truncation",
     "SeriesRing",
     "ExactSeries",
-    "series_arith",
-    "series_exp_log",
     "solve_graded_fixpoint",
     "lagrange_coeff",
     "rational_str",
@@ -127,7 +126,8 @@ class VarSet:
 
 @dataclass(frozen=True)
 class Truncation:
-    """Per-family degree caps.  ``None`` means uncapped for that family."""
+    """Per-family degree caps.  ``None`` means uncapped for that family,
+    except ``y_min``, which defaults to 0 and must be <= 0."""
 
     x_max: int | None = None
     u_max: int | None = None
@@ -141,62 +141,120 @@ class Truncation:
 
 
 class SeriesRing:
-    """A VarSet plus a Truncation, with precomputed admission metadata."""
+    """A VarSet plus a Truncation, with each cap stored as a linear load.
 
-    __slots__ = ("varset", "trunc", "_fam", "_idx", "_nonneg_positions")
+    Every cap of the truncation is a bound ``sum_i w_i * e_i <= cap`` on the
+    exponent vector ``e``: x-degree, u-degree, p-weight, t-degree, t-weight,
+    and ``-y <= -y_min``.  A monomial is admitted when its non-y exponents
+    are non-negative and every load is within its cap.  Loads are linear, so
+    a product's loads are the sums of its factors' loads; the product kernel
+    uses that to reject pairs without building their exponent vectors.
+
+    The t-weight load (through t_0) and the y load have negative weights,
+    so a product can be admitted while a partial product is not: truncated
+    multiplication is then not associative.  `_hull` is the ring without
+    those two caps; inverse/exp/log run there and are restricted at the end.
+    """
+
+    __slots__ = ("varset", "trunc", "_nonneg_positions", "_weights", "_caps", "_hull")
 
     def __init__(self, varset: VarSet, trunc: Truncation):
+        if trunc.y_min is not None and trunc.y_min > 0:
+            raise ValueError("y_min must be <= 0")
         self.varset = varset
         self.trunc = trunc
-        self._fam = varset.families
-        self._idx = varset.indices
-        self._nonneg_positions = tuple(
-            i for i, f in enumerate(self._fam) if f != "y"
+        fams = varset.families
+        self._nonneg_positions = tuple(i for i, f in enumerate(fams) if f != "y")
+        rules = (
+            (trunc.x_max, lambda f, i: int(f == "x")),
+            (trunc.u_max, lambda f, i: int(f == "u")),
+            (trunc.p_weight_max, lambda f, i: i if f == "p" else 0),
+            (trunc.t_deg_max, lambda f, i: int(f == "t")),
+            (trunc.t_weight_max, lambda f, i: i - 1 if f == "t" else 0),
+            (-(trunc.y_min or 0), lambda f, i: -int(f == "y")),
         )
+        weights, caps = [], []
+        for cap, weight in rules:
+            if cap is None:
+                continue
+            w = tuple(weight(f, i) for f, i in zip(fams, varset.indices))
+            if any(w) or cap < 0:  # an empty load only matters if it can fail
+                weights.append(w)
+                caps.append(cap)
+        if not weights:  # the kernel sorts by a first load; give it one
+            weights.append((0,) * len(fams))
+            caps.append(0)
+        self._weights = tuple(weights)
+        self._caps = tuple(caps)
+        if trunc.t_weight_max is None and trunc.y_min is None:
+            self._hull = self
+        else:
+            self._hull = SeriesRing(
+                varset, replace(trunc, t_weight_max=None, y_min=None)
+            )
+
+    def _loads(self, exps: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(sum(map(mul, w, exps)) for w in self._weights)
 
     def admits(self, exps: tuple[int, ...]) -> bool:
-        x_deg = u_deg = p_wt = t_deg = t_wt = 0
-        for pos, e in enumerate(exps):
-            if e == 0:
-                continue
-            fam = self._fam[pos]
-            if fam == "y":
-                if e < (self.trunc.y_min if self.trunc.y_min is not None else 0):
-                    return False
-                continue
-            if e < 0:
-                return False
-            if fam == "x":
-                x_deg += e
-            elif fam == "u":
-                u_deg += e
-            elif fam == "p":
-                p_wt += self._idx[pos] * e
-            elif fam == "t":
-                t_deg += e
-                t_wt += (self._idx[pos] - 1) * e
-        t = self.trunc
-        if t.x_max is not None and x_deg > t.x_max:
-            return False
-        if t.u_max is not None and u_deg > t.u_max:
-            return False
-        if t.p_weight_max is not None and p_wt > t.p_weight_max:
-            return False
-        if t.t_deg_max is not None and t_deg > t.t_deg_max:
-            return False
-        if t.t_weight_max is not None and t_wt > t.t_weight_max:
-            return False
-        return True
+        return all(exps[i] >= 0 for i in self._nonneg_positions) and all(
+            map(le, self._loads(exps), self._caps)
+        )
+
+    def _prepare(self, terms: Mapping[tuple[int, ...], Fraction]) -> tuple:
+        """The operand form of `_mul_into`: the terms over one common
+        denominator, as (denominator, [(first load, other loads, exponents,
+        numerator), ...]) sorted by first load."""
+        den = math.lcm(*(c.denominator for c in terms.values()))
+        out = []
+        for e, c in terms.items():
+            loads = self._loads(e)
+            out.append((loads[0], loads[1:], e, c.numerator * (den // c.denominator)))
+        out.sort(key=itemgetter(0))
+        return den, out
+
+    def _mul_into(self, acc: dict, a: tuple, b: tuple) -> None:
+        """acc += a * b over admitted products, for prepared admitted terms.
+
+        Both operands are sorted by first load, so each inner loop stops at
+        the first cap; an exponent tuple is built only for admitted pairs.
+        Products are summed as integer numerators and divided once per
+        monomial.
+        """
+        (den_a, a), (den_b, b) = a, b
+        if not b:
+            return
+        cap0, caps = self._caps[0], self._caps[1:]
+        lb_min = b[0][0]
+        nums: dict[tuple[int, ...], int] = {}
+        for la, ra, ea, na in a:
+            room = cap0 - la
+            if lb_min > room:
+                break
+            rooms = tuple(map(sub, caps, ra))
+            for lb, rb, eb, nb in b:
+                if lb > room:
+                    break
+                if rooms and not all(map(le, rb, rooms)):
+                    continue
+                e = tuple(map(add, ea, eb))
+                nums[e] = nums.get(e, 0) + na * nb
+        den = den_a * den_b
+        for e, n in nums.items():
+            if n:
+                q = Fraction(n, den)
+                acc[e] = acc[e] + q if e in acc else q
 
     def max_total_degree(self) -> int:
-        """Upper bound on the total degree of any admitted monomial.
+        """Upper bound on the degree in the non-y variables of any admitted
+        monomial.
 
         Requires every non-y family that is present to be capped; used as
-        the iteration bound for exp/log.
+        the iteration bound for inverse/exp/log.
         """
         t = self.trunc
         bound = 0
-        fams = set(self._fam)
+        fams = set(self.varset.families)
         if "x" in fams:
             if t.x_max is None:
                 raise SeriesError("x is uncapped; no finite degree bound")
@@ -250,10 +308,6 @@ class SeriesRing:
         return f"SeriesRing({self.varset!r}, {self.trunc!r})"
 
 
-def _total_degree(exps: tuple[int, ...]) -> int:
-    return sum(exps)
-
-
 class ExactSeries:
     """A sparse truncated series: map from exponent vector to Fraction.
 
@@ -262,13 +316,21 @@ class ExactSeries:
     exponent vector is admitted by the ring's truncation.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_operand")
 
     def __init__(self, ring: SeriesRing, terms: Mapping[tuple[int, ...], Fraction]):
         self.ring = ring
         self.terms = {
             e: c for e, c in terms.items() if c != 0 and ring.admits(e)
         }
+
+    @classmethod
+    def _admitted(cls, ring: SeriesRing, terms: dict) -> "ExactSeries":
+        """Wrap terms that are admitted and nonzero by construction."""
+        series = object.__new__(cls)
+        series.ring = ring
+        series.terms = terms
+        return series
 
     # -- basics ----------------------------------------------------------
 
@@ -318,12 +380,12 @@ class ExactSeries:
                 terms[e] = acc
             else:
                 terms.pop(e, None)
-        return ExactSeries(self.ring, terms)
+        return ExactSeries._admitted(self.ring, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExactSeries":
-        return ExactSeries(self.ring, {e: -c for e, c in self.terms.items()})
+        return ExactSeries._admitted(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "ExactSeries":
         if not isinstance(other, ExactSeries):
@@ -337,28 +399,21 @@ class ExactSeries:
         c = Fraction(c)
         if c == 0:
             return self.ring.zero()
-        return ExactSeries(self.ring, {e: c * v for e, v in self.terms.items()})
+        return ExactSeries._admitted(
+            self.ring, {e: c * v for e, v in self.terms.items()}
+        )
 
     def __mul__(self, other) -> "ExactSeries":
         if not isinstance(other, ExactSeries):
             return self.scale(other)
         self._check_ring(other)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
+        ring = self.ring
+        a, b = self, other
+        if len(a.terms) > len(b.terms):
             a, b = b, a
-        admits = self.ring.admits
         acc: dict[tuple[int, ...], Fraction] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(map(sum, zip(ea, eb)))
-                if not admits(e):
-                    continue
-                v = acc.get(e, 0) + ca * cb
-                if v:
-                    acc[e] = v
-                else:
-                    acc.pop(e, None)
-        return ExactSeries(self.ring, acc)
+        ring._mul_into(acc, a._prepared(), b._prepared())
+        return ExactSeries._admitted(ring, acc)
 
     __rmul__ = __mul__
 
@@ -374,99 +429,124 @@ class ExactSeries:
             n >>= 1
         return result
 
-    def inverse(self) -> "ExactSeries":
-        """Multiplicative inverse; requires an invertible constant term."""
-        c0 = self.constant_term()
-        if c0 == 0:
-            raise ConstantTermError("inverse requires nonzero constant term")
-        n = self.ring.max_total_degree()
-        slices = self._slices_by_degree()
-        inv_slices: dict[int, dict] = {0: {self._zero_key(): 1 / c0}}
-        for m in range(1, n + 1):
-            acc: dict[tuple[int, ...], Fraction] = {}
-            for j in range(1, m + 1):
-                if j in slices and (m - j) in inv_slices:
-                    self._slice_mul_into(acc, slices[j], inv_slices[m - j])
-            if acc:
-                inv_slices[m] = {e: -c / c0 for e, c in acc.items() if c}
-        return self._from_slices(inv_slices)
+    # -- inverse / exp / log -----------------------------------------------
+    #
+    # All three solve a recurrence over slices by degree in the non-y
+    # variables (y is uncapped above, so it cannot bound the recurrence),
+    #   out_0 = first,  out_m = finish(m, sum_{j >= 1} fixed_j * out_{m-j}),
+    # with every product done by the ring's kernel.
 
-    # -- exp / log ---------------------------------------------------------
+    def _prepared(self) -> tuple:
+        """The terms in the kernel's operand form, computed once."""
+        try:
+            return self._operand
+        except AttributeError:
+            self._operand = self.ring._prepare(self.terms)
+            return self._operand
 
     def _zero_key(self) -> tuple[int, ...]:
         return (0,) * len(self.ring.varset.names)
 
     def _slices_by_degree(self) -> dict[int, dict]:
+        positions = self.ring._nonneg_positions
         slices: dict[int, dict] = {}
         for e, c in self.terms.items():
             if any(v < 0 for v in e):
                 raise SeriesError("degree-graded operation on negative exponents")
-            slices.setdefault(_total_degree(e), {})[e] = c
+            m = sum(e[i] for i in positions)
+            if not m and any(e):
+                raise SeriesError("degree-graded operation on a pure power of y")
+            slices.setdefault(m, {})[e] = c
         return slices
 
-    def _slice_mul_into(self, acc: dict, a: dict, b: dict) -> None:
-        admits = self.ring.admits
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(map(sum, zip(ea, eb)))
-                if admits(e):
-                    acc[e] = acc.get(e, 0) + ca * cb
+    def _graded(
+        self,
+        fixed: dict[int, dict],
+        first: dict,
+        finish: Callable[[int, dict], dict],
+    ) -> dict[int, dict]:
+        """The nonzero slices out_m of the recurrence above, by degree m,
+        computed in the ring's hull."""
+        ring = self.ring._hull
+        fixed_ops = sorted((j, ring._prepare(s)) for j, s in fixed.items() if j)
+        out = {0: first}
+        ops = {0: ring._prepare(first)}
+        for m in range(1, ring.max_total_degree() + 1):
+            acc: dict[tuple[int, ...], Fraction] = {}
+            for j, op in fixed_ops:
+                if j > m:
+                    break
+                if m - j in ops:
+                    ring._mul_into(acc, op, ops[m - j])
+            slice_m = {e: c for e, c in finish(m, acc).items() if c}
+            if slice_m:
+                out[m] = slice_m
+                ops[m] = ring._prepare(slice_m)
+        return out
 
-    def _from_slices(self, slices: dict[int, dict]) -> "ExactSeries":
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for s in slices.values():
-            for e, c in s.items():
-                if c:
-                    terms[e] = c
+    def _from_slices(self, slices: Iterable[dict]) -> "ExactSeries":
+        terms = {e: c for s in slices for e, c in s.items()}
+        if self.ring._hull is self.ring:
+            return ExactSeries._admitted(self.ring, terms)
         return ExactSeries(self.ring, terms)
+
+    def inverse(self) -> "ExactSeries":
+        """Multiplicative inverse; requires an invertible constant term.
+
+        B_0 = 1/A_0 and A_0*B_m = -sum_{j>=1} A_j*B_{m-j}.
+        """
+        c0 = self.constant_term()
+        if c0 == 0:
+            raise ConstantTermError("inverse requires nonzero constant term")
+        slices = self._graded(
+            self._slices_by_degree(),
+            {self._zero_key(): Fraction(1) / c0},
+            lambda m, acc: {e: -c / c0 for e, c in acc.items()},
+        )
+        return self._from_slices(slices.values())
 
     def exp(self) -> "ExactSeries":
         """Exponential; requires constant term 0.
 
         Computed by the Euler-graded recurrence m*E_m = sum_j j*A_j*E_{m-j}
-        over total-degree slices, so cost is one Cauchy product overall.
+        over degree slices, so cost is one Cauchy product overall.
         """
         if self.constant_term() != 0:
             raise ConstantTermError("exp requires constant term 0")
-        n = self.ring.max_total_degree()
-        a = self._slices_by_degree()
-        out: dict[int, dict] = {0: {self._zero_key(): Fraction(1)}}
-        for m in range(1, n + 1):
-            acc: dict[tuple[int, ...], Fraction] = {}
-            for j in range(1, m + 1):
-                if j in a and (m - j) in out:
-                    self._slice_mul_into(
-                        acc, {e: j * c for e, c in a[j].items()}, out[m - j]
-                    )
-            if acc:
-                out[m] = {e: c / m for e, c in acc.items() if c}
-        return self._from_slices(out)
+        fixed = {
+            j: {e: j * c for e, c in s.items()}
+            for j, s in self._slices_by_degree().items()
+        }
+        slices = self._graded(
+            fixed,
+            {self._zero_key(): Fraction(1)},
+            lambda m, acc: {e: c / m for e, c in acc.items()},
+        )
+        return self._from_slices(slices.values())
 
     def log(self) -> "ExactSeries":
         """Logarithm; requires constant term 1.
 
-        Inverse recurrence of `exp`: m*H_m = m*E_m - sum_{j<m} j*H_j*E_{m-j}.
+        Inverse recurrence of `exp`, solved for K_m = m*H_m:
+        K_0 = 0 and K_m = m*E_m - sum_{j>=1} E_j*K_{m-j}.
         """
         if self.constant_term() != 1:
             raise ConstantTermError("log requires constant term 1")
-        n = self.ring.max_total_degree()
         e_slices = self._slices_by_degree()
-        h: dict[int, dict] = {}
-        for m in range(1, n + 1):
-            acc: dict[tuple[int, ...], Fraction] = {}
-            for ee, c in e_slices.get(m, {}).items():
-                acc[ee] = acc.get(ee, 0) + m * c
-            for j in range(1, m):
-                if j in h and (m - j) in e_slices:
-                    self._slice_mul_into(
-                        acc,
-                        {e: -j * c for e, c in h[j].items()},
-                        e_slices[m - j],
-                    )
-            slice_m = {e: c / m for e, c in acc.items() if c}
-            if slice_m:
-                h[m] = slice_m
-        return self._from_slices(h)
+
+        def finish(m: int, acc: dict) -> dict:
+            for e, c in e_slices.get(m, {}).items():
+                acc[e] = acc.get(e, 0) + m * c
+            return acc
+
+        k_slices = self._graded(
+            {j: {e: -c for e, c in s.items()} for j, s in e_slices.items()},
+            {},
+            finish,
+        )
+        return self._from_slices(
+            {e: c / m for e, c in s.items()} for m, s in k_slices.items() if m
+        )
 
     # -- derivations -------------------------------------------------------
 
@@ -485,7 +565,7 @@ class ExactSeries:
     def euler(self, name: str) -> "ExactSeries":
         """The operator v * d/dv for the named variable (degree scaling)."""
         pos = self.ring.varset.position[name]
-        return ExactSeries(
+        return ExactSeries._admitted(
             self.ring,
             {e: e[pos] * c for e, c in self.terms.items() if e[pos]},
         )
@@ -525,36 +605,6 @@ class ExactSeries:
                 vec[ring.varset.position[name]] = int(e)
             terms[tuple(vec)] = parse_rational(rec["coeff"])
         return cls(ring, terms)
-
-
-# -- spec-surface dispatchers ------------------------------------------------
-
-
-def series_arith(a: ExactSeries, b: ExactSeries, op: str) -> ExactSeries:
-    """Dispatch {add, mul, scale} with ring checking.
-
-    >>> ring = SeriesRing(VarSet(("x",)), Truncation(x_max=2))
-    >>> x = ring.var("x")
-    >>> series_arith(1 + x, 1 - x, "mul").coeff({"x": 2})
-    Fraction(-1, 1)
-    """
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "scale":
-        if not isinstance(b, (int, Fraction)):
-            raise TypeError("scale expects a rational scalar")
-        return a.scale(b)
-    raise ValueError(f"unknown op {op!r}")
-
-
-def series_exp_log(a: ExactSeries, op: str) -> ExactSeries:
-    if op == "exp":
-        return a.exp()
-    if op == "log":
-        return a.log()
-    raise ValueError(f"unknown op {op!r}")
 
 
 def solve_graded_fixpoint(

@@ -592,9 +592,9 @@ def verify_delta_annihilation(
     )
 
 
-def verify_xi_on_I(k: int, d_max: int) -> VerifyReport:
+def verify_xi_on_I(k: int, ctx: XpContext) -> VerifyReport:
     """Image of I_k under t_j -> phi_j(x, p) equals phi_k(s, p)."""
-    ctx = XpContext(d_max)
+    d_max = ctx.d_max
     tctx = TContext(k + d_max, d_max)
     lhs = xi_substitute(tctx.I(k), ctx)
     return compare_series(
@@ -602,9 +602,9 @@ def verify_xi_on_I(k: int, d_max: int) -> VerifyReport:
     )
 
 
-def verify_phi_shift_expansion(k: int, d_max: int) -> VerifyReport:
+def verify_phi_shift_expansion(k: int, ctx: XpContext) -> VerifyReport:
     """phi_k(s, p) = sum_m phi_{k+m}(x, p) phi_0(s, p)^m / m!."""
-    ctx = XpContext(d_max)
+    d_max = ctx.d_max
     phi0s_pow = ctx.ring.one()
     total = ctx.ring.zero()
     for m in range(d_max + 1):

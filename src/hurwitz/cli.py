@@ -23,6 +23,7 @@ from fractions import Fraction
 from .algebra import lagrange_coeff, rational_str
 from .ansatz import (
     AnsatzForm,
+    XpContext,
     fit_constants,
     verify_change_theorem,
     verify_delta_annihilation,
@@ -132,6 +133,14 @@ def _parse_parts(text: str, *, minimum: int) -> tuple[int, ...]:
     if any(p < minimum for p in parts):
         raise ValueError(f"parts must be >= {minimum}: {text!r}")
     return parts
+
+
+def _check_bounds(args: argparse.Namespace) -> None:
+    """Refuse degree and genus bounds under which there is nothing to compute."""
+    for name, minimum in (("dmax", 1), ("gmax", 0)):
+        value = getattr(args, name, None)
+        if value is not None and value < minimum:
+            raise ValueError(f"--{name} must be >= {minimum}, got {value}")
 
 
 # -- commands ---------------------------------------------------------------------
@@ -314,9 +323,10 @@ def _suite_genus_expansion(dmax: int) -> list[dict]:
     reports = list(verify_genus_expansion(2, form, hodge))
     reports.append(verify_delta_annihilation(1, hodge))
     reports.append(verify_delta_annihilation(2, hodge))
+    ctx = XpContext(min(dmax, 8))
     for k in range(5):
-        reports.append(verify_xi_on_I(k, min(dmax, 8)))
-        reports.append(verify_phi_shift_expansion(k, min(dmax, 8)))
+        reports.append(verify_xi_on_I(k, ctx))
+        reports.append(verify_phi_shift_expansion(k, ctx))
     return [r.to_json_obj() for r in reports]
 
 
@@ -518,6 +528,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_bounds(args)
         return _COMMANDS[args.command](args)
     except BudgetExceededError as ex:
         print(f"error: {ex}", file=sys.stderr)

@@ -2,6 +2,7 @@
 Lagrange coefficient extractor."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from hurwitz.algebra import (
     ConstantTermError,
     DivergingFunctionalError,
     ExactSeries,
+    SeriesError,
     SeriesRing,
     Truncation,
     VarSet,
@@ -166,6 +168,133 @@ def test_rational_str_roundtrip(num, den):
     text = rational_str(q)
     assert "/" in text
     assert parse_rational(text) == q
+
+
+# -- the product kernel against naive references on every kind of ring ----------
+
+ORACLE_RING = SeriesRing(VarSet.xup(3), Truncation(x_max=3, u_max=4, p_weight_max=3))
+T_RING = SeriesRing(VarSet.tvars(3), Truncation(t_deg_max=3, t_weight_max=2))
+Y_RING = SeriesRing(
+    VarSet(("x", "y", "p_1", "p_2")), Truncation(x_max=3, p_weight_max=2, y_min=-2)
+)
+KERNEL_RINGS = [RING4, ORACLE_RING, T_RING, Y_RING]
+RING_IDS = ["xp", "xup", "t-deg-weight", "y"]
+
+
+def family_admits(ring, exps):
+    """The truncation rule family by family, as the Truncation fields read."""
+    t = ring.trunc
+    x = u = p = t_deg = t_wt = 0
+    for fam, idx, e in zip(ring.varset.families, ring.varset.indices, exps):
+        if fam == "y":
+            if e < (t.y_min or 0):
+                return False
+            continue
+        if e < 0:
+            return False
+        x += e if fam == "x" else 0
+        u += e if fam == "u" else 0
+        p += idx * e if fam == "p" else 0
+        t_deg += e if fam == "t" else 0
+        t_wt += (idx - 1) * e if fam == "t" else 0
+    caps = [t.x_max, t.u_max, t.p_weight_max, t.t_deg_max, t.t_weight_max]
+    return all(c is None or v <= c for v, c in zip([x, u, p, t_deg, t_wt], caps))
+
+
+def naive_mul(a, b, ring=None):
+    """Every pair of terms, kept if the product monomial is admitted."""
+    ring = ring or a.ring
+    acc = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if ring.admits(e):
+                acc[e] = acc.get(e, 0) + ca * cb
+    return ExactSeries(ring, acc)
+
+
+def naive_power_sum(a, coeffs):
+    """sum_k coeffs[k] * a^k, with the powers taken in the ring without its
+    t-weight and y_min caps (where truncation commutes with products), then
+    restricted to a's ring."""
+    ring = a.ring
+    hull = SeriesRing(ring.varset, replace(ring.trunc, t_weight_max=None, y_min=None))
+    base = ExactSeries(hull, a.terms)
+    power, total = hull.one(), hull.zero()
+    for c in coeffs:
+        total = total + power.scale(c)
+        power = naive_mul(power, base)
+    assert power.is_zero()  # the sum is complete
+    return ExactSeries(ring, total.terms)
+
+
+@st.composite
+def ring_series(draw, ring, graded=False, max_terms=6):
+    """Admitted terms with exponents in [-2, 2] for y and [0, 2] otherwise.
+    With graded=True, y >= 0 and every term has positive degree in the
+    non-y variables, as inverse/exp/log require."""
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        exps = tuple(
+            draw(st.integers(0 if graded else -2, 2) if fam == "y" else st.integers(0, 2))
+            for fam in ring.varset.families
+        )
+        if graded and not any(e for f, e in zip(ring.varset.families, exps) if f != "y"):
+            continue
+        if ring.admits(exps):
+            terms[exps] = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
+    return ExactSeries(ring, terms)
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=RING_IDS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_load_admission_matches_family_rule(ring, data):
+    exps = tuple(data.draw(st.integers(-3, 5)) for _ in ring.varset.names)
+    assert ring.admits(exps) == family_admits(ring, exps)
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=RING_IDS)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_mul_matches_naive_product(ring, data):
+    a = data.draw(ring_series(ring))
+    b = data.draw(ring_series(ring))
+    assert a * b == naive_mul(a, b)
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=RING_IDS)
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_exp_log_inverse_match_power_sums(ring, data):
+    a = data.draw(ring_series(ring, graded=True))
+    c0 = Fraction(data.draw(st.sampled_from([-3, -1, 1, 2])), data.draw(st.integers(1, 3)))
+    n = ring.max_total_degree() + 1
+    assert a.exp() == naive_power_sum(a, [Fraction(1, math.factorial(k)) for k in range(n)])
+    log_coeffs = [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, n)]
+    assert (ring.one() + a).log() == naive_power_sum(a, log_coeffs)
+    inv_coeffs = [Fraction(-1) ** k / c0 ** (k + 1) for k in range(n)]
+    assert (ring.const(c0) + a).inverse() == naive_power_sum(a, inv_coeffs)
+
+
+def test_exp_counts_products_admitted_only_through_t0():
+    # t_2 t_3 exceeds the t-weight cap, but t_0 t_2 t_3 does not: its
+    # coefficient in exp(t_0 + t_2 + t_3) is 3!/3! = 1, not 2/3.
+    a = T_RING.var("t_0") + T_RING.var("t_2") + T_RING.var("t_3")
+    assert a.exp().coeff({"t_0": 1, "t_2": 1, "t_3": 1}) == 1
+
+
+def test_graded_ops_refuse_untruncatable_y():
+    y = Y_RING.var("y")
+    with pytest.raises(SeriesError):
+        (Y_RING.one() - y).inverse()  # y is uncapped above
+    with pytest.raises(SeriesError):
+        (Y_RING.var("x") * Y_RING.var("y", -1)).exp()
+
+
+def test_positive_y_min_is_refused():
+    with pytest.raises(ValueError):
+        SeriesRing(VarSet(("x", "y")), Truncation(x_max=2, y_min=1))
 
 
 def test_json_roundtrip():

@@ -48,14 +48,14 @@ def test_s_fixpoint_property():
 @given(st.integers(0, 4))
 @settings(max_examples=5, deadline=None)
 def test_xi_on_I(k):
-    report = verify_xi_on_I(k, 7)
+    report = verify_xi_on_I(k, XpContext(7))
     assert report.ok, report.first_mismatch
 
 
 @given(st.integers(0, 4))
 @settings(max_examples=5, deadline=None)
 def test_phi_shift_expansion(k):
-    report = verify_phi_shift_expansion(k, 7)
+    report = verify_phi_shift_expansion(k, XpContext(7))
     assert report.ok, report.first_mismatch
 
 

@@ -172,6 +172,23 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "hodge", "--g", "4", "--theta", "2", "--k", "0")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--dmax", "-2"],
+        ["table", "--method", "cutjoin", "--dmax", "3", "--gmax", "-1"],
+        ["verify", "--suite", "change-theorem", "--dmax", "0"],
+        ["search", "--dmax", "0"],
+    ],
+    ids=["table-dmax", "table-gmax", "verify-dmax", "search-dmax"],
+)
+def test_empty_bounds_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --")
+
+
 def test_argparse_usage_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["hurwitz", "--method", "bogus", "--g", "0", "--alpha", "1"])
