@@ -62,6 +62,15 @@ __all__ = [
 ]
 
 
+def _phi(ring: SeriesRing, k: int, z_pows: list[ExactSeries]) -> ExactSeries:
+    """phi_k(z, p) = sum_n n^(n+k)/n! p_n z^n, given z^0..z^d_max."""
+    total = ring.zero()
+    for n in range(1, len(z_pows)):
+        coeff = Fraction(n) ** (n + k) / math.factorial(n)
+        total = total + ring.monomial({f"p_{n}": 1}, coeff) * z_pows[n]
+    return total
+
+
 class XpContext:
     """Shared series data for a fixed (x, p) truncation degree.
 
@@ -85,11 +94,8 @@ class XpContext:
     def phi_x(self, k: int) -> ExactSeries:
         """phi_k(x, p) = sum_n n^(n+k)/n! p_n x^n."""
         if k not in self._phi_x:
-            total = self.ring.zero()
-            for n in range(1, self.d_max + 1):
-                coeff = Fraction(n) ** (n + k) / math.factorial(n)
-                total = total + self.ring.monomial({"x": n, f"p_{n}": 1}, coeff)
-            self._phi_x[k] = total
+            x_pows = [self.ring.monomial({"x": n}, 1) for n in range(self.d_max + 1)]
+            self._phi_x[k] = _phi(self.ring, k, x_pows)
         return self._phi_x[k]
 
     def phi_x_power(self, k: int, a: int) -> ExactSeries:
@@ -112,11 +118,7 @@ class XpContext:
                 pows = [ring.one()]
                 for _ in range(self.d_max):
                     pows.append(pows[-1] * v)
-                phi0_at_v = ring.zero()
-                for n in range(1, self.d_max + 1):
-                    coeff = Fraction(n) ** n / math.factorial(n)
-                    phi0_at_v = phi0_at_v + ring.monomial({f"p_{n}": 1}, coeff) * pows[n]
-                return ring.var("x") * phi0_at_v.exp()
+                return ring.var("x") * _phi(ring, 0, pows).exp()
 
             s = solve_graded_fixpoint(
                 functional, ring, self.d_max, grade=lambda e: e[0]
@@ -130,12 +132,7 @@ class XpContext:
     def phi_s(self, k: int) -> ExactSeries:
         """phi_k evaluated at z = s: sum_n n^(n+k)/n! p_n s^n."""
         if k not in self._phi_s:
-            pows = self.s_powers()
-            total = self.ring.zero()
-            for n in range(1, self.d_max + 1):
-                coeff = Fraction(n) ** (n + k) / math.factorial(n)
-                total = total + self.ring.monomial({f"p_{n}": 1}, coeff) * pows[n]
-            self._phi_s[k] = total
+            self._phi_s[k] = _phi(self.ring, k, self.s_powers())
         return self._phi_s[k]
 
     def inv_pole_power(self, e: int) -> ExactSeries:
@@ -458,11 +455,8 @@ def fit_constants(
 def ansatz_hurwitz_series(form: AnsatzForm, ctx: XpContext) -> ExactSeries:
     """H_g(x, p) predicted by the fitted pole form."""
     total = ctx.ring.zero()
-    for theta, e, _, value in form.records():
-        series = ctx.inv_pole_power(e) * (value / aut_count(theta))
-        for part in theta:
-            series = series * ctx.phi_s(part)
-        total = total + series
+    for theta, _, _, series in pole_basis_series(form.g, ctx):
+        total = total + series * form.constants[theta]
     return total
 
 

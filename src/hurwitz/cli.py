@@ -70,33 +70,36 @@ class FamilyFormatError(ValueError):
     """Family file is not a JSON list of {"factors": [[g, p], ...]}."""
 
 
-# -- shared lazily-built state ---------------------------------------------------
-
-_TABLE_CACHE: dict[tuple[int, int], HurwitzTable] = {}
-_FIT_CACHE: dict[int, AnsatzForm] = {}
-_SHARED_HODGE = HodgeTable()
+# -- per-invocation state ---------------------------------------------------------
 
 
-def _cutjoin_table(d_max: int, g_max: int) -> HurwitzTable:
-    key = (d_max, g_max)
-    if key not in _TABLE_CACHE:
-        _TABLE_CACHE[key] = hurwitz_via_cutjoin(d_max, g_max)
-    return _TABLE_CACHE[key]
+class Session:
+    """Work shared by the steps of one CLI invocation.
 
+    `slices` is the cut-and-join slice cache keyed by (d_max, r_max),
+    `forms` the fitted pole forms by genus, and `hodge` the bracket table
+    that every fit writes its primitives into.
+    """
 
-def _fitted_form(g: int) -> AnsatzForm:
-    if g not in _FIT_CACHE:
-        d_fit = 2 * g + 2
-        _FIT_CACHE[g] = fit_constants(
-            g, _cutjoin_table(d_fit, g), d_fit, _SHARED_HODGE
-        )
-    return _FIT_CACHE[g]
+    def __init__(self) -> None:
+        self.slices: dict[tuple[int, int], list] = {}
+        self.forms: dict[int, AnsatzForm] = {}
+        self.hodge = HodgeTable()
 
+    def table(self, d_max: int, g_max: int) -> HurwitzTable:
+        return hurwitz_via_cutjoin(d_max, g_max, cache=self.slices)
 
-def _hodge_with_primitives(g: int) -> HodgeTable:
-    if g >= 2:
-        _fitted_form(g)
-    return _SHARED_HODGE
+    def form(self, g: int) -> AnsatzForm:
+        if g not in self.forms:
+            d_fit = 2 * g + 2
+            self.forms[g] = fit_constants(g, self.table(d_fit, g), d_fit, self.hodge)
+        return self.forms[g]
+
+    def brackets(self, g: int) -> HodgeTable:
+        """The bracket table, holding the fitted primitives of genus g."""
+        if g >= 2:
+            self.form(g)
+        return self.hodge
 
 
 # -- output plumbing --------------------------------------------------------------
@@ -106,8 +109,11 @@ def _emit(text: str, out_path: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as ex:
+            raise ValueError(f"cannot write {out_path}: {ex.strerror or ex}") from ex
     else:
         sys.stdout.write(text)
 
@@ -137,7 +143,7 @@ def _parse_parts(text: str, *, minimum: int) -> tuple[int, ...]:
 
 def _check_bounds(args: argparse.Namespace) -> None:
     """Refuse degree and genus bounds under which there is nothing to compute."""
-    for name, minimum in (("dmax", 1), ("gmax", 0)):
+    for name, minimum in (("dmax", 1), ("gmax", 0), ("rmax", 0)):
         value = getattr(args, name, None)
         if value is not None and value < minimum:
             raise ValueError(f"--{name} must be >= {minimum}, got {value}")
@@ -146,7 +152,7 @@ def _check_bounds(args: argparse.Namespace) -> None:
 # -- commands ---------------------------------------------------------------------
 
 
-def _cmd_hurwitz(args: argparse.Namespace) -> int:
+def _cmd_hurwitz(args: argparse.Namespace, session: Session) -> int:
     if args.g < 0:
         raise ValueError("genus must be >= 0")
     alpha = Partition.of(_parse_parts(args.alpha, minimum=1))
@@ -158,11 +164,11 @@ def _cmd_hurwitz(args: argparse.Namespace) -> int:
         table = connected_hurwitz(d, g, r)
         value = table.value(g, alpha)
     elif args.method == "cutjoin":
-        value = _cutjoin_table(d, g).value(g, alpha)
+        value = session.table(d, g).value(g, alpha)
     elif args.method == "elsv":
         if g > 3:
             raise ValueError("elsv needs fitted primitives; supported for g <= 3")
-        value = elsv_hurwitz(g, alpha, _hodge_with_primitives(g))
+        value = elsv_hurwitz(g, alpha, session.brackets(g))
     else:  # closed-form
         if set(alpha) != {1}:
             raise ValueError("closed-form method covers only profiles (1,...,1)")
@@ -180,12 +186,12 @@ def _cmd_hurwitz(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: argparse.Namespace, session: Session) -> int:
     if args.method == "oracle":
         r_max = args.rmax if args.rmax is not None else 2 * args.dmax + 2 * args.gmax - 2
         table = connected_hurwitz(args.dmax, args.gmax, r_max)
     elif args.method == "cutjoin":
-        table = _cutjoin_table(args.dmax, args.gmax)
+        table = session.table(args.dmax, args.gmax)
         if args.rmax is not None:
             table = table.restricted(r_max=args.rmax)
     else:
@@ -197,13 +203,13 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_fit(args: argparse.Namespace) -> int:
+def _cmd_fit(args: argparse.Namespace, session: Session) -> int:
     if args.g < 2:
         raise ValueError("pole-form constants exist for genus >= 2")
-    form = _fitted_form(args.g)
+    form = session.form(args.g)
     primitives = [
         rec
-        for rec in _SHARED_HODGE.to_json_records()
+        for rec in session.hodge.to_json_records()
         if rec["g"] == args.g and rec["source"] == "fitted"
     ]
     obj = {"form": form.to_json_obj(), "primitives": primitives}
@@ -211,12 +217,12 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_hodge(args: argparse.Namespace) -> int:
+def _cmd_hodge(args: argparse.Namespace, session: Session) -> int:
     theta = _parse_parts(args.theta, minimum=0)
     key = HodgeKey.make(args.g, theta, args.k)
     if args.g > 3:
         raise ValueError("primitive brackets are fitted for g <= 3 only")
-    value = evaluate(key, _hodge_with_primitives(args.g))
+    value = evaluate(key, session.brackets(args.g))
     obj = {
         "g": args.g,
         "theta": sorted(theta),
@@ -257,10 +263,10 @@ def _load_family(path: str | None) -> list[dict]:
     return family
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
+def _cmd_search(args: argparse.Namespace, session: Session) -> int:
     family = _load_family(args.family)
     max_g = max(g for term in family for g, _ in term["factors"])
-    table = _cutjoin_table(args.dmax, max_g)
+    table = session.table(args.dmax, max_g)
     result = simple_hurwitz.search_recursions(family, table, d_verify=args.dmax)
     obj = {
         "family_size": len(family),
@@ -283,11 +289,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
 # -- verification suites ----------------------------------------------------------
 
 
-def _suite_oracle_vs_cutjoin(dmax: int) -> list[dict]:
+def _suite_oracle_vs_cutjoin(session: Session, dmax: int) -> list[dict]:
     r_max = 2 * dmax + 6
     g_max = r_max // 2
     oracle = connected_hurwitz(dmax, g_max, r_max)
-    cj = _cutjoin_table(dmax, g_max).restricted(r_max=r_max)
+    cj = session.table(dmax, g_max).restricted(r_max=r_max)
     checks = []
     mismatch = None
     for key in sorted(set(oracle.entries) | set(cj.entries)):
@@ -305,9 +311,9 @@ def _suite_oracle_vs_cutjoin(dmax: int) -> list[dict]:
     return checks
 
 
-def _suite_change_theorem(dmax: int) -> list[dict]:
-    table = _cutjoin_table(dmax, 2)
-    hodge = _hodge_with_primitives(2)
+def _suite_change_theorem(session: Session, dmax: int) -> list[dict]:
+    table = session.table(dmax, 2)
+    hodge = session.brackets(2)
     reports = [
         verify_euler_square(dmax, table),
         verify_change_theorem(0, dmax, table, hodge),
@@ -317,9 +323,9 @@ def _suite_change_theorem(dmax: int) -> list[dict]:
     return [r.to_json_obj() for r in reports]
 
 
-def _suite_genus_expansion(dmax: int) -> list[dict]:
-    form = _fitted_form(2)
-    hodge = _hodge_with_primitives(2)
+def _suite_genus_expansion(session: Session, dmax: int) -> list[dict]:
+    form = session.form(2)
+    hodge = session.brackets(2)
     reports = list(verify_genus_expansion(2, form, hodge))
     reports.append(verify_delta_annihilation(1, hodge))
     reports.append(verify_delta_annihilation(2, hodge))
@@ -330,8 +336,8 @@ def _suite_genus_expansion(dmax: int) -> list[dict]:
     return [r.to_json_obj() for r in reports]
 
 
-def _suite_recursions(dmax: int) -> list[dict]:
-    table = _cutjoin_table(max(dmax, 10), 3)
+def _suite_recursions(session: Session, dmax: int) -> list[dict]:
+    table = session.table(max(dmax, 10), 3)
     checks = []
     for name, spec in sorted(golden.RECURRENCES.items()):
         rep = simple_hurwitz.verify_recurrence(spec, table, range(2, dmax + 1))
@@ -374,8 +380,8 @@ def _suite_recursions(dmax: int) -> list[dict]:
     return checks
 
 
-def _suite_closed_forms(dmax: int) -> list[dict]:
-    table = _cutjoin_table(max(dmax, 10), 3)
+def _suite_closed_forms(session: Session, dmax: int) -> list[dict]:
+    table = session.table(max(dmax, 10), 3)
     checks = []
 
     def add(name: str, ok: bool, detail=None) -> None:
@@ -388,7 +394,7 @@ def _suite_closed_forms(dmax: int) -> list[dict]:
         pinned = simple_hurwitz.WExpr(data["laurent"], data["log"])
         add(f"w-series-display-g{g}-n{n}", expr == pinned)
     for g in (2, 3):
-        fitted = simple_hurwitz.wexpr_from_ansatz(_fitted_form(g))
+        fitted = simple_hurwitz.wexpr_from_ansatz(session.form(g))
         add(f"fitted-form-matches-display-g{g}", fitted == simple_hurwitz.wexpr_for(g, 0))
     for g, coeffs in sorted(golden.POLE_FORM_COEFFS.items()):
         ok = True
@@ -402,7 +408,7 @@ def _suite_closed_forms(dmax: int) -> list[dict]:
             ):
                 ok = False
         add(f"pole-form-display-g{g}", ok)
-    form2 = _fitted_form(2)
+    form2 = session.form(2)
     agg = golden.AGGREGATE_CONSTANT_CHECKS_G2
     add(
         "fitted-aggregates-g2",
@@ -451,10 +457,10 @@ _SUITE_RUNNERS = {
 }
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace, session: Session) -> int:
     runner, default_dmax = _SUITE_RUNNERS[args.suite]
     dmax = args.dmax if args.dmax is not None else default_dmax
-    checks = runner(dmax)
+    checks = runner(session, dmax)
     if args.format == "json":
         _emit(json.dumps({"suite": args.suite, "checks": checks}, indent=2), args.out)
     else:
@@ -529,7 +535,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_bounds(args)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, Session())
     except BudgetExceededError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_BUDGET

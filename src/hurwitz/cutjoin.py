@@ -38,8 +38,6 @@ __all__ = [
 
 Slice = dict[tuple[int, ...], Fraction]
 
-_SLICE_CACHE: dict[tuple[int, int], list[Slice]] = {}
-
 
 def initial_slices(d_max: int) -> Slice:
     """Step-0 slice: exp(p_1 x) truncated at degree d_max."""
@@ -132,23 +130,32 @@ def _slice_axpy(acc: Slice, scale: Fraction, s: Slice) -> None:
             del acc[k]
 
 
-def connected_slices(d_max: int, r_max: int) -> list[Slice]:
+def connected_slices(
+    d_max: int, r_max: int, cache: dict[tuple[int, int], list[Slice]] | None = None
+) -> list[Slice]:
     """Slices H_0..H_{r_max} of the connected series (logarithm of E).
 
     Uses the derivative-of-log convolution in the step variable:
     (r+1) E_{r+1} = sum_k (k+1) H_{k+1} E_{r-k}, solved for H_{r+1} with
     E_0^{-1} = exp(-p_1 x).
+
+    `cache`, owned by the caller, maps (d_max, r_max) to slices already
+    computed: an exact hit is returned as is, and an entry at least as large
+    in both bounds is trimmed instead of recomputed, and every result is
+    stored back.  Without a cache every call computes from scratch.
     """
+    if cache is None:
+        cache = {}
     key = (d_max, r_max)
-    if key in _SLICE_CACHE:
-        return _SLICE_CACHE[key]
-    for (dc, rc), cached in _SLICE_CACHE.items():
+    if key in cache:
+        return cache[key]
+    for (dc, rc), cached in cache.items():
         if dc >= d_max and rc >= r_max:
             trimmed = [
                 {k: v for k, v in s.items() if sum(k) <= d_max}
                 for s in cached[: r_max + 1]
             ]
-            _SLICE_CACHE[key] = trimmed
+            cache[key] = trimmed
             return trimmed
     e = disconnected_slices(d_max, r_max)
     e0_inv: Slice = {
@@ -164,7 +171,7 @@ def connected_slices(d_max: int, r_max: int) -> list[Slice]:
             term = _slice_mul(h[k + 1], e[r - k], d_max)
             _slice_axpy(acc, Fraction(-(k + 1), r + 1), term)
         h.append(_slice_mul(e0_inv, acc, d_max))
-    _SLICE_CACHE[key] = h
+    cache[key] = h
     return h
 
 
@@ -177,13 +184,19 @@ def _slice_mul_log_base(e0: Slice, d_max: int) -> Slice:
     return {(1,): Fraction(1)} if d_max >= 1 else {}
 
 
-def hurwitz_via_cutjoin(d_max: int, g_max: int | None = None, r_max: int | None = None) -> HurwitzTable:
+def hurwitz_via_cutjoin(
+    d_max: int,
+    g_max: int | None = None,
+    r_max: int | None = None,
+    cache: dict[tuple[int, int], list[Slice]] | None = None,
+) -> HurwitzTable:
     """Connected Hurwitz table from the cut-and-join iteration.
 
     With g_max given, r_max defaults to 2*d_max + 2*g_max - 2 (enough steps
     for every profile of degree <= d_max at genus <= g_max) and an explicit
     smaller r_max is rejected.  Entries of higher genus reachable within
-    r_max are included unless g_max filters them.
+    r_max are included unless g_max filters them.  `cache` is passed on to
+    `connected_slices`.
     """
     if g_max is not None:
         r_needed = 2 * d_max + 2 * g_max - 2
@@ -195,7 +208,7 @@ def hurwitz_via_cutjoin(d_max: int, g_max: int | None = None, r_max: int | None 
             )
     elif r_max is None:
         raise ValueError("need g_max or r_max")
-    h = connected_slices(d_max, r_max)
+    h = connected_slices(d_max, r_max, cache)
     table = HurwitzTable("cutjoin")
     for r, s in enumerate(h):
         r_fact = math.factorial(r)

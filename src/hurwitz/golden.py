@@ -22,7 +22,6 @@ from fractions import Fraction
 
 __all__ = [
     "PINNED_W_SERIES",
-    "AUX_W_SERIES",
     "POLE_FORM_COEFFS",
     "A_COMBINATION_G3",
     "P3_PREFACTOR_DENOM",
@@ -71,12 +70,6 @@ PINNED_W_SERIES: dict[tuple[int, int], dict[str, dict[int, Fraction]]] = {
         },
         "log": {},
     },
-}
-
-# Two short derived series quoted in the recurrence discussion.
-AUX_W_SERIES: dict[tuple[int, int], dict[str, dict[int, Fraction]]] = {
-    (0, 2): {"laurent": {0: _fr(1), -1: _fr(-1)}, "log": {}},
-    (0, 3): {"laurent": {1: _fr(1), 0: _fr(-1)}, "log": {}},
 }
 
 # H~_g as sum of c * w^m / (1-w)^r, keyed g -> {(m, r): c}.

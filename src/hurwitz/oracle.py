@@ -36,7 +36,6 @@ __all__ = [
     "unrank_perm",
     "cycle_type",
     "transpositions",
-    "GroupAlgebraVector",
     "count_factorizations",
     "connected_hurwitz",
     "HurwitzTable",
@@ -123,26 +122,14 @@ def transpositions(d: int) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass
-class GroupAlgebraVector:
-    """An integer vector over S_d indexed by Lehmer rank."""
-
-    d: int
-    counts: list[int]
-
-    @classmethod
-    def delta_identity(cls, d: int) -> "GroupAlgebraVector":
-        counts = [0] * math.factorial(d)
-        counts[rank_perm(tuple(range(d)))] = 1
-        return cls(d, counts)
-
-    def bin_by_cycle_type(self) -> dict[Partition, int]:
-        out: dict[Partition, int] = {}
-        for idx, c in enumerate(self.counts):
-            if c:
-                key = cycle_type(unrank_perm(self.d, idx))
-                out[key] = out.get(key, 0) + c
-        return out
+def _bin_by_cycle_type(d: int, counts: list[int]) -> dict[Partition, int]:
+    """Sum a vector over S_d (indexed by Lehmer rank) within each cycle type."""
+    out: dict[Partition, int] = {}
+    for idx, c in enumerate(counts):
+        if c:
+            key = cycle_type(unrank_perm(d, idx))
+            out[key] = out.get(key, 0) + c
+    return out
 
 
 def _transposition_action(d: int) -> list[list[int]]:
@@ -174,9 +161,9 @@ def count_factorizations(d: int, r_max: int) -> list[dict[Partition, int]]:
             f"raise {MEMORY_BUDGET_ENV} to override"
         )
     action = _transposition_action(d)
-    vec = GroupAlgebraVector.delta_identity(d)
-    out = [vec.bin_by_cycle_type()]
-    counts = vec.counts
+    counts = [0] * math.factorial(d)
+    counts[0] = 1  # the identity has Lehmer rank 0
+    out = [_bin_by_cycle_type(d, counts)]
     for _ in range(r_max):
         nxt = [0] * len(counts)
         for row in action:
@@ -184,7 +171,7 @@ def count_factorizations(d: int, r_max: int) -> list[dict[Partition, int]]:
                 if c:
                     nxt[row[idx]] += c
         counts = nxt
-        out.append(GroupAlgebraVector(d, counts).bin_by_cycle_type())
+        out.append(_bin_by_cycle_type(d, counts))
     return out
 
 

@@ -16,10 +16,7 @@ __all__ = [
     "Partition",
     "ThetaPartition",
     "aut_count",
-    "class_size",
     "partitions",
-    "enumerate_partitions",
-    "partitions_upto",
     "primitive_thetas",
     "multinomial",
 ]
@@ -85,16 +82,6 @@ def aut_count(parts) -> int:
     return math.prod(math.factorial(len(list(g))) for _, g in groupby(parts))
 
 
-def class_size(alpha) -> int:
-    """Number of permutations in S_d with cycle type alpha.
-
-    >>> class_size((1, 1, 2))  # transpositions in S_4
-    6
-    """
-    d = sum(alpha)
-    return math.factorial(d) // (math.prod(alpha) * aut_count(alpha))
-
-
 def partitions(d: int, min_part: int = 1, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
     """Yield partitions of d with parts in [min_part, max_part], sorted parts.
 
@@ -115,38 +102,6 @@ def partitions(d: int, min_part: int = 1, max_part: int | None = None) -> Iterat
                 yield from rec(remaining - a, a, prefix + (a,))
 
     yield from rec(d, min_part, ())
-
-
-def enumerate_partitions(d: int, constraint: str = "all", length: int | None = None) -> list[Partition]:
-    """List partitions of d under a named constraint.
-
-    constraint: "all", "min_part_2", or "min_part_2_with_length" (requires
-    the `length` keyword).
-
-    >>> [tuple(a) for a in enumerate_partitions(4)]
-    [(1, 1, 1, 1), (1, 1, 2), (1, 3), (2, 2), (4,)]
-    >>> [tuple(a) for a in enumerate_partitions(6, "min_part_2_with_length", length=2)]
-    [(2, 4), (3, 3)]
-    """
-    if constraint == "all":
-        return [Partition(a) for a in partitions(d)]
-    if constraint == "min_part_2":
-        return [Partition(a) for a in partitions(d, min_part=2)]
-    if constraint == "min_part_2_with_length":
-        if length is None:
-            raise ValueError("length is required for min_part_2_with_length")
-        return [
-            Partition(a) for a in partitions(d, min_part=2) if len(a) == length
-        ]
-    raise ValueError(f"unknown constraint {constraint!r}")
-
-
-def partitions_upto(d_max: int, min_part: int = 1) -> list[Partition]:
-    """All partitions of every 1 <= d <= d_max, by degree then lexicographic."""
-    out: list[Partition] = []
-    for d in range(1, d_max + 1):
-        out.extend(Partition(a) for a in partitions(d, min_part=min_part))
-    return out
 
 
 def primitive_thetas(g: int) -> list[tuple[ThetaPartition, int, int]]:

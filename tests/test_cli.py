@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
-from hurwitz.cli import main
+from hurwitz import cutjoin
+from hurwitz.cli import Session, main
+from hurwitz.cutjoin import hurwitz_via_cutjoin
 
 
 def run_cli(capsys, *argv):
@@ -114,7 +116,7 @@ def test_verify_suite_json_output(capsys):
 def test_verify_failure_exits_1(capsys, monkeypatch):
     import hurwitz.cli as cli
 
-    def broken_suite(dmax):
+    def broken_suite(session, dmax):
         return [{"check": "probe", "status": "fail", "detail": {}}]
 
     monkeypatch.setitem(cli._SUITE_RUNNERS, "oracle-vs-cutjoin", (broken_suite, 4))
@@ -179,8 +181,17 @@ def test_usage_errors_exit_2(capsys):
         ["table", "--method", "cutjoin", "--dmax", "3", "--gmax", "-1"],
         ["verify", "--suite", "change-theorem", "--dmax", "0"],
         ["search", "--dmax", "0"],
+        ["table", "--method", "oracle", "--dmax", "3", "--gmax", "1", "--rmax", "-5"],
+        ["table", "--method", "cutjoin", "--dmax", "3", "--gmax", "1", "--rmax", "-5"],
     ],
-    ids=["table-dmax", "table-gmax", "verify-dmax", "search-dmax"],
+    ids=[
+        "table-dmax",
+        "table-gmax",
+        "verify-dmax",
+        "search-dmax",
+        "oracle-rmax",
+        "cutjoin-rmax",
+    ],
 )
 def test_empty_bounds_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -212,6 +223,43 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(path.read_text())["value"] == "1/1"
+
+
+def test_unwritable_out_exits_2(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(
+        capsys, "hodge", "--g", "0", "--theta", "0,0,0", "--out", str(path)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "big, small",
+    [((10, 3), (6, 2)), ((10, 3), (8, 3)), ((8, 2), (6, 2))],
+    ids=["d10g3-d6g2", "d10g3-d8g3", "d8g2-d6g2"],
+)
+def test_session_trims_smaller_tables(monkeypatch, big, small):
+    session = Session()
+    session.table(*big)
+
+    def recompute(*args):
+        raise AssertionError("smaller table was recomputed instead of trimmed")
+
+    monkeypatch.setattr(cutjoin, "disconnected_slices", recompute)
+    trimmed = session.table(*small).to_json()
+    monkeypatch.undo()
+    assert trimmed == hurwitz_via_cutjoin(*small).to_json()
+
+
+def test_sessions_share_no_state(capsys):
+    _, first, _ = run_cli(capsys, "fit", "--g", "2")
+    _, second, _ = run_cli(capsys, "fit", "--g", "2")
+    assert first == second
+    assert set(Session().hodge.sources.values()) == {"base"}
+    assert len(Session().hodge.primitives) == 3
 
 
 def test_deterministic_output(capsys):

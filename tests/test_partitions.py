@@ -1,9 +1,6 @@
 """Partition plumbing: enumeration, automorphism counts, and the
 primitive index sets used by the pole-form fits."""
 
-import math
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,11 +9,8 @@ from hurwitz.partitions import (
     Partition,
     ThetaPartition,
     aut_count,
-    class_size,
-    enumerate_partitions,
     multinomial,
     partitions,
-    partitions_upto,
     primitive_thetas,
 )
 
@@ -50,13 +44,6 @@ def test_partitions_respect_bounds():
     assert list(partitions(4, max_part=2)) == [(1, 1, 1, 1), (1, 1, 2), (2, 2)]
 
 
-@given(st.integers(1, 8))
-@settings(max_examples=8, deadline=None)
-def test_class_sizes_sum_to_group_order(d):
-    total = sum(class_size(alpha) for alpha in partitions(d))
-    assert total == math.factorial(d)
-
-
 def test_aut_count():
     assert aut_count((1, 1, 2)) == 2
     assert aut_count((2, 2, 2)) == 6
@@ -67,17 +54,6 @@ def test_multinomial():
     assert multinomial(4, (2, 2)) == 6
     assert multinomial(5, (1, 1, 3)) == 20
     assert multinomial(0, ()) == 1
-
-
-def test_partitions_upto_is_sorted_and_complete():
-    ps = partitions_upto(4)
-    assert len(ps) == sum(PARTITION_COUNTS[1:5])
-    assert ps == sorted(ps, key=lambda a: (sum(a), a))
-
-
-def test_enumerate_with_length_constraint():
-    got = enumerate_partitions(6, "min_part_2_with_length", length=2)
-    assert got == [(2, 4), (3, 3)]
 
 
 def test_primitive_theta_counts():
