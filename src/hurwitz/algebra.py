@@ -102,6 +102,20 @@ class VarSet:
         self.indices = tuple(indices)
         self.position = {n: i for i, n in enumerate(names)}
 
+    def profile(self, exps: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
+        """(x-degree, u-degree, sorted parts) of an exponent vector; the
+        inverse of `SeriesRing.profile_monomial`."""
+        d = r = 0
+        parts: list[int] = []
+        for fam, idx, e in zip(self.families, self.indices, exps):
+            if fam == "x":
+                d = e
+            elif fam == "u":
+                r = e
+            elif fam == "p":
+                parts.extend([idx] * e)
+        return d, r, tuple(sorted(parts))
+
     @classmethod
     def xp(cls, p_max: int) -> "VarSet":
         return cls(("x",) + tuple(f"p_{i}" for i in range(1, p_max + 1)))
@@ -135,9 +149,6 @@ class Truncation:
     t_deg_max: int | None = None
     t_weight_max: int | None = None
     y_min: int | None = None
-
-    def as_dict(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if v is not None}
 
 
 class SeriesRing:
@@ -293,6 +304,22 @@ class SeriesRing:
         for name, e in exps.items():
             vec[self.varset.position[name]] = e
         return ExactSeries(self, {tuple(vec): Fraction(coeff)})
+
+    def profile_monomial(self, alpha: Iterable[int], coeff, r: int | None = None) -> "ExactSeries":
+        """coeff * x^|alpha| p_alpha, times u^r when r is given: the one
+        encoding of a profile as a monomial.  `VarSet.profile` decodes it.
+
+        >>> ring = SeriesRing(VarSet.xup(2), Truncation(x_max=3, u_max=2, p_weight_max=3))
+        >>> [ring.varset.profile(e) for e in ring.profile_monomial((2, 1), 1, r=2).terms]
+        [(3, 2, (1, 2))]
+        """
+        exps = {"x": sum(alpha)}
+        if r is not None:
+            exps["u"] = r
+        for part in alpha:
+            name = f"p_{part}"
+            exps[name] = exps.get(name, 0) + 1
+        return self.monomial(exps, coeff)
 
     def __eq__(self, other) -> bool:
         return (

@@ -278,18 +278,19 @@ def hurwitz_series(table: HurwitzTable, g: int, ctx: XpContext) -> ExactSeries:
         if gg != g or sum(alpha) > ctx.d_max:
             continue
         r = riemann_hurwitz_r(g, alpha)
-        exps = {"x": sum(alpha)}
-        for part in alpha:
-            exps[f"p_{part}"] = exps.get(f"p_{part}", 0) + 1
-        total = total + ctx.ring.monomial(
-            exps, table.get(g, alpha) / math.factorial(r)
+        total = total + ctx.ring.profile_monomial(
+            alpha, table.get(g, alpha) / math.factorial(r)
         )
     return total
 
 
 def pair_correction_series(ctx: XpContext) -> ExactSeries:
     """The two-part genus-0 correction: (1/2) sum over i, j >= 1 of
-    (i+j-1)!/((i-1)!(j-1)!) i^{i-1} j^{j-1} p_i p_j x^{i+j}/(i+j)!."""
+    (i+j-1)!/((i-1)!(j-1)!) i^{i-1} j^{j-1} p_i p_j x^{i+j}/(i+j)!.
+
+    >>> pair_correction_series(XpContext(3)).coeff({"x": 3, "p_1": 1, "p_2": 1})
+    Fraction(2, 3)
+    """
     total = ctx.ring.zero()
     for i in range(1, ctx.d_max):
         for j in range(1, ctx.d_max - i + 1):
@@ -302,9 +303,7 @@ def pair_correction_series(ctx: XpContext) -> ExactSeries:
                 * j ** (j - 1)
                 / (2 * math.factorial(i + j))
             )
-            exps = {"x": i + j, f"p_{i}": 1}
-            exps[f"p_{j}"] = exps.get(f"p_{j}", 0) + 1
-            total = total + ctx.ring.monomial(exps, coeff)
+            total = total + ctx.ring.profile_monomial((i, j), coeff)
     return total
 
 

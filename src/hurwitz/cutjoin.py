@@ -197,6 +197,10 @@ def hurwitz_via_cutjoin(
     smaller r_max is rejected.  Entries of higher genus reachable within
     r_max are included unless g_max filters them.  `cache` is passed on to
     `connected_slices`.
+
+    >>> table = hurwitz_via_cutjoin(3, 1)
+    >>> table.value(0, (3,)), table.value(1, (1, 1))
+    (Fraction(1, 1), Fraction(1, 2))
     """
     if g_max is not None:
         r_needed = 2 * d_max + 2 * g_max - 2

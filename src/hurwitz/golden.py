@@ -9,7 +9,12 @@ CLI verification suites consume this module and never restate the numbers.
 Encodings
 ---------
 * Laurent data: {exponent: Fraction} for sums c * W^exponent; a parallel
-  map holds coefficients of W^exponent * log W.
+  map holds coefficients of W^exponent * log W.  For example
+  D H~_0 = 1/2 - W^-2/2:
+
+  >>> PINNED_W_SERIES[(0, 1)]["laurent"]
+  {0: Fraction(1, 2), -2: Fraction(-1, 2)}
+
 * Differential identities: list of terms, each {"coeff": Fraction,
   "factors": [(g, p), ...]} standing for coeff * prod D^p H~_g; the terms
   sum to zero.  An empty factor list would be a constant term (unused).

@@ -74,7 +74,11 @@ def nullspace(rows: list[list[Fraction]], ncols: int | None = None) -> list[list
 
 def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
     """Solve an (over-determined) system requiring full column rank and
-    exact consistency of every equation; raises otherwise."""
+    exact consistency of every equation; raises otherwise.
+
+    >>> solve_exact([[1, 1], [1, -1], [2, 0]], [3, 1, 4])
+    [Fraction(2, 1), Fraction(1, 1)]
+    """
     if not rows:
         raise RankDeficientError("no equations")
     ncols = len(rows[0])

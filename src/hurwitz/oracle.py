@@ -1,18 +1,26 @@
 """Brute-force transposition-factorization oracle and the Hurwitz table type.
 
 The oracle counts tuples of transpositions in S_d with prescribed product by
-dynamic programming over the full group algebra (vectors indexed by Lehmer
-rank), bins counts by cycle type, assembles the exponential generating
-series in (x, u, p), and extracts connected counts through the series
-logarithm — no ad-hoc connectivity bookkeeping — so it stays independent
-of the cut-and-join route and usable as a ground-truth cross-check.
+dynamic programming over the full group algebra, bins counts by cycle type,
+assembles the exponential generating series in (x, u, p), and extracts
+connected counts through the series logarithm — no ad-hoc connectivity
+bookkeeping — so it stays independent of the cut-and-join route and usable
+as a ground-truth cross-check.
 
-Deliberately desk-scale: a cost budget (product d! * r_max) refuses degrees
-past 7 by default; set HURWITZ_MEMORY_BUDGET (bytes) to adjust.
+A vector over S_d is a list indexed by position in
+``list(itertools.permutations(range(d)))``; that order is lexicographic, so
+the identity sits at index 0.  Left multiplication by each transposition is
+a precomputed index map, and the cycle type of every permutation is
+computed once to bin the counts after each step.
+
+Deliberately desk-scale: d! * max(r_max, 1) cells at 64 bytes each must fit
+in HURWITZ_MEMORY_BUDGET (bytes; the default admits d = 7 with 20 steps).
+The largest degree is checked before any counting starts.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -21,7 +29,6 @@ from fractions import Fraction
 from typing import Iterable
 
 from .algebra import (
-    ExactSeries,
     SeriesRing,
     Truncation,
     VarSet,
@@ -32,8 +39,6 @@ from .partitions import Partition
 
 __all__ = [
     "BudgetExceededError",
-    "rank_perm",
-    "unrank_perm",
     "cycle_type",
     "transpositions",
     "count_factorizations",
@@ -55,39 +60,25 @@ def _cost_budget() -> int:
     env = os.environ.get(MEMORY_BUDGET_ENV)
     if env is None:
         return _DEFAULT_COST_BUDGET
+    if not env.isdecimal():
+        raise ValueError(
+            f"{MEMORY_BUDGET_ENV} must be a non-negative integer number of bytes, "
+            f"got {env!r}"
+        )
     return max(int(env) // _BYTES_PER_CELL, 1)
 
 
-# -- permutation plumbing ------------------------------------------------------
+def _check_cost(d: int, r_max: int) -> None:
+    cost = math.factorial(d) * max(r_max, 1)
+    budget = _cost_budget()
+    if cost > budget:
+        raise BudgetExceededError(
+            f"d={d}, r_max={r_max} costs {cost} cells > budget {budget}; "
+            f"raise {MEMORY_BUDGET_ENV} to override"
+        )
 
 
-def rank_perm(perm: tuple[int, ...]) -> int:
-    """Lehmer rank of a permutation of {0..d-1} in lexicographic order.
-
-    >>> rank_perm((0, 1, 2)), rank_perm((2, 1, 0))
-    (0, 5)
-    """
-    d = len(perm)
-    rank = 0
-    for i in range(d):
-        smaller = sum(1 for j in range(i + 1, d) if perm[j] < perm[i])
-        rank += smaller * math.factorial(d - 1 - i)
-    return rank
-
-
-def unrank_perm(d: int, rank: int) -> tuple[int, ...]:
-    """Inverse of `rank_perm`.
-
-    >>> unrank_perm(3, 5)
-    (2, 1, 0)
-    """
-    pool = list(range(d))
-    perm = []
-    for i in range(d, 0, -1):
-        f = math.factorial(i - 1)
-        idx, rank = divmod(rank, f)
-        perm.append(pool.pop(idx))
-    return tuple(perm)
+# -- permutations --------------------------------------------------------------
 
 
 def cycle_type(perm: tuple[int, ...]) -> Partition:
@@ -122,30 +113,6 @@ def transpositions(d: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _bin_by_cycle_type(d: int, counts: list[int]) -> dict[Partition, int]:
-    """Sum a vector over S_d (indexed by Lehmer rank) within each cycle type."""
-    out: dict[Partition, int] = {}
-    for idx, c in enumerate(counts):
-        if c:
-            key = cycle_type(unrank_perm(d, idx))
-            out[key] = out.get(key, 0) + c
-    return out
-
-
-def _transposition_action(d: int) -> list[list[int]]:
-    """For each transposition tau, the index map sigma -> tau*sigma."""
-    taus = transpositions(d)
-    n = math.factorial(d)
-    maps = []
-    for tau in taus:
-        row = [0] * n
-        for idx in range(n):
-            sigma = unrank_perm(d, idx)
-            row[idx] = rank_perm(tuple(tau[v] for v in sigma))
-        maps.append(row)
-    return maps
-
-
 def count_factorizations(d: int, r_max: int) -> list[dict[Partition, int]]:
     """Counts of length-r transposition factorizations, binned by cycle type.
 
@@ -153,17 +120,25 @@ def count_factorizations(d: int, r_max: int) -> list[dict[Partition, int]]:
     of the product to the number of r-tuples of transpositions with that
     product.  Exact integers throughout.
     """
-    cost = math.factorial(d) * max(r_max, 1)
-    budget = _cost_budget()
-    if cost > budget:
-        raise BudgetExceededError(
-            f"d={d}, r_max={r_max} costs {cost} cells > budget {budget}; "
-            f"raise {MEMORY_BUDGET_ENV} to override"
-        )
-    action = _transposition_action(d)
-    counts = [0] * math.factorial(d)
-    counts[0] = 1  # the identity has Lehmer rank 0
-    out = [_bin_by_cycle_type(d, counts)]
+    _check_cost(d, r_max)
+    perms = list(itertools.permutations(range(d)))
+    index = {sigma: i for i, sigma in enumerate(perms)}
+    action = [
+        [index[tuple(tau[v] for v in sigma)] for sigma in perms]
+        for tau in transpositions(d)
+    ]
+    types = [cycle_type(sigma) for sigma in perms]
+
+    def binned(counts: list[int]) -> dict[Partition, int]:
+        out: dict[Partition, int] = {}
+        for alpha, c in zip(types, counts):
+            if c:
+                out[alpha] = out.get(alpha, 0) + c
+        return out
+
+    counts = [0] * len(perms)
+    counts[0] = 1  # perms[0] is the identity
+    out = [binned(counts)]
     for _ in range(r_max):
         nxt = [0] * len(counts)
         for row in action:
@@ -171,7 +146,7 @@ def count_factorizations(d: int, r_max: int) -> list[dict[Partition, int]]:
                 if c:
                     nxt[row[idx]] += c
         counts = nxt
-        out.append(_bin_by_cycle_type(d, counts))
+        out.append(binned(counts))
     return out
 
 
@@ -213,10 +188,6 @@ class HurwitzTable:
         """Count with the zero-absence convention: exact zeros are never
         stored, so a missing key reads as 0."""
         return self.entries.get((g, Partition(alpha)), Fraction(0))
-
-    def __contains__(self, key) -> bool:
-        g, alpha = key
-        return (g, Partition(alpha)) in self.entries
 
     def keys(self) -> list[tuple[int, Partition]]:
         return sorted(self.entries, key=lambda k: (k[0], sum(k[1]), k[1]))
@@ -269,6 +240,7 @@ def connected_hurwitz(d_max: int, g_max: int | None = None, r_max: int | None = 
         if g_max is None:
             raise ValueError("need g_max or r_max")
         r_max = 2 * d_max + 2 * g_max - 2
+    _check_cost(d_max, r_max)
     ring = SeriesRing(
         VarSet.xup(d_max),
         Truncation(x_max=d_max, u_max=r_max, p_weight_max=d_max),
@@ -280,27 +252,14 @@ def connected_hurwitz(d_max: int, g_max: int | None = None, r_max: int | None = 
         for r, bins in enumerate(binned):
             r_fact = math.factorial(r)
             for alpha, count in sorted(bins.items()):
-                exps = {"x": d, "u": r}
-                for part in alpha:
-                    exps[f"p_{part}"] = exps.get(f"p_{part}", 0) + 1
-                total = total + ring.monomial(exps, Fraction(count, d_fact * r_fact))
+                total = total + ring.profile_monomial(
+                    alpha, Fraction(count, d_fact * r_fact), r=r
+                )
     connected = total.log()
     table = HurwitzTable("oracle")
-    names = ring.varset.names
     for exps, coeff in sorted(connected.terms.items()):
-        d = r = 0
-        parts: list[int] = []
-        for pos, e in enumerate(exps):
-            if e == 0:
-                continue
-            name = names[pos]
-            if name == "x":
-                d = e
-            elif name == "u":
-                r = e
-            else:
-                parts.extend([int(name[2:])] * e)
-        alpha = Partition.of(parts)
+        d, r, parts = ring.varset.profile(exps)
+        alpha = Partition(parts)
         if sum(alpha) != d:
             raise AssertionError(f"inhomogeneous term {exps}")
         two_g = r - d - len(alpha) + 2

@@ -215,6 +215,17 @@ def test_budget_exit_3(capsys, monkeypatch):
     assert "budget" in err.lower()
 
 
+@pytest.mark.parametrize("value", ["abc", "-64"])
+def test_bad_memory_budget_exit_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("HURWITZ_MEMORY_BUDGET", value)
+    code, out, err = run_cli(
+        capsys, "hurwitz", "--g", "0", "--alpha", "1,1,1", "--method", "oracle"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: HURWITZ_MEMORY_BUDGET")
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     path = tmp_path / "value.json"
     code, out, _ = run_cli(

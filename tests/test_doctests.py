@@ -1,4 +1,5 @@
-"""Run every module's doctests under pytest."""
+"""Run the doctests of every module that has them under pytest; a module
+with no examples fails rather than passing vacuously."""
 
 import doctest
 
@@ -30,4 +31,5 @@ MODULES = [
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
 def test_module_doctests(module):
     result = doctest.testmod(module, verbose=False)
+    assert result.attempted > 0
     assert result.failed == 0

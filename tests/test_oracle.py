@@ -1,32 +1,42 @@
-"""Brute-force transposition-factorization oracle: permutation plumbing,
-raw counts against hand values, and the budget guard."""
+"""Brute-force transposition-factorization oracle: permutation helpers,
+raw counts against hand values and a naive count, and the budget guard."""
 
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from hurwitz import oracle
 from hurwitz.oracle import (
     BudgetExceededError,
     HurwitzTable,
     connected_hurwitz,
     count_factorizations,
     cycle_type,
-    rank_perm,
     riemann_hurwitz_r,
     transpositions,
-    unrank_perm,
 )
 from hurwitz.partitions import Partition
 
 
-@given(st.integers(1, 6), st.data())
-@settings(max_examples=60, deadline=None)
-def test_rank_unrank_roundtrip(d, data):
-    rank = data.draw(st.integers(0, math.factorial(d) - 1))
-    assert rank_perm(unrank_perm(d, rank)) == rank
+def _naive_counts(d, r_max):
+    """Binned counts from a perm -> count dict, composing tuples directly."""
+    taus = transpositions(d)
+    vec = {tuple(range(d)): 1}
+    out = []
+    for _ in range(r_max + 1):
+        bins = {}
+        for sigma, c in vec.items():
+            alpha = cycle_type(sigma)
+            bins[alpha] = bins.get(alpha, 0) + c
+        out.append(bins)
+        nxt = {}
+        for sigma, c in vec.items():
+            for tau in taus:
+                prod = tuple(tau[v] for v in sigma)
+                nxt[prod] = nxt.get(prod, 0) + c
+        vec = nxt
+    return out
 
 
 def test_cycle_type():
@@ -48,6 +58,15 @@ def test_count_factorizations_s3():
     # r = 2: 9 products; 3 give identity, 6 give a 3-cycle
     assert by_r[2] == {Partition((1, 1, 1)): 3, Partition((3,)): 6}
     assert sum(by_r[4].values()) == 3**4
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_count_factorizations_matches_naive_count(d):
+    by_r = count_factorizations(d, 6)
+    assert by_r == _naive_counts(d, 6)
+    for r, bins in enumerate(by_r):
+        assert sum(bins.values()) == math.comb(d, 2) ** r
+        assert all((d - len(alpha) - r) % 2 == 0 for alpha in bins)
 
 
 def test_riemann_hurwitz_r():
@@ -85,6 +104,16 @@ def test_budget_guard(monkeypatch):
     monkeypatch.setenv("HURWITZ_MEMORY_BUDGET", "64")
     with pytest.raises(BudgetExceededError):
         count_factorizations(5, 10)
+
+
+def test_over_budget_refused_before_counting(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        oracle, "count_factorizations", lambda d, r_max: calls.append(d) or []
+    )
+    with pytest.raises(BudgetExceededError):
+        connected_hurwitz(8, 2)
+    assert calls == []
 
 
 def test_table_json_roundtrip(oracle_table):
