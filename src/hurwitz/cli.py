@@ -32,7 +32,7 @@ from .ansatz import (
     verify_phi_shift_expansion,
     verify_xi_on_I,
 )
-from .cutjoin import hurwitz_via_cutjoin
+from .cutjoin import hurwitz_number, hurwitz_via_cutjoin
 from .hodge import (
     DegenerateProfileError,
     HodgeKey,
@@ -164,7 +164,7 @@ def _cmd_hurwitz(args: argparse.Namespace, session: Session) -> int:
         table = connected_hurwitz(d, g, r)
         value = table.value(g, alpha)
     elif args.method == "cutjoin":
-        value = session.table(d, g).value(g, alpha)
+        value = hurwitz_number(g, alpha)
     elif args.method == "elsv":
         if g > 3:
             raise ValueError("elsv needs fitted primitives; supported for g <= 3")

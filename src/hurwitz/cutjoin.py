@@ -17,15 +17,27 @@ Connected counts come from the slice-wise series logarithm, implemented by
 its own convolution recurrence — deliberately not shared with the generic
 series log used by the brute-force oracle, so the two pipelines stay
 independent down to the connectivity step.
+
+Both users of the recurrence truncate it exactly, by a quotient of the
+series ring by a monomial ideal:
+
+* a table (`hurwitz_via_cutjoin`) keeps every profile of degree <= d_max,
+  up to step r_max;
+* one answer (`hurwitz_number`) keeps only the sub-multisets of alpha, up
+  to step r = riemann_hurwitz_r(g, alpha).  A product of slices takes the
+  multiset union of profiles, so no other profile feeds the coefficient of
+  p_alpha, and only the degrees of those sub-multisets are evolved.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+from typing import Iterable
 
-from .oracle import HurwitzTable
+from .oracle import HurwitzTable, riemann_hurwitz_r
 from .partitions import Partition
 
 __all__ = [
@@ -34,6 +46,7 @@ __all__ = [
     "disconnected_slices",
     "connected_slices",
     "hurwitz_via_cutjoin",
+    "hurwitz_number",
 ]
 
 Slice = dict[tuple[int, ...], Fraction]
@@ -89,9 +102,19 @@ def cutjoin_step(slice_r: Slice, r: int) -> Slice:
     return {k: v / (r + 1) for k, v in out.items()}
 
 
-def disconnected_slices(d_max: int, r_max: int) -> list[Slice]:
-    """Slices E_0..E_{r_max} of the all-covers series."""
-    slices = [initial_slices(d_max)]
+def disconnected_slices(
+    d_max: int, r_max: int, degrees: Iterable[int] | None = None
+) -> list[Slice]:
+    """Slices E_0..E_{r_max} of the all-covers series.
+
+    The operator preserves degree, so with `degrees` given only those
+    degrees (each <= d_max) are evolved, and their coefficients are exact.
+    """
+    start = initial_slices(d_max)
+    if degrees is not None:
+        degrees = set(degrees)
+        start = {k: v for k, v in start.items() if len(k) in degrees}
+    slices = [start]
     for r in range(r_max):
         nxt = cutjoin_step(slices[-1], r)
         for alpha in nxt:
@@ -133,11 +156,8 @@ def _slice_axpy(acc: Slice, scale: Fraction, s: Slice) -> None:
 def connected_slices(
     d_max: int, r_max: int, cache: dict[tuple[int, int], list[Slice]] | None = None
 ) -> list[Slice]:
-    """Slices H_0..H_{r_max} of the connected series (logarithm of E).
-
-    Uses the derivative-of-log convolution in the step variable:
-    (r+1) E_{r+1} = sum_k (k+1) H_{k+1} E_{r-k}, solved for H_{r+1} with
-    E_0^{-1} = exp(-p_1 x).
+    """Slices H_0..H_{r_max} of the connected series (logarithm of E) in
+    degree <= d_max.
 
     `cache`, owned by the caller, maps (d_max, r_max) to slices already
     computed: an exact hit is returned as is, and an entry at least as large
@@ -157,31 +177,41 @@ def connected_slices(
             ]
             cache[key] = trimmed
             return trimmed
-    e = disconnected_slices(d_max, r_max)
-    e0_inv: Slice = {
-        (1,) * d: Fraction((-1) ** d, math.factorial(d))
-        for d in range(d_max + 1)
-    }
-    h: list[Slice] = [
-        _slice_mul_log_base(e[0], d_max)
-    ]
-    for r in range(r_max):
-        acc: Slice = dict(e[r + 1])
-        for k in range(r):
-            term = _slice_mul(h[k + 1], e[r - k], d_max)
-            _slice_axpy(acc, Fraction(-(k + 1), r + 1), term)
-        h.append(_slice_mul(e0_inv, acc, d_max))
+    h = _log_slices(disconnected_slices(d_max, r_max), d_max)
     cache[key] = h
     return h
 
 
-def _slice_mul_log_base(e0: Slice, d_max: int) -> Slice:
-    """log of the step-0 slice; must come out as exactly p_1 x."""
+def _log_slices(
+    e: list[Slice], d_max: int, keep: set[tuple[int, ...]] | None = None
+) -> list[Slice]:
+    """Slices H_0..H_{len(e)-1} of log E, in degree <= d_max.
+
+    Uses the derivative-of-log convolution in the step variable:
+    (r+1) E_{r+1} = sum_k (k+1) H_{k+1} E_{r-k}, solved for H_{r+1} with
+    E_0^{-1} = exp(-p_1 x).  With `keep`, a set of profiles closed under
+    taking sub-multisets, every slice is also cut to `keep`: the profiles
+    outside it span a monomial ideal, so the kept coefficients are exact.
+    """
+
+    def cut(s: Slice) -> Slice:
+        return s if keep is None else {k: v for k, v in s.items() if k in keep}
+
+    e = [cut(s) for s in e]
     # e0 = exp(p_1 x): its log is p_1 x.  Verify rather than assume.
-    expected = {(1,) * d: Fraction(1, math.factorial(d)) for d in range(d_max + 1)}
-    if e0 != expected:
+    if e[0] != cut(initial_slices(d_max)):
         raise AssertionError("step-0 slice is not exp(p_1 x)")
-    return {(1,): Fraction(1)} if d_max >= 1 else {}
+    e0_inv = cut(
+        {(1,) * d: Fraction((-1) ** d, math.factorial(d)) for d in range(d_max + 1)}
+    )
+    h: list[Slice] = [cut({(1,): Fraction(1)}) if d_max >= 1 else {}]
+    for r in range(len(e) - 1):
+        acc: Slice = dict(e[r + 1])
+        for k in range(r):
+            term = cut(_slice_mul(h[k + 1], e[r - k], d_max))
+            _slice_axpy(acc, Fraction(-(k + 1), r + 1), term)
+        h.append(cut(_slice_mul(e0_inv, acc, d_max)))
+    return h
 
 
 def hurwitz_via_cutjoin(
@@ -230,3 +260,32 @@ def hurwitz_via_cutjoin(
                 continue
             table.add(g, Partition(alpha), c * r_fact)
     return table
+
+
+def _sub_profiles(alpha: Partition) -> set[tuple[int, ...]]:
+    """Every sub-multiset of alpha, the empty one included, as a sorted tuple."""
+    mult = Counter(alpha)
+    parts = sorted(mult)
+    return {
+        tuple(p for p, k in zip(parts, ks) for _ in range(k))
+        for ks in itertools.product(*(range(mult[p] + 1) for p in parts))
+    }
+
+
+def hurwitz_number(g: int, alpha: Iterable[int]) -> Fraction:
+    """One connected Hurwitz number H^g_alpha, without building a table.
+
+    Runs r = riemann_hurwitz_r(g, alpha) steps on the degrees of the
+    sub-multisets of alpha only, and takes the log with only those
+    sub-multisets kept; see the module docstring for why this is exact.
+
+    >>> hurwitz_number(1, (3,)), hurwitz_number(0, (1, 1)), hurwitz_number(1, (1,))
+    (Fraction(9, 1), Fraction(1, 2), Fraction(0, 1))
+    """
+    alpha = Partition.of(alpha)
+    if g < 0 or not alpha:
+        raise ValueError(f"need g >= 0 and a non-empty profile, got g={g}, alpha={alpha}")
+    r = riemann_hurwitz_r(g, alpha)
+    keep = _sub_profiles(alpha)
+    e = disconnected_slices(alpha.d, r, {sum(beta) for beta in keep})
+    return _log_slices(e, alpha.d, keep)[r].get(alpha, Fraction(0)) * math.factorial(r)

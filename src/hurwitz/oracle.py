@@ -13,9 +13,11 @@ the identity sits at index 0.  Left multiplication by each transposition is
 a precomputed index map, and the cycle type of every permutation is
 computed once to bin the counts after each step.
 
-Deliberately desk-scale: d! * max(r_max, 1) cells at 64 bytes each must fit
-in HURWITZ_MEMORY_BUDGET (bytes; the default admits d = 7 with 20 steps).
-The largest degree is checked before any counting starts.
+Deliberately desk-scale: the oracle holds d! * max(r_max, 1) step-vector
+cells, the C(d, 2) * d! transposition action table, and the d!-entry
+permutation list, index and cycle-type list.  Those cells at 64 bytes each
+must fit in HURWITZ_MEMORY_BUDGET (bytes; the default admits d = 7 with 20
+steps).  The largest degree is checked before any counting starts.
 """
 
 from __future__ import annotations
@@ -48,8 +50,17 @@ __all__ = [
 ]
 
 MEMORY_BUDGET_ENV = "HURWITZ_MEMORY_BUDGET"
-_DEFAULT_COST_BUDGET = math.factorial(7) * 20  # vectors of 5040, 20 steps
 _BYTES_PER_CELL = 64
+
+
+def _oracle_cells(d: int, r_max: int) -> int:
+    """Cells the oracle allocates for degree d: the step vectors, the
+    transposition action table, and the permutation list, index and cycle
+    types."""
+    return math.factorial(d) * (max(r_max, 1) + math.comb(d, 2) + 3)
+
+
+_DEFAULT_COST_BUDGET = _oracle_cells(7, 20)
 
 
 class BudgetExceededError(Exception):
@@ -57,6 +68,7 @@ class BudgetExceededError(Exception):
 
 
 def _cost_budget() -> int:
+    """The budget in cells: HURWITZ_MEMORY_BUDGET bytes over 64 bytes a cell."""
     env = os.environ.get(MEMORY_BUDGET_ENV)
     if env is None:
         return _DEFAULT_COST_BUDGET
@@ -69,7 +81,7 @@ def _cost_budget() -> int:
 
 
 def _check_cost(d: int, r_max: int) -> None:
-    cost = math.factorial(d) * max(r_max, 1)
+    cost = _oracle_cells(d, r_max)
     budget = _cost_budget()
     if cost > budget:
         raise BudgetExceededError(
@@ -192,16 +204,14 @@ class HurwitzTable:
     def keys(self) -> list[tuple[int, Partition]]:
         return sorted(self.entries, key=lambda k: (k[0], sum(k[1]), k[1]))
 
-    def restricted(self, d_max=None, g_max=None, r_max=None) -> "HurwitzTable":
+    def restricted(self, r_max: int) -> "HurwitzTable":
+        """The entries with at most r_max simple branch points."""
         sub = HurwitzTable(self.method)
-        for (g, alpha), v in self.entries.items():
-            if d_max is not None and sum(alpha) > d_max:
-                continue
-            if g_max is not None and g > g_max:
-                continue
-            if r_max is not None and riemann_hurwitz_r(g, alpha) > r_max:
-                continue
-            sub.entries[(g, alpha)] = v
+        sub.entries = {
+            (g, alpha): v
+            for (g, alpha), v in self.entries.items()
+            if riemann_hurwitz_r(g, alpha) <= r_max
+        }
         return sub
 
     def to_json_records(self) -> list[dict]:
@@ -221,8 +231,8 @@ class HurwitzTable:
         return json.dumps(self.to_json_records(), indent=2)
 
     @classmethod
-    def from_json_records(cls, records: list[dict], method: str | None = None) -> "HurwitzTable":
-        table = cls(method or (records[0]["method"] if records else "unknown"))
+    def from_json_records(cls, records: list[dict]) -> "HurwitzTable":
+        table = cls(records[0]["method"] if records else "unknown")
         for rec in records:
             table.add(rec["g"], rec["alpha"], parse_rational(rec["value"]))
         return table

@@ -1,8 +1,11 @@
 """Command-line interface: output contracts, exit codes, determinism."""
 
 import json
+import math
 import subprocess
 import sys
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -40,6 +43,52 @@ def test_methods_agree(capsys, method):
     )
     assert code == 0
     assert json.loads(out)["value"] == "40/1"
+
+
+def _genus0_hurwitz(alpha):
+    """Hurwitz's genus-0 formula: r!/|Aut| * d^(m-3) * prod a^a/a!."""
+    d, m = sum(alpha), len(alpha)
+    aut = math.prod(math.factorial(k) for k in Counter(alpha).values())
+    value = Fraction(math.factorial(d + m - 2), aut) * Fraction(d) ** (m - 3)
+    for a in alpha:
+        value *= Fraction(a**a, math.factorial(a))
+    return value
+
+
+def test_cutjoin_single_answer_at_degree_20(capsys):
+    code, out, _ = run_cli(capsys, "hurwitz", "--g", "0", "--alpha", "20")
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["r"], obj["method"]) == (19, "cutjoin")
+    assert Fraction(obj["value"]) == _genus0_hurwitz((20,)) == 20**17
+
+
+def test_cutjoin_query_builds_no_table(capsys, monkeypatch):
+    """`hurwitz --method cutjoin` runs r steps on the degrees of the
+    sub-multisets of alpha only, and never builds a table."""
+    steps = []
+    real_step = cutjoin.cutjoin_step
+
+    def spy(slice_r, r):
+        steps.append((r, {sum(k) for k in slice_r}))
+        return real_step(slice_r, r)
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built for one answer")
+
+    monkeypatch.setattr(cutjoin, "cutjoin_step", spy)
+    monkeypatch.setattr("hurwitz.cli.hurwitz_via_cutjoin", no_table)
+    monkeypatch.setattr(cutjoin, "connected_slices", no_table)
+    code, out, _ = run_cli(
+        capsys, "hurwitz", "--g", "1", "--alpha", "2,2,5", "--method", "cutjoin"
+    )
+    assert code == 0
+    assert json.loads(out)["r"] == 12
+    assert [r for r, _ in steps] == list(range(12))
+    evolved = Counter(d for _, degrees in steps for d in degrees)
+    # degree 0 is the empty profile and degree 1 the single sheet: the
+    # operator sends both to 0 after one step.
+    assert evolved == {0: 1, 2: 12, 4: 12, 5: 12, 7: 12, 9: 12}
 
 
 def test_closed_form_method(capsys):

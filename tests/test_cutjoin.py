@@ -5,17 +5,22 @@ from fractions import Fraction
 
 import pytest
 
-from hurwitz.cutjoin import hurwitz_via_cutjoin
+from hurwitz.cutjoin import hurwitz_number, hurwitz_via_cutjoin
+from hurwitz.hodge import elsv_hurwitz
 from hurwitz.oracle import riemann_hurwitz_r
+from hurwitz.partitions import partitions
 
 
 def test_matches_oracle_on_full_overlap(oracle_table, deep_table):
     """Every (g, alpha) with d <= 5, r <= 16 agrees between the two
     completely independent computations, including which keys are absent."""
-    cut = deep_table.restricted(d_max=5, g_max=8, r_max=16)
-    oracle = oracle_table.restricted(g_max=3)
-    cut_g3 = {k: v for k, v in cut.entries.items() if k[0] <= 3}
-    assert cut_g3 == oracle.entries
+    cut_g3 = {
+        (g, alpha): v
+        for (g, alpha), v in deep_table.entries.items()
+        if sum(alpha) <= 5 and g <= 3 and riemann_hurwitz_r(g, alpha) <= 16
+    }
+    oracle = {(g, alpha): v for (g, alpha), v in oracle_table.entries.items() if g <= 3}
+    assert cut_g3 == oracle
 
 
 def test_low_degree_spot_values(deep_table):
@@ -57,3 +62,33 @@ def test_explicit_rmax_truncates():
     assert table.value(1, (1, 1)) == Fraction(1, 2)
     for (g, alpha) in table.entries:
         assert riemann_hurwitz_r(g, alpha) <= 4
+
+
+def test_single_answer_matches_table_everywhere():
+    """Every profile of degree <= 9 at every genus <= 3, zeros included."""
+    table = hurwitz_via_cutjoin(9, 3)
+    assert hurwitz_number(1, (1,)) == 0 == table.value(1, (1,))
+    mismatches = [
+        (g, alpha)
+        for d in range(1, 10)
+        for alpha in partitions(d)
+        for g in range(4)
+        if hurwitz_number(g, alpha) != table.value(g, alpha)
+    ]
+    assert mismatches == []
+
+
+@pytest.mark.parametrize(
+    "g, alpha",
+    [(1, (12,)), (1, (5, 7)), (1, (2, 3, 9)), (2, (13,)), (2, (6, 8)), (2, (16,))],
+)
+def test_single_answer_matches_elsv_beyond_the_table(fitted, g, alpha):
+    _, _, hodge = fitted
+    assert hurwitz_number(g, alpha) == elsv_hurwitz(g, alpha, hodge)
+
+
+def test_single_answer_rejects_bad_input():
+    with pytest.raises(ValueError):
+        hurwitz_number(-1, (2,))
+    with pytest.raises(ValueError):
+        hurwitz_number(0, ())

@@ -106,6 +106,18 @@ def test_budget_guard(monkeypatch):
         count_factorizations(5, 10)
 
 
+def test_budget_counts_what_the_oracle_allocates(monkeypatch):
+    """A byte budget for the 7! * 20 step cells alone no longer admits
+    d = 7, r = 20: the transposition action table and the permutation
+    list, index and cycle types are counted too."""
+    oracle._check_cost(7, 20)  # the default budget admits d = 7 with 20 steps
+    with pytest.raises(BudgetExceededError):
+        oracle._check_cost(7, 21)
+    monkeypatch.setenv("HURWITZ_MEMORY_BUDGET", str(64 * math.factorial(7) * 20))
+    with pytest.raises(BudgetExceededError):
+        count_factorizations(7, 20)
+
+
 def test_over_budget_refused_before_counting(monkeypatch):
     calls = []
     monkeypatch.setattr(
