@@ -42,7 +42,6 @@ __all__ = [
     "solve_graded_fixpoint",
     "lagrange_coeff",
     "rational_str",
-    "parse_rational",
 ]
 
 
@@ -607,32 +606,6 @@ class ExactSeries:
             raise VarSetMismatchError("restrict cannot change the variable set")
         return ExactSeries(ring, self.terms)
 
-    # -- serialization -----------------------------------------------------
-
-    def to_json_obj(self) -> list:
-        names = self.ring.varset.names
-        out = []
-        for e in sorted(self.terms):
-            out.append(
-                {
-                    "exponents": {
-                        names[i]: v for i, v in enumerate(e) if v != 0
-                    },
-                    "coeff": rational_str(self.terms[e]),
-                }
-            )
-        return out
-
-    @classmethod
-    def from_json_obj(cls, ring: SeriesRing, obj: list) -> "ExactSeries":
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for rec in obj:
-            vec = [0] * len(ring.varset.names)
-            for name, e in rec["exponents"].items():
-                vec[ring.varset.position[name]] = int(e)
-            terms[tuple(vec)] = parse_rational(rec["coeff"])
-        return cls(ring, terms)
-
 
 def solve_graded_fixpoint(
     functional: Callable[[ExactSeries], ExactSeries],
@@ -720,8 +693,3 @@ def rational_str(q) -> str:
     """
     q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"
-
-
-def parse_rational(s: str) -> Fraction:
-    num, _, den = s.partition("/")
-    return Fraction(int(num), int(den) if den else 1)

@@ -20,7 +20,6 @@ mismatching monomial) rather than raising, so the CLI can aggregate them.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,7 +29,6 @@ from .algebra import (
     SeriesRing,
     Truncation,
     VarSet,
-    parse_rational,
     rational_str,
     solve_graded_fixpoint,
 )
@@ -383,16 +381,6 @@ class AnsatzForm:
                 for theta, e, k, value in self.records()
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2)
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "AnsatzForm":
-        form = cls(obj["g"])
-        for rec in obj["constants"]:
-            form.constants[ThetaPartition(rec["theta"])] = parse_rational(rec["K"])
-        return form
 
 
 def pole_basis_series(g: int, ctx: XpContext) -> list[tuple[ThetaPartition, int, int, ExactSeries]]:

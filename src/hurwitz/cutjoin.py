@@ -1,6 +1,6 @@
 """Cut-and-join iteration for Hurwitz numbers, organized by step count.
 
-The generating function of all (possibly disconnected) covers satisfies a
+The generating function E of all (possibly disconnected) covers satisfies a
 first-order evolution equation in the step marker u whose right-hand side
 is the cut-and-join operator: split one part v into a + b with weight v, or
 merge two parts a, b into a + b with weight ab.  Starting from the step-0
@@ -9,24 +9,29 @@ coefficient exactly.
 
 Representation: the coefficient of u^r is a homogeneous "slice" mapping a
 profile partition alpha to the rational coefficient of p_alpha x^{|alpha|};
-the x-exponent and any genus marker are redundant given r and alpha, so
-both stay implicit.  Slices are exact and closed under the operator, which
-preserves |alpha|, so no truncation loss occurs inside a run.
+the x-exponent and the genus are redundant given r and alpha, so both stay
+implicit.  Slices are exact and closed under the operator, which preserves
+|alpha|, so no truncation loss occurs inside a run.
 
-Connected counts come from the slice-wise series logarithm, implemented by
-its own convolution recurrence — deliberately not shared with the generic
-series log used by the brute-force oracle, so the two pipelines stay
-independent down to the connectivity step.
+The connected series H = log E has an equation of its own (Goulden and
+Jackson, 1997): the same operator plus a quadratic term that joins two
+connected covers into one.  No term lowers degree or genus, so H is exact
+when pruned to degree <= d_max and genus <= g_max after every step.
 
-Both users of the recurrence truncate it exactly, by a quotient of the
-series ring by a monomial ideal:
+The two users reach connected counts by different routes:
 
-* a table (`hurwitz_via_cutjoin`) keeps every profile of degree <= d_max,
-  up to step r_max;
-* one answer (`hurwitz_number`) keeps only the sub-multisets of alpha, up
-  to step r = riemann_hurwitz_r(g, alpha).  A product of slices takes the
-  multiset union of profiles, so no other profile feeds the coefficient of
-  p_alpha, and only the degrees of those sub-multisets are evolved.
+* a table (`hurwitz_via_cutjoin`) evolves H directly (`connected_slices`),
+  pruned to the table's degree and genus, and takes no logarithm;
+* one answer (`hurwitz_number`) evolves E only on the degrees of the
+  sub-multisets of alpha, up to step r = riemann_hurwitz_r(g, alpha), and
+  takes the slice-wise logarithm with only those sub-multisets kept.  A
+  product of slices takes the multiset union of profiles, so no other
+  profile feeds the coefficient of p_alpha.  This quotient does not carry
+  over to H, whose joins merge parts.
+
+The slice-wise logarithm is its own convolution recurrence, deliberately
+not shared with the generic series log used by the brute-force oracle, so
+the two pipelines stay independent down to the connectivity step.
 """
 
 from __future__ import annotations
@@ -153,32 +158,73 @@ def _slice_axpy(acc: Slice, scale: Fraction, s: Slice) -> None:
             del acc[k]
 
 
-def connected_slices(
-    d_max: int, r_max: int, cache: dict[tuple[int, int], list[Slice]] | None = None
-) -> list[Slice]:
-    """Slices H_0..H_{r_max} of the connected series (logarithm of E) in
-    degree <= d_max.
+def _derivatives(slice_r: Slice, r: int) -> dict[tuple[int, int], list]:
+    """The terms i * dH_r/dp_i of one connected slice, grouped by the
+    (degree, genus) of the profile they came from.
 
-    `cache`, owned by the caller, maps (d_max, r_max) to slices already
-    computed: an exact hit is returned as is, and an entry at least as large
-    in both bounds is trimmed instead of recomputed, and every result is
-    stored back.  Without a cache every call computes from scratch.
+    Each term is (i, rest, i * m_i * c): p_alpha with multiplicity m_i of
+    part i loses one copy of i and leaves the sorted profile `rest`.
     """
-    if cache is None:
-        cache = {}
-    key = (d_max, r_max)
-    if key in cache:
-        return cache[key]
-    for (dc, rc), cached in cache.items():
-        if dc >= d_max and rc >= r_max:
-            trimmed = [
-                {k: v for k, v in s.items() if sum(k) <= d_max}
-                for s in cached[: r_max + 1]
-            ]
-            cache[key] = trimmed
-            return trimmed
-    h = _log_slices(disconnected_slices(d_max, r_max), d_max)
-    cache[key] = h
+    out: dict[tuple[int, int], list] = {}
+    for alpha, c in slice_r.items():
+        d = sum(alpha)
+        items = out.setdefault((d, (r - d - len(alpha) + 2) // 2), [])
+        mult = Counter(alpha)
+        for i in sorted(mult):
+            rest = list(alpha)
+            rest.remove(i)
+            items.append((i, tuple(rest), i * mult[i] * c))
+    return out
+
+
+def _join_components(
+    da: dict[tuple[int, int], list],
+    db: dict[tuple[int, int], list],
+    d_max: int,
+    g_max: int | None,
+) -> Slice:
+    """sum_{i,j} ij p_{i+j} dH_a/dp_i dH_b/dp_j in degree <= d_max and
+    genus <= g_max; joining two connected covers adds their genera."""
+    out: Slice = {}
+    for (deg_a, g_a), items_a in da.items():
+        for (deg_b, g_b), items_b in db.items():
+            if deg_a + deg_b > d_max or (g_max is not None and g_a + g_b > g_max):
+                continue
+            for i, rest_a, wa in items_a:
+                for j, rest_b, wb in items_b:
+                    key = tuple(sorted(rest_a + rest_b + (i + j,)))
+                    out[key] = out.get(key, 0) + wa * wb
+    return out
+
+
+def connected_slices(d_max: int, r_max: int, g_max: int | None = None) -> list[Slice]:
+    """Slices H_0..H_{r_max} of the connected series H = log E in degree
+    <= d_max, and in genus <= g_max when given, with no logarithm taken.
+
+    H evolves by the connected cut-and-join equation from H_0 = p_1 x:
+    (r+1) H_{r+1} = Delta H_r
+                    + 1/2 sum_{a+b=r} sum_{i,j} ij p_{i+j} dH_a/dp_i dH_b/dp_j,
+    with Delta the operator of `cutjoin_step`.  The sum over (a, b) is
+    symmetric, so it runs over a <= b with weight 1/2 on a = b.  No term
+    lowers degree or genus, so pruning every slice to d_max and g_max is
+    exact.
+    """
+    h: list[Slice] = [{(1,): Fraction(1)} if d_max >= 1 else {}]
+    derivs = [_derivatives(h[0], 0)]
+    for r in range(r_max):
+        nxt = cutjoin_step(h[r], r)
+        for a in range(r // 2 + 1):
+            b = r - a
+            joined = _join_components(derivs[a], derivs[b], d_max, g_max)
+            _slice_axpy(nxt, Fraction(1, (2 if a == b else 1) * (r + 1)), joined)
+        if g_max is not None:
+            nxt = {
+                k: v
+                for k, v in nxt.items()
+                if r + 1 - sum(k) - len(k) + 2 <= 2 * g_max
+            }
+        h.append(nxt)
+        derivs.append(_derivatives(nxt, r + 1))
     return h
 
 
@@ -218,15 +264,13 @@ def hurwitz_via_cutjoin(
     d_max: int,
     g_max: int | None = None,
     r_max: int | None = None,
-    cache: dict[tuple[int, int], list[Slice]] | None = None,
 ) -> HurwitzTable:
     """Connected Hurwitz table from the cut-and-join iteration.
 
     With g_max given, r_max defaults to 2*d_max + 2*g_max - 2 (enough steps
     for every profile of degree <= d_max at genus <= g_max) and an explicit
-    smaller r_max is rejected.  Entries of higher genus reachable within
-    r_max are included unless g_max filters them.  `cache` is passed on to
-    `connected_slices`.
+    smaller r_max is rejected.  Without g_max, every genus reachable within
+    r_max is included.
 
     >>> table = hurwitz_via_cutjoin(3, 1)
     >>> table.value(0, (3,)), table.value(1, (1, 1))
@@ -242,7 +286,7 @@ def hurwitz_via_cutjoin(
             )
     elif r_max is None:
         raise ValueError("need g_max or r_max")
-    h = connected_slices(d_max, r_max, cache)
+    h = connected_slices(d_max, r_max, g_max)
     table = HurwitzTable("cutjoin")
     for r, s in enumerate(h):
         r_fact = math.factorial(r)
@@ -255,10 +299,7 @@ def hurwitz_via_cutjoin(
                 raise AssertionError(
                     f"parity/genus violation at r={r}, alpha={alpha}"
                 )
-            g = two_g // 2
-            if g_max is not None and g > g_max:
-                continue
-            table.add(g, Partition(alpha), c * r_fact)
+            table.add(two_g // 2, Partition(alpha), c * r_fact)
     return table
 
 

@@ -12,13 +12,12 @@ bracket = 1/24.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-from .algebra import parse_rational, rational_str
+from .algebra import rational_str
 from .oracle import riemann_hurwitz_r
 from .partitions import Partition, aut_count, multinomial
 
@@ -146,19 +145,6 @@ class HodgeTable:
             }
             for key in keys
         ]
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_records(), indent=2)
-
-    @classmethod
-    def from_json_records(cls, records: list[dict]) -> "HodgeTable":
-        table = cls()
-        for rec in records:
-            key = HodgeKey.make(rec["g"], rec["theta"], rec["k"])
-            table.set_primitive(
-                key, parse_rational(rec["value"]), rec.get("source", "fitted")
-            )
-        return table
 
 
 def _without_one(theta: tuple[int, ...], value: int) -> tuple[int, ...]:

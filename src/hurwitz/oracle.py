@@ -34,7 +34,6 @@ from .algebra import (
     SeriesRing,
     Truncation,
     VarSet,
-    parse_rational,
     rational_str,
 )
 from .partitions import Partition
@@ -229,13 +228,6 @@ class HurwitzTable:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_records(), indent=2)
-
-    @classmethod
-    def from_json_records(cls, records: list[dict]) -> "HurwitzTable":
-        table = cls(records[0]["method"] if records else "unknown")
-        for rec in records:
-            table.add(rec["g"], rec["alpha"], parse_rational(rec["value"]))
-        return table
 
 
 def connected_hurwitz(d_max: int, g_max: int | None = None, r_max: int | None = None) -> HurwitzTable:

@@ -11,7 +11,6 @@ Lagrange double sum, independently of any series expansion.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 
@@ -21,7 +20,6 @@ from .algebra import (
     Truncation,
     VarSet,
     lagrange_coeff,
-    parse_rational,
     rational_str,
 )
 from .golden import (
@@ -174,19 +172,6 @@ class WExpr:
         if not exps:
             raise ValueError("zero expression has no exponents")
         return min(exps)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "laurent": {str(j): rational_str(c) for j, c in sorted(self.laurent.items())},
-            "log": {str(j): rational_str(c) for j, c in sorted(self.logpart.items())},
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "WExpr":
-        return cls(
-            {int(j): parse_rational(c) for j, c in obj.get("laurent", {}).items()},
-            {int(j): parse_rational(c) for j, c in obj.get("log", {}).items()},
-        )
 
     def __repr__(self):
         return f"WExpr({self.laurent!r}, {self.logpart!r})"
@@ -460,7 +445,10 @@ def _recurrence_term(term: dict, d: int, table: HurwitzTable) -> Fraction:
 
 def verify_recurrence(spec: dict, table: HurwitzTable, d_range: range) -> dict:
     """Exact check of a numeric recurrence for each d; returns the failing
-    d values (with both sides) and a status."""
+    d values (with both sides) and a status.  An empty d_range is refused,
+    since a check that compares nothing cannot fail."""
+    if not d_range:
+        raise ValueError(f"recurrence check would compare nothing: degree range {d_range} is empty")
     lhs_spec = spec["lhs"]
     failures = []
     for d in d_range:

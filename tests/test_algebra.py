@@ -19,7 +19,6 @@ from hurwitz.algebra import (
     VarSet,
     VarSetMismatchError,
     lagrange_coeff,
-    parse_rational,
     rational_str,
     solve_graded_fixpoint,
 )
@@ -167,7 +166,7 @@ def test_rational_str_roundtrip(num, den):
     q = Fraction(num, den)
     text = rational_str(q)
     assert "/" in text
-    assert parse_rational(text) == q
+    assert Fraction(text) == q
 
 
 # -- the product kernel against naive references on every kind of ring ----------
@@ -295,9 +294,3 @@ def test_graded_ops_refuse_untruncatable_y():
 def test_positive_y_min_is_refused():
     with pytest.raises(ValueError):
         SeriesRing(VarSet(("x", "y")), Truncation(x_max=2, y_min=1))
-
-
-def test_json_roundtrip():
-    s = RING4.var("x") + RING4.var("p_1").scale(Fraction(1, 3))
-    obj = s.to_json_obj()
-    assert ExactSeries.from_json_obj(RING4, obj) == s

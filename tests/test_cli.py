@@ -162,6 +162,30 @@ def test_verify_suite_json_output(capsys):
     assert all(c["status"] == "pass" for c in report["checks"])
 
 
+def test_vacuous_recurrence_check_exits_2(capsys):
+    """With --dmax 1 the recurrences, which start at d = 2, would compare
+    nothing; that is a usage error, not five passes."""
+    code, out, err = run_cli(capsys, "verify", "--suite", "recursions", "--dmax", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: recurrence check would compare nothing")
+    assert "Traceback" not in err
+
+
+def test_cutjoin_table_takes_no_log(capsys, monkeypatch):
+    """`table --method cutjoin` evolves the connected series directly: it
+    never evolves the all-covers series nor takes its logarithm."""
+
+    def no_log(*args, **kwargs):
+        raise AssertionError("the table path took the all-covers route")
+
+    monkeypatch.setattr(cutjoin, "disconnected_slices", no_log)
+    monkeypatch.setattr(cutjoin, "_log_slices", no_log)
+    code, out, _ = run_cli(capsys, "table", "--method", "cutjoin", "--dmax", "6", "--gmax", "3")
+    monkeypatch.undo()
+    assert code == 0
+    assert out == hurwitz_via_cutjoin(6, 3).to_json() + "\n"
+
+
 def test_verify_failure_exits_1(capsys, monkeypatch):
     import hurwitz.cli as cli
 
@@ -298,8 +322,8 @@ def test_unwritable_out_exits_2(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "big, small",
-    [((10, 3), (6, 2)), ((10, 3), (8, 3)), ((8, 2), (6, 2))],
-    ids=["d10g3-d6g2", "d10g3-d8g3", "d8g2-d6g2"],
+    [((10, 3), (6, 2)), ((10, 3), (8, 3)), ((8, 2), (6, 2)), ((10, 3), (10, 2))],
+    ids=["d10g3-d6g2", "d10g3-d8g3", "d8g2-d6g2", "d10g3-d10g2"],
 )
 def test_session_trims_smaller_tables(monkeypatch, big, small):
     session = Session()
@@ -308,7 +332,7 @@ def test_session_trims_smaller_tables(monkeypatch, big, small):
     def recompute(*args):
         raise AssertionError("smaller table was recomputed instead of trimmed")
 
-    monkeypatch.setattr(cutjoin, "disconnected_slices", recompute)
+    monkeypatch.setattr(cutjoin, "connected_slices", recompute)
     trimmed = session.table(*small).to_json()
     monkeypatch.undo()
     assert trimmed == hurwitz_via_cutjoin(*small).to_json()

@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from hurwitz.cutjoin import hurwitz_number, hurwitz_via_cutjoin
+from hurwitz.cutjoin import (
+    _log_slices,
+    connected_slices,
+    disconnected_slices,
+    hurwitz_number,
+    hurwitz_via_cutjoin,
+)
 from hurwitz.hodge import elsv_hurwitz
 from hurwitz.oracle import riemann_hurwitz_r
 from hurwitz.partitions import partitions
@@ -21,6 +27,30 @@ def test_matches_oracle_on_full_overlap(oracle_table, deep_table):
     }
     oracle = {(g, alpha): v for (g, alpha), v in oracle_table.entries.items() if g <= 3}
     assert cut_g3 == oracle
+
+
+def _log_route(d_max, r_max, g_max=None):
+    """H = log E from the all-covers slices, cut to genus <= g_max."""
+    h = _log_slices(disconnected_slices(d_max, r_max), d_max)
+    if g_max is None:
+        return h
+    return [
+        {k: v for k, v in s.items() if r - sum(k) - len(k) + 2 <= 2 * g_max}
+        for r, s in enumerate(h)
+    ]
+
+
+@pytest.mark.parametrize("d_max", range(1, 11))
+def test_connected_evolution_equals_log_of_all_covers(d_max):
+    """The connected cut-and-join evolution, pruned at genus 3, equals the
+    logarithm of the all-covers series slice by slice and entry by entry."""
+    r_max = 2 * d_max + 4
+    assert connected_slices(d_max, r_max, 3) == _log_route(d_max, r_max, 3)
+
+
+@pytest.mark.parametrize("d_max, r_max", [(3, 4), (5, 16), (6, 18)])
+def test_connected_evolution_without_genus_cap(d_max, r_max):
+    assert connected_slices(d_max, r_max) == _log_route(d_max, r_max)
 
 
 def test_low_degree_spot_values(deep_table):

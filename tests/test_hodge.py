@@ -141,5 +141,8 @@ def test_hodge_json_records(fitted):
     _, _, hodge = fitted
     records = hodge.to_json_records()
     assert {rec["source"] for rec in records} == {"base", "fitted"}
-    back = HodgeTable.from_json_records(records)
-    assert back.primitives == hodge.primitives
+    back = {
+        HodgeKey.make(rec["g"], rec["theta"], rec["k"]): Fraction(rec["value"])
+        for rec in records
+    }
+    assert back == hodge.primitives

@@ -98,11 +98,6 @@ def test_apply_D_is_euler_operator(expr):
     assert derived == wexpr_to_xseries(expr, 9).euler("x")
 
 
-def test_wexpr_json_roundtrip():
-    expr = WExpr({-1: F(1, 3), 2: F(5)}, {0: F(1, 24)})
-    assert WExpr.from_json_obj(expr.to_json_obj()) == expr
-
-
 # -- pinned displays and their consequences --------------------------------------
 
 
