@@ -10,13 +10,15 @@ Variable names encode their role:
 
 * ``x``  — degree marker (one per ring),
 * ``u``  — step/branch-point marker,
-* ``y``  — genus marker (may carry negative exponents),
 * ``p_i`` (i >= 1) — part markers,
 * ``t_i`` (i >= 0) — descendant markers.
 
-The truncation policy caps, per ring: the x-exponent, the u-exponent, the
-total weight sum(i * exp(p_i)), the total t-degree, the t-weight
-sum((i-1) * exp(t_i)), and the minimum y-exponent.  Overflowing terms are
+Exponents are non-negative.  The truncation policy caps, per ring: the
+x-exponent, the u-exponent, the total weight sum(i * exp(p_i)) and the
+total t-degree.  Each cap bounds a load with non-negative weights, so the
+admitted monomials are the complement of a monomial ideal and truncated
+arithmetic is exactly arithmetic in the quotient ring: products are
+associative, and exp(a + b) = exp(a) exp(b).  Overflowing terms are
 discarded on creation; retained terms are always exact.
 """
 
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, itemgetter, le, mul, sub
 from typing import Callable, Iterable, Mapping
@@ -61,7 +63,7 @@ class DivergingFunctionalError(SeriesError):
     """A graded fixed-point iteration changed an already-determined slice."""
 
 
-_VAR_RE = re.compile(r"^(x|u|y|p_(\d+)|t_(\d+))$")
+_VAR_RE = re.compile(r"^(x|u|p_(\d+)|t_(\d+))$")
 
 
 class VarSet:
@@ -139,49 +141,39 @@ class VarSet:
 
 @dataclass(frozen=True)
 class Truncation:
-    """Per-family degree caps.  ``None`` means uncapped for that family,
-    except ``y_min``, which defaults to 0 and must be <= 0."""
+    """Per-family degree caps.  ``None`` means uncapped for that family."""
 
     x_max: int | None = None
     u_max: int | None = None
     p_weight_max: int | None = None
     t_deg_max: int | None = None
-    t_weight_max: int | None = None
-    y_min: int | None = None
 
 
 class SeriesRing:
     """A VarSet plus a Truncation, with each cap stored as a linear load.
 
     Every cap of the truncation is a bound ``sum_i w_i * e_i <= cap`` on the
-    exponent vector ``e``: x-degree, u-degree, p-weight, t-degree, t-weight,
-    and ``-y <= -y_min``.  A monomial is admitted when its non-y exponents
-    are non-negative and every load is within its cap.  Loads are linear, so
-    a product's loads are the sums of its factors' loads; the product kernel
-    uses that to reject pairs without building their exponent vectors.
-
-    The t-weight load (through t_0) and the y load have negative weights,
-    so a product can be admitted while a partial product is not: truncated
-    multiplication is then not associative.  `_hull` is the ring without
-    those two caps; inverse/exp/log run there and are restricted at the end.
+    exponent vector ``e``, with every weight ``w_i >= 0``: x-degree,
+    u-degree, p-weight and t-degree.  A monomial is admitted when its
+    exponents are non-negative and every load is within its cap.  Loads are
+    linear, so a product's loads are the sums of its factors' loads; the
+    product kernel uses that to reject pairs without building their exponent
+    vectors.  Since no weight is negative, a factor of an admitted monomial
+    is admitted, so truncated multiplication is associative and the graded
+    inverse/exp/log run in the ring itself.
     """
 
-    __slots__ = ("varset", "trunc", "_nonneg_positions", "_weights", "_caps", "_hull")
+    __slots__ = ("varset", "trunc", "_weights", "_caps")
 
     def __init__(self, varset: VarSet, trunc: Truncation):
-        if trunc.y_min is not None and trunc.y_min > 0:
-            raise ValueError("y_min must be <= 0")
         self.varset = varset
         self.trunc = trunc
         fams = varset.families
-        self._nonneg_positions = tuple(i for i, f in enumerate(fams) if f != "y")
         rules = (
             (trunc.x_max, lambda f, i: int(f == "x")),
             (trunc.u_max, lambda f, i: int(f == "u")),
             (trunc.p_weight_max, lambda f, i: i if f == "p" else 0),
             (trunc.t_deg_max, lambda f, i: int(f == "t")),
-            (trunc.t_weight_max, lambda f, i: i - 1 if f == "t" else 0),
-            (-(trunc.y_min or 0), lambda f, i: -int(f == "y")),
         )
         weights, caps = [], []
         for cap, weight in rules:
@@ -196,20 +188,12 @@ class SeriesRing:
             caps.append(0)
         self._weights = tuple(weights)
         self._caps = tuple(caps)
-        if trunc.t_weight_max is None and trunc.y_min is None:
-            self._hull = self
-        else:
-            self._hull = SeriesRing(
-                varset, replace(trunc, t_weight_max=None, y_min=None)
-            )
 
     def _loads(self, exps: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(sum(map(mul, w, exps)) for w in self._weights)
 
     def admits(self, exps: tuple[int, ...]) -> bool:
-        return all(exps[i] >= 0 for i in self._nonneg_positions) and all(
-            map(le, self._loads(exps), self._caps)
-        )
+        return min(exps, default=0) >= 0 and all(map(le, self._loads(exps), self._caps))
 
     def _prepare(self, terms: Mapping[tuple[int, ...], Fraction]) -> tuple:
         """The operand form of `_mul_into`: the terms over one common
@@ -256,11 +240,10 @@ class SeriesRing:
                 acc[e] = acc[e] + q if e in acc else q
 
     def max_total_degree(self) -> int:
-        """Upper bound on the degree in the non-y variables of any admitted
-        monomial.
+        """Upper bound on the total degree of any admitted monomial.
 
-        Requires every non-y family that is present to be capped; used as
-        the iteration bound for inverse/exp/log.
+        Requires every family that is present to be capped; used as the
+        iteration bound for inverse/exp/log.
         """
         t = self.trunc
         bound = 0
@@ -295,8 +278,8 @@ class SeriesRing:
             return self.zero()
         return ExactSeries(self, {(0,) * len(self.varset.names): c})
 
-    def var(self, name: str, power: int = 1) -> "ExactSeries":
-        return self.monomial({name: power}, 1)
+    def var(self, name: str) -> "ExactSeries":
+        return self.monomial({name: 1}, 1)
 
     def monomial(self, exps: Mapping[str, int], coeff) -> "ExactSeries":
         vec = [0] * len(self.varset.names)
@@ -457,8 +440,7 @@ class ExactSeries:
 
     # -- inverse / exp / log -----------------------------------------------
     #
-    # All three solve a recurrence over slices by degree in the non-y
-    # variables (y is uncapped above, so it cannot bound the recurrence),
+    # All three solve a recurrence over slices by total degree,
     #   out_0 = first,  out_m = finish(m, sum_{j >= 1} fixed_j * out_{m-j}),
     # with every product done by the ring's kernel.
 
@@ -474,15 +456,9 @@ class ExactSeries:
         return (0,) * len(self.ring.varset.names)
 
     def _slices_by_degree(self) -> dict[int, dict]:
-        positions = self.ring._nonneg_positions
         slices: dict[int, dict] = {}
         for e, c in self.terms.items():
-            if any(v < 0 for v in e):
-                raise SeriesError("degree-graded operation on negative exponents")
-            m = sum(e[i] for i in positions)
-            if not m and any(e):
-                raise SeriesError("degree-graded operation on a pure power of y")
-            slices.setdefault(m, {})[e] = c
+            slices.setdefault(sum(e), {})[e] = c
         return slices
 
     def _graded(
@@ -491,9 +467,8 @@ class ExactSeries:
         first: dict,
         finish: Callable[[int, dict], dict],
     ) -> dict[int, dict]:
-        """The nonzero slices out_m of the recurrence above, by degree m,
-        computed in the ring's hull."""
-        ring = self.ring._hull
+        """The nonzero slices out_m of the recurrence above, by degree m."""
+        ring = self.ring
         fixed_ops = sorted((j, ring._prepare(s)) for j, s in fixed.items() if j)
         out = {0: first}
         ops = {0: ring._prepare(first)}
@@ -511,10 +486,7 @@ class ExactSeries:
         return out
 
     def _from_slices(self, slices: Iterable[dict]) -> "ExactSeries":
-        terms = {e: c for s in slices for e, c in s.items()}
-        if self.ring._hull is self.ring:
-            return ExactSeries._admitted(self.ring, terms)
-        return ExactSeries(self.ring, terms)
+        return ExactSeries._admitted(self.ring, {e: c for s in slices for e, c in s.items()})
 
     def inverse(self) -> "ExactSeries":
         """Multiplicative inverse; requires an invertible constant term.
@@ -595,16 +567,6 @@ class ExactSeries:
             self.ring,
             {e: e[pos] * c for e, c in self.terms.items() if e[pos]},
         )
-
-    def restrict(self, ring: SeriesRing) -> "ExactSeries":
-        """Re-home into a ring over the same variables with tighter caps.
-
-        Explicitly discards non-admitted terms; this is the only sanctioned
-        way to move a series between truncations.
-        """
-        if ring.varset != self.ring.varset:
-            raise VarSetMismatchError("restrict cannot change the variable set")
-        return ExactSeries(ring, self.terms)
 
 
 def solve_graded_fixpoint(

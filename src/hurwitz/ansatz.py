@@ -213,13 +213,7 @@ def xi_substitute(t_series: ExactSeries, ctx: XpContext) -> ExactSeries:
     return total
 
 
-def assemble_G(
-    g: int,
-    table: HodgeTable,
-    tctx: TContext,
-    *,
-    genus0: str = "closed_form",
-) -> ExactSeries:
+def assemble_G(g: int, table: HodgeTable, tctx: TContext) -> ExactSeries:
     """The signed bracket generating series G_g as a truncated t-series.
 
     Coefficient of prod t_i^{a_i} is (-1)^k <prod tau_i^{a_i} lambda_k>_g /
@@ -239,7 +233,7 @@ def assemble_G(
                 if len(q) > n or (q and q[-1] > tctx.t_index_max):
                     continue
                 theta = (0,) * (n - len(q)) + tuple(q)
-                value = evaluate(HodgeKey.make(g, theta, k), table, genus0=genus0)
+                value = evaluate(HodgeKey.make(g, theta, k), table)
                 if not value:
                     continue
                 exps: dict[str, int] = {}
@@ -277,7 +271,7 @@ def hurwitz_series(table: HurwitzTable, g: int, ctx: XpContext) -> ExactSeries:
             continue
         r = riemann_hurwitz_r(g, alpha)
         total = total + ctx.ring.profile_monomial(
-            alpha, table.get(g, alpha) / math.factorial(r)
+            alpha, table.entries[(g, alpha)] / math.factorial(r)
         )
     return total
 
@@ -394,20 +388,21 @@ def pole_basis_series(g: int, ctx: XpContext) -> list[tuple[ThetaPartition, int,
     return out
 
 
+_MIN_SURPLUS = 10  # equations beyond the unknowns that a fit must have
+
+
 def fit_constants(
     g: int,
     hurwitz: HurwitzTable,
     d_fit: int,
     hodge_table: HodgeTable | None = None,
-    *,
-    min_surplus: int = 10,
 ) -> AnsatzForm:
     """Determine the K_theta exactly from Hurwitz data.
 
     Builds the pole-form basis series, equates coefficients of p_alpha x^d
     with the Hurwitz generating series for every profile with d <= d_fit,
     and solves the over-determined rational system.  Requires full rank and
-    exact consistency of every equation, with at least `min_surplus` more
+    exact consistency of every equation, with at least `_MIN_SURPLUS` more
     equations than unknowns; writes the fitted primitive brackets
     <tau_theta lambda_k>_g = (-1)^k K_theta into `hodge_table` if given.
     """
@@ -418,10 +413,10 @@ def fit_constants(
     for _, _, _, series in basis:
         monomials.update(series.terms)
     rows = sorted(monomials)
-    if len(rows) < len(basis) + min_surplus:
+    if len(rows) < len(basis) + _MIN_SURPLUS:
         raise ValueError(
             f"only {len(rows)} equations for {len(basis)} unknowns; "
-            f"need {min_surplus} surplus — increase d_fit"
+            f"need {_MIN_SURPLUS} surplus — increase d_fit"
         )
     matrix = [
         [series.terms.get(row, Fraction(0)) for _, _, _, series in basis]
@@ -481,17 +476,12 @@ def verify_euler_square(d_max: int, hurwitz: HurwitzTable) -> VerifyReport:
 
 
 def verify_genus_expansion(
-    g: int,
-    form: AnsatzForm,
-    hodge_table: HodgeTable,
-    *,
-    t_deg_max: int = 5,
-    t_index_max: int | None = None,
+    g: int, form: AnsatzForm, hodge_table: HodgeTable
 ) -> list[VerifyReport]:
     """The two pole-form expansions of G_g and their agreement, plus the
-    lambda-free slice, as truncated t-series identities."""
-    if t_index_max is None:
-        t_index_max = 3 * g + 2
+    lambda-free slice, as truncated t-series identities in t_0..t_{3g+2}
+    up to t-degree 5."""
+    t_index_max, t_deg_max = 3 * g + 2, 5
     tctx = TContext(t_index_max, t_deg_max)
     ring = tctx.ring
     trunc = {"t_index_max": t_index_max, "t_deg_max": t_deg_max}
@@ -540,12 +530,10 @@ def verify_genus_expansion(
     ]
 
 
-def verify_delta_annihilation(
-    g: int, hodge_table: HodgeTable, *, t_deg_max: int = 6, t_index_max: int = 9
-) -> VerifyReport:
+def verify_delta_annihilation(g: int, hodge_table: HodgeTable) -> VerifyReport:
     """The operator sum_m t_{m+1} d/dt_m - d/dt_0 annihilates G_g (g >= 1)
-    except for one boundary constant, checked on the sub-window where the
-    image is fully determined.
+    except for one boundary constant, checked in t_0..t_9 on the
+    sub-window of t-degree <= 5 where the image is fully determined.
 
     Removing a tau_0 from an n-point bracket is only meaningful for n >= 2,
     so the t_0-linear term of G_g survives as a constant residue: it is
@@ -553,6 +541,7 @@ def verify_delta_annihilation(
     the n = 1 bracket with one lambda-class).  The residue is pinned
     exactly rather than ignored.
     """
+    t_index_max, t_deg_max = 9, 6
     tctx = TContext(t_index_max, t_deg_max)
     ring = tctx.ring
     G = assemble_G(g, hodge_table, tctx)

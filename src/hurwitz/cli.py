@@ -288,6 +288,8 @@ def _load_family(path: str | None) -> list[dict]:
 def _cmd_search(args: argparse.Namespace, session: Session) -> int:
     family = _load_family(args.family)
     max_g = max(g for term in family for g, _ in term["factors"])
+    if max_g > 3:
+        raise ValueError(f"family has a genus-{max_g} factor; W-series are pinned for g <= 3")
     table = session.table(args.dmax, max_g)
     result = simple_hurwitz.search_recursions(family, table, d_verify=args.dmax)
     obj = {
@@ -358,6 +360,8 @@ def _suite_genus_expansion(session: Session, dmax: int) -> list[dict]:
 
 
 def _suite_recursions(session: Session, dmax: int) -> list[dict]:
+    if dmax < 2:
+        raise ValueError(f"recurrence check would compare nothing: --dmax must be >= 2, got {dmax}")
     table = session.table(max(dmax, 10), 3)
     checks = []
     for name, spec in sorted(golden.RECURRENCES.items()):

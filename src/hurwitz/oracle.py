@@ -192,9 +192,6 @@ class HurwitzTable:
             raise ValueError(f"negative count for g={g}, alpha={alpha}: {value}")
         self.entries[(g, alpha)] = value
 
-    def get(self, g: int, alpha) -> Fraction:
-        return self.entries[(g, Partition(alpha))]
-
     def value(self, g: int, alpha) -> Fraction:
         """Count with the zero-absence convention: exact zeros are never
         stored, so a missing key reads as 0."""

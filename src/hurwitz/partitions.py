@@ -50,10 +50,6 @@ class Partition(tuple):
     def d(self) -> int:
         return sum(self)
 
-    @property
-    def length(self) -> int:
-        return len(self)
-
 
 class ThetaPartition(Partition):
     """A partition with every part >= 2 (index of a primitive constant).
@@ -82,22 +78,20 @@ def aut_count(parts) -> int:
     return math.prod(math.factorial(len(list(g))) for _, g in groupby(parts))
 
 
-def partitions(d: int, min_part: int = 1, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Yield partitions of d with parts in [min_part, max_part], sorted parts.
+def partitions(d: int, min_part: int = 1) -> Iterator[tuple[int, ...]]:
+    """Yield partitions of d with parts >= min_part, sorted parts.
 
     Ordering is deterministic: lexicographic on the non-decreasing tuples.
     """
     if d == 0:
         yield ()
         return
-    if max_part is None:
-        max_part = d
 
     def rec(remaining: int, lo: int, prefix: tuple[int, ...]):
         if remaining == 0:
             yield prefix
             return
-        for a in range(lo, min(remaining, max_part) + 1):
+        for a in range(lo, remaining + 1):
             if remaining - a == 0 or remaining - a >= a:
                 yield from rec(remaining - a, a, prefix + (a,))
 

@@ -44,7 +44,6 @@ __all__ = [
     "differential_identity_wexpr",
     "differential_identity_residuals",
     "verify_recurrence",
-    "simple_hurwitz_value",
     "closed_form_simple",
     "genus3_a_form",
     "genus3_p_form",
@@ -160,13 +159,6 @@ class WExpr:
             bump(lau, j + 1, -c)
         return WExpr(lau, log)
 
-    def degree(self) -> int:
-        """Largest W-exponent with a nonzero coefficient (log rows included)."""
-        exps = list(self.laurent) + list(self.logpart)
-        if not exps:
-            raise ValueError("zero expression has no degree")
-        return max(exps)
-
     def min_exponent(self) -> int:
         exps = list(self.laurent) + list(self.logpart)
         if not exps:
@@ -182,17 +174,15 @@ def _pinned(g: int, n: int) -> WExpr:
     return WExpr(data["laurent"], data["log"])
 
 
-def wexpr_for(g: int, n: int, form=None) -> WExpr:
+def wexpr_for(g: int, n: int) -> WExpr:
     """D^n H~_g as a WExpr.
 
     Bases: D H~_0, H~_1 (log-bearing), H~_2, H~_3, extended upward by
     repeated application of D.  H~_0 itself is not a Laurent-plus-log
     function of W, so (g, n) = (0, 0) is rejected; (0, 1) and (0, 2) are
     Laurent series with negative exponents, and every (g, n) with
-    2g-2+n > 0 comes out a log-free polynomial.
-
-    For g >= 2 a fitted pole form may be passed to bypass the pinned
-    display (required for g >= 4).
+    2g-2+n > 0 comes out a log-free polynomial.  Bases are pinned for
+    g <= 3 only.
 
     >>> wexpr_for(0, 2).laurent == {0: Fraction(1), -1: Fraction(-1)}
     True
@@ -206,14 +196,12 @@ def wexpr_for(g: int, n: int, form=None) -> WExpr:
         raise ValueError("the genus-0 series itself is not W-representable")
     if g < 0 or n < 0:
         raise ValueError("genus and derivative order must be non-negative")
-    if form is not None and form.g == g:
-        expr, start = wexpr_from_ansatz(form), 0
-    elif g == 0:
+    if g == 0:
         expr, start = _pinned(0, 1), 1
     elif (g, 0) in PINNED_W_SERIES:
         expr, start = _pinned(g, 0), 0
     else:
-        raise ValueError(f"no pinned base series for genus {g}; pass a fitted form")
+        raise ValueError(f"no pinned base series for genus {g}; supported for g <= 3")
     for _ in range(n - start):
         expr = expr.apply_D()
     if 2 * g - 2 + n > 0:
@@ -294,12 +282,11 @@ def extract_coeff(expr: WExpr, d: int) -> Fraction:
 # -- recurrence search ------------------------------------------------------------
 
 
-def family_wexpr(descriptor: dict, form_by_genus: dict | None = None) -> WExpr:
+def family_wexpr(descriptor: dict) -> WExpr:
     """Product of D^p H~_g factors described by {"factors": [(g, p), ...]}."""
     product = WExpr.const(1)
     for g, p in descriptor["factors"]:
-        form = (form_by_genus or {}).get(g)
-        product = product * wexpr_for(g, p, form)
+        product = product * wexpr_for(g, p)
     return product
 
 
@@ -334,7 +321,6 @@ def search_recursions(
     table: HurwitzTable | None = None,
     *,
     d_verify: int = 10,
-    form_by_genus: dict | None = None,
 ) -> dict:
     """Exact null space of a family of D^p H~_g products.
 
@@ -344,7 +330,7 @@ def search_recursions(
     given, every basis vector is independently re-verified as a numeric
     recurrence on the coefficients [x^d] for d <= d_verify.
     """
-    exprs = [family_wexpr(term, form_by_genus) for term in family]
+    exprs = [family_wexpr(term) for term in family]
     row_keys: set[tuple[str, int]] = set()
     for e in exprs:
         row_keys.update(("lau", j) for j in e.laurent)
@@ -377,11 +363,11 @@ def search_recursions(
     }
 
 
-def differential_identity_wexpr(terms: list[dict], form_by_genus: dict | None = None) -> WExpr:
+def differential_identity_wexpr(terms: list[dict]) -> WExpr:
     """Sum of coeff * prod D^p H~_g terms; zero iff the identity holds."""
     total = WExpr.zero()
     for term in terms:
-        total = total + family_wexpr(term, form_by_genus).scale(term["coeff"])
+        total = total + family_wexpr(term).scale(term["coeff"])
     return total
 
 
@@ -468,21 +454,17 @@ def verify_recurrence(spec: dict, table: HurwitzTable, d_range: range) -> dict:
 # -- closed forms -----------------------------------------------------------------
 
 
-def simple_hurwitz_value(table: HurwitzTable, g: int, d: int) -> Fraction:
-    return table.value(g, Partition((1,) * d))
-
-
 def _logw_series_coeff(d: int) -> Fraction:
     """[x^d] log W, from D log W = W^2 - W and division by d."""
     return (lagrange_coeff(0, 2, d) - lagrange_coeff(0, 1, d)) / d
 
 
-def closed_form_simple(g: int, d: int, form=None) -> Fraction:
+def closed_form_simple(g: int, d: int) -> Fraction:
     """H^g_{(1^d)} in closed form.
 
     Genus 0 is the tree formula (2d-2)! d^{d-3}/d!; genus 1 combines the
     log W and 1/W extractions of its display; higher genus goes through the
-    W-polynomial (pinned for g = 2, 3, or from a fitted pole form).
+    pinned W-polynomial (g = 2, 3).
 
     >>> closed_form_simple(0, 3)
     Fraction(4, 1)
@@ -502,7 +484,7 @@ def closed_form_simple(g: int, d: int, form=None) -> Fraction:
             + Fraction(1, 24) * extract_coeff(WExpr({-1: Fraction(1)}), d)
         )
         return tilde * math.factorial(2 * d)
-    return extract_coeff(wexpr_for(g, 0, form), d) * math.factorial(2 * d + 2 * g - 2)
+    return extract_coeff(wexpr_for(g, 0), d) * math.factorial(2 * d + 2 * g - 2)
 
 
 def a_series_coeff(k: int, d: int) -> Fraction:

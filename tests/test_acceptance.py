@@ -35,7 +35,6 @@ from hurwitz.simple_hurwitz import (
     genus3_a_form,
     genus3_p_form,
     search_recursions,
-    simple_hurwitz_value,
     verify_recurrence,
     wexpr_for,
     wexpr_from_ansatz,
@@ -91,7 +90,7 @@ def test_criterion_04_pole_displays_match_cutjoin(deep_table):
                     (c * lagrange_coeff(m, r, d) for (m, r), c in coeffs.items()),
                     Fraction(0),
                 )
-                h = simple_hurwitz_value(deep_table, g, d)
+                h = deep_table.value(g, Partition((1,) * d))
                 assert total * math.factorial(2 * d + 2 * g - 2) == h, (g, d)
 
     run_criterion("04 pole-displays-g2-g3-degree10", body)
@@ -193,13 +192,13 @@ def test_criterion_12_genus_expansion_forms(fitted):
 def test_criterion_13_fitting_soundness(deep_table):
     def body():
         hodge = HodgeTable()
-        form2 = fit_constants(2, deep_table, 6, hodge, min_surplus=10)
+        form2 = fit_constants(2, deep_table, 6, hodge)
         assert len(form2.constants) == 6
         c = form2.constants
         assert c[(2,)] + c[(3,)] + c[(4,)] == 0
         assert c[(2, 2)] / 2 + c[(2, 3)] == Fraction(1, 1440)
         assert c[(2, 2, 2)] == Fraction(7, 240)
-        form3 = fit_constants(3, deep_table, 8, hodge, min_surplus=10)
+        form3 = fit_constants(3, deep_table, 8, hodge)
         assert len(form3.constants) == 26
         assert wexpr_from_ansatz(form3) == wexpr_for(3, 0)
 
@@ -209,7 +208,7 @@ def test_criterion_13_fitting_soundness(deep_table):
 def test_criterion_14_closed_forms(deep_table):
     def body():
         for d in range(1, 9):
-            h = simple_hurwitz_value(deep_table, 3, d)
+            h = deep_table.value(3, Partition((1,) * d))
             assert genus3_a_form(d) == h, d
             assert genus3_p_form(d) == h, d
         ring = SeriesRing(VarSet(("x",)), Truncation(x_max=12))

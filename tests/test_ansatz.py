@@ -100,7 +100,7 @@ def test_fit_writes_primitives_with_sign(fitted):
 def test_fit_is_overdetermined_and_consistent(deep_table):
     # rank 6 with >= 10 surplus rows must already hold at d_fit = 6
     hodge = HodgeTable()
-    form = fit_constants(2, deep_table, 6, hodge, min_surplus=10)
+    form = fit_constants(2, deep_table, 6, hodge)
     assert len(form.constants) == 6
 
 
@@ -113,7 +113,7 @@ def test_fit_detects_corrupted_data(deep_table):
     assert key in bad.entries
     bad.entries[key] = bad.entries[key] + 1
     with pytest.raises(InconsistentSystemError):
-        fit_constants(2, bad, 6, min_surplus=10)
+        fit_constants(2, bad, 6)
 
 
 def test_genus_expansion_reports(fitted):

@@ -171,6 +171,26 @@ def test_vacuous_recurrence_check_exits_2(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("case", ["recursions-dmax-1", "search-genus-9"])
+def test_refused_before_building_a_table(capsys, monkeypatch, tmp_path, case):
+    """A request outside the supported degree range or genus exits 2 with
+    a message naming the limit, before any cut-and-join table is evolved."""
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps([{"factors": [[1, 1]]}, {"factors": [[9, 0]]}]))
+    argv, limit = {
+        "recursions-dmax-1": (["verify", "--suite", "recursions", "--dmax", "1"], "--dmax must be >= 2"),
+        "search-genus-9": (["search", "--family", str(family)], "g <= 3"),
+    }[case]
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built before the refusal")
+
+    monkeypatch.setattr(cutjoin, "connected_slices", no_table)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert limit in err
+
+
 def test_cutjoin_table_takes_no_log(capsys, monkeypatch):
     """`table --method cutjoin` evolves the connected series directly: it
     never evolves the all-covers series nor takes its logarithm."""

@@ -21,13 +21,13 @@ from hurwitz.simple_hurwitz import (
     genus3_a_form,
     genus3_p_form,
     search_recursions,
-    simple_hurwitz_value,
     verify_recurrence,
     wexpr_for,
     wexpr_from_ansatz,
     wexpr_to_xseries,
 )
 from hurwitz.algebra import lagrange_coeff
+from hurwitz.partitions import Partition
 
 
 def F(a, b=1):
@@ -129,7 +129,7 @@ def test_displays_match_table(deep_table):
     for (g, n) in golden.PINNED_W_SERIES:
         series = wexpr_to_xseries(wexpr_for(g, n), 10)
         for d in range(1, 11):
-            h = simple_hurwitz_value(deep_table, g, d)
+            h = deep_table.value(g, Partition((1,) * d))
             lhs = series.coeff({"x": d})
             assert lhs == d**n * h / math.factorial(2 * d + 2 * g - 2), (g, n, d)
 
@@ -170,10 +170,10 @@ def test_family_term_numeric_translation(deep_table):
             j = d - i
             conv += (
                 i**2
-                * simple_hurwitz_value(deep_table, 0, i)
+                * deep_table.value(0, Partition((1,) * i))
                 / math.factorial(2 * i - 2)
                 * j
-                * simple_hurwitz_value(deep_table, 1, j)
+                * deep_table.value(1, Partition((1,) * j))
                 / math.factorial(2 * j)
             )
         assert direct == conv, d
@@ -200,14 +200,12 @@ def test_search_on_trivially_dependent_family():
 def test_closed_forms_match_table(deep_table):
     for g in range(0, 4):
         for d in range(1, 13):
-            assert closed_form_simple(g, d) == simple_hurwitz_value(
-                deep_table, g, d
-            ), (g, d)
+            assert closed_form_simple(g, d) == deep_table.value(g, Partition((1,) * d)), (g, d)
 
 
 def test_genus3_a_and_p_forms(deep_table):
     for d in range(1, 9):
-        h = simple_hurwitz_value(deep_table, 3, d)
+        h = deep_table.value(3, Partition((1,) * d))
         assert genus3_a_form(d) == h, d
         assert genus3_p_form(d) == h, d
 
@@ -220,4 +218,4 @@ def test_a_series_is_lagrange_column():
 
 def test_spot_values(deep_table):
     for (g, d), value in golden.SPOT_VALUES.items():
-        assert simple_hurwitz_value(deep_table, g, d) == value
+        assert deep_table.value(g, Partition((1,) * d)) == value
