@@ -160,7 +160,8 @@ class SeriesRing:
     product kernel uses that to reject pairs without building their exponent
     vectors.  Since no weight is negative, a factor of an admitted monomial
     is admitted, so truncated multiplication is associative and the graded
-    inverse/exp/log run in the ring itself.
+    inverse/exp/log run in the ring itself.  A negative cap is refused: it
+    would admit no monomial, not even the constant that `one` and `exp` need.
     """
 
     __slots__ = ("varset", "trunc", "_weights", "_caps")
@@ -179,8 +180,10 @@ class SeriesRing:
         for cap, weight in rules:
             if cap is None:
                 continue
+            if cap < 0:
+                raise ValueError(f"truncation caps must be non-negative: {trunc!r}")
             w = tuple(weight(f, i) for f, i in zip(fams, varset.indices))
-            if any(w) or cap < 0:  # an empty load only matters if it can fail
+            if any(w):  # an empty load never fails
                 weights.append(w)
                 caps.append(cap)
         if not weights:  # the kernel sorts by a first load; give it one
@@ -437,6 +440,13 @@ class ExactSeries:
             base = base * base if n > 1 else base
             n >>= 1
         return result
+
+    def powers(self, n: int) -> list["ExactSeries"]:
+        """[1, a, a^2, ..., a^n], each power one product from the last."""
+        out = [self.ring.one()]
+        for _ in range(n):
+            out.append(out[-1] * self)
+        return out
 
     # -- inverse / exp / log -----------------------------------------------
     #

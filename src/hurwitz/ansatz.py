@@ -10,9 +10,13 @@ The cast:
   with I_k = sum_i t_{k+i} I_0^i / i!;
 * G_g(t), the signed generating series of brackets, assembled from the
   hodge module;
-* the pole form sum_theta (K_theta/Aut theta) prod phi_{theta_i}(s, p) *
-  (1 - phi_1(s, p))^{-e}, whose constants K_theta are fitted here against
-  cut-and-join data by exact linear algebra.
+* the pole form sum_theta (K_theta/Aut theta) prod F_{theta_i} (1 - F_1)^{-e},
+  evaluated with F_k = phi_k(s, p) in an `XpContext`, where its constants
+  K_theta are fitted against cut-and-join data by exact linear algebra, and
+  with F_k = I_k(t) in a `TContext`, where it is compared with G_g.
+
+Each context builds every series it holds once; the CLI builds one context
+per ring a command needs and hands it to each check.
 
 Verification helpers return small reports (pass/fail plus the first
 mismatching monomial) rather than raising, so the CLI can aggregate them.
@@ -23,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from .algebra import (
     ExactSeries,
@@ -69,130 +74,113 @@ def _phi(ring: SeriesRing, k: int, z_pows: list[ExactSeries]) -> ExactSeries:
     return total
 
 
-class XpContext:
-    """Shared series data for a fixed (x, p) truncation degree.
+def _descend(ring: SeriesRing, k: int, v_pows: list[ExactSeries]) -> ExactSeries:
+    """sum_i t_{k+i} v^i / i!, given v^0..v^n, over the t_j the ring has."""
+    total = ring.zero()
+    for i, v_pow in enumerate(v_pows):
+        name = f"t_{k + i}"
+        if name not in ring.varset.position:
+            break
+        total = total + ring.var(name) * v_pow * Fraction(1, math.factorial(i))
+    return total
 
-    Caches phi_k at x and at s, powers of both, s itself, and the geometric
-    inverse of 1 - phi_1(s, p); everything exact in the ring with x-degree
-    and part-weight capped at d_max.
+
+class _SeriesContext:
+    """A ring plus every series built in it, each built once.
+
+    A subclass defines the family F(k) that the pole form is evaluated on;
+    `inv_pole_power` is written here in terms of it.
     """
+
+    def __init__(self, ring: SeriesRing):
+        self.ring = ring
+        self._memo: dict = {}
+
+    def _once(self, key, build: Callable[[], ExactSeries | list[ExactSeries]]):
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def inv_pole_power(self, e: int) -> ExactSeries:
+        """(1 - F_1)^(-e) for e >= 0, one product per new e."""
+        if e == 0:
+            return self.ring.one()
+        if e == 1:
+            return self._once("inv", lambda: (self.ring.one() - self.F(1)).inverse())
+        return self._once(
+            ("inv", e), lambda: self.inv_pole_power(e - 1) * self.inv_pole_power(1)
+        )
+
+
+class XpContext(_SeriesContext):
+    """Series in (x, p) with x-degree and part-weight capped at d_max:
+    phi_k at x and at s, their powers, and the pole powers; F is phi_s."""
 
     def __init__(self, d_max: int):
         self.d_max = d_max
-        self.ring = SeriesRing(
-            VarSet.xp(d_max), Truncation(x_max=d_max, p_weight_max=d_max)
+        super().__init__(
+            SeriesRing(VarSet.xp(d_max), Truncation(x_max=d_max, p_weight_max=d_max))
         )
-        self._phi_x: dict[int, ExactSeries] = {}
-        self._phi_x_pow: dict[tuple[int, int], ExactSeries] = {}
-        self._phi_s: dict[int, ExactSeries] = {}
-        self._s_pows: list[ExactSeries] | None = None
-        self._inv_one_minus_phi1s: ExactSeries | None = None
-        self._inv_pows: dict[int, ExactSeries] = {}
 
     def phi_x(self, k: int) -> ExactSeries:
         """phi_k(x, p) = sum_n n^(n+k)/n! p_n x^n."""
-        if k not in self._phi_x:
-            x_pows = [self.ring.monomial({"x": n}, 1) for n in range(self.d_max + 1)]
-            self._phi_x[k] = _phi(self.ring, k, x_pows)
-        return self._phi_x[k]
+        return self._once(
+            ("phi_x", k), lambda: _phi(self.ring, k, self.ring.var("x").powers(self.d_max))
+        )
 
     def phi_x_power(self, k: int, a: int) -> ExactSeries:
         if a == 0:
             return self.ring.one()
-        key = (k, a)
-        if key not in self._phi_x_pow:
-            self._phi_x_pow[key] = self.phi_x_power(k, a - 1) * self.phi_x(k)
-        return self._phi_x_pow[key]
-
-    def s(self) -> ExactSeries:
-        """The series solution of s = x e^{phi_0(s, p)}."""
-        return self.s_powers()[1]
+        return self._once(
+            ("phi_x", k, a), lambda: self.phi_x_power(k, a - 1) * self.phi_x(k)
+        )
 
     def s_powers(self) -> list[ExactSeries]:
-        if self._s_pows is None:
-            ring = self.ring
-
-            def functional(v: ExactSeries) -> ExactSeries:
-                pows = [ring.one()]
-                for _ in range(self.d_max):
-                    pows.append(pows[-1] * v)
-                return ring.var("x") * _phi(ring, 0, pows).exp()
-
-            s = solve_graded_fixpoint(
-                functional, ring, self.d_max, grade=lambda e: e[0]
-            )
-            pows = [ring.one()]
-            for _ in range(self.d_max):
-                pows.append(pows[-1] * s)
-            self._s_pows = pows
-        return self._s_pows
+        """s^0..s^d_max for the series solution of s = x e^{phi_0(s, p)}."""
+        ring, n = self.ring, self.d_max
+        return self._once(
+            "s",
+            lambda: solve_graded_fixpoint(
+                lambda v: ring.var("x") * _phi(ring, 0, v.powers(n)).exp(),
+                ring,
+                n,
+                grade=lambda e: e[0],
+            ).powers(n),
+        )
 
     def phi_s(self, k: int) -> ExactSeries:
         """phi_k evaluated at z = s: sum_n n^(n+k)/n! p_n s^n."""
-        if k not in self._phi_s:
-            self._phi_s[k] = _phi(self.ring, k, self.s_powers())
-        return self._phi_s[k]
+        return self._once(("phi_s", k), lambda: _phi(self.ring, k, self.s_powers()))
 
-    def inv_pole_power(self, e: int) -> ExactSeries:
-        """(1 - phi_1(s, p))^(-e) for e >= 1, cached incrementally."""
-        if self._inv_one_minus_phi1s is None:
-            self._inv_one_minus_phi1s = (self.ring.one() - self.phi_s(1)).inverse()
-            self._inv_pows[1] = self._inv_one_minus_phi1s
-        if e not in self._inv_pows:
-            self._inv_pows[e] = self.inv_pole_power(e - 1) * self._inv_pows[1]
-        return self._inv_pows[e]
+    F = phi_s
 
 
-class TContext:
-    """Descendant-variable ring t_0..t_index_max with total degree capped."""
+class TContext(_SeriesContext):
+    """Descendant-variable ring t_0..t_index_max with total degree capped:
+    the I_k and the pole powers; F is I."""
 
     def __init__(self, t_index_max: int, t_deg_max: int):
         self.t_index_max = t_index_max
         self.t_deg_max = t_deg_max
-        self.ring = SeriesRing(
-            VarSet.tvars(t_index_max), Truncation(t_deg_max=t_deg_max)
+        super().__init__(
+            SeriesRing(VarSet.tvars(t_index_max), Truncation(t_deg_max=t_deg_max))
         )
-        self._i_series: dict[int, ExactSeries] = {}
-        self._i0_pows: list[ExactSeries] | None = None
 
     def _i0_powers(self) -> list[ExactSeries]:
-        if self._i0_pows is None:
-            ring = self.ring
-            i_top = min(self.t_index_max, self.t_deg_max)
-
-            def functional(v: ExactSeries) -> ExactSeries:
-                pows = [ring.one()]
-                for _ in range(i_top):
-                    pows.append(pows[-1] * v)
-                total = ring.zero()
-                for i in range(i_top + 1):
-                    total = total + ring.var(f"t_{i}") * pows[i] * Fraction(
-                        1, math.factorial(i)
-                    )
-                return total
-
-            i0 = solve_graded_fixpoint(
-                functional, ring, self.t_deg_max, grade=sum
-            )
-            pows = [ring.one()]
-            for _ in range(self.t_deg_max):
-                pows.append(pows[-1] * i0)
-            self._i0_pows = pows
-        return self._i0_pows
+        """I_0^0..I_0^t_deg_max for the fixed point I_0 = sum_i t_i I_0^i / i!."""
+        ring, n = self.ring, self.t_deg_max
+        return self._once(
+            "I0",
+            lambda: solve_graded_fixpoint(
+                lambda v: _descend(ring, 0, v.powers(n)), ring, n, grade=sum
+            ).powers(n),
+        )
 
     def I(self, k: int) -> ExactSeries:
         """I_k = sum_i t_{k+i} I_0^i / i! (k = 0 gives the fixed point)."""
-        if k not in self._i_series:
-            pows = self._i0_powers()
-            total = self.ring.zero()
-            for i in range(len(pows)):
-                if k + i > self.t_index_max:
-                    break
-                total = total + self.ring.var(f"t_{k + i}") * pows[i] * Fraction(
-                    1, math.factorial(i)
-                )
-            self._i_series[k] = total
-        return self._i_series[k]
+        return self._once(("I", k), lambda: _descend(self.ring, k, self._i0_powers()))
+
+    F = I
 
 
 def xi_substitute(t_series: ExactSeries, ctx: XpContext) -> ExactSeries:
@@ -377,13 +365,16 @@ class AnsatzForm:
         }
 
 
-def pole_basis_series(g: int, ctx: XpContext) -> list[tuple[ThetaPartition, int, int, ExactSeries]]:
-    """Per primitive theta: (theta, e, k, prod phi_theta_i(s,p) (1-phi_1(s,p))^-e / Aut)."""
+def pole_basis_series(
+    g: int, ctx: XpContext | TContext
+) -> list[tuple[ThetaPartition, int, int, ExactSeries]]:
+    """Per primitive theta: (theta, e, k, prod F_theta_i (1 - F_1)^-e / Aut),
+    with F_j = phi_j(s, p) in an XpContext and F_j = I_j(t) in a TContext."""
     out = []
     for theta, e, k in primitive_thetas(g):
         series = ctx.inv_pole_power(e) * Fraction(1, aut_count(theta))
         for part in theta:
-            series = series * ctx.phi_s(part)
+            series = series * ctx.F(part)
         out.append((theta, e, k, series))
     return out
 
@@ -395,7 +386,7 @@ def fit_constants(
     g: int,
     hurwitz: HurwitzTable,
     d_fit: int,
-    hodge_table: HodgeTable | None = None,
+    hodge_table: HodgeTable,
 ) -> AnsatzForm:
     """Determine the K_theta exactly from Hurwitz data.
 
@@ -404,7 +395,7 @@ def fit_constants(
     and solves the over-determined rational system.  Requires full rank and
     exact consistency of every equation, with at least `_MIN_SURPLUS` more
     equations than unknowns; writes the fitted primitive brackets
-    <tau_theta lambda_k>_g = (-1)^k K_theta into `hodge_table` if given.
+    <tau_theta lambda_k>_g = (-1)^k K_theta into `hodge_table`.
     """
     ctx = XpContext(d_fit)
     basis = pole_basis_series(g, ctx)
@@ -427,10 +418,9 @@ def fit_constants(
     form = AnsatzForm(g)
     for (theta, e, k, _), value in zip(basis, solution):
         form.constants[theta] = value
-        if hodge_table is not None:
-            hodge_table.set_primitive(
-                HodgeKey.make(g, theta, k), Fraction((-1) ** k) * value, "fitted"
-            )
+        hodge_table.set_primitive(
+            HodgeKey.make(g, theta, k), Fraction((-1) ** k) * value, "fitted"
+        )
     return form
 
 
@@ -446,14 +436,11 @@ def ansatz_hurwitz_series(form: AnsatzForm, ctx: XpContext) -> ExactSeries:
 
 
 def verify_change_theorem(
-    g: int,
-    d_max: int,
-    hurwitz: HurwitzTable,
-    hodge_table: HodgeTable,
+    g: int, hurwitz: HurwitzTable, hodge_table: HodgeTable, ctx: XpContext
 ) -> VerifyReport:
     """H_g(x,p) = (t_k -> phi_k(x,p)) applied to G_g, for g >= 1; for g = 0
     the three-piece decomposition phi_{-2} + pair correction + image of F_0."""
-    ctx = XpContext(d_max)
+    d_max = ctx.d_max
     trunc = {"x_max": d_max, "parts_max": d_max}
     lhs = hurwitz_series(hurwitz, g, ctx)
     tctx = TContext(3 * g - 3 + d_max if g > 0 else d_max, d_max)
@@ -466,12 +453,11 @@ def verify_change_theorem(
     return compare_series(lhs, rhs, f"change-theorem-g{g}", trunc)
 
 
-def verify_euler_square(d_max: int, hurwitz: HurwitzTable) -> VerifyReport:
+def verify_euler_square(hurwitz: HurwitzTable, ctx: XpContext) -> VerifyReport:
     """(x d/dx)^2 H_0 = phi_0(s, p)."""
-    ctx = XpContext(d_max)
     lhs = hurwitz_series(hurwitz, 0, ctx).euler("x").euler("x")
     return compare_series(
-        lhs, ctx.phi_s(0), "euler-square-h0", {"x_max": d_max}
+        lhs, ctx.phi_s(0), "euler-square-h0", {"x_max": ctx.d_max}
     )
 
 
@@ -486,21 +472,12 @@ def verify_genus_expansion(
     ring = tctx.ring
     trunc = {"t_index_max": t_index_max, "t_deg_max": t_deg_max}
     G = assemble_G(g, hodge_table, tctx)
-    inv = (ring.one() - tctx.I(1)).inverse()
-    inv_pows = {0: ring.one()}
 
-    def inv_power(e: int) -> ExactSeries:
-        if e not in inv_pows:
-            inv_pows[e] = inv_power(e - 1) * inv
-        return inv_pows[e]
-
-    # Form 1: direct sum over primitive constants.
+    # Form 1: the pole form with F_j = I_j, weighted by the fitted constants.
     rhs1 = ring.zero()
     rhs1_k0 = ring.zero()
-    for theta, e, k, value in form.records():
-        term = inv_power(e) * (value / aut_count(theta))
-        for part in theta:
-            term = term * tctx.I(part)
+    for theta, _, k, series in pole_basis_series(g, tctx):
+        term = series * form.constants[theta]
         rhs1 = rhs1 + term
         if k == 0:
             rhs1_k0 = rhs1_k0 + term
@@ -511,7 +488,7 @@ def verify_genus_expansion(
     for exps, coeff in sorted(G.terms.items()):
         if exps[0] or exps[1]:  # positions of t_0, t_1
             continue
-        term = ring.const(coeff) * inv_power(2 * g - 2 + sum(exps))
+        term = ring.const(coeff) * tctx.inv_pole_power(2 * g - 2 + sum(exps))
         for pos, a in enumerate(exps):
             for _ in range(a):
                 term = term * tctx.I(varset.indices[pos])
@@ -562,26 +539,27 @@ def verify_delta_annihilation(g: int, hodge_table: HodgeTable) -> VerifyReport:
     )
 
 
-def verify_xi_on_I(k: int, ctx: XpContext) -> VerifyReport:
-    """Image of I_k under t_j -> phi_j(x, p) equals phi_k(s, p)."""
-    d_max = ctx.d_max
-    tctx = TContext(k + d_max, d_max)
+def verify_xi_on_I(k: int, ctx: XpContext, tctx: TContext) -> VerifyReport:
+    """Image of I_k under t_j -> phi_j(x, p) equals phi_k(s, p).
+
+    Exact when tctx has t-degree ctx.d_max and holds t_0..t_{k+d_max-1},
+    the only descendants in I_k below that degree; a smaller ring drops
+    terms, and the check fails.
+    """
     lhs = xi_substitute(tctx.I(k), ctx)
     return compare_series(
-        lhs, ctx.phi_s(k), f"xi-image-of-I{k}", {"x_max": d_max}
+        lhs, ctx.phi_s(k), f"xi-image-of-I{k}", {"x_max": ctx.d_max}
     )
 
 
 def verify_phi_shift_expansion(k: int, ctx: XpContext) -> VerifyReport:
     """phi_k(s, p) = sum_m phi_{k+m}(x, p) phi_0(s, p)^m / m!."""
     d_max = ctx.d_max
-    phi0s_pow = ctx.ring.one()
     total = ctx.ring.zero()
-    for m in range(d_max + 1):
+    for m, phi0s_pow in enumerate(ctx.phi_s(0).powers(d_max)):
         total = total + ctx.phi_x(k + m) * phi0s_pow * Fraction(
             1, math.factorial(m)
         )
-        phi0s_pow = phi0s_pow * ctx.phi_s(0)
     return compare_series(
         total, ctx.phi_s(k), f"phi-shift-expansion-k{k}", {"x_max": d_max}
     )

@@ -23,6 +23,7 @@ from fractions import Fraction
 from .algebra import lagrange_coeff, rational_str
 from .ansatz import (
     AnsatzForm,
+    TContext,
     XpContext,
     fit_constants,
     verify_change_theorem,
@@ -337,12 +338,9 @@ def _suite_oracle_vs_cutjoin(session: Session, dmax: int) -> list[dict]:
 def _suite_change_theorem(session: Session, dmax: int) -> list[dict]:
     table = session.table(dmax, 2)
     hodge = session.brackets(2)
-    reports = [
-        verify_euler_square(dmax, table),
-        verify_change_theorem(0, dmax, table, hodge),
-        verify_change_theorem(1, dmax, table, hodge),
-        verify_change_theorem(2, dmax, table, hodge),
-    ]
+    ctx = XpContext(dmax)
+    reports = [verify_euler_square(table, ctx)]
+    reports += [verify_change_theorem(g, table, hodge, ctx) for g in (0, 1, 2)]
     return [r.to_json_obj() for r in reports]
 
 
@@ -352,9 +350,10 @@ def _suite_genus_expansion(session: Session, dmax: int) -> list[dict]:
     reports = list(verify_genus_expansion(2, form, hodge))
     reports.append(verify_delta_annihilation(1, hodge))
     reports.append(verify_delta_annihilation(2, hodge))
-    ctx = XpContext(min(dmax, 8))
+    d = min(dmax, 8)
+    ctx, tctx = XpContext(d), TContext(4 + d, d)
     for k in range(5):
-        reports.append(verify_xi_on_I(k, ctx))
+        reports.append(verify_xi_on_I(k, ctx, tctx))
         reports.append(verify_phi_shift_expansion(k, ctx))
     return [r.to_json_obj() for r in reports]
 

@@ -234,25 +234,17 @@ def wexpr_to_xseries(expr: WExpr, d_max: int) -> ExactSeries:
     w = ring.zero()
     for nn in range(1, d_max + 1):
         w = w + ring.monomial({"x": nn}, Fraction(nn) ** (nn - 1) / math.factorial(nn))
-    one_minus_w = ring.one() - w
-    w_inv = one_minus_w.inverse()  # = W
-    powers: dict[int, ExactSeries] = {0: ring.one()}
-
-    def wpow(j: int) -> ExactSeries:
-        if j not in powers:
-            if j > 0:
-                powers[j] = wpow(j - 1) * w_inv
-            else:
-                powers[j] = wpow(j + 1) * one_minus_w
-        return powers[j]
-
+    one_minus_w = ring.one() - w  # = W^-1
+    exps = [0, *expr.laurent, *expr.logpart]
+    w_pows = dict(enumerate(one_minus_w.inverse().powers(max(exps))))
+    w_pows.update((-j, s) for j, s in enumerate(one_minus_w.powers(-min(exps))))
     total = ring.zero()
     for j, c in expr.laurent.items():
-        total = total + wpow(j).scale(c)
+        total = total + w_pows[j].scale(c)
     if expr.logpart:
         log_w = -one_minus_w.log()
         for j, c in expr.logpart.items():
-            total = total + (wpow(j) * log_w).scale(c)
+            total = total + (w_pows[j] * log_w).scale(c)
     return total
 
 
@@ -317,17 +309,14 @@ def _term_coeff(factors: list, d: int, table: HurwitzTable) -> Fraction:
 
 
 def search_recursions(
-    family: list[dict],
-    table: HurwitzTable | None = None,
-    *,
-    d_verify: int = 10,
+    family: list[dict], table: HurwitzTable, *, d_verify: int = 10
 ) -> dict:
     """Exact null space of a family of D^p H~_g products.
 
     Assembles the matrix whose rows are the W-monomials (and W^j log W
     monomials) appearing in any family member and whose columns are the
-    members, and returns a rational basis of its null space.  If a table is
-    given, every basis vector is independently re-verified as a numeric
+    members, and returns a rational basis of its null space.  Every basis
+    vector is independently re-verified against the table as a numeric
     recurrence on the coefficients [x^d] for d <= d_verify.
     """
     exprs = [family_wexpr(term) for term in family]
@@ -346,15 +335,15 @@ def search_recursions(
         )
     basis = nullspace(matrix, len(exprs))
     numeric_failures = []
-    if table is not None:
-        for vec in basis:
-            for d in range(1, d_verify + 1):
-                residual = Fraction(0)
-                for coeff, term in zip(vec, family):
-                    if coeff:
-                        residual += coeff * _term_coeff(term["factors"], d, table)
-                if residual:
-                    numeric_failures.append({"vector": vec, "d": d, "residual": residual})
+    for vec in basis:
+        terms = [
+            {"coeff": coeff, "factors": term["factors"]}
+            for coeff, term in zip(vec, family)
+            if coeff
+        ]
+        residuals = differential_identity_residuals(terms, table, range(1, d_verify + 1))
+        for d, residual in residuals.items():
+            numeric_failures.append({"vector": vec, "d": d, "residual": residual})
     return {
         "dimension": len(basis),
         "basis": basis,

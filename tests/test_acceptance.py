@@ -17,6 +17,7 @@ from hurwitz.algebra import (
     solve_graded_fixpoint,
 )
 from hurwitz.ansatz import (
+    XpContext,
     fit_constants,
     verify_change_theorem,
     verify_euler_square,
@@ -171,9 +172,10 @@ def test_criterion_10_low_genus_recursions(deep_table):
 def test_criterion_11_change_of_variables(deep_table, fitted):
     def body():
         _, _, hodge = fitted
-        assert verify_euler_square(8, deep_table).ok
+        ctx = XpContext(8)
+        assert verify_euler_square(deep_table, ctx).ok
         for g in (0, 1, 2):
-            report = verify_change_theorem(g, 8, deep_table, hodge)
+            report = verify_change_theorem(g, deep_table, hodge, ctx)
             assert report.ok, (g, report.first_mismatch)
 
     run_criterion("11 change-of-variables-degree8", body)

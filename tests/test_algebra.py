@@ -69,6 +69,26 @@ def test_mul_drops_overflow_terms():
     assert (x**4 * x).is_zero()
 
 
+def test_powers_lists_one_product_per_power():
+    x = RING4.var("x")
+    assert RING4.zero().powers(0) == [RING4.one()]
+    assert x.powers(5) == [x**n for n in range(6)]
+    assert x.powers(5)[5].is_zero()
+
+
+def test_negative_cap_is_refused():
+    # a ring with a negative cap admits no constant, so one() and exp()
+    # could not agree on what 1 is
+    for trunc in (
+        Truncation(x_max=-1, p_weight_max=1),
+        Truncation(x_max=1, p_weight_max=-1),
+    ):
+        with pytest.raises(ValueError):
+            SeriesRing(VarSet.xp(1), trunc)
+    with pytest.raises(ValueError):
+        SeriesRing(VarSet.tvars(2), Truncation(t_deg_max=-1))
+
+
 @given(small_series(RING4), small_series(RING4), small_series(RING4))
 @settings(max_examples=60, deadline=None)
 def test_mul_commutative_associative_distributive(a, b, c):

@@ -41,14 +41,21 @@ def test_phi_zero_is_tree_weighted():
 def test_s_fixpoint_property():
     # s = x exp(phi_0(s, p)); spot-check via the defining equation
     ctx = XpContext(6)
-    assert ctx.s() == ctx.ring.var("x") * ctx.phi_s(0).exp()
+    assert ctx.s_powers()[1] == ctx.ring.var("x") * ctx.phi_s(0).exp()
 
 
 @given(st.integers(0, 4))
 @settings(max_examples=5, deadline=None)
 def test_xi_on_I(k):
-    report = verify_xi_on_I(k, XpContext(7))
+    report = verify_xi_on_I(k, XpContext(7), TContext(k + 7, 7))
     assert report.ok, report.first_mismatch
+
+
+def test_xi_on_I_fails_in_too_small_a_t_ring():
+    # I_3 up to t-degree 7 needs t_3..t_9; t_0..t_8 drops t_9's terms
+    assert verify_xi_on_I(3, XpContext(7), TContext(9, 7)).ok
+    report = verify_xi_on_I(3, XpContext(7), TContext(8, 7))
+    assert report.status == "fail"
 
 
 @given(st.integers(0, 4))
@@ -59,13 +66,14 @@ def test_phi_shift_expansion(k):
 
 
 def test_euler_square(deep_table):
-    assert verify_euler_square(8, deep_table).ok
+    assert verify_euler_square(deep_table, XpContext(8)).ok
 
 
 def test_change_theorem_all_genera(deep_table, fitted):
     _, _, hodge = fitted
+    ctx = XpContext(8)
     for g in (0, 1, 2):
-        report = verify_change_theorem(g, 8, deep_table, hodge)
+        report = verify_change_theorem(g, deep_table, hodge, ctx)
         assert report.ok, (g, report.first_mismatch)
 
 
@@ -113,7 +121,7 @@ def test_fit_detects_corrupted_data(deep_table):
     assert key in bad.entries
     bad.entries[key] = bad.entries[key] + 1
     with pytest.raises(InconsistentSystemError):
-        fit_constants(2, bad, 6)
+        fit_constants(2, bad, 6, HodgeTable())
 
 
 def test_genus_expansion_reports(fitted):
@@ -137,9 +145,17 @@ def test_ansatz_series_equals_hurwitz_series(deep_table, fitted):
 
 
 def test_pole_basis_count_matches_unknowns():
-    ctx = XpContext(4)
-    assert len(pole_basis_series(2, ctx)) == 6
-    assert len(pole_basis_series(3, ctx)) == 26
+    for ctx in (XpContext(4), TContext(5, 3)):
+        assert len(pole_basis_series(2, ctx)) == 6
+        assert len(pole_basis_series(3, ctx)) == 26
+
+
+@pytest.mark.parametrize("ctx", [XpContext(5), TContext(6, 4)], ids=["xp", "t"])
+def test_inv_pole_power_inverts_one_minus_F1(ctx):
+    one_minus = ctx.ring.one() - ctx.F(1)
+    for e in range(4):
+        assert ctx.inv_pole_power(e) * one_minus.powers(e)[e] == ctx.ring.one()
+    assert ctx.inv_pole_power(3) is ctx.inv_pole_power(3)  # built once
 
 
 def test_weight_slice_partition():

@@ -2,14 +2,16 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from hurwitz import cutjoin
+from hurwitz import ansatz, cutjoin
 from hurwitz.cli import Session, main
 from hurwitz.cutjoin import hurwitz_via_cutjoin
 
@@ -206,6 +208,23 @@ def test_cutjoin_table_takes_no_log(capsys, monkeypatch):
     assert out == hurwitz_via_cutjoin(6, 3).to_json() + "\n"
 
 
+def test_genus_expansion_solves_one_fixed_point_per_ring(capsys, monkeypatch):
+    # the fit's (x, p) ring, the genus expansion's t ring, the (x, p) ring
+    # of the xi-image and phi-shift checks, and the t ring the xi-image
+    # checks share
+    solved = []
+    real = ansatz.solve_graded_fixpoint
+
+    def spy(*args, **kwargs):
+        solved.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ansatz, "solve_graded_fixpoint", spy)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "genus-expansion", "--dmax", "7")
+    assert code == 0 and "FAIL" not in out
+    assert len(solved) == len(set(solved)) == 4
+
+
 def test_verify_failure_exits_1(capsys, monkeypatch):
     import hurwitz.cli as cli
 
@@ -381,3 +400,20 @@ def test_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == "4/1"
+
+
+def test_probes_run_the_cli_in_traced_mode():
+    # the benchmark's probes wrap library functions by name and refuse to
+    # run when one is gone, so a rename in src shows up here
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run(
+        [sys.executable, "perfbench/probes.py", "hurwitz", "--g", "0", "--alpha", "1,2"],
+        capture_output=True,
+        text=True,
+        cwd=root,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["value"] == "4/1"
+    assert any(line.startswith("perfbench-trace: ") for line in proc.stderr.splitlines())

@@ -185,10 +185,11 @@ def test_search_family_nullity(deep_table):
     assert result["numeric_failures"] == []
 
 
-def test_search_on_trivially_dependent_family():
+def test_search_on_trivially_dependent_family(deep_table):
     # duplicated term: null space is exactly the difference vector's line
     family = [{"factors": [(1, 1)]}, {"factors": [(1, 1)]}]
-    result = search_recursions(family)
+    result = search_recursions(family, deep_table)
+    assert result["numeric_failures"] == []
     assert result["dimension"] == 1
     vec = result["basis"][0]
     assert vec[0] == -vec[1] != 0
