@@ -1,10 +1,11 @@
 """Pinned exact constants for the one-part (p_1 = 1) specialization.
 
-Pure data, no logic: Laurent series in W = 1/(1-w) for the low-genus
-simple-Hurwitz generating series and their D-derivatives, pole-form
-coefficients in w, recurrence descriptors, the 26-term search family, and
-aggregate constant checks.  Everything is an exact rational; tests and the
-CLI verification suites consume this module and never restate the numbers.
+Laurent series in W = 1/(1-w) for the low-genus simple-Hurwitz generating
+series and their D-derivatives, pole-form coefficients in w, the 26-term
+search family, aggregate constant checks, and the numeric recurrences on
+H^g_{(1^d)}, each written as a plain function of d.  Every constant is an
+exact rational; tests and the CLI verification suites consume this module
+and never restate the numbers.
 
 Encodings
 ---------
@@ -18,12 +19,15 @@ Encodings
 * Differential identities: list of terms, each {"coeff": Fraction,
   "factors": [(g, p), ...]} standing for coeff * prod D^p H~_g; the terms
   sum to zero.  An empty factor list would be a constant term (unused).
-* Numeric recurrences: schema documented next to RECURRENCES below.
+* Numeric recurrences: functions (d, h) -> (lhs, rhs) with
+  h(g, m) = H^g_{(1^m)}; the recurrence holds at d when lhs == rhs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
+from typing import Callable
 
 __all__ = [
     "PINNED_W_SERIES",
@@ -161,126 +165,65 @@ SEARCH_FAMILY_26: list[dict] = (
 )
 SEARCH_FAMILY_26_NULLITY = 11
 
-# Numeric recurrences on H^g_{(1^d)}.
-#
-# Schema: {"lhs": {"g": int, "coeff": Fraction}, "terms": [term, ...]} with
-# lhs.coeff * H^lhs.g_{(1^d)} = sum of terms.  Each term:
-#   coeff     — rational scalar;
-#   poly      — list of (e_d, e_i, e_j, c): sum of c * d^e_d i^e_i j^e_j;
-#   binomials — list of ((a0, ad, ai), (b0, bd, bi)) for C(a0+ad*d+ai*i,
-#               b0+bd*d+bi*i);
-#   hfactors  — list of (g, arg) with arg in {"d", "i", "j"};
-#   split     — if true, sum the term over i = 1..d-1 with j = d-i;
-#   denom_poly— optional list of (e_d, c) dividing the term by sum c*d^e_d.
-RECURRENCES: dict[str, dict] = {
-    "genus0": {
-        "lhs": {"g": 0, "coeff": _fr(1)},
-        "terms": [
-            {
-                "coeff": _fr(1),
-                "poly": [(0, 2, 2, _fr(1))],
-                "binomials": [((-2, 2, 0), (2, 0, 0)), ((-4, 2, 0), (-2, 0, 2))],
-                "hfactors": [(0, "i"), (0, "j")],
-                "split": True,
-                "denom_poly": [(2, _fr(1)), (1, _fr(-1))],
-            }
-        ],
-    },
-    "genus1": {
-        "lhs": {"g": 1, "coeff": _fr(1)},
-        "terms": [
-            {
-                "coeff": _fr(1),
-                "poly": [(0, 3, 3, _fr(1))],
-                "binomials": [((0, 2, 0), (4, 0, 0)), ((-4, 2, 0), (-2, 0, 2))],
-                "hfactors": [(0, "i"), (0, "j")],
-                "split": True,
-                "denom_poly": [(1, _fr(1))],
-            }
-        ],
-    },
-    "genus2": {
-        "lhs": {"g": 2, "coeff": _fr(180)},
-        "terms": [
-            {
-                "coeff": _fr(-25),
-                "poly": [(2, 0, 0, _fr(1))],
-                "binomials": [((2, 2, 0), (2, 0, 0))],
-                "hfactors": [(1, "d")],
-                "split": False,
-            },
-            {
-                "coeff": _fr(7),
-                "poly": [(5, 0, 0, _fr(1)), (4, 0, 0, _fr(-1))],
-                "binomials": [((2, 2, 0), (4, 0, 0))],
-                "hfactors": [(0, "d")],
-                "split": False,
-            },
-        ],
-    },
-    "genus3": {
-        "lhs": {"g": 3, "coeff": _fr(2880)},
-        "terms": [
-            {
-                "coeff": _fr(-1, 294),
-                "poly": [(0, 0, 0, _fr(24)), (1, 0, 0, _fr(-454)), (2, 0, 0, _fr(99845))],
-                "binomials": [((4, 2, 0), (2, 0, 0))],
-                "hfactors": [(2, "d")],
-                "split": False,
-            },
-            {
-                "coeff": _fr(1, 5880),
-                "poly": [
-                    (2, 0, 0, _fr(-288)),
-                    (3, 0, 0, _fr(5280)),
-                    (4, 0, 0, _fr(-388450)),
-                    (5, 0, 0, _fr(300125)),
-                ],
-                "binomials": [((4, 2, 0), (4, 0, 0))],
-                "hfactors": [(1, "d")],
-                "split": False,
-            },
-        ],
-    },
-    "genus3-geometric": {
-        "lhs": {"g": 3, "coeff": _fr(1)},
-        "terms": [
-            {
-                # scalar absorbs the 1/2 of C(d,2) = d(d-1)/2; solving the
-                # 10-constant system exactly from table data pins 1/851131505,
-                # with every other constant in this recurrence unchanged
-                "coeff": _fr(1, 851131505),
-                "poly": [(1, 0, 0, _fr(1532127678)), (0, 0, 0, _fr(-2213123851))],
-                "binomials": [((0, 1, 0), (2, 0, 0))],
-                "hfactors": [(2, "d")],
-                "split": False,
-            },
-            {
-                "coeff": _fr(-2, 121590215),
-                "poly": [
-                    (0, 2, 2, _fr(760192125)),
-                    (0, 2, 1, _fr(-12054428314)),
-                    (0, 1, 2, _fr(-2006745110)),
-                    (0, 1, 1, _fr(1033797958)),
-                ],
-                "binomials": [((2, 2, 0), (-2, 0, 2))],
-                "hfactors": [(0, "i"), (3, "j")],
-                "split": True,
-            },
-            {
-                "coeff": _fr(-4, 2553394515),
-                "poly": [
-                    (0, 2, 2, _fr(798201731250)),
-                    (0, 2, 1, _fr(-217500288725)),
-                    (0, 1, 2, _fr(-473678414332)),
-                    (0, 1, 1, _fr(-42109762821)),
-                ],
-                "binomials": [((2, 2, 0), (0, 0, 2))],
-                "hfactors": [(1, "i"), (2, "j")],
-                "split": True,
-            },
-        ],
-    },
+# Numeric recurrences on H^g_{(1^d)} for d >= 2, encoded as described in
+# the module docstring; the sums run over i + j = d with i, j >= 1.
+Recurrence = Callable[[int, Callable[[int, int], Fraction]], tuple[Fraction, Fraction]]
+
+
+def _splits(d: int):
+    return ((i, d - i) for i in range(1, d))
+
+
+def _genus0(d, h):
+    rhs = sum(
+        i**2 * j**2 * comb(2 * d - 2, 2) * comb(2 * d - 4, 2 * i - 2) * h(0, i) * h(0, j)
+        for i, j in _splits(d)
+    )
+    return h(0, d), rhs / (d**2 - d)
+
+
+def _genus1(d, h):
+    rhs = sum(
+        i**3 * j**3 * comb(2 * d, 4) * comb(2 * d - 4, 2 * i - 2) * h(0, i) * h(0, j)
+        for i, j in _splits(d)
+    )
+    return h(1, d), rhs / d
+
+
+def _genus2(d, h):
+    rhs = (
+        -25 * d**2 * comb(2 * d + 2, 2) * h(1, d)
+        + 7 * (d**5 - d**4) * comb(2 * d + 2, 4) * h(0, d)
+    )
+    return 180 * h(2, d), rhs
+
+
+def _genus3(d, h):
+    p2 = Fraction(24 - 454 * d + 99845 * d**2, 294)
+    p1 = Fraction(-288 * d**2 + 5280 * d**3 - 388450 * d**4 + 300125 * d**5, 5880)
+    rhs = -p2 * comb(2 * d + 4, 2) * h(2, d) + p1 * comb(2 * d + 4, 4) * h(1, d)
+    return 2880 * h(3, d), rhs
+
+
+def _genus3_geometric(d, h):
+    # solving the 10-constant system exactly from table data pins the
+    # 1/851131505 (which absorbs the 1/2 of C(d, 2) = d(d-1)/2), with every
+    # other constant here unchanged
+    rhs = Fraction(1532127678 * d - 2213123851, 851131505) * comb(d, 2) * h(2, d)
+    for i, j in _splits(d):
+        q03 = i * j * (760192125 * i * j - 12054428314 * i - 2006745110 * j + 1033797958)
+        q12 = i * j * (798201731250 * i * j - 217500288725 * i - 473678414332 * j - 42109762821)
+        rhs += Fraction(-2 * q03, 121590215) * comb(2 * d + 2, 2 * i - 2) * h(0, i) * h(3, j)
+        rhs += Fraction(-4 * q12, 2553394515) * comb(2 * d + 2, 2 * i) * h(1, i) * h(2, j)
+    return h(3, d), rhs
+
+
+RECURRENCES: dict[str, Recurrence] = {
+    "genus0": _genus0,
+    "genus1": _genus1,
+    "genus2": _genus2,
+    "genus3": _genus3,
+    "genus3-geometric": _genus3_geometric,
 }
 
 # Constraints the fitted genus-2 constants must satisfy, implied by the

@@ -27,6 +27,7 @@ from .golden import (
     P3_POLY,
     P3_PREFACTOR_DENOM,
     PINNED_W_SERIES,
+    Recurrence,
 )
 from .linalg import nullspace
 from .oracle import HurwitzTable
@@ -51,8 +52,9 @@ __all__ = [
 ]
 
 
-class LogProductError(ArithmeticError):
-    """Product would need log^2 W, which the two-slot representation lacks."""
+class LogProductError(ValueError):
+    """Product would need log^2 W, which the two-slot representation lacks;
+    like any unrepresentable input, a usage error at the command line."""
 
 
 class WExpr:
@@ -377,58 +379,22 @@ def differential_identity_residuals(
 # -- numeric recurrences ----------------------------------------------------------
 
 
-def _affine(spec: tuple[int, int, int], d: int, i: int) -> int:
-    a0, ad, ai = spec
-    return a0 + ad * d + ai * i
+def verify_recurrence(recurrence: Recurrence, table: HurwitzTable, d_range: range) -> dict:
+    """Exact check of a numeric recurrence (d, h) -> (lhs, rhs) for each d;
+    returns the failing d values (with both sides) and a status.  A d_range
+    that is empty or holds a degree below 2 is refused: an empty check cannot fail,
+    and the recurrences hold from d = 2 on (genus 0 divides by d^2 - d)."""
+    if not d_range or min(d_range) < 2:
+        raise ValueError(
+            f"recurrence check needs a nonempty degree range from d >= 2, got {d_range}"
+        )
 
+    def h(g: int, m: int) -> Fraction:
+        return table.value(g, Partition((1,) * m))
 
-def _poly_value(poly: list, d: int, i: int, j: int) -> Fraction:
-    total = Fraction(0)
-    for e_d, e_i, e_j, c in poly:
-        total += c * d**e_d * i**e_i * j**e_j
-    return total
-
-
-def _binom(top: int, bottom: int) -> int:
-    if bottom < 0 or top < 0:
-        return 0
-    return math.comb(top, bottom)
-
-
-def _recurrence_term(term: dict, d: int, table: HurwitzTable) -> Fraction:
-    def h(g: int, arg: str, i: int) -> Fraction:
-        m = {"d": d, "i": i, "j": d - i}[arg]
-        return table.value(g, Partition((1,) * m)) if m >= 1 else Fraction(0)
-
-    def at_split(i: int) -> Fraction:
-        value = term["coeff"] * _poly_value(term["poly"], d, i, d - i)
-        for top, bottom in term["binomials"]:
-            value *= _binom(_affine(top, d, i), _affine(bottom, d, i))
-        for g, arg in term["hfactors"]:
-            value *= h(g, arg, i)
-        return value
-
-    if term.get("split"):
-        total = sum(at_split(i) for i in range(1, d))
-    else:
-        total = at_split(0)
-    denom = term.get("denom_poly")
-    if denom:
-        total /= sum(c * d**e_d for e_d, c in denom)
-    return total
-
-
-def verify_recurrence(spec: dict, table: HurwitzTable, d_range: range) -> dict:
-    """Exact check of a numeric recurrence for each d; returns the failing
-    d values (with both sides) and a status.  An empty d_range is refused,
-    since a check that compares nothing cannot fail."""
-    if not d_range:
-        raise ValueError(f"recurrence check would compare nothing: degree range {d_range} is empty")
-    lhs_spec = spec["lhs"]
     failures = []
     for d in d_range:
-        lhs = lhs_spec["coeff"] * table.value(lhs_spec["g"], Partition((1,) * d))
-        rhs = sum(_recurrence_term(term, d, table) for term in spec["terms"])
+        lhs, rhs = recurrence(d, h)
         if lhs != rhs:
             failures.append(
                 {"d": d, "lhs": rational_str(lhs), "rhs": rational_str(rhs)}

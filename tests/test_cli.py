@@ -1,5 +1,6 @@
 """Command-line interface: output contracts, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -14,6 +15,11 @@ import pytest
 from hurwitz import ansatz, cutjoin
 from hurwitz.cli import Session, main
 from hurwitz.cutjoin import hurwitz_via_cutjoin
+
+
+RECORDED = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "expected.json").read_text()
+)
 
 
 def run_cli(capsys, *argv):
@@ -257,6 +263,25 @@ def test_search_custom_family_runs(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "factors, message",
+    [
+        ([[0, 0]], "not W-representable"),
+        ([[1, 0], [1, 0]], "two log-bearing"),
+    ],
+    ids=["genus0-series", "two-log-factors"],
+)
+def test_unrepresentable_family_term_exits_2(capsys, tmp_path, factors, message):
+    """A well-formed family term with no W-expression is a usage error,
+    reported on one line, not a traceback read as a failed verification."""
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps([{"factors": factors}]))
+    code, out, err = run_cli(capsys, "search", "--family", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "content",
     [
         "not json",
@@ -417,3 +442,13 @@ def test_probes_run_the_cli_in_traced_mode():
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["value"] == "4/1"
     assert any(line.startswith("perfbench-trace: ") for line in proc.stderr.splitlines())
+
+
+@pytest.mark.parametrize("command", sorted(RECORDED))
+def test_recorded_benchmark_output(capsys, command):
+    """Each fixed benchmark command, run in process, exits and prints
+    exactly as recorded; the benchmark counts any difference as a failed
+    operation."""
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == RECORDED[command]["exit"]
+    assert hashlib.sha256(out.encode()).hexdigest() == RECORDED[command]["sha256"]

@@ -52,14 +52,6 @@ def test_p3_prefactor_consistency():
     assert golden.P3_PREFACTOR_DENOM == 313528320
 
 
-def test_recurrence_specs_well_formed():
-    for name, spec in golden.RECURRENCES.items():
-        assert set(spec) <= {"lhs", "terms"}, name
-        assert spec["lhs"]["g"] >= 0
-        for term in spec["terms"]:
-            assert "coeff" in term or "poly" in term, (name, term)
-
-
 def test_lagrange_spot_values():
     # anchor the shared coefficient extractor against hand values:
     # [x^3] w = 3^1/2! * ... = 9/6 * 1 = 3/2 and [x^d] w/(1-w) column sums

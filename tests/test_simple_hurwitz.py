@@ -1,7 +1,9 @@
 """Single-variable layer for profiles (1,...,1): Laurent-plus-log
 expressions in W, the pinned displays, recurrences, and closed forms."""
 
+import inspect
 import math
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -149,6 +151,49 @@ def test_recurrences_hold(name, deep_table):
     d_top = 12 if name in ("genus0", "genus1") else 10
     result = verify_recurrence(spec, deep_table, range(2, d_top + 1))
     assert result["status"] == "pass", result["failures"]
+
+
+# One constant of each recurrence and its value in a deliberately broken copy.
+_ONE_CONSTANT_CHANGED = {
+    "genus0": ("comb(2 * d - 2, 2)", "comb(2 * d - 2, 3)"),
+    "genus1": ("comb(2 * d, 4)", "comb(2 * d, 3)"),
+    "genus2": ("-25 * d**2", "-24 * d**2"),
+    "genus3": ("99845 * d**2", "99846 * d**2"),
+    "genus3-geometric": ("42109762821", "42109762822"),
+}
+
+
+def _broken_copy(name):
+    """The recurrence's function recompiled with one constant changed."""
+    fn = golden.RECURRENCES[name]
+    old, new = _ONE_CONSTANT_CHANGED[name]
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1, (name, old)
+    namespace = dict(vars(golden))
+    exec(source.replace(old, new), namespace)
+    return namespace[fn.__name__]
+
+
+@pytest.mark.parametrize("name", sorted(golden.RECURRENCES))
+def test_recurrence_with_one_constant_changed_fails(name, deep_table):
+    """A recurrence cannot pass vacuously: with one of its constants
+    changed, some degree must fail."""
+    assert set(_ONE_CONSTANT_CHANGED) == set(golden.RECURRENCES)
+    d_range = range(2, 11)
+    result = verify_recurrence(_broken_copy(name), deep_table, d_range)
+    assert result["status"] == "fail"
+    failing = [f["d"] for f in result["failures"]]
+    assert failing and set(failing) <= set(d_range)
+    assert all(f["lhs"] != f["rhs"] for f in result["failures"])
+
+
+@pytest.mark.parametrize(
+    "d_range", [range(1, 4), range(0, 3), range(2, 2)], ids=["from-1", "from-0", "empty"]
+)
+def test_recurrence_check_refuses_degrees_below_2(d_range, deep_table):
+    # genus 0 divides by d^2 - d, which is 0 at d = 1
+    with pytest.raises(ValueError, match="d >= 2"):
+        verify_recurrence(golden.RECURRENCES["genus0"], deep_table, d_range)
 
 
 @pytest.mark.parametrize("name", sorted(golden.DIFFERENTIAL_IDENTITIES))
