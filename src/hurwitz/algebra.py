@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import add, itemgetter, le, mul, sub
 from typing import Callable, Iterable, Mapping
@@ -583,31 +583,35 @@ def solve_graded_fixpoint(
     functional: Callable[[ExactSeries], ExactSeries],
     ring: SeriesRing,
     max_grade: int,
-    grade: Callable[[tuple[int, ...]], int],
+    cap: str,
 ) -> ExactSeries:
-    """Solve v = functional(v) where the functional raises a grading.
+    """Solve v = functional(v) where the functional raises the grading that
+    the ring's cap `cap` (a `Truncation` field, such as "x_max") bounds.
 
-    Starting from 0, iteration k determines the slices of grade <= k.  The
-    solver runs max_grade+1 iterations, confirms previously determined
-    slices never change, and confirms the result is an exact fixed point
-    within truncation; otherwise raises DivergingFunctionalError.
+    Starting from 0, iteration k determines the slices of grade <= k, so it
+    runs in the ring whose cap is lowered to k; the functional must build
+    its result in `v.ring`.  Truncation by a cap is a ring homomorphism, so
+    each lowered iteration is exact.  The solver confirms that previously
+    determined slices never change, and that the result is an exact fixed
+    point in `ring`; otherwise raises DivergingFunctionalError.
     """
 
-    def slice_upto(s: ExactSeries, g: int) -> dict:
-        return {e: c for e, c in s.terms.items() if grade(e) <= g}
+    def lowered(k: int) -> SeriesRing:
+        return SeriesRing(ring.varset, replace(ring.trunc, **{cap: k}))
 
-    cur = ring.zero()
+    cur = lowered(0).zero()
     for step in range(1, max_grade + 1):
-        nxt = functional(cur)
-        if slice_upto(nxt, step - 1) != slice_upto(cur, step - 1):
+        sub = lowered(step)
+        nxt = functional(ExactSeries._admitted(sub, cur.terms))
+        if nxt.ring != sub:
+            raise VarSetMismatchError(f"the functional left the ring {sub!r}")
+        if {e: c for e, c in nxt.terms.items() if cur.ring.admits(e)} != cur.terms:
             raise DivergingFunctionalError(
                 f"slice of grade <= {step - 1} changed at iteration {step}"
             )
-        if nxt == cur:
-            return cur
         cur = nxt
-    final = functional(cur)
-    if final != cur:
+    cur = ExactSeries(ring, cur.terms)
+    if functional(cur) != cur:
         raise DivergingFunctionalError(
             f"no fixed point within grade {max_grade}"
         )

@@ -141,10 +141,10 @@ class XpContext(_SeriesContext):
         return self._once(
             "s",
             lambda: solve_graded_fixpoint(
-                lambda v: ring.var("x") * _phi(ring, 0, v.powers(n)).exp(),
+                lambda v: v.ring.var("x") * _phi(v.ring, 0, v.powers(n)).exp(),
                 ring,
                 n,
-                grade=lambda e: e[0],
+                "x_max",
             ).powers(n),
         )
 
@@ -172,7 +172,7 @@ class TContext(_SeriesContext):
         return self._once(
             "I0",
             lambda: solve_graded_fixpoint(
-                lambda v: _descend(ring, 0, v.powers(n)), ring, n, grade=sum
+                lambda v: _descend(v.ring, 0, v.powers(n)), ring, n, "t_deg_max"
             ).powers(n),
         )
 

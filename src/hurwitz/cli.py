@@ -288,11 +288,11 @@ def _load_family(path: str | None) -> list[dict]:
 
 def _cmd_search(args: argparse.Namespace, session: Session) -> int:
     family = _load_family(args.family)
-    max_g = max(g for term in family for g, _ in term["factors"])
-    if max_g > 3:
-        raise ValueError(f"family has a genus-{max_g} factor; W-series are pinned for g <= 3")
-    table = session.table(args.dmax, max_g)
-    result = simple_hurwitz.search_recursions(family, table, d_verify=args.dmax)
+    # each term's W-expression refuses a genus above 3 or a term it cannot
+    # represent, so build them before the table
+    exprs = [simple_hurwitz.family_wexpr(term) for term in family]
+    table = session.table(args.dmax, max(g for term in family for g, _ in term["factors"]))
+    result = simple_hurwitz.search_recursions(family, table, d_verify=args.dmax, exprs=exprs)
     obj = {
         "family_size": len(family),
         "dimension": result["dimension"],

@@ -311,7 +311,11 @@ def _term_coeff(factors: list, d: int, table: HurwitzTable) -> Fraction:
 
 
 def search_recursions(
-    family: list[dict], table: HurwitzTable, *, d_verify: int = 10
+    family: list[dict],
+    table: HurwitzTable,
+    *,
+    d_verify: int = 10,
+    exprs: list[WExpr] | None = None,
 ) -> dict:
     """Exact null space of a family of D^p H~_g products.
 
@@ -319,9 +323,11 @@ def search_recursions(
     monomials) appearing in any family member and whose columns are the
     members, and returns a rational basis of its null space.  Every basis
     vector is independently re-verified against the table as a numeric
-    recurrence on the coefficients [x^d] for d <= d_verify.
+    recurrence on the coefficients [x^d] for d <= d_verify.  `exprs` are
+    the members' `family_wexpr`s when the caller has built them already.
     """
-    exprs = [family_wexpr(term) for term in family]
+    if exprs is None:
+        exprs = [family_wexpr(term) for term in family]
     row_keys: set[tuple[str, int]] = set()
     for e in exprs:
         row_keys.update(("lau", j) for j in e.laurent)

@@ -214,9 +214,8 @@ def test_criterion_14_closed_forms(deep_table):
             assert genus3_a_form(d) == h, d
             assert genus3_p_form(d) == h, d
         ring = SeriesRing(VarSet(("x",)), Truncation(x_max=12))
-        x = ring.var("x")
         w = solve_graded_fixpoint(
-            lambda cur: x * cur.exp(), ring, 12, grade=lambda e: e[0]
+            lambda cur: cur.ring.var("x") * cur.exp(), ring, 12, "x_max"
         )
         inv = (ring.one() - w).inverse()
         for n in range(0, 4):

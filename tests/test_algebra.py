@@ -137,9 +137,8 @@ def test_exp_of_x_has_factorial_coefficients():
 def test_tree_function_via_graded_fixpoint():
     # s = x * exp(s) has coefficients n^(n-1)/n!
     ring = x_ring(8)
-    x = ring.var("x")
     s = solve_graded_fixpoint(
-        lambda cur: x * cur.exp(), ring, 8, grade=lambda exps: exps[0]
+        lambda cur: cur.ring.var("x") * cur.exp(), ring, 8, "x_max"
     )
     for n in range(1, 9):
         assert s.coeff({"x": n}) == Fraction(n ** (n - 1), math.factorial(n))
@@ -149,8 +148,25 @@ def test_diverging_fixpoint_detected():
     ring = x_ring(4)
     with pytest.raises(DivergingFunctionalError):
         solve_graded_fixpoint(
-            lambda cur: ring.one() + cur, ring, 4, grade=lambda exps: exps[0]
+            lambda cur: cur.ring.one() + cur, ring, 4, "x_max"
         )
+
+
+def test_fixpoint_is_confirmed_in_the_full_ring():
+    # every lowered iteration keeps its earlier slices, but the top slice
+    # moves again on each evaluation: only the full-ring check sees it
+    def drifting(cur):
+        x = cur.ring.var("x")
+        return x + x**4 * (cur.coeff({"x": 4}) + 1)
+
+    with pytest.raises(DivergingFunctionalError, match="no fixed point"):
+        solve_graded_fixpoint(drifting, x_ring(4), 4, "x_max")
+
+
+def test_fixpoint_functional_must_stay_in_the_lowered_ring():
+    ring = x_ring(4)
+    with pytest.raises(VarSetMismatchError):
+        solve_graded_fixpoint(lambda cur: ring.var("x"), ring, 4, "x_max")
 
 
 def test_lagrange_coeff_matches_series_extraction():
@@ -158,9 +174,8 @@ def test_lagrange_coeff_matches_series_extraction():
     # graded fixed point so the closed double sum has a series oracle.
     d_max = 12
     ring = x_ring(d_max)
-    x = ring.var("x")
     s = solve_graded_fixpoint(
-        lambda cur: x * cur.exp(), ring, d_max, grade=lambda exps: exps[0]
+        lambda cur: cur.ring.var("x") * cur.exp(), ring, d_max, "x_max"
     )
     one_minus = ring.one() - s
     inv = one_minus.inverse()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hurwitz import ansatz
 from hurwitz.ansatz import (
     TContext,
     XpContext,
@@ -42,6 +43,46 @@ def test_s_fixpoint_property():
     # s = x exp(phi_0(s, p)); spot-check via the defining equation
     ctx = XpContext(6)
     assert ctx.s_powers()[1] == ctx.ring.var("x") * ctx.phi_s(0).exp()
+
+
+def full_ring_fixpoint(functional, ring, max_grade):
+    """Iterate from 0 with every iteration in the full ring: the reference
+    for the solver's lowered-cap iterations."""
+    cur = ring.zero()
+    for _ in range(max_grade):
+        cur = functional(cur)
+    assert functional(cur) == cur
+    return cur
+
+
+def test_fixed_points_match_full_ring_iteration():
+    xp, n = XpContext(7), 7
+    s = full_ring_fixpoint(
+        lambda v: xp.ring.var("x") * ansatz._phi(xp.ring, 0, v.powers(n)).exp(), xp.ring, n
+    )
+    assert xp.s_powers()[1] == s
+    t = TContext(6, 6)
+    i0 = full_ring_fixpoint(lambda v: ansatz._descend(t.ring, 0, v.powers(6)), t.ring, 6)
+    assert t.I(0) == i0
+
+
+def test_fixed_point_iteration_k_runs_with_its_cap_at_k(monkeypatch):
+    caps = []
+    real = ansatz.solve_graded_fixpoint
+
+    def spy(functional, ring, max_grade, cap):
+        def recorded(v):
+            caps.append(getattr(v.ring.trunc, cap))
+            return functional(v)
+
+        return real(recorded, ring, max_grade, cap)
+
+    monkeypatch.setattr(ansatz, "solve_graded_fixpoint", spy)
+    XpContext(5).s_powers()
+    assert caps == [1, 2, 3, 4, 5, 5]  # the last call checks the fixed point
+    caps.clear()
+    TContext(4, 4).I(0)
+    assert caps == [1, 2, 3, 4, 4]
 
 
 @given(st.integers(0, 4))

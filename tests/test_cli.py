@@ -179,15 +179,29 @@ def test_vacuous_recurrence_check_exits_2(capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("case", ["recursions-dmax-1", "search-genus-9"])
+@pytest.mark.parametrize(
+    "case", ["recursions-dmax-1", "search-genus-9", "search-genus-0-series", "search-log-squared"]
+)
 def test_refused_before_building_a_table(capsys, monkeypatch, tmp_path, case):
-    """A request outside the supported degree range or genus exits 2 with
-    a message naming the limit, before any cut-and-join table is evolved."""
+    """A request outside the supported degree range or genus, or a family
+    term with no W-expression, exits 2 with a message naming the limit,
+    before any cut-and-join table is evolved."""
     family = tmp_path / "family.json"
-    family.write_text(json.dumps([{"factors": [[1, 1]]}, {"factors": [[9, 0]]}]))
+    family.write_text(
+        json.dumps(
+            {
+                "search-genus-9": [{"factors": [[1, 1]]}, {"factors": [[9, 0]]}],
+                "search-genus-0-series": [{"factors": [[3, 0]]}, {"factors": [[0, 0]]}],
+                "search-log-squared": [{"factors": [[3, 0]]}, {"factors": [[1, 0], [1, 0]]}],
+            }.get(case)
+        )
+    )
+    search = ["search", "--family", str(family)]
     argv, limit = {
         "recursions-dmax-1": (["verify", "--suite", "recursions", "--dmax", "1"], "--dmax must be >= 2"),
-        "search-genus-9": (["search", "--family", str(family)], "g <= 3"),
+        "search-genus-9": (search, "g <= 3"),
+        "search-genus-0-series": (search, "not W-representable"),
+        "search-log-squared": (search, "two log-bearing"),
     }[case]
 
     def no_table(*args, **kwargs):
