@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import add, itemgetter, le, mul, sub
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 __all__ = [
     "Fraction",
@@ -139,8 +138,7 @@ class VarSet:
         return f"VarSet({self.names!r})"
 
 
-@dataclass(frozen=True)
-class Truncation:
+class Truncation(NamedTuple):
     """Per-family degree caps.  ``None`` means uncapped for that family."""
 
     x_max: int | None = None
@@ -597,7 +595,7 @@ def solve_graded_fixpoint(
     """
 
     def lowered(k: int) -> SeriesRing:
-        return SeriesRing(ring.varset, replace(ring.trunc, **{cap: k}))
+        return SeriesRing(ring.varset, ring.trunc._replace(**{cap: k}))
 
     cur = lowered(0).zero()
     for step in range(1, max_grade + 1):

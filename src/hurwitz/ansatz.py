@@ -25,7 +25,6 @@ mismatching monomial) rather than raising, so the CLI can aggregate them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -290,12 +289,14 @@ def pair_correction_series(ctx: XpContext) -> ExactSeries:
 # -- reports -------------------------------------------------------------------
 
 
-@dataclass
 class VerifyReport:
-    check: str
-    truncation: dict
-    status: str
-    first_mismatch: dict | None = None
+    def __init__(
+        self, check: str, truncation: dict, status: str, first_mismatch: dict | None = None
+    ) -> None:
+        self.check = check
+        self.truncation = truncation
+        self.status = status
+        self.first_mismatch = first_mismatch
 
     @property
     def ok(self) -> bool:
@@ -336,12 +337,12 @@ def compare_series(
 # -- the fitted pole form --------------------------------------------------------
 
 
-@dataclass
 class AnsatzForm:
     """Fitted constants K_theta of the genus-g pole form."""
 
-    g: int
-    constants: dict[ThetaPartition, Fraction] = field(default_factory=dict)
+    def __init__(self, g: int, constants: dict[ThetaPartition, Fraction] | None = None) -> None:
+        self.g = g
+        self.constants = {} if constants is None else constants
 
     def records(self) -> list[tuple[ThetaPartition, int, int, Fraction]]:
         """(theta, pole order e, lambda-degree k, K) in canonical order."""

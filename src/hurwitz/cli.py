@@ -13,7 +13,6 @@ budget exceeded; 4 malformed family file.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -41,6 +40,7 @@ from .hodge import (
     MissingPrimitiveError,
     elsv_hurwitz,
     evaluate,
+    validity_gate,
 )
 from .oracle import (
     BudgetExceededError,
@@ -103,13 +103,12 @@ class Session:
             if larger is None:
                 self.tables[key] = hurwitz_via_cutjoin(d_max, g_max)
             else:
-                trimmed = HurwitzTable(larger.method)
-                trimmed.entries = {
+                trimmed = {
                     (g, alpha): v
                     for (g, alpha), v in larger.entries.items()
                     if g <= g_max and alpha.d <= d_max
                 }
-                self.tables[key] = trimmed
+                self.tables[key] = HurwitzTable(larger.method, trimmed)
         return self.tables[key]
 
     def form(self, g: int) -> AnsatzForm:
@@ -142,6 +141,8 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _table_csv(table: HurwitzTable) -> str:
+    import csv  # only this command writes CSV; keep it off the import path
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["g", "alpha", "r", "value"])
@@ -245,7 +246,9 @@ def _cmd_hodge(args: argparse.Namespace, session: Session) -> int:
     key = HodgeKey.make(args.g, theta, args.k)
     if args.g > 3:
         raise ValueError("primitive brackets are fitted for g <= 3 only")
-    value = evaluate(key, session.brackets(args.g))
+    # a key the gate zeroes needs no fitted primitives
+    valid = validity_gate(key) == "valid"
+    value = evaluate(key, session.brackets(args.g) if valid else session.hodge)
     obj = {
         "g": args.g,
         "theta": sorted(theta),

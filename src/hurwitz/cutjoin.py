@@ -108,20 +108,33 @@ def cutjoin_step(slice_r: Slice, r: int) -> Slice:
 
 
 def disconnected_slices(
-    d_max: int, r_max: int, degrees: Iterable[int] | None = None
+    d_max: int, r_max: int, keep: set[tuple[int, ...]] | None = None
 ) -> list[Slice]:
     """Slices E_0..E_{r_max} of the all-covers series.
 
-    The operator preserves degree, so with `degrees` given only those
-    degrees (each <= d_max) are evolved, and their coefficients are exact.
+    With `keep`, a set of profiles of degree <= d_max, each slice E_s holds
+    only the profiles that can still reach a kept profile by step r_max.
+    The operator preserves degree and changes the part count by exactly
+    one, so a profile whose part count is more than r_max - s away from
+    that of every kept profile of its degree feeds no kept coefficient at
+    any step <= r_max.  The coefficients that remain are exact.
     """
-    start = initial_slices(d_max)
-    if degrees is not None:
-        degrees = set(degrees)
-        start = {k: v for k, v in start.items() if len(k) in degrees}
-    slices = [start]
+    lengths: dict[int, set[int]] = {}
+    for beta in keep or ():
+        lengths.setdefault(sum(beta), set()).add(len(beta))
+
+    def prune(s: Slice, steps_left: int) -> Slice:
+        if keep is None:
+            return s
+        return {
+            k: v
+            for k, v in s.items()
+            if any(abs(n - len(k)) <= steps_left for n in lengths.get(sum(k), ()))
+        }
+
+    slices = [prune(initial_slices(d_max), r_max)]
     for r in range(r_max):
-        nxt = cutjoin_step(slices[-1], r)
+        nxt = prune(cutjoin_step(slices[-1], r), r_max - r - 1)
         for alpha in nxt:
             if ((r + 1) - (sum(alpha) - len(alpha))) % 2:
                 raise AssertionError(
@@ -328,5 +341,5 @@ def hurwitz_number(g: int, alpha: Iterable[int]) -> Fraction:
         raise ValueError(f"need g >= 0 and a non-empty profile, got g={g}, alpha={alpha}")
     r = riemann_hurwitz_r(g, alpha)
     keep = _sub_profiles(alpha)
-    e = disconnected_slices(alpha.d, r, {sum(beta) for beta in keep})
+    e = disconnected_slices(alpha.d, r, keep)
     return _log_slices(e, alpha.d, keep)[r].get(alpha, Fraction(0)) * math.factorial(r)

@@ -13,9 +13,8 @@ bracket = 1/24.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .algebra import rational_str
 from .oracle import riemann_hurwitz_r
@@ -49,8 +48,7 @@ class DegenerateProfileError(ValueError):
     """Profile outside the formula's domain (genus 0 with < 3 parts)."""
 
 
-@dataclass(frozen=True)
-class HodgeKey:
+class HodgeKey(NamedTuple):
     """Canonical bracket index: genus, sorted tau-subscripts, lambda-index."""
 
     g: int
@@ -101,7 +99,6 @@ _BASE_VALUES = {
 }
 
 
-@dataclass
 class HodgeTable:
     """Primitive bracket values plus an evaluation memo.
 
@@ -109,14 +106,10 @@ class HodgeTable:
     each stored key with how it was obtained.
     """
 
-    primitives: dict[HodgeKey, Fraction] = field(default_factory=dict)
-    sources: dict[HodgeKey, str] = field(default_factory=dict)
-    _memo: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        for key, value in _BASE_VALUES.items():
-            self.primitives.setdefault(key, value)
-            self.sources.setdefault(key, "base")
+    def __init__(self) -> None:
+        self.primitives: dict[HodgeKey, Fraction] = dict(_BASE_VALUES)
+        self.sources: dict[HodgeKey, str] = dict.fromkeys(_BASE_VALUES, "base")
+        self._memo: dict = {}
 
     def set_primitive(self, key: HodgeKey, value, source: str = "fitted") -> None:
         value = Fraction(value)

@@ -26,7 +26,6 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
@@ -170,7 +169,6 @@ def riemann_hurwitz_r(g: int, alpha: Iterable[int]) -> int:
     return sum(alpha) + len(alpha) + 2 * (g - 1)
 
 
-@dataclass
 class HurwitzTable:
     """Connected counts indexed by (genus, profile partition).
 
@@ -178,8 +176,11 @@ class HurwitzTable:
     production method is recorded for provenance in exports.
     """
 
-    method: str
-    entries: dict[tuple[int, Partition], Fraction] = field(default_factory=dict)
+    def __init__(
+        self, method: str, entries: dict[tuple[int, Partition], Fraction] | None = None
+    ) -> None:
+        self.method = method
+        self.entries = {} if entries is None else entries
 
     def add(self, g: int, alpha, value) -> None:
         alpha = Partition(alpha)
@@ -202,13 +203,12 @@ class HurwitzTable:
 
     def restricted(self, r_max: int) -> "HurwitzTable":
         """The entries with at most r_max simple branch points."""
-        sub = HurwitzTable(self.method)
-        sub.entries = {
+        kept = {
             (g, alpha): v
             for (g, alpha), v in self.entries.items()
             if riemann_hurwitz_r(g, alpha) <= r_max
         }
-        return sub
+        return HurwitzTable(self.method, kept)
 
     def to_json_records(self) -> list[dict]:
         return [

@@ -152,6 +152,33 @@ def test_diverging_fixpoint_detected():
         )
 
 
+def test_fixpoint_lowers_only_the_cap_it_names():
+    # s = x * exp(s) in an (x, p) ring: iteration k = 1..4 runs with
+    # x_max = k and the p-weight cap untouched, then the full-ring check
+    ring = xp_ring(4)
+    seen = []
+
+    def spy(cur):
+        seen.append(cur.ring.trunc)
+        return cur.ring.var("x") * cur.exp()
+
+    solve_graded_fixpoint(spy, ring, 4, "x_max")
+    assert seen == [Truncation(x_max=k, p_weight_max=4) for k in (1, 2, 3, 4, 4)]
+
+
+def test_truncation_is_a_value_type():
+    trunc = Truncation(3)
+    fields = (3, None, None, None)
+    assert trunc == fields and hash(trunc) == hash(fields)
+    assert trunc == Truncation(x_max=3) and trunc != Truncation(x_max=3, u_max=0)
+    assert repr(trunc) == (
+        "Truncation(x_max=3, u_max=None, p_weight_max=None, t_deg_max=None)"
+    )
+    assert trunc._replace(t_deg_max=2) == Truncation(3, None, None, 2)
+    with pytest.raises(ValueError, match=r"Truncation\(x_max=-1, u_max=None"):
+        SeriesRing(VarSet(("x",)), Truncation(-1))
+
+
 def test_fixpoint_is_confirmed_in_the_full_ring():
     # every lowered iteration keeps its earlier slices, but the top slice
     # moves again on each evaluation: only the full-ring check sees it

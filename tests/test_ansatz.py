@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from hurwitz import ansatz
 from hurwitz.ansatz import (
+    AnsatzForm,
     TContext,
+    VerifyReport,
     XpContext,
     ansatz_hurwitz_series,
     assemble_G,
@@ -227,3 +229,19 @@ def test_compare_series_reports_first_mismatch():
     assert not report.ok
     assert report.status == "fail"
     assert report.first_mismatch is not None
+
+
+def test_report_and_form_constructor_forms():
+    report = VerifyReport("probe", {"x_max": 3}, "pass")
+    assert report.ok and report.first_mismatch is None
+    assert report.to_json_obj() == {
+        "check": "probe",
+        "truncation": {"x_max": 3},
+        "status": "pass",
+    }
+    bad = VerifyReport("probe", {}, "fail", {"monomial": {"x": 1}})
+    assert not bad.ok and bad.to_json_obj()["first_mismatch"] == {"monomial": {"x": 1}}
+    form = AnsatzForm(2, {(2,): Fraction(1)})
+    assert (form.g, form.constants) == (2, {(2,): Fraction(1)})
+    assert AnsatzForm(3).constants == {}
+    assert AnsatzForm(2).constants is not AnsatzForm(2).constants

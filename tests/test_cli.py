@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from hurwitz import ansatz, cutjoin
+from hurwitz import ansatz, cli, cutjoin
 from hurwitz.cli import Session, main
 from hurwitz.cutjoin import hurwitz_via_cutjoin
 
@@ -150,6 +150,19 @@ def test_hodge_evaluation(capsys):
     code, out, _ = run_cli(capsys, "hodge", "--g", "2", "--theta", "2", "--k", "2")
     assert code == 0
     assert json.loads(out)["value"] == "7/5760"
+
+
+def test_hodge_zero_by_the_gate_fits_nothing(capsys, monkeypatch):
+    # k > g: the gate zeroes the bracket, so no genus-3 fit runs
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran for a bracket the gate zeroes")
+
+    monkeypatch.setattr(cli, "fit_constants", no_fit)
+    code, out, _ = run_cli(capsys, "hodge", "--g", "3", "--theta", "1", "--k", "9")
+    assert code == 0
+    assert '"value": "0/1"' in out
+    code, out, _ = run_cli(capsys, "hodge", "--g", "2", "--theta", "0,1", "--k", "0")
+    assert (code, json.loads(out)["value"]) == (0, "0/1")
 
 
 def test_verify_suite_text_output(capsys):
@@ -439,6 +452,31 @@ def test_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == "4/1"
+
+
+def test_cli_import_loads_no_heavy_modules():
+    """`import hurwitz.cli` adds none of dataclasses, inspect, ast, dis or
+    csv to what the bare interpreter loads, and no numpy or sympy, under
+    the benchmark's child environment."""
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = "src"
+
+    def loaded(code):
+        proc = subprocess.run(
+            [sys.executable, "-c", f"{code}import sys; print(*sys.modules, sep='\\n')"],
+            capture_output=True,
+            text=True,
+            cwd=root,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    added = loaded("import hurwitz.cli; ") - loaded("")
+    assert "hurwitz.cli" in added
+    heavy = {"dataclasses", "inspect", "ast", "dis", "csv", "numpy", "sympy"}
+    assert added & heavy == set()
 
 
 def test_probes_run_the_cli_in_traced_mode():

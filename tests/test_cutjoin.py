@@ -7,6 +7,7 @@ import pytest
 
 from hurwitz.cutjoin import (
     _log_slices,
+    _sub_profiles,
     connected_slices,
     disconnected_slices,
     hurwitz_number,
@@ -14,7 +15,8 @@ from hurwitz.cutjoin import (
 )
 from hurwitz.hodge import elsv_hurwitz
 from hurwitz.oracle import riemann_hurwitz_r
-from hurwitz.partitions import partitions
+from hurwitz.partitions import Partition, partitions
+from hurwitz.simple_hurwitz import closed_form_simple
 
 
 def test_matches_oracle_on_full_overlap(oracle_table, deep_table):
@@ -115,6 +117,32 @@ def test_single_answer_matches_table_everywhere():
 def test_single_answer_matches_elsv_beyond_the_table(fitted, g, alpha):
     _, _, hodge = fitted
     assert hurwitz_number(g, alpha) == elsv_hurwitz(g, alpha, hodge)
+
+
+@pytest.mark.parametrize("g, d", [(2, 12), (2, 14), (3, 12), (3, 14)])
+def test_single_answer_with_many_ones_matches_closed_form(g, d):
+    # all-ones profiles are where pruning by part count drops the most
+    assert hurwitz_number(g, (1,) * d) == closed_form_simple(g, d)
+
+
+def test_pruned_slices_keep_every_reachable_coefficient():
+    # alpha = (1, 1, 2, 3) at g = 1: r = 9.  Each slice keeps exactly the
+    # profiles within r - s part counts of a sub-multiset of alpha of the
+    # same degree, with the unpruned coefficients.
+    keep = _sub_profiles(Partition((1, 1, 2, 3)))
+    r = riemann_hurwitz_r(1, (1, 1, 2, 3))
+    full = disconnected_slices(7, r)
+    pruned = disconnected_slices(7, r, keep)
+    dropped = 0
+    for s, (a, b) in enumerate(zip(full, pruned)):
+        reach = {
+            k: v
+            for k, v in a.items()
+            if any(sum(t) == sum(k) and abs(len(t) - len(k)) <= r - s for t in keep)
+        }
+        assert b == reach
+        dropped += len(a) - len(b)
+    assert dropped > 0
 
 
 def test_single_answer_rejects_bad_input():

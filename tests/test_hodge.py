@@ -29,6 +29,29 @@ def test_gate_order():
     assert validity_gate(HodgeKey.make(1, (0, 2), 0)) == "valid"
 
 
+def test_key_is_a_value_type():
+    key = HodgeKey.make(2, (3, 0, 1), 1)
+    fields = (2, (0, 1, 3), 1)
+    assert key == fields and hash(key) == hash(fields)
+    assert key == HodgeKey(2, (0, 1, 3), 1) and key.n == 3
+    assert repr(key) == "HodgeKey(g=2, theta=(0, 1, 3), k=1)"
+    assert str(key) == "<tau_0 tau_1 tau_3 lambda_1>_2"
+
+
+def test_new_table_holds_exactly_the_base_values():
+    table = HodgeTable()
+    assert table.primitives == {
+        (0, (0, 0, 0), 0): 1,
+        (1, (1,), 0): Fraction(1, 24),
+        (1, (0,), 1): Fraction(1, 24),
+    }
+    assert set(table.sources.values()) == {"base"}
+    assert table.sources.keys() == table.primitives.keys()
+    # each table owns its dicts: storing in one leaves the next one bare
+    table.set_primitive(HodgeKey.make(2, (4,), 0), Fraction(1, 1152))
+    assert len(HodgeTable().primitives) == 3
+
+
 def test_base_values():
     table = HodgeTable()
     assert evaluate(HodgeKey.make(0, (0, 0, 0), 0), table) == 1

@@ -137,6 +137,16 @@ def test_table_json_roundtrip(oracle_table):
     assert back == oracle_table.entries
 
 
+def test_table_constructor_forms():
+    entries = {(0, Partition((1, 1))): Fraction(1, 2), (1, Partition((2,))): Fraction(1, 2)}
+    table = HurwitzTable("given", entries)
+    assert (table.method, table.entries) == ("given", entries)
+    assert HurwitzTable("empty").entries == {}
+    assert HurwitzTable("a").entries is not HurwitzTable("b").entries
+    sub = table.restricted(r_max=2)
+    assert (sub.method, sub.entries) == ("given", {(0, Partition((1, 1))): Fraction(1, 2)})
+
+
 def test_table_validates_entries():
     table = HurwitzTable("test")
     with pytest.raises(ValueError):
