@@ -8,15 +8,24 @@ series exp(p_1 x) and applying the operator once per step reproduces every
 coefficient exactly.
 
 Representation: the coefficient of u^r is a homogeneous "slice" mapping a
-profile partition alpha to the rational coefficient of p_alpha x^{|alpha|};
-the x-exponent and the genus are redundant given r and alpha, so both stay
+profile partition alpha of degree d = |alpha| to the integer
+N = d! r! c, where c is the coefficient of p_alpha x^d u^r; that is, the
+series are exponential generating functions in both x and u.  For E, N is
+the number of r-tuples of transpositions in S_d whose product has cycle
+type alpha; for the connected series it counts the transitive ones.  In
+these units the step normalization 1/(r+1) cancels, every weight of the
+operator is an integer, and the step-0 slice is 1 on every 1^d.  The
+x-exponent and the genus are redundant given r and alpha, so both stay
 implicit.  Slices are exact and closed under the operator, which preserves
-|alpha|, so no truncation loss occurs inside a run.
+|alpha|, so no truncation loss occurs inside a run.  A `Fraction` is made
+only where a count is returned: H^g_alpha = N / d!.
 
 The connected series H = log E has an equation of its own (Goulden and
 Jackson, 1997): the same operator plus a quadratic term that joins two
 connected covers into one.  No term lowers degree or genus, so H is exact
-when pruned to degree <= d_max and genus <= g_max after every step.
+when pruned to degree <= d_max and genus <= g_max after every step.  The
+quadratic term carries a factor 1/2; its symmetric sum is accumulated
+doubled and halved exactly, and an odd sum is an error, never floored.
 
 The two users reach connected counts by different routes:
 
@@ -54,57 +63,42 @@ __all__ = [
     "hurwitz_number",
 ]
 
-Slice = dict[tuple[int, ...], Fraction]
+# profile -> d! r! times the coefficient of p_alpha x^d u^r
+Slice = dict[tuple[int, ...], int]
 
 
 def initial_slices(d_max: int) -> Slice:
-    """Step-0 slice: exp(p_1 x) truncated at degree d_max."""
-    return {
-        (1,) * d: Fraction(1, math.factorial(d)) for d in range(d_max + 1)
-    }
+    """Step-0 slice: exp(p_1 x) truncated at degree d_max, 1 on every 1^d."""
+    return {(1,) * d: 1 for d in range(d_max + 1)}
 
 
-def cutjoin_step(slice_r: Slice, r: int) -> Slice:
-    """Apply the cut-and-join operator and the step normalization 1/(r+1)."""
+def cutjoin_step(slice_r: Slice) -> Slice:
+    """Apply the cut-and-join operator Delta.
+
+    In the units of `Slice` one step is Delta itself.  Its weights are
+    integers: an equal cut v = a + a has v even, and an equal join a + a
+    has m_a (m_a - 1) even.
+    """
     out: Slice = {}
-
-    def bump(parts: tuple[int, ...], coeff: Fraction) -> None:
-        if coeff:
-            key = tuple(sorted(parts))
-            acc = out.get(key, 0) + coeff
-            if acc:
-                out[key] = acc
-            else:
-                del out[key]
-
     for alpha, c in slice_r.items():
         mult = Counter(alpha)
-        distinct = sorted(mult)
-        # Cut: replace one part v by a + b = v.
-        for v in distinct:
-            if v < 2:
-                continue
-            rest = list(alpha)
-            rest.remove(v)
+        for v, m in mult.items():
+            i = alpha.index(v)
+            rest = alpha[:i] + alpha[i + 1 :]
+            # Cut: replace one part v by a + b = v.
             for a in range(1, v // 2 + 1):
                 b = v - a
-                weight = Fraction(v * mult[v], 2 if a == b else 1)
-                bump(tuple(rest) + (a, b), c * weight)
-        # Join: replace parts a, b by a + b.
-        for i, a in enumerate(distinct):
-            for b in distinct[i:]:
-                if a == b:
-                    pairs = mult[a] * (mult[a] - 1)
-                    if not pairs:
-                        continue
-                    weight = Fraction(a * a * pairs, 2)
-                else:
-                    weight = Fraction(a * b * mult[a] * mult[b])
-                rest = list(alpha)
-                rest.remove(a)
-                rest.remove(b)
-                bump(tuple(rest) + (a + b,), c * weight)
-    return {k: v / (r + 1) for k, v in out.items()}
+                key = tuple(sorted(rest + (a, b)))
+                out[key] = out.get(key, 0) + c * (v * m // 2 if a == b else v * m)
+            # Join: replace parts v, w (w >= v) by v + w.
+            for w, n in mult.items():
+                if w < v or (w == v and m < 2):
+                    continue
+                j = rest.index(w)
+                key = tuple(sorted(rest[:j] + rest[j + 1 :] + (v + w,)))
+                weight = v * v * m * (m - 1) // 2 if w == v else v * w * m * n
+                out[key] = out.get(key, 0) + c * weight
+    return {k: v for k, v in out.items() if v}
 
 
 def disconnected_slices(
@@ -134,7 +128,7 @@ def disconnected_slices(
 
     slices = [prune(initial_slices(d_max), r_max)]
     for r in range(r_max):
-        nxt = prune(cutjoin_step(slices[-1], r), r_max - r - 1)
+        nxt = prune(cutjoin_step(slices[-1]), r_max - r - 1)
         for alpha in nxt:
             if ((r + 1) - (sum(alpha) - len(alpha))) % 2:
                 raise AssertionError(
@@ -145,24 +139,21 @@ def disconnected_slices(
 
 
 def _slice_mul(a: Slice, b: Slice, d_max: int) -> Slice:
+    """The product of two slices in degree <= d_max, with the binomial
+    C(d_a + d_b, d_a) that the exponential units in x carry."""
     out: Slice = {}
-    if len(a) > len(b):
-        a, b = b, a
+    b_items = [(kb, sum(kb), cb) for kb, cb in b.items()]
     for ka, ca in a.items():
         da = sum(ka)
-        for kb, cb in b.items():
-            if da + sum(kb) > d_max:
+        for kb, db, cb in b_items:
+            if da + db > d_max:
                 continue
             key = tuple(sorted(ka + kb))
-            acc = out.get(key, 0) + ca * cb
-            if acc:
-                out[key] = acc
-            else:
-                del out[key]
-    return out
+            out[key] = out.get(key, 0) + math.comb(da + db, da) * ca * cb
+    return {k: v for k, v in out.items() if v}
 
 
-def _slice_axpy(acc: Slice, scale: Fraction, s: Slice) -> None:
+def _slice_axpy(acc: Slice, scale: int, s: Slice) -> None:
     for k, v in s.items():
         u = acc.get(k, 0) + scale * v
         if u:
@@ -175,18 +166,16 @@ def _derivatives(slice_r: Slice, r: int) -> dict[tuple[int, int], list]:
     """The terms i * dH_r/dp_i of one connected slice, grouped by the
     (degree, genus) of the profile they came from.
 
-    Each term is (i, rest, i * m_i * c): p_alpha with multiplicity m_i of
+    Each term is (i, rest, i * m_i * N): p_alpha with multiplicity m_i of
     part i loses one copy of i and leaves the sorted profile `rest`.
     """
     out: dict[tuple[int, int], list] = {}
     for alpha, c in slice_r.items():
         d = sum(alpha)
         items = out.setdefault((d, (r - d - len(alpha) + 2) // 2), [])
-        mult = Counter(alpha)
-        for i in sorted(mult):
-            rest = list(alpha)
-            rest.remove(i)
-            items.append((i, tuple(rest), i * mult[i] * c))
+        for i, m in Counter(alpha).items():
+            j = alpha.index(i)
+            items.append((i, alpha[:j] + alpha[j + 1 :], i * m * c))
     return out
 
 
@@ -197,13 +186,17 @@ def _join_components(
     g_max: int | None,
 ) -> Slice:
     """sum_{i,j} ij p_{i+j} dH_a/dp_i dH_b/dp_j in degree <= d_max and
-    genus <= g_max; joining two connected covers adds their genera."""
+    genus <= g_max, in exponential units in x: each pair of degrees
+    (d_a, d_b) carries C(d_a + d_b, d_a).  Joining two connected covers
+    adds their genera."""
     out: Slice = {}
     for (deg_a, g_a), items_a in da.items():
         for (deg_b, g_b), items_b in db.items():
             if deg_a + deg_b > d_max or (g_max is not None and g_a + g_b > g_max):
                 continue
+            binom = math.comb(deg_a + deg_b, deg_a)
             for i, rest_a, wa in items_a:
+                wa *= binom
                 for j, rest_b, wb in items_b:
                     key = tuple(sorted(rest_a + rest_b + (i + j,)))
                     out[key] = out.get(key, 0) + wa * wb
@@ -217,19 +210,30 @@ def connected_slices(d_max: int, r_max: int, g_max: int | None = None) -> list[S
     H evolves by the connected cut-and-join equation from H_0 = p_1 x:
     (r+1) H_{r+1} = Delta H_r
                     + 1/2 sum_{a+b=r} sum_{i,j} ij p_{i+j} dH_a/dp_i dH_b/dp_j,
-    with Delta the operator of `cutjoin_step`.  The sum over (a, b) is
-    symmetric, so it runs over a <= b with weight 1/2 on a = b.  No term
-    lowers degree or genus, so pruning every slice to d_max and g_max is
-    exact.
+    with Delta the operator of `cutjoin_step`.  In the units of `Slice`
+    the factor r+1 cancels and the join of steps a and b carries C(r, a).
+    The sum over (a, b) is symmetric, so it runs over a <= b, doubled: with
+    weight 2 for a < b and 1 for a = b, and the total is halved exactly.
+    No term lowers degree or genus, so pruning every slice to d_max and
+    g_max is exact.
+
+    >>> connected_slices(3, 4)[2] == {(1, 1): 1, (3,): 6}
+    True
     """
-    h: list[Slice] = [{(1,): Fraction(1)} if d_max >= 1 else {}]
+    h: list[Slice] = [{(1,): 1} if d_max >= 1 else {}]
     derivs = [_derivatives(h[0], 0)]
     for r in range(r_max):
-        nxt = cutjoin_step(h[r], r)
+        twice: Slice = {}
         for a in range(r // 2 + 1):
             b = r - a
             joined = _join_components(derivs[a], derivs[b], d_max, g_max)
-            _slice_axpy(nxt, Fraction(1, (2 if a == b else 1) * (r + 1)), joined)
+            _slice_axpy(twice, math.comb(r, a) * (1 if a == b else 2), joined)
+        nxt = cutjoin_step(h[r])
+        for k, v in twice.items():
+            half, odd = divmod(v, 2)
+            if odd:
+                raise AssertionError(f"odd doubled join at r={r + 1}, alpha={k}")
+            nxt[k] = nxt.get(k, 0) + half
         if g_max is not None:
             nxt = {
                 k: v
@@ -248,7 +252,9 @@ def _log_slices(
 
     Uses the derivative-of-log convolution in the step variable:
     (r+1) E_{r+1} = sum_k (k+1) H_{k+1} E_{r-k}, solved for H_{r+1} with
-    E_0^{-1} = exp(-p_1 x).  With `keep`, a set of profiles closed under
+    E_0^{-1} = exp(-p_1 x).  In the units of `Slice` the term of k carries
+    C(r, k), the slice product carries the binomial in degree, and
+    E_0^{-1} is (-1)^d on 1^d.  With `keep`, a set of profiles closed under
     taking sub-multisets, every slice is also cut to `keep`: the profiles
     outside it span a monomial ideal, so the kept coefficients are exact.
     """
@@ -260,15 +266,13 @@ def _log_slices(
     # e0 = exp(p_1 x): its log is p_1 x.  Verify rather than assume.
     if e[0] != cut(initial_slices(d_max)):
         raise AssertionError("step-0 slice is not exp(p_1 x)")
-    e0_inv = cut(
-        {(1,) * d: Fraction((-1) ** d, math.factorial(d)) for d in range(d_max + 1)}
-    )
-    h: list[Slice] = [cut({(1,): Fraction(1)}) if d_max >= 1 else {}]
+    e0_inv = cut({(1,) * d: (-1) ** d for d in range(d_max + 1)})
+    h: list[Slice] = [cut({(1,): 1}) if d_max >= 1 else {}]
     for r in range(len(e) - 1):
         acc: Slice = dict(e[r + 1])
         for k in range(r):
             term = cut(_slice_mul(h[k + 1], e[r - k], d_max))
-            _slice_axpy(acc, Fraction(-(k + 1), r + 1), term)
+            _slice_axpy(acc, -math.comb(r, k), term)
         h.append(cut(_slice_mul(e0_inv, acc, d_max)))
     return h
 
@@ -300,10 +304,10 @@ def hurwitz_via_cutjoin(
     elif r_max is None:
         raise ValueError("need g_max or r_max")
     h = connected_slices(d_max, r_max, g_max)
+    fact = [math.factorial(d) for d in range(d_max + 1)]
     table = HurwitzTable("cutjoin")
     for r, s in enumerate(h):
-        r_fact = math.factorial(r)
-        for alpha, c in s.items():
+        for alpha, n in s.items():
             d = sum(alpha)
             if d == 0:
                 raise AssertionError("connected slice contains a constant term")
@@ -312,7 +316,7 @@ def hurwitz_via_cutjoin(
                 raise AssertionError(
                     f"parity/genus violation at r={r}, alpha={alpha}"
                 )
-            table.add(two_g // 2, Partition(alpha), c * r_fact)
+            table.add(two_g // 2, alpha, Fraction(n, fact[d]))
     return table
 
 
@@ -342,4 +346,5 @@ def hurwitz_number(g: int, alpha: Iterable[int]) -> Fraction:
     r = riemann_hurwitz_r(g, alpha)
     keep = _sub_profiles(alpha)
     e = disconnected_slices(alpha.d, r, keep)
-    return _log_slices(e, alpha.d, keep)[r].get(alpha, Fraction(0)) * math.factorial(r)
+    n = _log_slices(e, alpha.d, keep)[r].get(alpha, 0)
+    return Fraction(n, math.factorial(alpha.d))

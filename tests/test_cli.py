@@ -77,9 +77,9 @@ def test_cutjoin_query_builds_no_table(capsys, monkeypatch):
     steps = []
     real_step = cutjoin.cutjoin_step
 
-    def spy(slice_r, r):
-        steps.append((r, {sum(k) for k in slice_r}))
-        return real_step(slice_r, r)
+    def spy(slice_r):
+        steps.append({sum(k) for k in slice_r})
+        return real_step(slice_r)
 
     def no_table(*args, **kwargs):
         raise AssertionError("a table was built for one answer")
@@ -92,8 +92,8 @@ def test_cutjoin_query_builds_no_table(capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["r"] == 12
-    assert [r for r, _ in steps] == list(range(12))
-    evolved = Counter(d for _, degrees in steps for d in degrees)
+    assert len(steps) == 12
+    evolved = Counter(d for degrees in steps for d in degrees)
     # degree 0 is the empty profile and degree 1 the single sheet: the
     # operator sends both to 0 after one step.
     assert evolved == {0: 1, 2: 12, 4: 12, 5: 12, 7: 12, 9: 12}

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from hurwitz import cutjoin
 from hurwitz.cutjoin import (
     _log_slices,
     _sub_profiles,
@@ -14,7 +15,7 @@ from hurwitz.cutjoin import (
     hurwitz_via_cutjoin,
 )
 from hurwitz.hodge import elsv_hurwitz
-from hurwitz.oracle import riemann_hurwitz_r
+from hurwitz.oracle import count_factorizations, riemann_hurwitz_r
 from hurwitz.partitions import Partition, partitions
 from hurwitz.simple_hurwitz import closed_form_simple
 
@@ -29,6 +30,48 @@ def test_matches_oracle_on_full_overlap(oracle_table, deep_table):
     }
     oracle = {(g, alpha): v for (g, alpha), v in oracle_table.entries.items() if g <= 3}
     assert cut_g3 == oracle
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_all_covers_slices_are_factorization_counts(d):
+    """In degree d, the integer of profile alpha at step r is the number of
+    r-tuples of transpositions in S_d with product of type alpha: two
+    independent routes, with no logarithm and no division."""
+    r_max = 2 * d + 2
+    slices = disconnected_slices(d, r_max)
+    counts = count_factorizations(d, r_max)
+    for r in range(r_max + 1):
+        assert {k: v for k, v in slices[r].items() if sum(k) == d} == counts[r]
+
+
+def test_slices_hold_ints_and_answers_are_fractions():
+    keep = _sub_profiles(Partition((1, 2, 3)))
+    e = disconnected_slices(6, 10, keep)
+    slices = (
+        connected_slices(7, 16, 2) + disconnected_slices(6, 10) + e
+        + _log_slices(e, 6, keep)
+    )
+    assert all(type(v) is int for s in slices for v in s.values())
+    assert all(
+        type(v) is Fraction for v in hurwitz_via_cutjoin(5, 2).entries.values()
+    )
+    assert type(hurwitz_number(1, (1, 2, 3))) is Fraction
+
+
+def test_odd_doubled_join_is_refused(monkeypatch):
+    """The doubled join sum must be even; one stray unit in it raises
+    instead of being floored away by the halving."""
+    real = cutjoin._join_components
+
+    def off_by_one(*args):
+        out = real(*args)
+        key = next(iter(out))
+        out[key] += 1
+        return out
+
+    monkeypatch.setattr(cutjoin, "_join_components", off_by_one)
+    with pytest.raises(AssertionError, match="odd"):
+        connected_slices(4, 6)
 
 
 def _log_route(d_max, r_max, g_max=None):
