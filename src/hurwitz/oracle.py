@@ -7,17 +7,21 @@ connected counts through the series logarithm — no ad-hoc connectivity
 bookkeeping — so it stays independent of the cut-and-join route and usable
 as a ground-truth cross-check.
 
-A vector over S_d is a list indexed by position in
+A vector over S_d is a list of exact ints indexed by position in
 ``list(itertools.permutations(range(d)))``; that order is lexicographic, so
-the identity sits at index 0.  Left multiplication by each transposition is
-a precomputed index map, and the cycle type of every permutation is
-computed once to bin the counts after each step.
+the identity sits at index 0.  Permutations are held as ``bytes``, so the
+product tau∘sigma is ``sigma.translate(table)`` with one 256-byte table per
+transposition tau.  A transposition is an involution, so one step is a
+gather: the next count at sigma is the sum over tau of the count at
+tau∘sigma, read by one ``operator.itemgetter`` per transposition.  Cycle
+types are found once per permutation, and each class's counts are summed
+over its member indices after every step.
 
 Deliberately desk-scale: the oracle holds d! * max(r_max, 1) step-vector
-cells, the C(d, 2) * d! transposition action table, and the d!-entry
-permutation list, index and cycle-type list.  Those cells at 64 bytes each
-must fit in HURWITZ_MEMORY_BUDGET (bytes; the default admits d = 7 with 20
-steps).  The largest degree is checked before any counting starts.
+cells, the C(d, 2) * d! gather indices, and the d!-entry permutation list,
+index and class members.  Those cells at 64 bytes each must fit in
+HURWITZ_MEMORY_BUDGET (bytes; the default admits d = 7 with 20 steps).  The
+largest degree is checked before any counting starts.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import json
 import math
 import os
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable
 
 from .algebra import (
@@ -53,8 +58,8 @@ _BYTES_PER_CELL = 64
 
 def _oracle_cells(d: int, r_max: int) -> int:
     """Cells the oracle allocates for degree d: the step vectors, the
-    transposition action table, and the permutation list, index and cycle
-    types."""
+    per-transposition gathers, and the permutation list, index and class
+    members."""
     return math.factorial(d) * (max(r_max, 1) + math.comb(d, 2) + 3)
 
 
@@ -91,12 +96,8 @@ def _check_cost(d: int, r_max: int) -> None:
 # -- permutations --------------------------------------------------------------
 
 
-def cycle_type(perm: tuple[int, ...]) -> Partition:
-    """Cycle type as a sorted partition.
-
-    >>> tuple(cycle_type((1, 0, 2, 3)))
-    (1, 1, 2)
-    """
+def _cycle_lengths(perm) -> tuple[int, ...]:
+    """Cycle lengths of a permutation of range(len(perm)), sorted."""
     seen = [False] * len(perm)
     lengths = []
     for start in range(len(perm)):
@@ -109,7 +110,16 @@ def cycle_type(perm: tuple[int, ...]) -> Partition:
             j = perm[j]
             n += 1
         lengths.append(n)
-    return Partition.of(lengths)
+    return tuple(sorted(lengths))
+
+
+def cycle_type(perm: tuple[int, ...]) -> Partition:
+    """Cycle type as a sorted partition.
+
+    >>> tuple(cycle_type((1, 0, 2, 3)))
+    (1, 1, 2)
+    """
+    return Partition(_cycle_lengths(perm))
 
 
 def transpositions(d: int) -> list[tuple[int, ...]]:
@@ -129,33 +139,38 @@ def count_factorizations(d: int, r_max: int) -> list[dict[Partition, int]]:
     Returns a list indexed by r in [0, r_max]; entry r maps the cycle type
     of the product to the number of r-tuples of transpositions with that
     product.  Exact integers throughout.
+
+    Each step is C-level: every transposition's gather reads the current
+    vector at tau∘sigma for all sigma at once, the gathered tuples are summed
+    position by position, and each cycle type's count is the sum over its
+    member indices (counts are class functions, so a class is either all
+    zero or all nonzero).
     """
     _check_cost(d, r_max)
-    perms = list(itertools.permutations(range(d)))
+    perms = [bytes(sigma) for sigma in itertools.permutations(range(d))]
     index = {sigma: i for i, sigma in enumerate(perms)}
-    action = [
-        [index[tuple(tau[v] for v in sigma)] for sigma in perms]
-        for tau in transpositions(d)
+    tail = bytes(range(d, 256))
+    gathers = [
+        itemgetter(*[index[sigma.translate(table)] for sigma in perms])
+        for table in [bytes(tau) + tail for tau in transpositions(d)]
     ]
-    types = [cycle_type(sigma) for sigma in perms]
+    members: dict[tuple[int, ...], list[int]] = {}
+    for i, sigma in enumerate(perms):
+        members.setdefault(_cycle_lengths(sigma), []).append(i)
+    classes = [(Partition(lengths), idx) for lengths, idx in members.items()]
 
     def binned(counts: list[int]) -> dict[Partition, int]:
-        out: dict[Partition, int] = {}
-        for alpha, c in zip(types, counts):
-            if c:
-                out[alpha] = out.get(alpha, 0) + c
-        return out
+        sums = [(alpha, sum(map(counts.__getitem__, idx))) for alpha, idx in classes]
+        return {alpha: c for alpha, c in sums if c}
 
     counts = [0] * len(perms)
     counts[0] = 1  # perms[0] is the identity
     out = [binned(counts)]
     for _ in range(r_max):
-        nxt = [0] * len(counts)
-        for row in action:
-            for idx, c in enumerate(counts):
-                if c:
-                    nxt[row[idx]] += c
-        counts = nxt
+        if gathers:
+            counts = list(map(sum, zip(*[g(counts) for g in gathers])))
+        else:  # d <= 1: no transposition, so every product of r >= 1 is empty
+            counts = [0] * len(perms)
         out.append(binned(counts))
     return out
 

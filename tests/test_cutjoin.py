@@ -32,7 +32,7 @@ def test_matches_oracle_on_full_overlap(oracle_table, deep_table):
     assert cut_g3 == oracle
 
 
-@pytest.mark.parametrize("d", range(1, 7))
+@pytest.mark.parametrize("d", range(1, 8))
 def test_all_covers_slices_are_factorization_counts(d):
     """In degree d, the integer of profile alpha at step r is the number of
     r-tuples of transpositions in S_d with product of type alpha: two

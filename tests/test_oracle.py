@@ -2,6 +2,7 @@
 raw counts against hand values and a naive count, and the budget guard."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,36 @@ def test_count_factorizations_matches_naive_count(d):
     for r, bins in enumerate(by_r):
         assert sum(bins.values()) == math.comb(d, 2) ** r
         assert all((d - len(alpha) - r) % 2 == 0 for alpha in bins)
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_cycle_factorizations_match_denes_count(d):
+    """Denes (1959): a d-cycle has d^(d-2) minimal factorizations into
+    transpositions, so (d-1)! * d^(d-2) ordered ones with its class of
+    (d-1)! cycles; this pins the d = 6 and d = 7 sweeps."""
+    by_r = count_factorizations(d, d - 1)
+    assert by_r[d - 1][Partition((d,))] == d ** (d - 2) * math.factorial(d - 1)
+
+
+def _traced_peak(d, r):
+    tracemalloc.start()
+    try:
+        count_factorizations(d, r)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("d", (6, 7))
+def test_sweep_allocates_within_its_cost_model(d):
+    """The traced peak of a sweep stays inside the cells the budget charges
+    for it, and barely grows with the step count, so a sweep that kept every
+    step vector would fail here.  Below d = 6, fixed overheads that do not
+    scale with d! can exceed the model."""
+    peaks = {r: _traced_peak(d, r) for r in (1, 2 * d + 2)}
+    for r, peak in peaks.items():
+        assert peak <= oracle._BYTES_PER_CELL * oracle._oracle_cells(d, r)
+    assert peaks[2 * d + 2] <= 1.5 * peaks[1]
 
 
 def test_riemann_hurwitz_r():
