@@ -7,10 +7,16 @@ polynomial in W (with a single log W adjoined for the one series that needs
 it), and questions about recurrences among the D^n H~_g become exact linear
 algebra over the rationals.  Coefficient extraction [x^d] goes through the
 Lagrange double sum, independently of any series expansion.
+
+The numeric checks against a HurwitzTable (search vectors, differential
+identities, recurrences) read each genus's one-part column H^g_{(1^m)} once
+and then only convolve truncated coefficient lists.  A degree the table does
+not hold is refused rather than read as 0, since H^g_{(1^m)} > 0 for m >= 2.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -284,30 +290,63 @@ def family_wexpr(descriptor: dict) -> WExpr:
     return product
 
 
-def _factor_coeff(g: int, p: int, m: int, table: HurwitzTable) -> Fraction:
-    """[x^m] D^p H~_g = m^p H^g_{(1^m)} / (2m+2g-2)!."""
-    if m < 1:
-        return Fraction(0)
-    value = table.value(g, Partition((1,) * m))
-    if not value:
-        return Fraction(0)
-    return Fraction(m) ** p * value / math.factorial(2 * m + 2 * g - 2)
+def _one_part_column(table: HurwitzTable, g: int, d_max: int) -> list[Fraction]:
+    """H^g_{(1^m)} for m = 0..d_max, one table lookup per degree.
+
+    Every such count is positive for m >= 2, so a zero there is an entry the
+    table does not hold; it is refused rather than compared as 0."""
+    column = [Fraction(0)]
+    for m in range(1, d_max + 1):
+        value = table.value(g, Partition((1,) * m))
+        if not value and m >= 2:
+            raise ValueError(
+                f"table lacks H^{g}_(1^{m}); the check needs degrees <= {d_max} in genus {g}"
+            )
+        column.append(value)
+    return column
 
 
-def _term_coeff(factors: list, d: int, table: HurwitzTable) -> Fraction:
-    """[x^d] of a product of D^p H~_g factors, by convolution over
-    compositions of d into one positive part per factor."""
-    if not factors:
-        return Fraction(0)  # constants have no x^d part for d >= 1
-    (g, p), rest = factors[0], factors[1:]
-    if not rest:
-        return _factor_coeff(g, p, d, table)
-    total = Fraction(0)
-    for m in range(1, d - len(rest) + 1):
-        head = _factor_coeff(g, p, m, table)
-        if head:
-            total += head * _term_coeff(rest, d - m, table)
-    return total
+def _term_lists(
+    factor_lists: list[list[tuple[int, int]]], table: HurwitzTable, d_max: int
+) -> list[list[Fraction]]:
+    """[x^m] of each product of D^p H~_g factors, m = 0..d_max.
+
+    Each genus's column is read once and each factor's list
+    [x^m] D^p H~_g = m^p H^g_{(1^m)}/(2m+2g-2)! built once; a term's list is
+    the truncated product of its factors' lists, which is the sum over
+    compositions of m because every factor has a zero constant term."""
+    column = functools.cache(lambda g: _one_part_column(table, g, d_max))
+
+    @functools.cache
+    def factor(g: int, p: int) -> list[Fraction]:
+        h = column(g)
+        return [Fraction(0)] + [
+            m**p * h[m] / math.factorial(2 * m + 2 * g - 2) for m in range(1, d_max + 1)
+        ]
+
+    lists = []
+    for term in factor_lists:
+        product = [Fraction(1)] + [Fraction(0)] * d_max  # the empty product
+        for g, p in term:
+            f = factor(g, p)
+            product = [
+                sum((product[i] * f[n - i] for i in range(n) if product[i]), Fraction(0))
+                for n in range(d_max + 1)
+            ]
+        lists.append(product)
+    return lists
+
+
+def _residuals(
+    coeffs: list, term_lists: list[list[Fraction]], d_range: range
+) -> dict[int, Fraction]:
+    """The nonzero sums coeff_i [x^d] T_i over d in d_range."""
+    failures = {}
+    for d in d_range:
+        residual = sum((c * t[d] for c, t in zip(coeffs, term_lists) if c), Fraction(0))
+        if residual:
+            failures[d] = residual
+    return failures
 
 
 def search_recursions(
@@ -323,9 +362,13 @@ def search_recursions(
     monomials) appearing in any family member and whose columns are the
     members, and returns a rational basis of its null space.  Every basis
     vector is independently re-verified against the table as a numeric
-    recurrence on the coefficients [x^d] for d <= d_verify.  `exprs` are
-    the members' `family_wexpr`s when the caller has built them already.
+    recurrence on the coefficients [x^d] for 1 <= d <= d_verify; a
+    d_verify below 1, or a table lacking one of those degrees, is refused.
+    `exprs` are the members' `family_wexpr`s when the caller has built them
+    already.
     """
+    if d_verify < 1:
+        raise ValueError(f"numeric check needs d_verify >= 1, got {d_verify}")
     if exprs is None:
         exprs = [family_wexpr(term) for term in family]
     row_keys: set[tuple[str, int]] = set()
@@ -342,16 +385,12 @@ def search_recursions(
             ]
         )
     basis = nullspace(matrix, len(exprs))
-    numeric_failures = []
-    for vec in basis:
-        terms = [
-            {"coeff": coeff, "factors": term["factors"]}
-            for coeff, term in zip(vec, family)
-            if coeff
-        ]
-        residuals = differential_identity_residuals(terms, table, range(1, d_verify + 1))
-        for d, residual in residuals.items():
-            numeric_failures.append({"vector": vec, "d": d, "residual": residual})
+    term_lists = _term_lists([term["factors"] for term in family], table, d_verify)
+    numeric_failures = [
+        {"vector": vec, "d": d, "residual": residual}
+        for vec in basis
+        for d, residual in _residuals(vec, term_lists, range(1, d_verify + 1)).items()
+    ]
     return {
         "dimension": len(basis),
         "basis": basis,
@@ -371,15 +410,15 @@ def differential_identity_wexpr(terms: list[dict]) -> WExpr:
 def differential_identity_residuals(
     terms: list[dict], table: HurwitzTable, d_range: range
 ) -> dict[int, Fraction]:
-    """Numeric [x^d] residuals of a differential identity; empty means pass."""
-    failures = {}
-    for d in d_range:
-        residual = Fraction(0)
-        for term in terms:
-            residual += term["coeff"] * _term_coeff(term["factors"], d, table)
-        if residual:
-            failures[d] = residual
-    return failures
+    """Numeric [x^d] residuals of a differential identity; empty means pass.
+    A d_range that is empty or holds a degree below 1 is refused, as is a
+    table lacking one of its degrees: neither check could fail."""
+    if not d_range or min(d_range) < 1:
+        raise ValueError(
+            f"identity check needs a nonempty degree range from d >= 1, got {d_range}"
+        )
+    term_lists = _term_lists([term["factors"] for term in terms], table, max(d_range))
+    return _residuals([term["coeff"] for term in terms], term_lists, d_range)
 
 
 # -- numeric recurrences ----------------------------------------------------------
@@ -389,14 +428,16 @@ def verify_recurrence(recurrence: Recurrence, table: HurwitzTable, d_range: rang
     """Exact check of a numeric recurrence (d, h) -> (lhs, rhs) for each d;
     returns the failing d values (with both sides) and a status.  A d_range
     that is empty or holds a degree below 2 is refused: an empty check cannot fail,
-    and the recurrences hold from d = 2 on (genus 0 divides by d^2 - d)."""
+    and the recurrences hold from d = 2 on (genus 0 divides by d^2 - d).  So is
+    a table lacking a degree of a genus the recurrence reads."""
     if not d_range or min(d_range) < 2:
         raise ValueError(
             f"recurrence check needs a nonempty degree range from d >= 2, got {d_range}"
         )
+    column = functools.cache(lambda g: _one_part_column(table, g, max(d_range)))
 
     def h(g: int, m: int) -> Fraction:
-        return table.value(g, Partition((1,) * m))
+        return column(g)[m]
 
     failures = []
     for d in d_range:

@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hurwitz import golden
+from hurwitz.cutjoin import hurwitz_via_cutjoin
+from hurwitz.oracle import HurwitzTable
 from hurwitz.simple_hurwitz import (
     LogProductError,
     WExpr,
@@ -238,6 +240,107 @@ def test_search_on_trivially_dependent_family(deep_table):
     assert result["dimension"] == 1
     vec = result["basis"][0]
     assert vec[0] == -vec[1] != 0
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [[(0, 2), (0, 2), (1, 1)], [(0, 3), (1, 1), (0, 2)], [(1, 1), (0, 4), (1, 1)]],
+    ids=str,
+)
+def test_three_factor_products_match_lagrange_route(factors, deep_table):
+    # a one-term identity's residual is the term's [x^d] itself, so the
+    # convolved table columns must equal the W-expression's Lagrange extraction;
+    # D^p H~_g starts at x^1 in genus 0 and at x^2 above (H^g_{(1)} = 0)
+    term = {"coeff": 1, "factors": factors}
+    residuals = differential_identity_residuals([term], deep_table, range(1, 13))
+    lowest = sum(1 if g == 0 else 2 for g, _ in factors)
+    assert set(residuals) == set(range(lowest, 13))
+    for d in range(1, 13):
+        assert residuals.get(d, 0) == extract_coeff(family_wexpr(term), d), d
+
+
+def _with_changed_entry(table, g, d):
+    entries = dict(table.entries)
+    entries[(g, Partition((1,) * d))] += 1
+    return HurwitzTable("changed", entries)
+
+
+def test_changed_entry_fails_identity_and_search(deep_table):
+    """The term lists are shared across degrees and basis vectors; a wrong
+    H^2_{(1^7)} must still fail first at d = 7, and only there for the
+    linear genus-2 identity."""
+    terms = golden.DIFFERENTIAL_IDENTITIES["genus2-linear"]
+    family = golden.SEARCH_FAMILY_26
+    changed = _with_changed_entry(deep_table, 2, 7)
+    assert set(differential_identity_residuals(terms, changed, range(1, 11))) == {7}
+    failing = {f["d"] for f in search_recursions(family, changed, d_verify=10)["numeric_failures"]}
+    assert min(failing) == 7
+    assert differential_identity_residuals(terms, deep_table, range(1, 11)) == {}
+    assert search_recursions(family, deep_table, d_verify=10)["numeric_failures"] == []
+
+
+@pytest.fixture(scope="module")
+def table_to_4():
+    return hurwitz_via_cutjoin(4, 3)
+
+
+def test_identity_check_refuses_degrees_the_table_lacks(table_to_4):
+    # D H~_1 = 0 is false; with degrees 5..11 missing it used to read 0 = 0
+    false_identity = [{"coeff": 1, "factors": [(1, 1)]}]
+    assert differential_identity_residuals(false_identity, table_to_4, range(1, 5))
+    with pytest.raises(ValueError, match="lacks"):
+        differential_identity_residuals(false_identity, table_to_4, range(5, 12))
+    with pytest.raises(ValueError, match="lacks"):
+        verify_recurrence(golden.RECURRENCES["genus2"], table_to_4, range(2, 20))
+    with pytest.raises(ValueError, match="lacks"):
+        search_recursions(golden.SEARCH_FAMILY_26, table_to_4, d_verify=10)
+
+
+@pytest.mark.parametrize("d_range", [range(1, 1), range(0, 3)], ids=["empty", "from-0"])
+def test_identity_check_refuses_vacuous_ranges(d_range, deep_table):
+    terms = golden.DIFFERENTIAL_IDENTITIES["genus1-square"]
+    with pytest.raises(ValueError, match="d >= 1"):
+        differential_identity_residuals(terms, deep_table, d_range)
+
+
+@pytest.mark.parametrize("d_verify", [0, -1])
+def test_search_refuses_vacuous_verification(d_verify, deep_table):
+    with pytest.raises(ValueError, match="d_verify >= 1"):
+        search_recursions(golden.SEARCH_FAMILY_26, deep_table, d_verify=d_verify)
+
+
+@pytest.fixture
+def lookups(monkeypatch):
+    """Counts HurwitzTable.value calls made while the test runs."""
+    calls = []
+    value = HurwitzTable.value
+
+    def counting(self, g, alpha):
+        calls.append((g, alpha))
+        return value(self, g, alpha)
+
+    monkeypatch.setattr(HurwitzTable, "value", counting)
+    return calls
+
+
+def test_search_reads_each_column_once(lookups, deep_table):
+    # four genera to degree 10; recomputing each [x^d] from the table took 6194
+    search_recursions(golden.SEARCH_FAMILY_26, deep_table, d_verify=10)
+    assert len(lookups) <= 4 * 10
+
+
+@pytest.mark.parametrize("name", sorted(golden.DIFFERENTIAL_IDENTITIES))
+def test_identity_reads_each_column_once(name, lookups, deep_table):
+    terms = golden.DIFFERENTIAL_IDENTITIES[name]
+    genera = {g for term in terms for g, _ in term["factors"]}
+    differential_identity_residuals(terms, deep_table, range(1, 11))
+    assert len(lookups) <= len(genera) * 10
+
+
+@pytest.mark.parametrize("name", sorted(golden.RECURRENCES))
+def test_recurrence_reads_each_column_once(name, lookups, deep_table):
+    verify_recurrence(golden.RECURRENCES[name], deep_table, range(2, 11))
+    assert len(lookups) <= len({g for g, _ in lookups}) * 10
 
 
 # -- closed forms ------------------------------------------------------------------
