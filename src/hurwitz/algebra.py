@@ -1,10 +1,12 @@
 """Exact truncated multivariate formal power series over the rationals.
 
-All coefficients are `fractions.Fraction`; the package contains no floating
-point.  A series is attached to a `SeriesRing` (a variable set plus a
-truncation policy) fixed at construction.  Arithmetic between series from
-different rings raises instead of silently re-truncating, since mismatched
-truncations are the classic source of wrong exact-series results.
+All coefficients are exact rationals: a series holds integer numerators
+over one common denominator and shows its terms as `fractions.Fraction`;
+the package contains no floating point.  A series is attached to a
+`SeriesRing` (a variable set plus a truncation policy) fixed at
+construction.  Arithmetic between series from different rings raises
+instead of silently re-truncating, since mismatched truncations are the
+classic source of wrong exact-series results.
 
 Variable names encode their role:
 
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import add, itemgetter, le, mul, sub
+from operator import le, mul
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 __all__ = [
@@ -153,16 +155,29 @@ class SeriesRing:
     Every cap of the truncation is a bound ``sum_i w_i * e_i <= cap`` on the
     exponent vector ``e``, with every weight ``w_i >= 0``: x-degree,
     u-degree, p-weight and t-degree.  A monomial is admitted when its
-    exponents are non-negative and every load is within its cap.  Loads are
-    linear, so a product's loads are the sums of its factors' loads; the
-    product kernel uses that to reject pairs without building their exponent
-    vectors.  Since no weight is negative, a factor of an admitted monomial
-    is admitted, so truncated multiplication is associative and the graded
-    inverse/exp/log run in the ring itself.  A negative cap is refused: it
-    would admit no monomial, not even the constant that `one` and `exp` need.
+    exponents are non-negative and every load is within its cap.  Since no
+    weight is negative, a factor of an admitted monomial is admitted, so
+    truncated multiplication is associative and the graded inverse/exp/log
+    run in the ring itself.  A negative cap is refused: it would admit no
+    monomial, not even the constant that `one` and `exp` need.  So is a
+    variable that no cap bounds, since the packing below needs a bound.
+
+    An admitted monomial is packed into one int key.  From the low bits up:
+    one field per variable, then the total degree, then every load after
+    the first with a guard bit above it, then the first load on top.  Every
+    field is linear in the exponents, so the key of an admitted product is
+    the sum of the keys.  A variable's field holds its largest admitted
+    exponent; in a product that is not admitted it may carry, but the total
+    degree field holds twice the largest degree plus that carry, so no
+    carry reaches the loads.  So a sum of two keys passes the guarded loads
+    exactly when ``(ka + bias + kb) & guard == 0``, and keys sort by their
+    first load.
     """
 
-    __slots__ = ("varset", "trunc", "_weights", "_caps")
+    __slots__ = (
+        "varset", "trunc", "_weights", "_caps", "_fields", "_units",
+        "_deg_shift", "_deg_mask", "_top", "_limit", "_bias", "_guard",
+    )
 
     def __init__(self, varset: VarSet, trunc: Truncation):
         self.varset = varset
@@ -184,11 +199,46 @@ class SeriesRing:
             if any(w):  # an empty load never fails
                 weights.append(w)
                 caps.append(cap)
-        if not weights:  # the kernel sorts by a first load; give it one
-            weights.append((0,) * len(fams))
+        maxima = []  # the largest admitted exponent of each variable
+        for pos, name in enumerate(varset.names):
+            bounds = [cap // w[pos] for w, cap in zip(weights, caps) if w[pos]]
+            if not bounds:
+                raise ValueError(f"no cap of {trunc!r} bounds the variable {name}")
+            maxima.append(min(bounds))
+        if not weights:  # no variables: the constant alone, under a zero load
+            weights.append(())
             caps.append(0)
         self._weights = tuple(weights)
         self._caps = tuple(caps)
+
+        shift = 0
+        fields = []
+        for m in maxima:
+            width = m.bit_length()
+            fields.append((shift, (1 << width) - 1))
+            shift += width
+        self._fields = tuple(fields)
+        self._deg_shift = shift
+        width = (2 * sum(caps)).bit_length()
+        self._deg_mask = (1 << width) - 1
+        shift += width
+        load_shifts = []
+        self._bias = self._guard = 0
+        for cap in caps[1:]:
+            width = cap.bit_length()  # the guard bit sits at 2^width > cap
+            load_shifts.append(shift)
+            self._bias += ((1 << width) - 1 - cap) << shift
+            self._guard += 1 << (shift + width)
+            shift += width + 1
+        load_shifts.insert(0, shift)
+        self._top = shift
+        self._limit = (caps[0] + 1) << shift
+        self._units = tuple(  # the key of each variable to the first power
+            (1 << s)
+            + (1 << self._deg_shift)
+            + sum(w[pos] << ls for w, ls in zip(weights, load_shifts))
+            for pos, (s, _) in enumerate(fields)
+        )
 
     def _loads(self, exps: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(sum(map(mul, w, exps)) for w in self._weights)
@@ -196,76 +246,58 @@ class SeriesRing:
     def admits(self, exps: tuple[int, ...]) -> bool:
         return min(exps, default=0) >= 0 and all(map(le, self._loads(exps), self._caps))
 
-    def _prepare(self, terms: Mapping[tuple[int, ...], Fraction]) -> tuple:
-        """The operand form of `_mul_into`: the terms over one common
-        denominator, as (denominator, [(first load, other loads, exponents,
-        numerator), ...]) sorted by first load."""
-        den = math.lcm(*(c.denominator for c in terms.values()))
-        out = []
-        for e, c in terms.items():
-            loads = self._loads(e)
-            out.append((loads[0], loads[1:], e, c.numerator * (den // c.denominator)))
-        out.sort(key=itemgetter(0))
-        return den, out
+    def _key(self, exps: tuple[int, ...]) -> int:
+        """The packed key of an admitted exponent vector."""
+        return sum(map(mul, exps, self._units))
 
-    def _mul_into(self, acc: dict, a: tuple, b: tuple) -> None:
-        """acc += a * b over admitted products, for prepared admitted terms.
+    def _exps(self, key: int) -> tuple[int, ...]:
+        return tuple((key >> s) & m for s, m in self._fields)
 
-        Both operands are sorted by first load, so each inner loop stops at
-        the first cap; an exponent tuple is built only for admitted pairs.
-        Products are summed as integer numerators and divided once per
-        monomial.
-        """
-        (den_a, a), (den_b, b) = a, b
-        if not b:
-            return
-        cap0, caps = self._caps[0], self._caps[1:]
-        lb_min = b[0][0]
-        nums: dict[tuple[int, ...], int] = {}
-        for la, ra, ea, na in a:
-            room = cap0 - la
-            if lb_min > room:
+    def _product(self, a: list, b: list) -> dict[int, int]:
+        """Numerators of the admitted products of two operands, each a list
+        of (key, numerator) sorted by key; the product's denominator is the
+        product of theirs.
+
+        Keys sort by first load, so each inner loop stops at the first key
+        past the cap that is left; the other caps are one guard test."""
+        if len(a) > len(b):
+            a, b = b, a
+        acc: dict[int, int] = {}
+        if not a:
+            return acc
+        get = acc.get
+        top, limit, bias, guard = self._top, self._limit, self._bias, self._guard
+        b_min = b[0][0]
+        for ka, na in a:
+            room = limit - (ka >> top << top)
+            if b_min >= room:
                 break
-            rooms = tuple(map(sub, caps, ra))
-            for lb, rb, eb, nb in b:
-                if lb > room:
+            kab = ka + bias
+            for kb, nb in b:
+                if kb >= room:
                     break
-                if rooms and not all(map(le, rb, rooms)):
+                if (kab + kb) & guard:
                     continue
-                e = tuple(map(add, ea, eb))
-                nums[e] = nums.get(e, 0) + na * nb
-        den = den_a * den_b
-        for e, n in nums.items():
-            if n:
-                q = Fraction(n, den)
-                acc[e] = acc[e] + q if e in acc else q
+                k = ka + kb
+                acc[k] = get(k, 0) + na * nb
+        return acc
 
     def max_total_degree(self) -> int:
-        """Upper bound on the total degree of any admitted monomial.
+        """Upper bound on the total degree of any admitted monomial, used as
+        the iteration bound for inverse/exp/log: every variable has weight
+        >= 1 in some load, so the degree is at most the sum of the caps."""
+        return sum(self._caps)
 
-        Requires every family that is present to be capped; used as the
-        iteration bound for inverse/exp/log.
-        """
-        t = self.trunc
-        bound = 0
-        fams = set(self.varset.families)
-        if "x" in fams:
-            if t.x_max is None:
-                raise SeriesError("x is uncapped; no finite degree bound")
-            bound += t.x_max
-        if "u" in fams:
-            if t.u_max is None:
-                raise SeriesError("u is uncapped; no finite degree bound")
-            bound += t.u_max
-        if "p" in fams:
-            if t.p_weight_max is None:
-                raise SeriesError("p-weight is uncapped; no finite degree bound")
-            bound += t.p_weight_max  # deg(p_i) = 1 <= i <= weight
-        if "t" in fams:
-            if t.t_deg_max is None:
-                raise SeriesError("t-degree is uncapped; no finite degree bound")
-            bound += t.t_deg_max
-        return bound
+    def sum(self, series: Iterable["ExactSeries"]) -> "ExactSeries":
+        """The sum of series of this ring, over one common denominator."""
+        parts = []
+        for s in series:
+            if s.ring is not self and s.ring != self:
+                raise VarSetMismatchError(
+                    f"operands in different rings: {self!r} vs {s.ring!r}"
+                )
+            parts.append((s.den, s.nums))
+        return ExactSeries._of(self, *_sum(parts))
 
     def zero(self) -> "ExactSeries":
         return ExactSeries(self, {})
@@ -318,29 +350,66 @@ class SeriesRing:
         return f"SeriesRing({self.varset!r}, {self.trunc!r})"
 
 
-class ExactSeries:
-    """A sparse truncated series: map from exponent vector to Fraction.
+def _canonical(den: int, nums: Mapping[int, int]) -> tuple[int, dict[int, int]]:
+    """(den, nums) with zeros dropped and the common factor divided out;
+    den must be positive."""
+    nums = {k: n for k, n in nums.items() if n}
+    g = math.gcd(den, *nums.values())
+    if g > 1:
+        den //= g
+        nums = {k: n // g for k, n in nums.items()}
+    return den, nums
 
-    Instances are immutable by convention; all operations return new series
-    in the same ring.  Stored coefficients are never zero and every stored
-    exponent vector is admitted by the ring's truncation.
+
+def _sum(parts: Iterable[tuple[int, Mapping[int, int]]]) -> tuple[int, dict[int, int]]:
+    """The canonical sum of (den, nums) parts, over the lcm of their dens."""
+    parts = [p for p in parts if p[1]]
+    den = math.lcm(*(d for d, _ in parts))
+    acc: dict[int, int] = {}
+    get = acc.get
+    for d, nums in parts:
+        f = den // d
+        for k, n in nums.items():
+            acc[k] = get(k, 0) + n * f
+    return _canonical(den, acc)
+
+
+class ExactSeries:
+    """A sparse truncated series: integer numerators over one denominator.
+
+    `nums` maps the packed key of each admitted monomial to a nonzero
+    numerator, and `den` is positive with gcd(den, *nums) == 1, so equal
+    series have equal fields.  `terms`, the map from exponent vector to
+    Fraction, is built on first read.  Instances are immutable by
+    convention; all operations return new series in the same ring.
     """
 
-    __slots__ = ("ring", "terms", "_operand")
+    __slots__ = ("ring", "den", "nums", "_terms")
 
     def __init__(self, ring: SeriesRing, terms: Mapping[tuple[int, ...], Fraction]):
         self.ring = ring
-        self.terms = {
-            e: c for e, c in terms.items() if c != 0 and ring.admits(e)
-        }
+        kept = {e: Fraction(c) for e, c in terms.items() if c != 0 and ring.admits(e)}
+        # over the lcm of reduced denominators the numerators share no factor with it
+        self.den = den = math.lcm(*(c.denominator for c in kept.values()))
+        self.nums = {ring._key(e): c.numerator * (den // c.denominator) for e, c in kept.items()}
+        self._terms = None
 
     @classmethod
-    def _admitted(cls, ring: SeriesRing, terms: dict) -> "ExactSeries":
-        """Wrap terms that are admitted and nonzero by construction."""
+    def _of(cls, ring: SeriesRing, den: int, nums: dict[int, int]) -> "ExactSeries":
+        """Wrap a canonical (den, nums) of admitted keys."""
         series = object.__new__(cls)
         series.ring = ring
-        series.terms = terms
+        series.den = den
+        series.nums = nums
+        series._terms = None
         return series
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        if self._terms is None:
+            exps, den = self.ring._exps, self.den
+            self._terms = {exps(k): Fraction(n, den) for k, n in self.nums.items()}
+        return self._terms
 
     # -- basics ----------------------------------------------------------
 
@@ -351,79 +420,79 @@ class ExactSeries:
             )
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def constant_term(self) -> Fraction:
-        zero_key = (0,) * len(self.ring.varset.names)
-        return self.terms.get(zero_key, Fraction(0))
+        return Fraction(self.nums.get(0, 0), self.den)
 
     def coeff(self, exps: Mapping[str, int]) -> Fraction:
         vec = [0] * len(self.ring.varset.names)
         for name, e in exps.items():
             vec[self.ring.varset.position[name]] = e
-        return self.terms.get(tuple(vec), Fraction(0))
+        if not self.ring.admits(vec):
+            return Fraction(0)
+        return Fraction(self.nums.get(self.ring._key(vec), 0), self.den)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ExactSeries)
             and self.ring == other.ring
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self):
         raise TypeError("ExactSeries is not hashable")
 
     def __repr__(self) -> str:
-        n = len(self.terms)
+        n = len(self.nums)
         return f"<ExactSeries {n} terms in {self.ring.varset.names}>"
+
+    def _moved(self, ring: SeriesRing) -> "ExactSeries":
+        """This series in a ring over the same variables, less the terms
+        that ring does not admit."""
+        exps = self.ring._exps
+        nums = {}
+        for k, n in self.nums.items():
+            e = exps(k)
+            if ring.admits(e):
+                nums[ring._key(e)] = n
+        return ExactSeries._of(ring, *_canonical(self.den, nums))
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "ExactSeries":
         if not isinstance(other, ExactSeries):
-            return self + self.ring.const(other)
-        self._check_ring(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = terms.get(e, 0) + c
-            if acc:
-                terms[e] = acc
-            else:
-                terms.pop(e, None)
-        return ExactSeries._admitted(self.ring, terms)
+            other = self.ring.const(other)
+        return self.ring.sum((self, other))
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExactSeries":
-        return ExactSeries._admitted(self.ring, {e: -c for e, c in self.terms.items()})
+        return ExactSeries._of(self.ring, self.den, {k: -n for k, n in self.nums.items()})
 
     def __sub__(self, other) -> "ExactSeries":
         if not isinstance(other, ExactSeries):
-            return self - self.ring.const(other)
-        return self + (-other)
+            other = self.ring.const(other)
+        return self.ring.sum((self, -other))
 
     def __rsub__(self, other) -> "ExactSeries":
-        return (-self) + self.ring.const(other)
+        return self.ring.const(other) - self
 
     def scale(self, c) -> "ExactSeries":
         c = Fraction(c)
-        if c == 0:
-            return self.ring.zero()
-        return ExactSeries._admitted(
-            self.ring, {e: c * v for e, v in self.terms.items()}
+        p = c.numerator
+        return ExactSeries._of(
+            self.ring,
+            *_canonical(self.den * c.denominator, {k: n * p for k, n in self.nums.items()}),
         )
 
     def __mul__(self, other) -> "ExactSeries":
         if not isinstance(other, ExactSeries):
             return self.scale(other)
         self._check_ring(other)
-        ring = self.ring
-        a, b = self, other
-        if len(a.terms) > len(b.terms):
-            a, b = b, a
-        acc: dict[tuple[int, ...], Fraction] = {}
-        ring._mul_into(acc, a._prepared(), b._prepared())
-        return ExactSeries._admitted(ring, acc)
+        nums = self.ring._product(sorted(self.nums.items()), sorted(other.nums.items()))
+        return ExactSeries._of(self.ring, *_canonical(self.den * other.den, nums))
 
     __rmul__ = __mul__
 
@@ -450,51 +519,41 @@ class ExactSeries:
     #
     # All three solve a recurrence over slices by total degree,
     #   out_0 = first,  out_m = finish(m, sum_{j >= 1} fixed_j * out_{m-j}),
-    # with every product done by the ring's kernel.
+    # where every slice is a canonical (den, nums) pair and every product is
+    # done by the ring's kernel.
 
-    def _prepared(self) -> tuple:
-        """The terms in the kernel's operand form, computed once."""
-        try:
-            return self._operand
-        except AttributeError:
-            self._operand = self.ring._prepare(self.terms)
-            return self._operand
-
-    def _zero_key(self) -> tuple[int, ...]:
-        return (0,) * len(self.ring.varset.names)
-
-    def _slices_by_degree(self) -> dict[int, dict]:
-        slices: dict[int, dict] = {}
-        for e, c in self.terms.items():
-            slices.setdefault(sum(e), {})[e] = c
+    def _slices(self) -> dict[int, dict[int, int]]:
+        """The numerators of this series, over `den`, by total degree."""
+        ring = self.ring
+        shift, mask = ring._deg_shift, ring._deg_mask
+        slices: dict[int, dict[int, int]] = {}
+        for k, n in self.nums.items():
+            slices.setdefault((k >> shift) & mask, {})[k] = n
         return slices
 
     def _graded(
         self,
-        fixed: dict[int, dict],
-        first: dict,
-        finish: Callable[[int, dict], dict],
-    ) -> dict[int, dict]:
-        """The nonzero slices out_m of the recurrence above, by degree m."""
-        ring = self.ring
-        fixed_ops = sorted((j, ring._prepare(s)) for j, s in fixed.items() if j)
+        fixed: dict[int, dict[int, int]],
+        first: tuple,
+        finish: Callable[[int, tuple], tuple],
+    ) -> dict[int, tuple]:
+        """The nonzero slices out_m of the recurrence above, by degree m;
+        `fixed` holds numerators over `den`."""
+        ring, den = self.ring, self.den
+        fixed_ops = [(j, sorted(s.items())) for j, s in sorted(fixed.items()) if j]
         out = {0: first}
-        ops = {0: ring._prepare(first)}
+        ops = {0: (first[0], sorted(first[1].items()))}
         for m in range(1, ring.max_total_degree() + 1):
-            acc: dict[tuple[int, ...], Fraction] = {}
-            for j, op in fixed_ops:
-                if j > m:
-                    break
-                if m - j in ops:
-                    ring._mul_into(acc, op, ops[m - j])
-            slice_m = {e: c for e, c in finish(m, acc).items() if c}
-            if slice_m:
+            acc = _sum(
+                (den * ops[m - j][0], ring._product(op, ops[m - j][1]))
+                for j, op in fixed_ops
+                if m - j in ops
+            )
+            slice_m = finish(m, acc)
+            if slice_m[1]:
                 out[m] = slice_m
-                ops[m] = ring._prepare(slice_m)
+                ops[m] = (slice_m[0], sorted(slice_m[1].items()))
         return out
-
-    def _from_slices(self, slices: Iterable[dict]) -> "ExactSeries":
-        return ExactSeries._admitted(self.ring, {e: c for s in slices for e, c in s.items()})
 
     def inverse(self) -> "ExactSeries":
         """Multiplicative inverse; requires an invertible constant term.
@@ -504,12 +563,15 @@ class ExactSeries:
         c0 = self.constant_term()
         if c0 == 0:
             raise ConstantTermError("inverse requires nonzero constant term")
+        # 1/c0 = q/p with p > 0
+        p = abs(c0.numerator)
+        q = c0.denominator if c0 > 0 else -c0.denominator
         slices = self._graded(
-            self._slices_by_degree(),
-            {self._zero_key(): Fraction(1) / c0},
-            lambda m, acc: {e: -c / c0 for e, c in acc.items()},
+            self._slices(),
+            (p, {0: q}),
+            lambda m, acc: _canonical(acc[0] * p, {k: -q * n for k, n in acc[1].items()}),
         )
-        return self._from_slices(slices.values())
+        return ExactSeries._of(self.ring, *_sum(slices.values()))
 
     def exp(self) -> "ExactSeries":
         """Exponential; requires constant term 0.
@@ -519,16 +581,9 @@ class ExactSeries:
         """
         if self.constant_term() != 0:
             raise ConstantTermError("exp requires constant term 0")
-        fixed = {
-            j: {e: j * c for e, c in s.items()}
-            for j, s in self._slices_by_degree().items()
-        }
-        slices = self._graded(
-            fixed,
-            {self._zero_key(): Fraction(1)},
-            lambda m, acc: {e: c / m for e, c in acc.items()},
-        )
-        return self._from_slices(slices.values())
+        fixed = {j: {k: j * n for k, n in s.items()} for j, s in self._slices().items()}
+        slices = self._graded(fixed, (1, {0: 1}), lambda m, acc: _canonical(acc[0] * m, acc[1]))
+        return ExactSeries._of(self.ring, *_sum(slices.values()))
 
     def log(self) -> "ExactSeries":
         """Logarithm; requires constant term 1.
@@ -538,42 +593,41 @@ class ExactSeries:
         """
         if self.constant_term() != 1:
             raise ConstantTermError("log requires constant term 1")
-        e_slices = self._slices_by_degree()
+        e_slices = self._slices()
 
-        def finish(m: int, acc: dict) -> dict:
-            for e, c in e_slices.get(m, {}).items():
-                acc[e] = acc.get(e, 0) + m * c
-            return acc
+        def finish(m: int, acc: tuple) -> tuple:
+            e_m = e_slices.get(m, {})
+            return _sum((acc, (self.den, {k: m * n for k, n in e_m.items()})))
 
         k_slices = self._graded(
-            {j: {e: -c for e, c in s.items()} for j, s in e_slices.items()},
-            {},
+            {j: {k: -n for k, n in s.items()} for j, s in e_slices.items()},
+            (1, {}),
             finish,
         )
-        return self._from_slices(
-            {e: c / m for e, c in s.items()} for m, s in k_slices.items() if m
+        return ExactSeries._of(
+            self.ring, *_sum((d * m, nums) for m, (d, nums) in k_slices.items() if m)
         )
 
     # -- derivations -------------------------------------------------------
 
     def diff(self, name: str) -> "ExactSeries":
         """Partial derivative with respect to a named variable."""
-        pos = self.ring.varset.position[name]
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
-            k = e[pos]
-            if k == 0:
-                continue
-            e2 = e[:pos] + (k - 1,) + e[pos + 1 :]
-            terms[e2] = terms.get(e2, 0) + k * c
-        return ExactSeries(self.ring, terms)
+        ring = self.ring
+        pos = ring.varset.position[name]
+        (shift, mask), unit = ring._fields[pos], ring._units[pos]
+        nums = {}
+        for k, n in self.nums.items():
+            e = (k >> shift) & mask
+            if e:
+                nums[k - unit] = e * n
+        return ExactSeries._of(ring, *_canonical(self.den, nums))
 
     def euler(self, name: str) -> "ExactSeries":
         """The operator v * d/dv for the named variable (degree scaling)."""
-        pos = self.ring.varset.position[name]
-        return ExactSeries._admitted(
-            self.ring,
-            {e: e[pos] * c for e, c in self.terms.items() if e[pos]},
+        ring = self.ring
+        shift, mask = ring._fields[ring.varset.position[name]]
+        return ExactSeries._of(
+            ring, *_canonical(self.den, {k: ((k >> shift) & mask) * n for k, n in self.nums.items()})
         )
 
 
@@ -589,9 +643,11 @@ def solve_graded_fixpoint(
     Starting from 0, iteration k determines the slices of grade <= k, so it
     runs in the ring whose cap is lowered to k; the functional must build
     its result in `v.ring`.  Truncation by a cap is a ring homomorphism, so
-    each lowered iteration is exact.  The solver confirms that previously
-    determined slices never change, and that the result is an exact fixed
-    point in `ring`; otherwise raises DivergingFunctionalError.
+    each lowered iteration is exact.  Each lowered ring packs its keys
+    differently, so the iterate is repacked into the next one.  The solver
+    confirms that previously determined slices never change, and that the
+    result is an exact fixed point in `ring`; otherwise raises
+    DivergingFunctionalError.
     """
 
     def lowered(k: int) -> SeriesRing:
@@ -600,15 +656,15 @@ def solve_graded_fixpoint(
     cur = lowered(0).zero()
     for step in range(1, max_grade + 1):
         sub = lowered(step)
-        nxt = functional(ExactSeries._admitted(sub, cur.terms))
+        nxt = functional(cur._moved(sub))
         if nxt.ring != sub:
             raise VarSetMismatchError(f"the functional left the ring {sub!r}")
-        if {e: c for e, c in nxt.terms.items() if cur.ring.admits(e)} != cur.terms:
+        if nxt._moved(cur.ring) != cur:
             raise DivergingFunctionalError(
                 f"slice of grade <= {step - 1} changed at iteration {step}"
             )
         cur = nxt
-    cur = ExactSeries(ring, cur.terms)
+    cur = cur._moved(ring)
     if functional(cur) != cur:
         raise DivergingFunctionalError(
             f"no fixed point within grade {max_grade}"

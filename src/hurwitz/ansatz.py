@@ -66,22 +66,19 @@ __all__ = [
 
 def _phi(ring: SeriesRing, k: int, z_pows: list[ExactSeries]) -> ExactSeries:
     """phi_k(z, p) = sum_n n^(n+k)/n! p_n z^n, given z^0..z^d_max."""
-    total = ring.zero()
-    for n in range(1, len(z_pows)):
-        coeff = Fraction(n) ** (n + k) / math.factorial(n)
-        total = total + ring.monomial({f"p_{n}": 1}, coeff) * z_pows[n]
-    return total
+    return ring.sum(
+        ring.monomial({f"p_{n}": 1}, Fraction(n) ** (n + k) / math.factorial(n)) * z_pows[n]
+        for n in range(1, len(z_pows))
+    )
 
 
 def _descend(ring: SeriesRing, k: int, v_pows: list[ExactSeries]) -> ExactSeries:
     """sum_i t_{k+i} v^i / i!, given v^0..v^n, over the t_j the ring has."""
-    total = ring.zero()
-    for i, v_pow in enumerate(v_pows):
-        name = f"t_{k + i}"
-        if name not in ring.varset.position:
-            break
-        total = total + ring.var(name) * v_pow * Fraction(1, math.factorial(i))
-    return total
+    return ring.sum(
+        ring.var(f"t_{k + i}") * v_pow * Fraction(1, math.factorial(i))
+        for i, v_pow in enumerate(v_pows)
+        if f"t_{k + i}" in ring.varset.position
+    )
 
 
 class _SeriesContext:
@@ -187,17 +184,20 @@ def xi_substitute(t_series: ExactSeries, ctx: XpContext) -> ExactSeries:
     varset = t_series.ring.varset
     if any(f != "t" for f in varset.families):
         raise ValueError("xi_substitute expects a pure t-series")
-    total = ctx.ring.zero()
-    for exps, coeff in sorted(t_series.terms.items()):
-        degree = sum(exps)
-        if degree > ctx.d_max:
-            continue  # image starts at x^degree, beyond the window
+
+    def image(exps: tuple[int, ...], coeff: Fraction) -> ExactSeries:
         product = ctx.ring.const(coeff)
         for pos, a in enumerate(exps):
             if a:
                 product = product * ctx.phi_x_power(varset.indices[pos], a)
-        total = total + product
-    return total
+        return product
+
+    # the image of a monomial of degree n starts at x^n
+    return ctx.ring.sum(
+        image(exps, coeff)
+        for exps, coeff in t_series.terms.items()
+        if sum(exps) <= ctx.d_max
+    )
 
 
 def assemble_G(g: int, table: HodgeTable, tctx: TContext) -> ExactSeries:
@@ -207,8 +207,8 @@ def assemble_G(g: int, table: HodgeTable, tctx: TContext) -> ExactSeries:
     prod a_i!, summed over 0 <= k <= g, restricted to stable sizes and to
     subscripts within the ring's index range.
     """
-    ring = tctx.ring
-    total = ring.zero()
+    terms: dict[tuple[int, ...], Fraction] = {}
+    position = tctx.ring.varset.position
     for n in range(tctx.t_deg_max + 1):
         if 2 * g - 2 + n <= 0:
             continue
@@ -223,16 +223,15 @@ def assemble_G(g: int, table: HodgeTable, tctx: TContext) -> ExactSeries:
                 value = evaluate(HodgeKey.make(g, theta, k), table)
                 if not value:
                     continue
-                exps: dict[str, int] = {}
+                exps = [0] * len(position)
                 denom = 1
                 for i in sorted(set(theta)):
                     a = theta.count(i)
-                    exps[f"t_{i}"] = a
+                    exps[position[f"t_{i}"]] = a
                     denom *= math.factorial(a)
-                total = total + ring.monomial(
-                    exps, Fraction((-1) ** k) * value / denom
-                )
-    return total
+                # sum(theta) = 3g - 3 + n - k, so each theta comes once
+                terms[tuple(exps)] = Fraction((-1) ** k) * value / denom
+    return ExactSeries(tctx.ring, terms)
 
 
 def extract_weight_slice(series: ExactSeries, weight: int) -> ExactSeries:
@@ -252,15 +251,13 @@ def extract_weight_slice(series: ExactSeries, weight: int) -> ExactSeries:
 
 def hurwitz_series(table: HurwitzTable, g: int, ctx: XpContext) -> ExactSeries:
     """H_g(x, p) = sum over profiles of H^g_alpha / r! p_alpha x^d."""
-    total = ctx.ring.zero()
-    for (gg, alpha) in table.keys():
-        if gg != g or sum(alpha) > ctx.d_max:
-            continue
-        r = riemann_hurwitz_r(g, alpha)
-        total = total + ctx.ring.profile_monomial(
-            alpha, table.entries[(g, alpha)] / math.factorial(r)
+    return ctx.ring.sum(
+        ctx.ring.profile_monomial(
+            alpha, table.entries[(g, alpha)] / math.factorial(riemann_hurwitz_r(g, alpha))
         )
-    return total
+        for gg, alpha in table.keys()
+        if gg == g and sum(alpha) <= ctx.d_max
+    )
 
 
 def pair_correction_series(ctx: XpContext) -> ExactSeries:
@@ -270,33 +267,46 @@ def pair_correction_series(ctx: XpContext) -> ExactSeries:
     >>> pair_correction_series(XpContext(3)).coeff({"x": 3, "p_1": 1, "p_2": 1})
     Fraction(2, 3)
     """
-    total = ctx.ring.zero()
-    for i in range(1, ctx.d_max):
-        for j in range(1, ctx.d_max - i + 1):
-            coeff = (
-                Fraction(
-                    math.factorial(i + j - 1),
-                    math.factorial(i - 1) * math.factorial(j - 1),
-                )
-                * i ** (i - 1)
-                * j ** (j - 1)
-                / (2 * math.factorial(i + j))
+    return ctx.ring.sum(
+        ctx.ring.profile_monomial(
+            (i, j),
+            Fraction(
+                math.factorial(i + j - 1),
+                math.factorial(i - 1) * math.factorial(j - 1),
             )
-            total = total + ctx.ring.profile_monomial((i, j), coeff)
-    return total
+            * i ** (i - 1)
+            * j ** (j - 1)
+            / (2 * math.factorial(i + j)),
+        )
+        for i in range(1, ctx.d_max)
+        for j in range(1, ctx.d_max - i + 1)
+    )
 
 
 # -- reports -------------------------------------------------------------------
 
 
 class VerifyReport:
+    """One check's verdict.  `compared` counts the distinct monomials on
+    either side of a series comparison, and `cancelled` the summand
+    monomials that cancelled inside the compared window, where a check
+    builds one side as a sum; either is None where it does not apply."""
+
     def __init__(
-        self, check: str, truncation: dict, status: str, first_mismatch: dict | None = None
+        self,
+        check: str,
+        truncation: dict,
+        status: str,
+        first_mismatch: dict | None = None,
+        compared: int | None = None,
+        cancelled: int | None = None,
     ) -> None:
         self.check = check
         self.truncation = truncation
         self.status = status
         self.first_mismatch = first_mismatch
+        self.compared = compared
+        self.cancelled = cancelled
 
     @property
     def ok(self) -> bool:
@@ -310,28 +320,32 @@ class VerifyReport:
         }
         if self.first_mismatch is not None:
             obj["first_mismatch"] = self.first_mismatch
+        for name in ("compared", "cancelled"):
+            if getattr(self, name) is not None:
+                obj[name] = getattr(self, name)
         return obj
 
 
 def compare_series(
-    lhs: ExactSeries, rhs: ExactSeries, check: str, truncation: dict
+    lhs: ExactSeries,
+    rhs: ExactSeries,
+    check: str,
+    truncation: dict,
+    cancelled: int | None = None,
 ) -> VerifyReport:
     diff = lhs - rhs
+    compared = len(lhs.nums.keys() | rhs.nums.keys())
     if diff.is_zero():
-        return VerifyReport(check, truncation, "pass")
+        return VerifyReport(check, truncation, "pass", None, compared, cancelled)
     exps = sorted(diff.terms)[0]
     names = lhs.ring.varset.names
     monomial = {names[i]: e for i, e in enumerate(exps) if e}
-    return VerifyReport(
-        check,
-        truncation,
-        "fail",
-        {
-            "monomial": monomial,
-            "lhs": rational_str(lhs.terms.get(exps, Fraction(0))),
-            "rhs": rational_str(rhs.terms.get(exps, Fraction(0))),
-        },
-    )
+    mismatch = {
+        "monomial": monomial,
+        "lhs": rational_str(lhs.terms.get(exps, Fraction(0))),
+        "rhs": rational_str(rhs.terms.get(exps, Fraction(0))),
+    }
+    return VerifyReport(check, truncation, "fail", mismatch, compared, cancelled)
 
 
 # -- the fitted pole form --------------------------------------------------------
@@ -427,10 +441,10 @@ def fit_constants(
 
 def ansatz_hurwitz_series(form: AnsatzForm, ctx: XpContext) -> ExactSeries:
     """H_g(x, p) predicted by the fitted pole form."""
-    total = ctx.ring.zero()
-    for theta, _, _, series in pole_basis_series(form.g, ctx):
-        total = total + series * form.constants[theta]
-    return total
+    return ctx.ring.sum(
+        series * form.constants[theta]
+        for theta, _, _, series in pole_basis_series(form.g, ctx)
+    )
 
 
 # -- theorem verifications -------------------------------------------------------
@@ -475,25 +489,28 @@ def verify_genus_expansion(
     G = assemble_G(g, hodge_table, tctx)
 
     # Form 1: the pole form with F_j = I_j, weighted by the fitted constants.
-    rhs1 = ring.zero()
-    rhs1_k0 = ring.zero()
-    for theta, _, k, series in pole_basis_series(g, tctx):
-        term = series * form.constants[theta]
-        rhs1 = rhs1 + term
-        if k == 0:
-            rhs1_k0 = rhs1_k0 + term
+    terms = [
+        (k, series * form.constants[theta])
+        for theta, _, k, series in pole_basis_series(g, tctx)
+    ]
+    rhs1 = ring.sum(term for _, term in terms)
+    rhs1_k0 = ring.sum(term for k, term in terms if k == 0)
 
     # Form 2: substitute t_0, t_1 -> 0, t_j -> I_j/(1-I_1) into G itself.
     varset = ring.varset
-    rhs2 = ring.zero()
-    for exps, coeff in sorted(G.terms.items()):
-        if exps[0] or exps[1]:  # positions of t_0, t_1
-            continue
+
+    def substituted(exps: tuple[int, ...], coeff: Fraction) -> ExactSeries:
         term = ring.const(coeff) * tctx.inv_pole_power(2 * g - 2 + sum(exps))
         for pos, a in enumerate(exps):
             for _ in range(a):
                 term = term * tctx.I(varset.indices[pos])
-        rhs2 = rhs2 + term
+        return term
+
+    rhs2 = ring.sum(
+        substituted(exps, coeff)
+        for exps, coeff in G.terms.items()
+        if not (exps[0] or exps[1])  # positions of t_0, t_1
+    )
 
     return [
         compare_series(G, rhs1, f"genus-expansion-g{g}-constants-form", trunc),
@@ -523,13 +540,15 @@ def verify_delta_annihilation(g: int, hodge_table: HodgeTable) -> VerifyReport:
     tctx = TContext(t_index_max, t_deg_max)
     ring = tctx.ring
     G = assemble_G(g, hodge_table, tctx)
-    image = -G.diff("t_0")
-    for m in range(t_index_max):
-        image = image + G.diff(f"t_{m}") * ring.var(f"t_{m + 1}")
+    summands = [-G.diff("t_0")] + [
+        G.diff(f"t_{m}") * ring.var(f"t_{m + 1}") for m in range(t_index_max)
+    ]
+    image = ring.sum(summands)
     complete = ExactSeries(
         ring,
         {e: c for e, c in image.terms.items() if sum(e) <= t_deg_max - 1},
     )
+    window = {e for s in summands for e in s.terms if sum(e) <= t_deg_max - 1}
     t0_exps = tuple(1 if i == 0 else 0 for i in range(len(ring.varset.names)))
     residue = ring.const(-G.terms.get(t0_exps, Fraction(0)))
     return compare_series(
@@ -537,6 +556,7 @@ def verify_delta_annihilation(g: int, hodge_table: HodgeTable) -> VerifyReport:
         residue,
         f"delta-annihilation-g{g}",
         {"t_index_max": t_index_max, "t_deg_max": t_deg_max - 1},
+        cancelled=len(window - image.terms.keys()),
     )
 
 
@@ -556,11 +576,10 @@ def verify_xi_on_I(k: int, ctx: XpContext, tctx: TContext) -> VerifyReport:
 def verify_phi_shift_expansion(k: int, ctx: XpContext) -> VerifyReport:
     """phi_k(s, p) = sum_m phi_{k+m}(x, p) phi_0(s, p)^m / m!."""
     d_max = ctx.d_max
-    total = ctx.ring.zero()
-    for m, phi0s_pow in enumerate(ctx.phi_s(0).powers(d_max)):
-        total = total + ctx.phi_x(k + m) * phi0s_pow * Fraction(
-            1, math.factorial(m)
-        )
+    total = ctx.ring.sum(
+        ctx.phi_x(k + m) * phi0s_pow * Fraction(1, math.factorial(m))
+        for m, phi0s_pow in enumerate(ctx.phi_s(0).powers(d_max))
+    )
     return compare_series(
         total, ctx.phi_s(k), f"phi-shift-expansion-k{k}", {"x_max": d_max}
     )

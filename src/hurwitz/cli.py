@@ -293,7 +293,7 @@ def _cmd_search(args: argparse.Namespace, session: Session) -> int:
     family = _load_family(args.family)
     # each term's W-expression refuses a genus above 3 or a term it cannot
     # represent, so build them before the table
-    exprs = [simple_hurwitz.family_wexpr(term) for term in family]
+    exprs = simple_hurwitz.family_wexprs(family)
     table = session.table(args.dmax, max(g for term in family for g, _ in term["factors"]))
     result = simple_hurwitz.search_recursions(family, table, d_verify=args.dmax, exprs=exprs)
     obj = {
@@ -339,6 +339,11 @@ def _suite_oracle_vs_cutjoin(session: Session, dmax: int) -> list[dict]:
 
 
 def _suite_change_theorem(session: Session, dmax: int) -> list[dict]:
+    if dmax < 2:
+        # H^g of degree 1 is 0 for g >= 1, so both sides would be 0
+        raise ValueError(
+            f"change-theorem check would compare nothing: --dmax must be >= 2, got {dmax}"
+        )
     table = session.table(dmax, 2)
     hodge = session.brackets(2)
     ctx = XpContext(dmax)

@@ -259,17 +259,17 @@ def connected_hurwitz(d_max: int, g_max: int | None = None, r_max: int | None = 
         VarSet.xup(d_max),
         Truncation(x_max=d_max, u_max=r_max, p_weight_max=d_max),
     )
-    total = ring.one()
+    monomials = [ring.one()]
     for d in range(1, d_max + 1):
         binned = count_factorizations(d, r_max)
         d_fact = math.factorial(d)
         for r, bins in enumerate(binned):
             r_fact = math.factorial(r)
             for alpha, count in sorted(bins.items()):
-                total = total + ring.profile_monomial(
-                    alpha, Fraction(count, d_fact * r_fact), r=r
+                monomials.append(
+                    ring.profile_monomial(alpha, Fraction(count, d_fact * r_fact), r=r)
                 )
-    connected = total.log()
+    connected = ring.sum(monomials).log()
     table = HurwitzTable("oracle")
     for exps, coeff in sorted(connected.terms.items()):
         d, r, parts = ring.varset.profile(exps)

@@ -47,6 +47,7 @@ __all__ = [
     "wexpr_to_xseries",
     "extract_coeff",
     "family_wexpr",
+    "family_wexprs",
     "search_recursions",
     "differential_identity_wexpr",
     "differential_identity_residuals",
@@ -239,21 +240,19 @@ def wexpr_to_xseries(expr: WExpr, d_max: int) -> ExactSeries:
     series for w.  Reference route for extract_coeff; O(d_max^2) series
     arithmetic."""
     ring = SeriesRing(VarSet(("x",)), Truncation(x_max=d_max))
-    w = ring.zero()
-    for nn in range(1, d_max + 1):
-        w = w + ring.monomial({"x": nn}, Fraction(nn) ** (nn - 1) / math.factorial(nn))
+    w = ring.sum(
+        ring.monomial({"x": nn}, Fraction(nn) ** (nn - 1) / math.factorial(nn))
+        for nn in range(1, d_max + 1)
+    )
     one_minus_w = ring.one() - w  # = W^-1
     exps = [0, *expr.laurent, *expr.logpart]
     w_pows = dict(enumerate(one_minus_w.inverse().powers(max(exps))))
     w_pows.update((-j, s) for j, s in enumerate(one_minus_w.powers(-min(exps))))
-    total = ring.zero()
-    for j, c in expr.laurent.items():
-        total = total + w_pows[j].scale(c)
+    parts = [w_pows[j].scale(c) for j, c in expr.laurent.items()]
     if expr.logpart:
         log_w = -one_minus_w.log()
-        for j, c in expr.logpart.items():
-            total = total + (w_pows[j] * log_w).scale(c)
-    return total
+        parts += [(w_pows[j] * log_w).scale(c) for j, c in expr.logpart.items()]
+    return ring.sum(parts)
 
 
 def extract_coeff(expr: WExpr, d: int) -> Fraction:
@@ -284,10 +283,31 @@ def extract_coeff(expr: WExpr, d: int) -> Fraction:
 
 def family_wexpr(descriptor: dict) -> WExpr:
     """Product of D^p H~_g factors described by {"factors": [(g, p), ...]}."""
-    product = WExpr.const(1)
-    for g, p in descriptor["factors"]:
-        product = product * wexpr_for(g, p)
-    return product
+    return family_wexprs([descriptor])[0]
+
+
+def family_wexprs(family: list[dict]) -> list[WExpr]:
+    """`family_wexpr` of each member, with each distinct factor D^p H~_g
+    built once per call, as D applied to D^(p-1) H~_g."""
+    built: dict[tuple[int, int], WExpr] = {}
+
+    def factor(g: int, p: int) -> WExpr:
+        q = p  # the highest order built so far, or the base D H~_0 or H~_g
+        while (g, q) not in built and q > (g == 0):
+            q -= 1
+        if (g, q) not in built:
+            built[g, q] = wexpr_for(g, q)  # a base, or a refusal
+        for q in range(q + 1, p + 1):
+            built[g, q] = built[g, q - 1].apply_D()
+        return built[g, p]
+
+    exprs = []
+    for descriptor in family:
+        product = WExpr.const(1)
+        for g, p in descriptor["factors"]:
+            product = product * factor(g, p)
+        exprs.append(product)
+    return exprs
 
 
 def _one_part_column(table: HurwitzTable, g: int, d_max: int) -> list[Fraction]:
@@ -370,7 +390,7 @@ def search_recursions(
     if d_verify < 1:
         raise ValueError(f"numeric check needs d_verify >= 1, got {d_verify}")
     if exprs is None:
-        exprs = [family_wexpr(term) for term in family]
+        exprs = family_wexprs(family)
     row_keys: set[tuple[str, int]] = set()
     for e in exprs:
         row_keys.update(("lau", j) for j in e.laurent)
@@ -402,8 +422,8 @@ def search_recursions(
 def differential_identity_wexpr(terms: list[dict]) -> WExpr:
     """Sum of coeff * prod D^p H~_g terms; zero iff the identity holds."""
     total = WExpr.zero()
-    for term in terms:
-        total = total + family_wexpr(term).scale(term["coeff"])
+    for term, expr in zip(terms, family_wexprs(terms)):
+        total = total + expr.scale(term["coeff"])
     return total
 
 

@@ -334,3 +334,135 @@ def test_truncated_products_associate_and_exp_is_a_homomorphism(ring, data):
 def test_unknown_variable_family_is_refused():
     with pytest.raises(ValueError):
         VarSet(("x", "y"))
+
+
+# -- packed keys and integer numerators against a plain-Fraction reference -------
+
+# 0, 2^k - 1 and 2^k: the guard bit of a load sits just above its cap, so a
+# cap of 2^k - 1 fills its field and a cap of 2^k starts a wider one
+EDGE_CAPS = st.sampled_from([0, 1, 2, 3, 4, 7, 8])
+
+
+@st.composite
+def edge_ring(draw):
+    kind = draw(st.sampled_from(["xp", "xup", "t"]))
+    if kind == "xp":
+        trunc = Truncation(x_max=draw(EDGE_CAPS), p_weight_max=draw(EDGE_CAPS))
+        return SeriesRing(VarSet.xp(3), trunc)
+    if kind == "xup":
+        trunc = Truncation(
+            x_max=draw(EDGE_CAPS), u_max=draw(EDGE_CAPS), p_weight_max=draw(EDGE_CAPS)
+        )
+        return SeriesRing(VarSet.xup(2), trunc)
+    return SeriesRing(VarSet.tvars(3), Truncation(t_deg_max=draw(EDGE_CAPS)))
+
+
+def ref_terms(ring, terms):
+    """The reference form of a series: admitted nonzero Fraction terms."""
+    return {e: Fraction(c) for e, c in terms.items() if c and family_admits(ring, e)}
+
+
+def ref_mul(ring, a, b):
+    acc = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            acc[e] = acc.get(e, 0) + ca * cb
+    return ref_terms(ring, acc)
+
+
+def ref_add(ring, a, b, sign=1):
+    acc = dict(a)
+    for e, c in b.items():
+        acc[e] = acc.get(e, 0) + sign * c
+    return ref_terms(ring, acc)
+
+
+def ref_power_sum(ring, a, coeff):
+    """sum_k coeff(k) a^k for a series a without constant term."""
+    power, total, k = ref_terms(ring, {(0,) * len(ring.varset.names): 1}), {}, 0
+    while power:
+        total = ref_add(ring, total, {e: coeff(k) * c for e, c in power.items()})
+        power, k = ref_mul(ring, power, a), k + 1
+    return total
+
+
+def assert_canonical(s):
+    assert s.den > 0 and 0 not in s.nums.values()
+    assert math.gcd(s.den, *s.nums.values()) == 1
+    for c in s.terms.values():
+        assert type(c) is Fraction and c and math.gcd(c.numerator, c.denominator) == 1
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_packed_kernel_matches_fraction_reference(data):
+    ring = data.draw(edge_ring())
+    a, b = (data.draw(ring_series(ring)) for _ in range(2))
+    ta, tb = ref_terms(ring, a.terms), ref_terms(ring, b.terms)
+    c = Fraction(data.draw(st.integers(-5, 5)), data.draw(st.integers(1, 5)))
+    results = {
+        "mul": (a * b, ref_mul(ring, ta, tb)),
+        "add": (a + b, ref_add(ring, ta, tb)),
+        "sub": (a - b, ref_add(ring, ta, tb, -1)),
+        "scale": (a.scale(c), {e: c * v for e, v in ta.items() if c}),
+    }
+    g = data.draw(ring_series(ring, graded=True))
+    tg = ref_terms(ring, g.terms)
+    c0 = data.draw(st.sampled_from([Fraction(-3, 2), Fraction(-1), Fraction(1), Fraction(2, 3)]))
+    results["exp"] = (g.exp(), ref_power_sum(ring, tg, lambda k: Fraction(1, math.factorial(k))))
+    results["log"] = (
+        (ring.one() + g).log(),
+        ref_power_sum(ring, tg, lambda k: Fraction((-1) ** (k + 1), k) if k else 0),
+    )
+    results["inverse"] = (
+        (ring.const(c0) + g).inverse(),
+        ref_power_sum(ring, tg, lambda k: (-1) ** k / c0 ** (k + 1)),
+    )
+    for name, (got, want) in results.items():
+        assert_canonical(got)
+        assert got.terms == want, name
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_equal_series_by_different_routes_compare_equal(data):
+    ring = data.draw(edge_ring())
+    a, b = (data.draw(ring_series(ring)) for _ in range(2))
+    c = Fraction(data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9)))
+    assert (a + b) - b == a
+    assert a.scale(c).scale(1 / c) == a
+    assert ring.sum([a, b, -a]) == b
+    unit = ring.const(c) + data.draw(ring_series(ring, graded=True))
+    assert (a * unit) * unit.inverse() == a
+    assert ExactSeries(ring, a.terms) == a
+
+
+def test_terms_are_reduced_fractions_over_a_common_denominator():
+    ring = x_ring(4)
+    s = ExactSeries(ring, {(1,): Fraction(2, 4), (2,): Fraction(1, 6), (3,): 0})
+    assert (s.den, sorted(s.nums.values())) == (6, [1, 3])
+    assert s.terms == {(1,): Fraction(1, 2), (2,): Fraction(1, 6)}
+    assert_canonical(s)
+    half = s.scale(3)  # 3/2 x + 1/2 x^2: the 3 cancels into the denominator
+    assert (half.den, sorted(half.nums.values())) == (2, [1, 3])
+
+
+@pytest.mark.parametrize(
+    "varset, trunc",
+    [
+        (VarSet(("x",)), Truncation()),
+        (VarSet.xp(2), Truncation(x_max=3)),
+        (VarSet.xup(1), Truncation(x_max=1, p_weight_max=1)),
+        (VarSet.tvars(2), Truncation(x_max=2)),
+    ],
+    ids=["x-no-caps", "xp-no-p-weight", "xup-no-u", "t-x-cap-only"],
+)
+def test_ring_with_an_uncapped_variable_is_refused(varset, trunc):
+    with pytest.raises(ValueError, match="bounds the variable"):
+        SeriesRing(varset, trunc)
+
+
+def test_sum_refuses_a_series_of_another_ring():
+    with pytest.raises(VarSetMismatchError):
+        RING4.sum([RING4.one(), xp_ring(3).one()])

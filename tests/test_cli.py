@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from hurwitz import ansatz, cli, cutjoin
+from hurwitz import ansatz, cli, cutjoin, simple_hurwitz
+from hurwitz.algebra import ExactSeries
 from hurwitz.cli import Session, main
 from hurwitz.cutjoin import hurwitz_via_cutjoin
 
@@ -192,13 +193,69 @@ def test_vacuous_recurrence_check_exits_2(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("suite", ["change-theorem", "genus-expansion"])
+def test_series_checks_report_what_they_compared(capsys, suite):
+    """Every series check at the default --dmax compares some monomial, or
+    shows that the summands of its sum side cancelled; text output names
+    neither count."""
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--format", "json")
+    assert code == 0
+    for check in json.loads(out)["checks"]:
+        assert check["compared"] > 0 or check.get("cancelled", 0) > 0, check
+    code, text, _ = run_cli(capsys, "verify", "--suite", suite)
+    assert code == 0 and "compared" not in text
+
+
 @pytest.mark.parametrize(
-    "case", ["recursions-dmax-1", "search-genus-9", "search-genus-0-series", "search-log-squared"]
+    "argv",
+    [
+        ["fit", "--g", "3"],
+        ["verify", "--suite", "change-theorem"],
+        ["table", "--method", "oracle", "--dmax", "7", "--gmax", "2"],
+    ],
+)
+def test_series_sums_take_one_pass(capsys, monkeypatch, argv):
+    """Series are summed by `SeriesRing.sum` in one pass; accumulating them
+    one `+` at a time made 194, 1559 and 324 additions on these commands."""
+    adds = []
+    real = ExactSeries.__add__
+    monkeypatch.setattr(ExactSeries, "__add__", lambda a, b: adds.append(1) or real(a, b))
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(adds) <= 5
+
+
+def test_search_builds_each_family_factor_once(capsys, monkeypatch):
+    """`search --dmax 10` applies D once per D^p H~_g its 26-term family
+    needs, 19 times where building every factor anew took 81, and prints
+    what the benchmark recorded."""
+    applied = []
+    real = simple_hurwitz.WExpr.apply_D
+    monkeypatch.setattr(
+        simple_hurwitz.WExpr, "apply_D", lambda self: applied.append(1) or real(self)
+    )
+    code, out, _ = run_cli(capsys, "search", "--dmax", "10")
+    assert len(applied) == 19
+    assert code == RECORDED["search --dmax 10"]["exit"]
+    assert hashlib.sha256(out.encode()).hexdigest() == RECORDED["search --dmax 10"]["sha256"]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "recursions-dmax-1",
+        "change-theorem-dmax-1",
+        "search-genus-9",
+        "search-genus-0-series",
+        "search-log-squared",
+    ],
 )
 def test_refused_before_building_a_table(capsys, monkeypatch, tmp_path, case):
     """A request outside the supported degree range or genus, or a family
     term with no W-expression, exits 2 with a message naming the limit,
-    before any cut-and-join table is evolved."""
+    before any cut-and-join table is evolved.  At --dmax 1 the recurrences,
+    which start at d = 2, compare nothing, and every H^g with g >= 1 is 0,
+    so the genus-1 and genus-2 change-theorem checks would compare 0 with 0."""
     family = tmp_path / "family.json"
     family.write_text(
         json.dumps(
@@ -212,6 +269,10 @@ def test_refused_before_building_a_table(capsys, monkeypatch, tmp_path, case):
     search = ["search", "--family", str(family)]
     argv, limit = {
         "recursions-dmax-1": (["verify", "--suite", "recursions", "--dmax", "1"], "--dmax must be >= 2"),
+        "change-theorem-dmax-1": (
+            ["verify", "--suite", "change-theorem", "--dmax", "1"],
+            "--dmax must be >= 2",
+        ),
         "search-genus-9": (search, "g <= 3"),
         "search-genus-0-series": (search, "not W-representable"),
         "search-log-squared": (search, "two log-bearing"),
@@ -223,7 +284,7 @@ def test_refused_before_building_a_table(capsys, monkeypatch, tmp_path, case):
     monkeypatch.setattr(cutjoin, "connected_slices", no_table)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    assert limit in err
+    assert limit in err and "Traceback" not in err
 
 
 def test_cutjoin_table_takes_no_log(capsys, monkeypatch):

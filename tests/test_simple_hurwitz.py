@@ -22,6 +22,7 @@ from hurwitz.simple_hurwitz import (
     differential_identity_wexpr,
     extract_coeff,
     family_wexpr,
+    family_wexprs,
     genus3_a_form,
     genus3_p_form,
     search_recursions,
@@ -368,3 +369,38 @@ def test_a_series_is_lagrange_column():
 def test_spot_values(deep_table):
     for (g, d), value in golden.SPOT_VALUES.items():
         assert deep_table.value(g, Partition((1,) * d)) == value
+
+
+@pytest.mark.parametrize(
+    "family",
+    [golden.SEARCH_FAMILY_26, *golden.DIFFERENTIAL_IDENTITIES.values()],
+    ids=["search-family-26", *sorted(golden.DIFFERENTIAL_IDENTITIES)],
+)
+def test_family_wexprs_build_each_factor_once(family, monkeypatch):
+    """Each member equals the product of its factors as `wexpr_for` builds
+    them, and D is applied once per D^p H~_g up to each genus's highest p,
+    counting from the bases H~_g (g >= 1) and D H~_0."""
+    expected = []
+    for term in family:
+        product = WExpr.const(1)
+        for g, p in term["factors"]:
+            product = product * wexpr_for(g, p)
+        expected.append(product)
+    applied = []
+    real = WExpr.apply_D
+    monkeypatch.setattr(WExpr, "apply_D", lambda self: applied.append(1) or real(self))
+    assert family_wexprs(family) == expected
+    top: dict[int, int] = {}
+    for term in family:
+        for g, p in term["factors"]:
+            top[g] = max(top.get(g, 0), p)
+    assert len(applied) == sum(p - (g == 0) for g, p in top.items())
+    monkeypatch.undo()
+    assert [family_wexpr(term) for term in family] == expected
+
+
+def test_family_wexprs_refuses_an_unpinned_genus_at_any_order():
+    # the walk down to the base is a loop, so a high order reaches the
+    # refusal instead of the recursion limit
+    with pytest.raises(ValueError, match="g <= 3"):
+        family_wexprs([{"factors": [(9, 5000)]}])
