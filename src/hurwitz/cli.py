@@ -7,7 +7,8 @@ spaces over a term family).  All output is exact-rational JSON or CSV,
 deterministic for a fixed configuration.
 
 Exit codes: 0 success; 1 a verification failed; 2 usage error; 3 memory
-budget exceeded; 4 malformed family file.
+budget exceeded; 4 malformed family file; 141 stdout closed by its reader
+(128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import io
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -56,6 +58,7 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_FAMILY = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader gone
 
 _METHODS = ("oracle", "cutjoin", "elsv", "closed-form")
 _SUITES = (
@@ -137,7 +140,9 @@ def _emit(text: str, out_path: str | None) -> None:
         except OSError as ex:
             raise ValueError(f"cannot write {out_path}: {ex.strerror or ex}") from ex
     else:
+        # flush here, so that a reader gone raises where main catches it
         sys.stdout.write(text)
+        sys.stdout.flush()
 
 
 def _table_csv(table: HurwitzTable) -> str:
@@ -196,8 +201,6 @@ def _cmd_hurwitz(args: argparse.Namespace, session: Session) -> int:
     else:  # closed-form
         if set(alpha) != {1}:
             raise ValueError("closed-form method covers only profiles (1,...,1)")
-        if g > 3:
-            raise ValueError("closed-form constants available for g <= 3")
         value = simple_hurwitz.closed_form_simple(g, d)
     obj = {
         "g": g,
@@ -320,7 +323,8 @@ def _cmd_search(args: argparse.Namespace, session: Session) -> int:
 def _suite_oracle_vs_cutjoin(session: Session, dmax: int) -> list[dict]:
     r_max = 2 * dmax + 6
     oracle = connected_hurwitz(dmax, r_max // 2, r_max)
-    cj = hurwitz_via_cutjoin(dmax, None, r_max)
+    # r >= 2g on every entry, so genus r_max // 2 reaches all of r <= r_max
+    cj = session.table(dmax, r_max // 2).restricted(r_max)
     checks = []
     mismatch = None
     for key in sorted(set(oracle.entries) | set(cj.entries)):
@@ -353,13 +357,15 @@ def _suite_change_theorem(session: Session, dmax: int) -> list[dict]:
 
 
 def _suite_genus_expansion(session: Session, dmax: int) -> list[dict]:
+    if not 2 <= dmax <= 8:
+        # at --dmax 1 the xi-image and phi-shift checks see one monomial each
+        raise ValueError(f"genus-expansion checks run for 2 <= --dmax <= 8, got {dmax}")
     form = session.form(2)
     hodge = session.brackets(2)
     reports = list(verify_genus_expansion(2, form, hodge))
     reports.append(verify_delta_annihilation(1, hodge))
     reports.append(verify_delta_annihilation(2, hodge))
-    d = min(dmax, 8)
-    ctx, tctx = XpContext(d), TContext(4 + d, d)
+    ctx, tctx = XpContext(dmax), TContext(4 + dmax, dmax)
     for k in range(5):
         reports.append(verify_xi_on_I(k, ctx, tctx))
         reports.append(verify_phi_shift_expansion(k, ctx))
@@ -421,16 +427,23 @@ def _suite_closed_forms(session: Session, dmax: int) -> list[dict]:
             {"check": name, "status": "pass" if ok else "fail", "detail": detail or {}}
         )
 
+    # each pinned D^n H~_g, expanded in x, against the table: [x^d] of it
+    # is d^n H^g_{(1^d)} / (2d + 2g - 2)!
     for (g, n), data in sorted(golden.PINNED_W_SERIES.items()):
-        expr = simple_hurwitz.wexpr_for(g, n)
         pinned = simple_hurwitz.WExpr(data["laurent"], data["log"])
-        add(f"w-series-display-g{g}-n{n}", expr == pinned)
+        series = simple_hurwitz.wexpr_to_xseries(pinned, dmax)
+        ok = all(
+            series.coeff({"x": d}) * math.factorial(2 * d + 2 * g - 2)
+            == d**n * table.value(g, Partition((1,) * d))
+            for d in range(1, dmax + 1)
+        )
+        add(f"w-series-display-g{g}-n{n}", ok)
     for g in (2, 3):
         fitted = simple_hurwitz.wexpr_from_ansatz(session.form(g))
         add(f"fitted-form-matches-display-g{g}", fitted == simple_hurwitz.wexpr_for(g, 0))
     for g, coeffs in sorted(golden.POLE_FORM_COEFFS.items()):
         ok = True
-        for d in range(1, min(dmax, 10) + 1):
+        for d in range(1, dmax + 1):
             total = sum(
                 (c * lagrange_coeff(m, r, d) for (m, r), c in coeffs.items()),
                 Fraction(0),
@@ -452,11 +465,11 @@ def _suite_closed_forms(session: Session, dmax: int) -> list[dict]:
     )
     a_ok = all(
         simple_hurwitz.genus3_a_form(d) == table.value(3, Partition((1,) * d))
-        for d in range(1, min(dmax, 8) + 1)
+        for d in range(1, dmax + 1)
     )
     p_ok = all(
         simple_hurwitz.genus3_p_form(d) == table.value(3, Partition((1,) * d))
-        for d in range(1, min(dmax, 8) + 1)
+        for d in range(1, dmax + 1)
     )
     add("a-combination-g3", a_ok)
     add("polynomial-form-g3", p_ok)
@@ -469,7 +482,7 @@ def _suite_closed_forms(session: Session, dmax: int) -> list[dict]:
     low_ok = all(
         simple_hurwitz.closed_form_simple(g, d) == table.value(g, Partition((1,) * d))
         for g in (0, 1, 2, 3)
-        for d in range(1, min(dmax, 10) + 1)
+        for d in range(1, dmax + 1)
     )
     add("closed-form-low-genus", low_ok)
     spot_ok = all(
@@ -577,6 +590,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, DegenerateProfileError, MissingPrimitiveError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader is gone: send the buffered rest to devnull, so the exit flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

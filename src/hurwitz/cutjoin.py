@@ -183,7 +183,7 @@ def _join_components(
     da: dict[tuple[int, int], list],
     db: dict[tuple[int, int], list],
     d_max: int,
-    g_max: int | None,
+    g_max: int,
 ) -> Slice:
     """sum_{i,j} ij p_{i+j} dH_a/dp_i dH_b/dp_j in degree <= d_max and
     genus <= g_max, in exponential units in x: each pair of degrees
@@ -192,7 +192,7 @@ def _join_components(
     out: Slice = {}
     for (deg_a, g_a), items_a in da.items():
         for (deg_b, g_b), items_b in db.items():
-            if deg_a + deg_b > d_max or (g_max is not None and g_a + g_b > g_max):
+            if deg_a + deg_b > d_max or g_a + g_b > g_max:
                 continue
             binom = math.comb(deg_a + deg_b, deg_a)
             for i, rest_a, wa in items_a:
@@ -203,9 +203,9 @@ def _join_components(
     return out
 
 
-def connected_slices(d_max: int, r_max: int, g_max: int | None = None) -> list[Slice]:
+def connected_slices(d_max: int, r_max: int, g_max: int) -> list[Slice]:
     """Slices H_0..H_{r_max} of the connected series H = log E in degree
-    <= d_max, and in genus <= g_max when given, with no logarithm taken.
+    <= d_max and genus <= g_max, with no logarithm taken.
 
     H evolves by the connected cut-and-join equation from H_0 = p_1 x:
     (r+1) H_{r+1} = Delta H_r
@@ -217,7 +217,7 @@ def connected_slices(d_max: int, r_max: int, g_max: int | None = None) -> list[S
     No term lowers degree or genus, so pruning every slice to d_max and
     g_max is exact.
 
-    >>> connected_slices(3, 4)[2] == {(1, 1): 1, (3,): 6}
+    >>> connected_slices(3, 4, 1)[2] == {(1, 1): 1, (3,): 6}
     True
     """
     h: list[Slice] = [{(1,): 1} if d_max >= 1 else {}]
@@ -234,12 +234,11 @@ def connected_slices(d_max: int, r_max: int, g_max: int | None = None) -> list[S
             if odd:
                 raise AssertionError(f"odd doubled join at r={r + 1}, alpha={k}")
             nxt[k] = nxt.get(k, 0) + half
-        if g_max is not None:
-            nxt = {
-                k: v
-                for k, v in nxt.items()
-                if r + 1 - sum(k) - len(k) + 2 <= 2 * g_max
-            }
+        nxt = {
+            k: v
+            for k, v in nxt.items()
+            if r + 1 - sum(k) - len(k) + 2 <= 2 * g_max
+        }
         h.append(nxt)
         derivs.append(_derivatives(nxt, r + 1))
     return h
@@ -277,32 +276,19 @@ def _log_slices(
     return h
 
 
-def hurwitz_via_cutjoin(
-    d_max: int,
-    g_max: int | None = None,
-    r_max: int | None = None,
-) -> HurwitzTable:
-    """Connected Hurwitz table from the cut-and-join iteration.
+def hurwitz_via_cutjoin(d_max: int, g_max: int) -> HurwitzTable:
+    """Connected Hurwitz table of degree <= d_max and genus <= g_max from
+    the cut-and-join iteration.
 
-    With g_max given, r_max defaults to 2*d_max + 2*g_max - 2 (enough steps
-    for every profile of degree <= d_max at genus <= g_max) and an explicit
-    smaller r_max is rejected.  Without g_max, every genus reachable within
-    r_max is included.
+    Riemann-Hurwitz fixes the step count: r = d + l(alpha) + 2g - 2 is at
+    most r_max = 2*d_max + 2*g_max - 2 on the table, so that many steps
+    reach every entry.
 
     >>> table = hurwitz_via_cutjoin(3, 1)
     >>> table.value(0, (3,)), table.value(1, (1, 1))
     (Fraction(1, 1), Fraction(1, 2))
     """
-    if g_max is not None:
-        r_needed = 2 * d_max + 2 * g_max - 2
-        if r_max is None:
-            r_max = r_needed
-        elif r_max < r_needed:
-            raise ValueError(
-                f"r_max={r_max} < {r_needed} required for d_max={d_max}, g_max={g_max}"
-            )
-    elif r_max is None:
-        raise ValueError("need g_max or r_max")
+    r_max = 2 * d_max + 2 * g_max - 2
     h = connected_slices(d_max, r_max, g_max)
     fact = [math.factorial(d) for d in range(d_max + 1)]
     table = HurwitzTable("cutjoin")

@@ -242,18 +242,15 @@ class HurwitzTable:
         return json.dumps(self.to_json_records(), indent=2)
 
 
-def connected_hurwitz(d_max: int, g_max: int | None = None, r_max: int | None = None) -> HurwitzTable:
-    """Connected Hurwitz counts by brute-force factorization counting.
+def connected_hurwitz(d_max: int, g_max: int, r_max: int) -> HurwitzTable:
+    """Connected Hurwitz counts of degree <= d_max, genus <= g_max and at
+    most r_max simple branch points, by brute-force factorization counting.
 
     Assembles E = sum N(d, r, alpha)/(d! r!) p_alpha x^d u^r over all
-    degrees <= d_max, takes the series logarithm (which is what removes
-    disconnected configurations), and reads one table entry per retained
-    monomial with genus from the branch-count formula.
+    degrees <= d_max and steps <= r_max, takes the series logarithm (which
+    is what removes disconnected configurations), and reads one table entry
+    per retained monomial with genus from the branch-count formula.
     """
-    if r_max is None:
-        if g_max is None:
-            raise ValueError("need g_max or r_max")
-        r_max = 2 * d_max + 2 * g_max - 2
     _check_cost(d_max, r_max)
     ring = SeriesRing(
         VarSet.xup(d_max),
@@ -282,7 +279,6 @@ def connected_hurwitz(d_max: int, g_max: int | None = None, r_max: int | None = 
                 f"parity/genus violation at d={d}, r={r}, alpha={tuple(alpha)}"
             )
         g = two_g // 2
-        if g_max is not None and g > g_max:
-            continue
-        table.add(g, alpha, coeff * math.factorial(r))
+        if g <= g_max:
+            table.add(g, alpha, coeff * math.factorial(r))
     return table

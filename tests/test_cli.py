@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from hurwitz import ansatz, cli, cutjoin, simple_hurwitz
+from hurwitz import ansatz, cli, cutjoin, golden, simple_hurwitz
 from hurwitz.algebra import ExactSeries
 from hurwitz.cli import Session, main
 from hurwitz.cutjoin import hurwitz_via_cutjoin
@@ -193,6 +193,42 @@ def test_vacuous_recurrence_check_exits_2(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("dmax", ["1", "9"])
+def test_genus_expansion_refuses_a_dmax_it_cannot_honour(capsys, monkeypatch, dmax):
+    """At --dmax 1 the xi-image and phi-shift checks would see one monomial
+    each, and their rings stop at 8; both requests exit 2 before any fit."""
+    fits = []
+    monkeypatch.setattr(cli, "fit_constants", lambda *args: fits.append(args))
+    code, out, err = run_cli(capsys, "verify", "--suite", "genus-expansion", "--dmax", dmax)
+    assert (code, out, fits) == (2, "", [])
+    assert err.startswith("error: genus-expansion checks run for 2 <= --dmax <= 8")
+
+
+def test_closed_forms_check_every_degree_up_to_dmax(capsys, monkeypatch):
+    degrees = []
+    real = simple_hurwitz.genus3_a_form
+    monkeypatch.setattr(
+        simple_hurwitz, "genus3_a_form", lambda d: degrees.append(d) or real(d)
+    )
+    code, out, _ = run_cli(capsys, "verify", "--suite", "closed-forms", "--dmax", "12")
+    assert code == 0 and "FAIL" not in out
+    assert degrees == list(range(1, 13))
+
+
+def test_display_checks_compare_the_pinned_series_with_the_table(capsys, monkeypatch):
+    """A pinned W-series with one coefficient changed fails its display
+    check: the check expands it in x and reads the table, rather than
+    comparing the pinned data with itself."""
+    monkeypatch.setitem(
+        golden.PINNED_W_SERIES,
+        (0, 1),
+        {"laurent": {0: Fraction(1, 2), -2: Fraction(-1, 3)}, "log": {}},
+    )
+    code, out, _ = run_cli(capsys, "verify", "--suite", "closed-forms")
+    assert code == 1
+    assert "FAIL w-series-display-g0-n1" in out.splitlines()
+
+
 @pytest.mark.parametrize("suite", ["change-theorem", "genus-expansion"])
 def test_series_checks_report_what_they_compared(capsys, suite):
     """Every series check at the default --dmax compares some monomial, or
@@ -245,6 +281,7 @@ def test_search_builds_each_family_factor_once(capsys, monkeypatch):
     [
         "recursions-dmax-1",
         "change-theorem-dmax-1",
+        "closed-form-genus-4",
         "search-genus-9",
         "search-genus-0-series",
         "search-log-squared",
@@ -272,6 +309,10 @@ def test_refused_before_building_a_table(capsys, monkeypatch, tmp_path, case):
         "change-theorem-dmax-1": (
             ["verify", "--suite", "change-theorem", "--dmax", "1"],
             "--dmax must be >= 2",
+        ),
+        "closed-form-genus-4": (
+            ["hurwitz", "--g", "4", "--alpha", "1,1", "--method", "closed-form"],
+            "no pinned base series for genus 4",
         ),
         "search-genus-9": (search, "g <= 3"),
         "search-genus-0-series": (search, "not W-representable"),
@@ -513,6 +554,26 @@ def test_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == "4/1"
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    """With the reader of stdout gone, as in `hurwitz ... | true`, the
+    command exits 128 + SIGPIPE and writes nothing to stderr."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH="src")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hurwitz.cli", "hurwitz", "--g", "0", "--alpha", "3"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            cwd=root,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_cli_import_loads_no_heavy_modules():

@@ -1,6 +1,7 @@
 """Cut-and-join slice iteration: independent agreement with the
 brute-force oracle and internal consistency of the table builder."""
 
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from hurwitz.cutjoin import (
     hurwitz_via_cutjoin,
 )
 from hurwitz.hodge import elsv_hurwitz
-from hurwitz.oracle import count_factorizations, riemann_hurwitz_r
+from hurwitz.oracle import connected_hurwitz, count_factorizations, riemann_hurwitz_r
 from hurwitz.partitions import Partition, partitions
 from hurwitz.simple_hurwitz import closed_form_simple
 
@@ -71,7 +72,7 @@ def test_odd_doubled_join_is_refused(monkeypatch):
 
     monkeypatch.setattr(cutjoin, "_join_components", off_by_one)
     with pytest.raises(AssertionError, match="odd"):
-        connected_slices(4, 6)
+        connected_slices(4, 6, 2)
 
 
 def _log_route(d_max, r_max, g_max=None):
@@ -95,7 +96,8 @@ def test_connected_evolution_equals_log_of_all_covers(d_max):
 
 @pytest.mark.parametrize("d_max, r_max", [(3, 4), (5, 16), (6, 18)])
 def test_connected_evolution_without_genus_cap(d_max, r_max):
-    assert connected_slices(d_max, r_max) == _log_route(d_max, r_max)
+    # r >= 2g on every entry, so the cap r_max // 2 never prunes
+    assert connected_slices(d_max, r_max, r_max // 2) == _log_route(d_max, r_max)
 
 
 def test_low_degree_spot_values(deep_table):
@@ -121,22 +123,20 @@ def test_table_covers_requested_window(deep_table):
         assert riemann_hurwitz_r(g, alpha) <= 28
 
 
-def test_rmax_guard():
-    with pytest.raises(ValueError):
-        hurwitz_via_cutjoin(12, 3, 24)
-
-
-def test_needs_some_bound():
-    with pytest.raises(ValueError):
-        hurwitz_via_cutjoin(4)
-
-
 def test_explicit_rmax_truncates():
-    table = hurwitz_via_cutjoin(3, None, 4)
+    table = hurwitz_via_cutjoin(3, 2).restricted(4)
     assert table.value(0, (1, 1, 1)) == 4
     assert table.value(1, (1, 1)) == Fraction(1, 2)
     for (g, alpha) in table.entries:
         assert riemann_hurwitz_r(g, alpha) <= 4
+
+
+@pytest.mark.parametrize("builder", [hurwitz_via_cutjoin, connected_slices, connected_hurwitz])
+def test_table_builders_take_one_set_of_required_bounds(builder):
+    """Each builder takes its bounds one way: no bound has a default that
+    would select another mode."""
+    params = inspect.signature(builder).parameters.values()
+    assert [p.name for p in params if p.default is not p.empty] == []
 
 
 def test_single_answer_matches_table_everywhere():

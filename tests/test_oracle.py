@@ -155,7 +155,7 @@ def test_over_budget_refused_before_counting(monkeypatch):
         oracle, "count_factorizations", lambda d, r_max: calls.append(d) or []
     )
     with pytest.raises(BudgetExceededError):
-        connected_hurwitz(8, 2)
+        connected_hurwitz(8, 2, 18)
     assert calls == []
 
 
