@@ -8,17 +8,27 @@ series exp(p_1 x) and applying the operator once per step reproduces every
 coefficient exactly.
 
 Representation: the coefficient of u^r is a homogeneous "slice" mapping a
-profile partition alpha of degree d = |alpha| to the integer
-N = d! r! c, where c is the coefficient of p_alpha x^d u^r; that is, the
-series are exponential generating functions in both x and u.  For E, N is
-the number of r-tuples of transpositions in S_d whose product has cycle
-type alpha; for the connected series it counts the transitive ones.  In
-these units the step normalization 1/(r+1) cancels, every weight of the
-operator is an integer, and the step-0 slice is 1 on every 1^d.  The
-x-exponent and the genus are redundant given r and alpha, so both stay
-implicit.  Slices are exact and closed under the operator, which preserves
-|alpha|, so no truncation loss occurs inside a run.  A `Fraction` is made
-only where a count is returned: H^g_alpha = N / d!.
+profile alpha of degree d = |alpha| to the integer N = d! r! c, where c is
+the coefficient of p_alpha x^d u^r; that is, the series are exponential
+generating functions in both x and u.  For E, N is the number of r-tuples
+of transpositions in S_d whose product has cycle type alpha; for the
+connected series it counts the transitive ones.  In these units the step
+normalization 1/(r+1) cancels, every weight of the operator is an integer,
+and the step-0 slice is 1 on every 1^d.  The x-exponent and the genus are
+redundant given r and alpha, so both stay implicit.  Slices are exact and
+closed under the operator, which preserves |alpha|, so no truncation loss
+occurs inside a run.  A `Fraction` is made only where a count is returned:
+H^g_alpha = N / d!.
+
+A profile is keyed by one int (`ProfileKeys`): the multiplicity of part i
+sits in a field of w = d_max.bit_length() bits at offset w (i - 1).  A
+multiplicity is at most the degree, which is at most d_max, so no field
+carries into the next, and every move of the operator is integer addition
+of unit keys: a cut of v into a + b adds unit[a] + unit[b] - unit[v], and
+a product of slices adds keys.  1^d packs to d itself.  Each builder call
+owns one `ProfileKeys`, which decodes a key into its degree, part count and
+(part, multiplicity) pairs once and remembers the answer; the table
+boundary unpacks each distinct key once into a `Partition`.
 
 The connected series H = log E has an equation of its own (Goulden and
 Jackson, 1997): the same operator plus a quadratic term that joins two
@@ -47,7 +57,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from fractions import Fraction
 from typing import Iterable
 
@@ -55,6 +64,7 @@ from .oracle import HurwitzTable, riemann_hurwitz_r
 from .partitions import Partition
 
 __all__ = [
+    "ProfileKeys",
     "initial_slices",
     "cutjoin_step",
     "disconnected_slices",
@@ -63,59 +73,101 @@ __all__ = [
     "hurwitz_number",
 ]
 
-# profile -> d! r! times the coefficient of p_alpha x^d u^r
-Slice = dict[tuple[int, ...], int]
+# packed profile key -> d! r! times the coefficient of p_alpha x^d u^r
+Slice = dict[int, int]
+
+
+class ProfileKeys(dict):
+    """The packed keys of profiles of degree <= d_max, and a memo of their
+    decodings: ``keys[key]`` is (degree, part count, ((part, multiplicity),
+    ...)) with parts increasing.
+
+    >>> keys = ProfileKeys(5)
+    >>> keys.pack((1, 1, 3)), keys[keys.pack((1, 1, 3))], keys.unpack(66)
+    (66, (5, 3, ((1, 2), (3, 1))), (1, 1, 3))
+    """
+
+    def __init__(self, d_max: int) -> None:
+        super().__init__()
+        self.d_max = d_max
+        self.width = d_max.bit_length()
+        # unit[i] is the key of the profile (i,); unit[0] is no profile.
+        self.unit = [0] + [1 << self.width * (i - 1) for i in range(1, d_max + 1)]
+
+    def __missing__(self, key: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+        mask = (1 << self.width) - 1
+        pairs = []
+        rest, i = key, 1
+        while rest:
+            if rest & mask:
+                pairs.append((i, rest & mask))
+            rest >>= self.width
+            i += 1
+        decoded = (sum(i * m for i, m in pairs), sum(m for _, m in pairs), tuple(pairs))
+        self[key] = decoded
+        return decoded
+
+    def pack(self, alpha: Iterable[int]) -> int:
+        """The key of the profile with parts alpha, in any order."""
+        alpha = tuple(alpha)
+        if any(a < 1 for a in alpha) or sum(alpha) > self.d_max:
+            raise ValueError(f"{alpha} is not a profile of degree <= {self.d_max}")
+        return sum(self.unit[a] for a in alpha)
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        """The parts of the profile of a key, sorted."""
+        return tuple(i for i, m in self[key][2] for _ in range(m))
 
 
 def initial_slices(d_max: int) -> Slice:
-    """Step-0 slice: exp(p_1 x) truncated at degree d_max, 1 on every 1^d."""
-    return {(1,) * d: 1 for d in range(d_max + 1)}
+    """Step-0 slice: exp(p_1 x) truncated at degree d_max, 1 on every 1^d
+    (whose key is d)."""
+    return dict.fromkeys(range(d_max + 1), 1)
 
 
-def cutjoin_step(slice_r: Slice) -> Slice:
+def cutjoin_step(slice_r: Slice, keys: ProfileKeys) -> Slice:
     """Apply the cut-and-join operator Delta.
 
     In the units of `Slice` one step is Delta itself.  Its weights are
     integers: an equal cut v = a + a has v even, and an equal join a + a
     has m_a (m_a - 1) even.
     """
+    unit = keys.unit
     out: Slice = {}
-    for alpha, c in slice_r.items():
-        mult = Counter(alpha)
-        for v, m in mult.items():
-            i = alpha.index(v)
-            rest = alpha[:i] + alpha[i + 1 :]
+    for key, c in slice_r.items():
+        pairs = keys[key][2]
+        for at, (v, m) in enumerate(pairs):
+            rest = key - unit[v]
             # Cut: replace one part v by a + b = v.
             for a in range(1, v // 2 + 1):
-                b = v - a
-                key = tuple(sorted(rest + (a, b)))
-                out[key] = out.get(key, 0) + c * (v * m // 2 if a == b else v * m)
+                k = rest + unit[a] + unit[v - a]
+                out[k] = out.get(k, 0) + c * (v * m // 2 if 2 * a == v else v * m)
             # Join: replace parts v, w (w >= v) by v + w.
-            for w, n in mult.items():
-                if w < v or (w == v and m < 2):
+            for w, n in pairs[at:]:
+                if w == v and m < 2:
                     continue
-                j = rest.index(w)
-                key = tuple(sorted(rest[:j] + rest[j + 1 :] + (v + w,)))
+                k = rest - unit[w] + unit[v + w]
                 weight = v * v * m * (m - 1) // 2 if w == v else v * w * m * n
-                out[key] = out.get(key, 0) + c * weight
+                out[k] = out.get(k, 0) + c * weight
     return {k: v for k, v in out.items() if v}
 
 
 def disconnected_slices(
-    d_max: int, r_max: int, keep: set[tuple[int, ...]] | None = None
+    keys: ProfileKeys, r_max: int, keep: set[int] | None = None
 ) -> list[Slice]:
-    """Slices E_0..E_{r_max} of the all-covers series.
+    """Slices E_0..E_{r_max} of the all-covers series, in degree <= keys.d_max.
 
-    With `keep`, a set of profiles of degree <= d_max, each slice E_s holds
-    only the profiles that can still reach a kept profile by step r_max.
-    The operator preserves degree and changes the part count by exactly
-    one, so a profile whose part count is more than r_max - s away from
-    that of every kept profile of its degree feeds no kept coefficient at
-    any step <= r_max.  The coefficients that remain are exact.
+    With `keep`, a set of keys of profiles, each slice E_s holds only the
+    profiles that can still reach a kept profile by step r_max.  The
+    operator preserves degree and changes the part count by exactly one, so
+    a profile whose part count is more than r_max - s away from that of
+    every kept profile of its degree feeds no kept coefficient at any step
+    <= r_max.  The coefficients that remain are exact.
     """
     lengths: dict[int, set[int]] = {}
     for beta in keep or ():
-        lengths.setdefault(sum(beta), set()).add(len(beta))
+        d, n, _ = keys[beta]
+        lengths.setdefault(d, set()).add(n)
 
     def prune(s: Slice, steps_left: int) -> Slice:
         if keep is None:
@@ -123,33 +175,35 @@ def disconnected_slices(
         return {
             k: v
             for k, v in s.items()
-            if any(abs(n - len(k)) <= steps_left for n in lengths.get(sum(k), ()))
+            for d, n, _ in (keys[k],)
+            if any(abs(n - b) <= steps_left for b in lengths.get(d, ()))
         }
 
-    slices = [prune(initial_slices(d_max), r_max)]
+    slices = [prune(initial_slices(keys.d_max), r_max)]
     for r in range(r_max):
-        nxt = prune(cutjoin_step(slices[-1]), r_max - r - 1)
-        for alpha in nxt:
-            if ((r + 1) - (sum(alpha) - len(alpha))) % 2:
+        nxt = prune(cutjoin_step(slices[-1], keys), r_max - r - 1)
+        for k in nxt:
+            d, n, _ = keys[k]
+            if (r + 1 - d + n) % 2:
                 raise AssertionError(
-                    f"parity violation at r={r + 1}, alpha={alpha}"
+                    f"parity violation at r={r + 1}, alpha={keys.unpack(k)}"
                 )
         slices.append(nxt)
     return slices
 
 
-def _slice_mul(a: Slice, b: Slice, d_max: int) -> Slice:
-    """The product of two slices in degree <= d_max, with the binomial
+def _slice_mul(a: Slice, b: Slice, keys: ProfileKeys) -> Slice:
+    """The product of two slices in degree <= keys.d_max, with the binomial
     C(d_a + d_b, d_a) that the exponential units in x carry."""
     out: Slice = {}
-    b_items = [(kb, sum(kb), cb) for kb, cb in b.items()]
+    b_items = [(kb, keys[kb][0], cb) for kb, cb in b.items()]
     for ka, ca in a.items():
-        da = sum(ka)
+        da = keys[ka][0]
         for kb, db, cb in b_items:
-            if da + db > d_max:
+            if da + db > keys.d_max:
                 continue
-            key = tuple(sorted(ka + kb))
-            out[key] = out.get(key, 0) + math.comb(da + db, da) * ca * cb
+            k = ka + kb
+            out[k] = out.get(k, 0) + math.comb(da + db, da) * ca * cb
     return {k: v for k, v in out.items() if v}
 
 
@@ -162,50 +216,54 @@ def _slice_axpy(acc: Slice, scale: int, s: Slice) -> None:
             del acc[k]
 
 
-def _derivatives(slice_r: Slice, r: int) -> dict[tuple[int, int], list]:
+def _derivatives(
+    slice_r: Slice, r: int, keys: ProfileKeys
+) -> dict[tuple[int, int], list]:
     """The terms i * dH_r/dp_i of one connected slice, grouped by the
     (degree, genus) of the profile they came from.
 
     Each term is (i, rest, i * m_i * N): p_alpha with multiplicity m_i of
-    part i loses one copy of i and leaves the sorted profile `rest`.
+    part i loses one copy of i and leaves the profile key `rest`.
     """
+    unit = keys.unit
     out: dict[tuple[int, int], list] = {}
-    for alpha, c in slice_r.items():
-        d = sum(alpha)
-        items = out.setdefault((d, (r - d - len(alpha) + 2) // 2), [])
-        for i, m in Counter(alpha).items():
-            j = alpha.index(i)
-            items.append((i, alpha[:j] + alpha[j + 1 :], i * m * c))
+    for key, c in slice_r.items():
+        d, n, pairs = keys[key]
+        items = out.setdefault((d, (r - d - n + 2) // 2), [])
+        for i, m in pairs:
+            items.append((i, key - unit[i], i * m * c))
     return out
 
 
 def _join_components(
     da: dict[tuple[int, int], list],
     db: dict[tuple[int, int], list],
-    d_max: int,
+    keys: ProfileKeys,
     g_max: int,
 ) -> Slice:
-    """sum_{i,j} ij p_{i+j} dH_a/dp_i dH_b/dp_j in degree <= d_max and
+    """sum_{i,j} ij p_{i+j} dH_a/dp_i dH_b/dp_j in degree <= keys.d_max and
     genus <= g_max, in exponential units in x: each pair of degrees
     (d_a, d_b) carries C(d_a + d_b, d_a).  Joining two connected covers
     adds their genera."""
+    unit = keys.unit
     out: Slice = {}
     for (deg_a, g_a), items_a in da.items():
         for (deg_b, g_b), items_b in db.items():
-            if deg_a + deg_b > d_max or g_a + g_b > g_max:
+            if deg_a + deg_b > keys.d_max or g_a + g_b > g_max:
                 continue
             binom = math.comb(deg_a + deg_b, deg_a)
             for i, rest_a, wa in items_a:
                 wa *= binom
                 for j, rest_b, wb in items_b:
-                    key = tuple(sorted(rest_a + rest_b + (i + j,)))
-                    out[key] = out.get(key, 0) + wa * wb
+                    k = rest_a + rest_b + unit[i + j]
+                    out[k] = out.get(k, 0) + wa * wb
     return out
 
 
 def connected_slices(d_max: int, r_max: int, g_max: int) -> list[Slice]:
     """Slices H_0..H_{r_max} of the connected series H = log E in degree
-    <= d_max and genus <= g_max, with no logarithm taken.
+    <= d_max and genus <= g_max, keyed by `ProfileKeys(d_max)`, with no
+    logarithm taken.
 
     H evolves by the connected cut-and-join equation from H_0 = p_1 x:
     (r+1) H_{r+1} = Delta H_r
@@ -217,45 +275,51 @@ def connected_slices(d_max: int, r_max: int, g_max: int) -> list[Slice]:
     No term lowers degree or genus, so pruning every slice to d_max and
     g_max is exact.
 
-    >>> connected_slices(3, 4, 1)[2] == {(1, 1): 1, (3,): 6}
-    True
+    >>> keys = ProfileKeys(3)
+    >>> sorted((keys.unpack(k), n) for k, n in connected_slices(3, 4, 1)[2].items())
+    [((1, 1), 1), ((3,), 6)]
     """
-    h: list[Slice] = [{(1,): 1} if d_max >= 1 else {}]
-    derivs = [_derivatives(h[0], 0)]
+    keys = ProfileKeys(d_max)
+    h: list[Slice] = [{1: 1} if d_max >= 1 else {}]
+    derivs = [_derivatives(h[0], 0, keys)]
     for r in range(r_max):
         twice: Slice = {}
         for a in range(r // 2 + 1):
             b = r - a
-            joined = _join_components(derivs[a], derivs[b], d_max, g_max)
+            joined = _join_components(derivs[a], derivs[b], keys, g_max)
             _slice_axpy(twice, math.comb(r, a) * (1 if a == b else 2), joined)
-        nxt = cutjoin_step(h[r])
+        nxt = cutjoin_step(h[r], keys)
         for k, v in twice.items():
             half, odd = divmod(v, 2)
             if odd:
-                raise AssertionError(f"odd doubled join at r={r + 1}, alpha={k}")
+                raise AssertionError(
+                    f"odd doubled join at r={r + 1}, alpha={keys.unpack(k)}"
+                )
             nxt[k] = nxt.get(k, 0) + half
         nxt = {
             k: v
             for k, v in nxt.items()
-            if r + 1 - sum(k) - len(k) + 2 <= 2 * g_max
+            for d, n, _ in (keys[k],)
+            if r + 1 - d - n + 2 <= 2 * g_max
         }
         h.append(nxt)
-        derivs.append(_derivatives(nxt, r + 1))
+        derivs.append(_derivatives(nxt, r + 1, keys))
     return h
 
 
 def _log_slices(
-    e: list[Slice], d_max: int, keep: set[tuple[int, ...]] | None = None
+    e: list[Slice], keys: ProfileKeys, keep: set[int] | None = None
 ) -> list[Slice]:
-    """Slices H_0..H_{len(e)-1} of log E, in degree <= d_max.
+    """Slices H_0..H_{len(e)-1} of log E, in degree <= keys.d_max.
 
     Uses the derivative-of-log convolution in the step variable:
     (r+1) E_{r+1} = sum_k (k+1) H_{k+1} E_{r-k}, solved for H_{r+1} with
     E_0^{-1} = exp(-p_1 x).  In the units of `Slice` the term of k carries
     C(r, k), the slice product carries the binomial in degree, and
-    E_0^{-1} is (-1)^d on 1^d.  With `keep`, a set of profiles closed under
-    taking sub-multisets, every slice is also cut to `keep`: the profiles
-    outside it span a monomial ideal, so the kept coefficients are exact.
+    E_0^{-1} is (-1)^d on 1^d.  With `keep`, a set of keys of profiles
+    closed under taking sub-multisets, every slice is also cut to `keep`:
+    the profiles outside it span a monomial ideal, so the kept coefficients
+    are exact.
     """
 
     def cut(s: Slice) -> Slice:
@@ -263,16 +327,16 @@ def _log_slices(
 
     e = [cut(s) for s in e]
     # e0 = exp(p_1 x): its log is p_1 x.  Verify rather than assume.
-    if e[0] != cut(initial_slices(d_max)):
+    if e[0] != cut(initial_slices(keys.d_max)):
         raise AssertionError("step-0 slice is not exp(p_1 x)")
-    e0_inv = cut({(1,) * d: (-1) ** d for d in range(d_max + 1)})
-    h: list[Slice] = [cut({(1,): 1}) if d_max >= 1 else {}]
+    e0_inv = cut({d: (-1) ** d for d in range(keys.d_max + 1)})
+    h: list[Slice] = [cut({1: 1}) if keys.d_max >= 1 else {}]
     for r in range(len(e) - 1):
         acc: Slice = dict(e[r + 1])
         for k in range(r):
-            term = cut(_slice_mul(h[k + 1], e[r - k], d_max))
+            term = cut(_slice_mul(h[k + 1], e[r - k], keys))
             _slice_axpy(acc, -math.comb(r, k), term)
-        h.append(cut(_slice_mul(e0_inv, acc, d_max)))
+        h.append(cut(_slice_mul(e0_inv, acc, keys)))
     return h
 
 
@@ -290,29 +354,33 @@ def hurwitz_via_cutjoin(d_max: int, g_max: int) -> HurwitzTable:
     """
     r_max = 2 * d_max + 2 * g_max - 2
     h = connected_slices(d_max, r_max, g_max)
+    keys = ProfileKeys(d_max)
+    alphas = {k: Partition(keys.unpack(k)) for k in set().union(*h)}
     fact = [math.factorial(d) for d in range(d_max + 1)]
-    table = HurwitzTable("cutjoin")
+    entries: dict[tuple[int, Partition], Fraction] = {}
     for r, s in enumerate(h):
-        for alpha, n in s.items():
-            d = sum(alpha)
+        for k, n in s.items():
+            d, length, _ = keys[k]
+            alpha = alphas[k]
             if d == 0:
                 raise AssertionError("connected slice contains a constant term")
-            two_g = r - d - len(alpha) + 2
+            two_g = r - d - length + 2
             if two_g % 2 or two_g < 0:
                 raise AssertionError(
                     f"parity/genus violation at r={r}, alpha={alpha}"
                 )
-            table.add(two_g // 2, alpha, Fraction(n, fact[d]))
-    return table
+            if n < 0:
+                raise ValueError(f"negative count at r={r}, alpha={alpha}: {n}")
+            entries[(two_g // 2, alpha)] = Fraction(n, fact[d])
+    return HurwitzTable("cutjoin", entries)
 
 
-def _sub_profiles(alpha: Partition) -> set[tuple[int, ...]]:
-    """Every sub-multiset of alpha, the empty one included, as a sorted tuple."""
-    mult = Counter(alpha)
-    parts = sorted(mult)
+def _sub_profiles(alpha: Partition, keys: ProfileKeys) -> set[int]:
+    """The keys of every sub-multiset of alpha, the empty one included."""
+    counts = keys[keys.pack(alpha)][2]
     return {
-        tuple(p for p, k in zip(parts, ks) for _ in range(k))
-        for ks in itertools.product(*(range(mult[p] + 1) for p in parts))
+        sum(m * keys.unit[i] for (i, _), m in zip(counts, ms))
+        for ms in itertools.product(*(range(m + 1) for _, m in counts))
     }
 
 
@@ -330,7 +398,8 @@ def hurwitz_number(g: int, alpha: Iterable[int]) -> Fraction:
     if g < 0 or not alpha:
         raise ValueError(f"need g >= 0 and a non-empty profile, got g={g}, alpha={alpha}")
     r = riemann_hurwitz_r(g, alpha)
-    keep = _sub_profiles(alpha)
-    e = disconnected_slices(alpha.d, r, keep)
-    n = _log_slices(e, alpha.d, keep)[r].get(alpha, 0)
+    keys = ProfileKeys(alpha.d)
+    keep = _sub_profiles(alpha, keys)
+    e = disconnected_slices(keys, r, keep)
+    n = _log_slices(e, keys, keep)[r].get(keys.pack(alpha), 0)
     return Fraction(n, math.factorial(alpha.d))

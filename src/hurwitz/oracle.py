@@ -27,10 +27,10 @@ largest degree is checked before any counting starts.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import os
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Iterable
 
@@ -239,7 +239,22 @@ class HurwitzTable:
         ]
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_records(), indent=2)
+        """``json.dumps(self.to_json_records(), indent=2)``, written directly:
+        with an indent, ``json.dumps`` runs the pure-Python encoder."""
+        if not self.entries:
+            return "[]"
+        method = encode_basestring_ascii(self.method)
+        records = []
+        for g, alpha in self.keys():
+            parts = "[\n      " + ",\n      ".join(map(str, alpha)) + "\n    ]"
+            v = self.entries[(g, alpha)]
+            records.append(
+                f'  {{\n    "g": {g},\n    "alpha": {parts if alpha else "[]"},\n'
+                f'    "r": {riemann_hurwitz_r(g, alpha)},\n'
+                f'    "value": "{v.numerator}/{v.denominator}",\n'
+                f'    "method": {method}\n  }}'
+            )
+        return "[\n" + ",\n".join(records) + "\n]"
 
 
 def connected_hurwitz(d_max: int, g_max: int, r_max: int) -> HurwitzTable:

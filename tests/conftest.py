@@ -1,5 +1,10 @@
 """Shared fixtures: one deep cut-and-join table and one fitted bracket
-table per session, since both are pure functions of their parameters."""
+table per session, since both are pure functions of their parameters, and
+Hurwitz's genus-0 formula as an independent check."""
+
+import math
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -29,3 +34,19 @@ def fitted(deep_table):
     form2 = fit_constants(2, deep_table, 6, hodge)
     form3 = fit_constants(3, deep_table, 8, hodge)
     return form2, form3, hodge
+
+
+def _genus0_hurwitz(alpha):
+    """Hurwitz's genus-0 formula: r!/|Aut| * d^(m-3) * prod a^a/a!."""
+    d, m = sum(alpha), len(alpha)
+    aut = math.prod(math.factorial(k) for k in Counter(alpha).values())
+    value = Fraction(math.factorial(d + m - 2), aut) * Fraction(d) ** (m - 3)
+    for a in alpha:
+        value *= Fraction(a**a, math.factorial(a))
+    return value
+
+
+@pytest.fixture(scope="session")
+def genus0_hurwitz():
+    """H^0_alpha by Hurwitz's closed formula, sharing no code with any route."""
+    return _genus0_hurwitz

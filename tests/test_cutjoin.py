@@ -8,6 +8,7 @@ import pytest
 
 from hurwitz import cutjoin
 from hurwitz.cutjoin import (
+    ProfileKeys,
     _log_slices,
     _sub_profiles,
     connected_slices,
@@ -39,18 +40,22 @@ def test_all_covers_slices_are_factorization_counts(d):
     r-tuples of transpositions in S_d with product of type alpha: two
     independent routes, with no logarithm and no division."""
     r_max = 2 * d + 2
-    slices = disconnected_slices(d, r_max)
+    keys = ProfileKeys(d)
+    slices = disconnected_slices(keys, r_max)
     counts = count_factorizations(d, r_max)
     for r in range(r_max + 1):
-        assert {k: v for k, v in slices[r].items() if sum(k) == d} == counts[r]
+        assert {
+            keys.unpack(k): v for k, v in slices[r].items() if keys[k][0] == d
+        } == counts[r]
 
 
 def test_slices_hold_ints_and_answers_are_fractions():
-    keep = _sub_profiles(Partition((1, 2, 3)))
-    e = disconnected_slices(6, 10, keep)
+    keys = ProfileKeys(6)
+    keep = _sub_profiles(Partition((1, 2, 3)), keys)
+    e = disconnected_slices(keys, 10, keep)
     slices = (
-        connected_slices(7, 16, 2) + disconnected_slices(6, 10) + e
-        + _log_slices(e, 6, keep)
+        connected_slices(7, 16, 2) + disconnected_slices(keys, 10) + e
+        + _log_slices(e, keys, keep)
     )
     assert all(type(v) is int for s in slices for v in s.values())
     assert all(
@@ -77,11 +82,12 @@ def test_odd_doubled_join_is_refused(monkeypatch):
 
 def _log_route(d_max, r_max, g_max=None):
     """H = log E from the all-covers slices, cut to genus <= g_max."""
-    h = _log_slices(disconnected_slices(d_max, r_max), d_max)
+    keys = ProfileKeys(d_max)
+    h = _log_slices(disconnected_slices(keys, r_max), keys)
     if g_max is None:
         return h
     return [
-        {k: v for k, v in s.items() if r - sum(k) - len(k) + 2 <= 2 * g_max}
+        {k: v for k, v in s.items() if r - keys[k][0] - keys[k][1] + 2 <= 2 * g_max}
         for r, s in enumerate(h)
     ]
 
@@ -172,20 +178,57 @@ def test_pruned_slices_keep_every_reachable_coefficient():
     # alpha = (1, 1, 2, 3) at g = 1: r = 9.  Each slice keeps exactly the
     # profiles within r - s part counts of a sub-multiset of alpha of the
     # same degree, with the unpruned coefficients.
-    keep = _sub_profiles(Partition((1, 1, 2, 3)))
+    keys = ProfileKeys(7)
+    keep = _sub_profiles(Partition((1, 1, 2, 3)), keys)
     r = riemann_hurwitz_r(1, (1, 1, 2, 3))
-    full = disconnected_slices(7, r)
-    pruned = disconnected_slices(7, r, keep)
+    full = disconnected_slices(keys, r)
+    pruned = disconnected_slices(keys, r, keep)
     dropped = 0
     for s, (a, b) in enumerate(zip(full, pruned)):
         reach = {
             k: v
             for k, v in a.items()
-            if any(sum(t) == sum(k) and abs(len(t) - len(k)) <= r - s for t in keep)
+            if any(
+                keys[t][0] == keys[k][0] and abs(keys[t][1] - keys[k][1]) <= r - s
+                for t in keep
+            )
         }
         assert b == reach
         dropped += len(a) - len(b)
     assert dropped > 0
+
+
+@pytest.mark.parametrize("d_max", [1, 7, 8, 15, 16])
+def test_profile_keys_round_trip_at_width_boundaries(d_max):
+    """Fields are d_max.bit_length() bits wide, so they widen at 8 and 16.
+    Every profile packs and unpacks to itself, and a full field (d_max
+    ones) does not spill into the field of part 2."""
+    keys = ProfileKeys(d_max)
+    for d in range(min(d_max, 12) + 1):
+        for alpha in partitions(d):
+            key = keys.pack(alpha)
+            assert (keys.unpack(key), keys[key][:2]) == (alpha, (d, len(alpha)))
+    for alpha in [(1,) * d_max, (d_max,)]:
+        assert keys.unpack(keys.pack(alpha)) == alpha
+    with pytest.raises(ValueError):
+        keys.pack((1,) * (d_max + 1))
+
+
+def test_table_is_exact_across_a_width_change(genus0_hurwitz):
+    """d_max = 16 is the first table with 5-bit fields.  Its genus-0
+    entries of degree 15 and 16 follow Hurwitz's formula, and its entries of
+    degree <= 15 equal those of the 4-bit table of d_max = 15."""
+    table = hurwitz_via_cutjoin(16, 1)
+    assert table.value(0, (16,)) == 16**13
+    mismatches = [
+        alpha
+        for d in (15, 16)
+        for alpha in partitions(d)
+        if table.value(0, alpha) != genus0_hurwitz(alpha)
+    ]
+    assert mismatches == []
+    narrow = {key: v for key, v in table.entries.items() if sum(key[1]) <= 15}
+    assert narrow == hurwitz_via_cutjoin(15, 1).entries
 
 
 def test_single_answer_rejects_bad_input():

@@ -1,6 +1,7 @@
 """Brute-force transposition-factorization oracle: permutation helpers,
 raw counts against hand values and a naive count, and the budget guard."""
 
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from hurwitz import oracle
+from hurwitz.cutjoin import hurwitz_via_cutjoin
 from hurwitz.oracle import (
     BudgetExceededError,
     HurwitzTable,
@@ -166,6 +168,15 @@ def test_table_json_roundtrip(oracle_table):
     )
     back = {(rec["g"], Partition(rec["alpha"])): Fraction(rec["value"]) for rec in records}
     assert back == oracle_table.entries
+
+
+def test_table_json_is_the_indented_dump_of_its_records(oracle_table):
+    """`to_json` writes the record layout itself, byte for byte what
+    `json.dumps(..., indent=2)` writes."""
+    one = HurwitzTable("one")
+    one.add(1, (2,), Fraction(1, 2))
+    for table in [HurwitzTable("empty"), one, hurwitz_via_cutjoin(6, 2), oracle_table]:
+        assert table.to_json() == json.dumps(table.to_json_records(), indent=2)
 
 
 def test_table_constructor_forms():
