@@ -18,8 +18,8 @@ The cast:
 Each context builds every series it holds once; the CLI builds one context
 per ring a command needs and hands it to each check.
 
-Verification helpers return small reports (pass/fail plus the first
-mismatching monomial) rather than raising, so the CLI can aggregate them.
+Verifiers return check records, plain dicts (pass/fail plus the first
+mismatching monomial) rather than raising, which the CLI prints as they are.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ __all__ = [
     "XpContext",
     "TContext",
     "AnsatzForm",
-    "VerifyReport",
     "xi_substitute",
     "assemble_G",
     "extract_weight_slice",
@@ -53,7 +52,6 @@ __all__ = [
     "pair_correction_series",
     "pole_basis_series",
     "fit_constants",
-    "ansatz_hurwitz_series",
     "verify_change_theorem",
     "verify_euler_square",
     "verify_genus_expansion",
@@ -283,47 +281,7 @@ def pair_correction_series(ctx: XpContext) -> ExactSeries:
     )
 
 
-# -- reports -------------------------------------------------------------------
-
-
-class VerifyReport:
-    """One check's verdict.  `compared` counts the distinct monomials on
-    either side of a series comparison, and `cancelled` the summand
-    monomials that cancelled inside the compared window, where a check
-    builds one side as a sum; either is None where it does not apply."""
-
-    def __init__(
-        self,
-        check: str,
-        truncation: dict,
-        status: str,
-        first_mismatch: dict | None = None,
-        compared: int | None = None,
-        cancelled: int | None = None,
-    ) -> None:
-        self.check = check
-        self.truncation = truncation
-        self.status = status
-        self.first_mismatch = first_mismatch
-        self.compared = compared
-        self.cancelled = cancelled
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "pass"
-
-    def to_json_obj(self) -> dict:
-        obj = {
-            "check": self.check,
-            "truncation": self.truncation,
-            "status": self.status,
-        }
-        if self.first_mismatch is not None:
-            obj["first_mismatch"] = self.first_mismatch
-        for name in ("compared", "cancelled"):
-            if getattr(self, name) is not None:
-                obj[name] = getattr(self, name)
-        return obj
+# -- check records ---------------------------------------------------------------
 
 
 def compare_series(
@@ -332,20 +290,28 @@ def compare_series(
     check: str,
     truncation: dict,
     cancelled: int | None = None,
-) -> VerifyReport:
+) -> dict:
+    """The check record of lhs == rhs: its name, truncation and status, the
+    first mismatching monomial on a fail, `compared` (the distinct monomials
+    on either side) and, where a check builds one side as a sum, `cancelled`
+    (the summand monomials that cancelled inside the compared window)."""
+    record = {"check": check, "truncation": truncation}
     diff = lhs - rhs
-    compared = len(lhs.nums.keys() | rhs.nums.keys())
     if diff.is_zero():
-        return VerifyReport(check, truncation, "pass", None, compared, cancelled)
-    exps = sorted(diff.terms)[0]
-    names = lhs.ring.varset.names
-    monomial = {names[i]: e for i, e in enumerate(exps) if e}
-    mismatch = {
-        "monomial": monomial,
-        "lhs": rational_str(lhs.terms.get(exps, Fraction(0))),
-        "rhs": rational_str(rhs.terms.get(exps, Fraction(0))),
-    }
-    return VerifyReport(check, truncation, "fail", mismatch, compared, cancelled)
+        record["status"] = "pass"
+    else:
+        exps = sorted(diff.terms)[0]
+        names = lhs.ring.varset.names
+        record["status"] = "fail"
+        record["first_mismatch"] = {
+            "monomial": {names[i]: e for i, e in enumerate(exps) if e},
+            "lhs": rational_str(lhs.terms.get(exps, Fraction(0))),
+            "rhs": rational_str(rhs.terms.get(exps, Fraction(0))),
+        }
+    record["compared"] = len(lhs.nums.keys() | rhs.nums.keys())
+    if cancelled is not None:
+        record["cancelled"] = cancelled
+    return record
 
 
 # -- the fitted pole form --------------------------------------------------------
@@ -439,20 +405,12 @@ def fit_constants(
     return form
 
 
-def ansatz_hurwitz_series(form: AnsatzForm, ctx: XpContext) -> ExactSeries:
-    """H_g(x, p) predicted by the fitted pole form."""
-    return ctx.ring.sum(
-        series * form.constants[theta]
-        for theta, _, _, series in pole_basis_series(form.g, ctx)
-    )
-
-
 # -- theorem verifications -------------------------------------------------------
 
 
 def verify_change_theorem(
     g: int, hurwitz: HurwitzTable, hodge_table: HodgeTable, ctx: XpContext
-) -> VerifyReport:
+) -> dict:
     """H_g(x,p) = (t_k -> phi_k(x,p)) applied to G_g, for g >= 1; for g = 0
     the three-piece decomposition phi_{-2} + pair correction + image of F_0."""
     d_max = ctx.d_max
@@ -468,7 +426,7 @@ def verify_change_theorem(
     return compare_series(lhs, rhs, f"change-theorem-g{g}", trunc)
 
 
-def verify_euler_square(hurwitz: HurwitzTable, ctx: XpContext) -> VerifyReport:
+def verify_euler_square(hurwitz: HurwitzTable, ctx: XpContext) -> dict:
     """(x d/dx)^2 H_0 = phi_0(s, p)."""
     lhs = hurwitz_series(hurwitz, 0, ctx).euler("x").euler("x")
     return compare_series(
@@ -478,7 +436,7 @@ def verify_euler_square(hurwitz: HurwitzTable, ctx: XpContext) -> VerifyReport:
 
 def verify_genus_expansion(
     g: int, form: AnsatzForm, hodge_table: HodgeTable
-) -> list[VerifyReport]:
+) -> list[dict]:
     """The two pole-form expansions of G_g and their agreement, plus the
     lambda-free slice, as truncated t-series identities in t_0..t_{3g+2}
     up to t-degree 5."""
@@ -525,7 +483,7 @@ def verify_genus_expansion(
     ]
 
 
-def verify_delta_annihilation(g: int, hodge_table: HodgeTable) -> VerifyReport:
+def verify_delta_annihilation(g: int, hodge_table: HodgeTable) -> dict:
     """The operator sum_m t_{m+1} d/dt_m - d/dt_0 annihilates G_g (g >= 1)
     except for one boundary constant, checked in t_0..t_9 on the
     sub-window of t-degree <= 5 where the image is fully determined.
@@ -560,7 +518,7 @@ def verify_delta_annihilation(g: int, hodge_table: HodgeTable) -> VerifyReport:
     )
 
 
-def verify_xi_on_I(k: int, ctx: XpContext, tctx: TContext) -> VerifyReport:
+def verify_xi_on_I(k: int, ctx: XpContext, tctx: TContext) -> dict:
     """Image of I_k under t_j -> phi_j(x, p) equals phi_k(s, p).
 
     Exact when tctx has t-degree ctx.d_max and holds t_0..t_{k+d_max-1},
@@ -573,7 +531,7 @@ def verify_xi_on_I(k: int, ctx: XpContext, tctx: TContext) -> VerifyReport:
     )
 
 
-def verify_phi_shift_expansion(k: int, ctx: XpContext) -> VerifyReport:
+def verify_phi_shift_expansion(k: int, ctx: XpContext) -> dict:
     """phi_k(s, p) = sum_m phi_{k+m}(x, p) phi_0(s, p)^m / m!."""
     d_max = ctx.d_max
     total = ctx.ring.sum(

@@ -320,26 +320,28 @@ def _cmd_search(args: argparse.Namespace, session: Session) -> int:
 # -- verification suites ----------------------------------------------------------
 
 
+def _check(name: str, ok: bool, detail: dict) -> dict:
+    """The record of a check that compares no pair of series."""
+    return {"check": name, "status": "pass" if ok else "fail", "detail": detail}
+
+
 def _suite_oracle_vs_cutjoin(session: Session, dmax: int) -> list[dict]:
     r_max = 2 * dmax + 6
     oracle = connected_hurwitz(dmax, r_max // 2, r_max)
     # r >= 2g on every entry, so genus r_max // 2 reaches all of r <= r_max
     cj = session.table(dmax, r_max // 2).restricted(r_max)
-    checks = []
-    mismatch = None
-    for key in sorted(set(oracle.entries) | set(cj.entries)):
-        a, b = oracle.entries.get(key), cj.entries.get(key)
+    name = f"oracle-vs-cutjoin-d{dmax}-r{r_max}"
+    for g, alpha in sorted(oracle.entries.keys() | cj.entries.keys()):
+        a, b = oracle.value(g, alpha), cj.value(g, alpha)
         if a != b:
-            mismatch = {"g": key[0], "alpha": list(key[1]), "oracle": str(a), "cutjoin": str(b)}
-            break
-    checks.append(
-        {
-            "check": f"oracle-vs-cutjoin-d{dmax}-r{r_max}",
-            "status": "pass" if mismatch is None else "fail",
-            "detail": mismatch or {"entries": len(cj.entries)},
-        }
-    )
-    return checks
+            mismatch = {
+                "g": g,
+                "alpha": list(alpha),
+                "oracle": rational_str(a),
+                "cutjoin": rational_str(b),
+            }
+            return [_check(name, False, mismatch)]
+    return [_check(name, True, {"entries": len(cj.entries)})]
 
 
 def _suite_change_theorem(session: Session, dmax: int) -> list[dict]:
@@ -351,9 +353,9 @@ def _suite_change_theorem(session: Session, dmax: int) -> list[dict]:
     table = session.table(dmax, 2)
     hodge = session.brackets(2)
     ctx = XpContext(dmax)
-    reports = [verify_euler_square(table, ctx)]
-    reports += [verify_change_theorem(g, table, hodge, ctx) for g in (0, 1, 2)]
-    return [r.to_json_obj() for r in reports]
+    return [verify_euler_square(table, ctx)] + [
+        verify_change_theorem(g, table, hodge, ctx) for g in (0, 1, 2)
+    ]
 
 
 def _suite_genus_expansion(session: Session, dmax: int) -> list[dict]:
@@ -362,14 +364,14 @@ def _suite_genus_expansion(session: Session, dmax: int) -> list[dict]:
         raise ValueError(f"genus-expansion checks run for 2 <= --dmax <= 8, got {dmax}")
     form = session.form(2)
     hodge = session.brackets(2)
-    reports = list(verify_genus_expansion(2, form, hodge))
-    reports.append(verify_delta_annihilation(1, hodge))
-    reports.append(verify_delta_annihilation(2, hodge))
+    checks = verify_genus_expansion(2, form, hodge)
+    checks.append(verify_delta_annihilation(1, hodge))
+    checks.append(verify_delta_annihilation(2, hodge))
     ctx, tctx = XpContext(dmax), TContext(4 + dmax, dmax)
     for k in range(5):
-        reports.append(verify_xi_on_I(k, ctx, tctx))
-        reports.append(verify_phi_shift_expansion(k, ctx))
-    return [r.to_json_obj() for r in reports]
+        checks.append(verify_xi_on_I(k, ctx, tctx))
+        checks.append(verify_phi_shift_expansion(k, ctx))
+    return checks
 
 
 def _suite_recursions(session: Session, dmax: int) -> list[dict]:
@@ -378,54 +380,33 @@ def _suite_recursions(session: Session, dmax: int) -> list[dict]:
     table = session.table(max(dmax, 10), 3)
     checks = []
     for name, spec in sorted(golden.RECURRENCES.items()):
-        rep = simple_hurwitz.verify_recurrence(spec, table, range(2, dmax + 1))
-        checks.append(
-            {
-                "check": f"recurrence-{name}-d{dmax}",
-                "status": rep["status"],
-                "detail": {"failures": rep["failures"]},
-            }
-        )
+        failures = simple_hurwitz.verify_recurrence(spec, table, range(2, dmax + 1))["failures"]
+        checks.append(_check(f"recurrence-{name}-d{dmax}", not failures, {"failures": failures}))
     for name, terms in sorted(golden.DIFFERENTIAL_IDENTITIES.items()):
-        expr = simple_hurwitz.differential_identity_wexpr(terms)
+        symbolic_zero = simple_hurwitz.differential_identity_wexpr(terms).is_zero()
         numeric = simple_hurwitz.differential_identity_residuals(
             terms, table, range(1, dmax + 1)
         )
-        ok = expr.is_zero() and not numeric
-        checks.append(
-            {
-                "check": f"differential-{name}",
-                "status": "pass" if ok else "fail",
-                "detail": {
-                    "symbolic_zero": expr.is_zero(),
-                    "numeric_failures": {str(d): rational_str(v) for d, v in numeric.items()},
-                },
-            }
-        )
+        detail = {
+            "symbolic_zero": symbolic_zero,
+            "numeric_failures": {str(d): rational_str(v) for d, v in numeric.items()},
+        }
+        checks.append(_check(f"differential-{name}", symbolic_zero and not numeric, detail))
     result = simple_hurwitz.search_recursions(
         golden.SEARCH_FAMILY_26, table, d_verify=dmax
     )
-    checks.append(
-        {
-            "check": "search-family-26-nullity",
-            "status": "pass"
-            if result["dimension"] == golden.SEARCH_FAMILY_26_NULLITY
-            and not result["numeric_failures"]
-            else "fail",
-            "detail": {"dimension": result["dimension"]},
-        }
-    )
+    ok = result["dimension"] == golden.SEARCH_FAMILY_26_NULLITY and not result["numeric_failures"]
+    checks.append(_check("search-family-26-nullity", ok, {"dimension": result["dimension"]}))
     return checks
 
 
 def _suite_closed_forms(session: Session, dmax: int) -> list[dict]:
-    table = session.table(max(dmax, 10), 3)
-    checks = []
-
-    def add(name: str, ok: bool, detail=None) -> None:
-        checks.append(
-            {"check": name, "status": "pass" if ok else "fail", "detail": detail or {}}
-        )
+    d_table = max(dmax, 10)
+    table = session.table(d_table, 3)
+    # H^g_{(1^d)} for d <= d_table, read once per genus
+    h = {g: simple_hurwitz.one_part_column(table, g, d_table) for g in range(4)}
+    degrees = range(1, dmax + 1)
+    results = []
 
     # each pinned D^n H~_g, expanded in x, against the table: [x^d] of it
     # is d^n H^g_{(1^d)} / (2d + 2g - 2)!
@@ -433,64 +414,52 @@ def _suite_closed_forms(session: Session, dmax: int) -> list[dict]:
         pinned = simple_hurwitz.WExpr(data["laurent"], data["log"])
         series = simple_hurwitz.wexpr_to_xseries(pinned, dmax)
         ok = all(
-            series.coeff({"x": d}) * math.factorial(2 * d + 2 * g - 2)
-            == d**n * table.value(g, Partition((1,) * d))
-            for d in range(1, dmax + 1)
+            series.coeff({"x": d}) * math.factorial(2 * d + 2 * g - 2) == d**n * h[g][d]
+            for d in degrees
         )
-        add(f"w-series-display-g{g}-n{n}", ok)
+        results.append((f"w-series-display-g{g}-n{n}", ok))
     for g in (2, 3):
         fitted = simple_hurwitz.wexpr_from_ansatz(session.form(g))
-        add(f"fitted-form-matches-display-g{g}", fitted == simple_hurwitz.wexpr_for(g, 0))
+        ok = fitted == simple_hurwitz.wexpr_for(g, 0)
+        results.append((f"fitted-form-matches-display-g{g}", ok))
     for g, coeffs in sorted(golden.POLE_FORM_COEFFS.items()):
-        ok = True
-        for d in range(1, dmax + 1):
-            total = sum(
-                (c * lagrange_coeff(m, r, d) for (m, r), c in coeffs.items()),
-                Fraction(0),
-            )
-            if total * math.factorial(2 * d + 2 * g - 2) != table.value(
-                g, Partition((1,) * d)
-            ):
-                ok = False
-        add(f"pole-form-display-g{g}", ok)
-    form2 = session.form(2)
+        ok = all(
+            sum((c * lagrange_coeff(m, r, d) for (m, r), c in coeffs.items()), Fraction(0))
+            * math.factorial(2 * d + 2 * g - 2)
+            == h[g][d]
+            for d in degrees
+        )
+        results.append((f"pole-form-display-g{g}", ok))
+    c = session.form(2).constants
     agg = golden.AGGREGATE_CONSTANT_CHECKS_G2
-    add(
-        "fitted-aggregates-g2",
-        form2.constants[(2,)] + form2.constants[(3,)] + form2.constants[(4,)]
-        == agg["singleton_sum"]
-        and form2.constants[(2, 2)] / 2 + form2.constants[(2, 3)]
-        == agg["pair_weighted_sum"]
-        and form2.constants[(2, 2, 2)] == agg["triple"],
+    results.append(
+        (
+            "fitted-aggregates-g2",
+            c[(2,)] + c[(3,)] + c[(4,)] == agg["singleton_sum"]
+            and c[(2, 2)] / 2 + c[(2, 3)] == agg["pair_weighted_sum"]
+            and c[(2, 2, 2)] == agg["triple"],
+        )
     )
-    a_ok = all(
-        simple_hurwitz.genus3_a_form(d) == table.value(3, Partition((1,) * d))
-        for d in range(1, dmax + 1)
+    results.append(
+        ("a-combination-g3", all(simple_hurwitz.genus3_a_form(d) == h[3][d] for d in degrees))
     )
-    p_ok = all(
-        simple_hurwitz.genus3_p_form(d) == table.value(3, Partition((1,) * d))
-        for d in range(1, dmax + 1)
+    results.append(
+        ("polynomial-form-g3", all(simple_hurwitz.genus3_p_form(d) == h[3][d] for d in degrees))
     )
-    add("a-combination-g3", a_ok)
-    add("polynomial-form-g3", p_ok)
     lag_ok = all(
         simple_hurwitz.a_series_coeff(k, d) == lagrange_coeff(0, k, d)
         for k in range(1, 11)
         for d in range(1, 13)
     )
-    add("a-series-vs-lagrange", lag_ok)
+    results.append(("a-series-vs-lagrange", lag_ok))
     low_ok = all(
-        simple_hurwitz.closed_form_simple(g, d) == table.value(g, Partition((1,) * d))
-        for g in (0, 1, 2, 3)
-        for d in range(1, dmax + 1)
+        simple_hurwitz.closed_form_simple(g, d) == h[g][d] for g in (0, 1, 2, 3) for d in degrees
     )
-    add("closed-form-low-genus", low_ok)
-    spot_ok = all(
-        table.value(g, Partition((1,) * d)) == v
-        for (g, d), v in golden.SPOT_VALUES.items()
+    results.append(("closed-form-low-genus", low_ok))
+    results.append(
+        ("spot-values", all(h[g][d] == v for (g, d), v in golden.SPOT_VALUES.items()))
     )
-    add("spot-values", spot_ok)
-    return checks
+    return [_check(name, ok, {}) for name, ok in results]
 
 
 _SUITE_RUNNERS = {

@@ -52,6 +52,7 @@ __all__ = [
     "differential_identity_wexpr",
     "differential_identity_residuals",
     "verify_recurrence",
+    "one_part_column",
     "closed_form_simple",
     "genus3_a_form",
     "genus3_p_form",
@@ -310,7 +311,7 @@ def family_wexprs(family: list[dict]) -> list[WExpr]:
     return exprs
 
 
-def _one_part_column(table: HurwitzTable, g: int, d_max: int) -> list[Fraction]:
+def one_part_column(table: HurwitzTable, g: int, d_max: int) -> list[Fraction]:
     """H^g_{(1^m)} for m = 0..d_max, one table lookup per degree.
 
     Every such count is positive for m >= 2, so a zero there is an entry the
@@ -335,7 +336,7 @@ def _term_lists(
     [x^m] D^p H~_g = m^p H^g_{(1^m)}/(2m+2g-2)! built once; a term's list is
     the truncated product of its factors' lists, which is the sum over
     compositions of m because every factor has a zero constant term."""
-    column = functools.cache(lambda g: _one_part_column(table, g, d_max))
+    column = functools.cache(lambda g: one_part_column(table, g, d_max))
 
     @functools.cache
     def factor(g: int, p: int) -> list[Fraction]:
@@ -454,7 +455,7 @@ def verify_recurrence(recurrence: Recurrence, table: HurwitzTable, d_range: rang
         raise ValueError(
             f"recurrence check needs a nonempty degree range from d >= 2, got {d_range}"
         )
-    column = functools.cache(lambda g: _one_part_column(table, g, max(d_range)))
+    column = functools.cache(lambda g: one_part_column(table, g, max(d_range)))
 
     def h(g: int, m: int) -> Fraction:
         return column(g)[m]
@@ -468,7 +469,6 @@ def verify_recurrence(recurrence: Recurrence, table: HurwitzTable, d_range: rang
             )
     return {
         "status": "pass" if not failures else "fail",
-        "d_range": [d_range.start, d_range.stop - 1],
         "failures": failures,
     }
 

@@ -15,6 +15,7 @@ from hurwitz import ansatz, cli, cutjoin, golden, simple_hurwitz
 from hurwitz.algebra import ExactSeries
 from hurwitz.cli import Session, main
 from hurwitz.cutjoin import hurwitz_via_cutjoin
+from hurwitz.partitions import Partition
 
 
 RECORDED = json.loads(
@@ -171,6 +172,86 @@ def test_verify_suite_json_output(capsys):
     report = json.loads(out)
     assert report["suite"] == "recursions"
     assert all(c["status"] == "pass" for c in report["checks"])
+
+
+# sha256 of `verify --suite S` at its default --dmax, as (text, JSON)
+VERIFY_SHA256 = {
+    "change-theorem": (
+        "68947f3ec6b1bcea03bb6fc68386ecb92fb230167a1caba5b928b72fcbb5b7a3",
+        "5b65f1b5634aacd9c4ab8f5ac9d5eab6522945983a720b545eb970f769323c8e",
+    ),
+    "genus-expansion": (
+        "f68ad5f0aacbd3837f1ac0624a5774104651150d95cf37e644478996337526af",
+        "331250280114b41f4252b5f1d045435b9dc1405a191479244979b9ffc0e2bd53",
+    ),
+    "recursions": (
+        "d479298a7cbb3aaefb46a960a22f5c79c4a21c6984bab167390a018138c2854a",
+        "06106013281fa37bec60c283a3452f54fb86ecc1bd167c426de19bff2eca5751",
+    ),
+    "closed-forms": (
+        "33b5f6d7dbc3dda3a8f3ac06ec3f919098a73b8675f86a0679d1604e2ff70ccc",
+        "96af770a0d507943217cad586c331318b2059205eecfca810f9832a9c234d95e",
+    ),
+    "oracle-vs-cutjoin": (
+        "f98ba33cee2c254e9cef792c54b68717ec397d6fa6befcfee70b920384b8c76f",
+        "91f360d86e29d6c563073b217ea89e309acf0e4d06fef08abe9437c5f2d49ff0",
+    ),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(VERIFY_SHA256))
+def test_verify_output_is_pinned(capsys, suite):
+    """Every suite prints exactly the recorded text and JSON, and each of
+    its records names its check and passes or fails."""
+    text_sha, json_sha = VERIFY_SHA256[suite]
+    code, text, _ = run_cli(capsys, "verify", "--suite", suite)
+    assert (code, hashlib.sha256(text.encode()).hexdigest()) == (0, text_sha)
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--format", "json")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, json_sha)
+    for check in json.loads(out)["checks"]:
+        assert isinstance(check["check"], str) and check["status"] in ("pass", "fail")
+
+
+@pytest.mark.parametrize(
+    "key, oracle, cutjoin",
+    [((1, (1, 1)), "0/1", "1/2"), ((0, (1, 1, 1)), "5/1", "4/1")],
+    ids=["dropped", "changed"],
+)
+def test_oracle_mismatch_detail_is_rational(capsys, monkeypatch, key, oracle, cutjoin):
+    """A wrong oracle entry fails the suite, and the detail gives both
+    sides as n/d, reading an absent entry as 0/1."""
+    real = cli.connected_hurwitz
+    key = (key[0], Partition(key[1]))
+
+    def broken(*args):
+        table = real(*args)
+        if oracle == "0/1":
+            del table.entries[key]
+        else:
+            table.entries[key] += 1
+        return table
+
+    monkeypatch.setattr(cli, "connected_hurwitz", broken)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "oracle-vs-cutjoin", "--format", "json")
+    [check] = json.loads(out)["checks"]
+    assert (code, check["status"]) == (1, "fail")
+    detail = {"g": key[0], "alpha": list(key[1]), "oracle": oracle, "cutjoin": cutjoin}
+    assert check["detail"] == detail
+
+
+def test_closed_forms_refuse_a_table_missing_a_degree(capsys, monkeypatch):
+    """A one-part count the table lacks is refused, not read as 0."""
+    real = cli.hurwitz_via_cutjoin
+
+    def missing(*args):
+        table = real(*args)
+        del table.entries[(3, Partition((1,) * 5))]
+        return table
+
+    monkeypatch.setattr(cli, "hurwitz_via_cutjoin", missing)
+    code, out, err = run_cli(capsys, "verify", "--suite", "closed-forms")
+    assert (code, out) == (2, "")
+    assert "table lacks H^3_(1^5)" in err and "Traceback" not in err
 
 
 def test_vacuous_recurrence_check_exits_2(capsys):

@@ -184,6 +184,7 @@ def test_recurrence_with_one_constant_changed_fails(name, deep_table):
     assert set(_ONE_CONSTANT_CHANGED) == set(golden.RECURRENCES)
     d_range = range(2, 11)
     result = verify_recurrence(_broken_copy(name), deep_table, d_range)
+    assert list(result) == ["status", "failures"]
     assert result["status"] == "fail"
     failing = [f["d"] for f in result["failures"]]
     assert failing and set(failing) <= set(d_range)
