@@ -104,9 +104,24 @@ class VarSet:
         self.indices = tuple(indices)
         self.position = {n: i for i, n in enumerate(names)}
 
+    def profile_exps(self, alpha: Iterable[int], r: int | None = None) -> tuple[int, ...]:
+        """The exponent vector of x^|alpha| p_alpha, times u^r when r is
+        given: the one encoding of a profile as a monomial.
+
+        >>> VarSet.xup(2).profile_exps((2, 1), r=2)
+        (3, 2, 1, 1)
+        """
+        vec = [0] * len(self.names)
+        vec[self.position["x"]] = sum(alpha)
+        if r is not None:
+            vec[self.position["u"]] = r
+        for part in alpha:
+            vec[self.position[f"p_{part}"]] += 1
+        return tuple(vec)
+
     def profile(self, exps: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
         """(x-degree, u-degree, sorted parts) of an exponent vector; the
-        inverse of `SeriesRing.profile_monomial`."""
+        inverse of `profile_exps`."""
         d = r = 0
         parts: list[int] = []
         for fam, idx, e in zip(self.families, self.indices, exps):
@@ -321,20 +336,14 @@ class SeriesRing:
         return ExactSeries(self, {tuple(vec): Fraction(coeff)})
 
     def profile_monomial(self, alpha: Iterable[int], coeff, r: int | None = None) -> "ExactSeries":
-        """coeff * x^|alpha| p_alpha, times u^r when r is given: the one
-        encoding of a profile as a monomial.  `VarSet.profile` decodes it.
+        """coeff * x^|alpha| p_alpha, times u^r when r is given, with the
+        exponents of `VarSet.profile_exps`; `VarSet.profile` decodes it.
 
         >>> ring = SeriesRing(VarSet.xup(2), Truncation(x_max=3, u_max=2, p_weight_max=3))
         >>> [ring.varset.profile(e) for e in ring.profile_monomial((2, 1), 1, r=2).terms]
         [(3, 2, (1, 2))]
         """
-        exps = {"x": sum(alpha)}
-        if r is not None:
-            exps["u"] = r
-        for part in alpha:
-            name = f"p_{part}"
-            exps[name] = exps.get(name, 0) + 1
-        return self.monomial(exps, coeff)
+        return ExactSeries(self, {self.varset.profile_exps(alpha, r): Fraction(coeff)})
 
     def __eq__(self, other) -> bool:
         return (

@@ -1,27 +1,30 @@
 """Brute-force transposition-factorization oracle and the Hurwitz table type.
 
-The oracle counts tuples of transpositions in S_d with prescribed product by
-dynamic programming over the full group algebra, bins counts by cycle type,
-assembles the exponential generating series in (x, u, p), and extracts
-connected counts through the series logarithm — no ad-hoc connectivity
-bookkeeping — so it stays independent of the cut-and-join route and usable
-as a ground-truth cross-check.
+The oracle counts tuples of transpositions in S_d with prescribed product,
+binned by cycle type: it forms every product of a transposition with a
+permutation, checks that the transposition action is a class function, and
+runs dynamic programming on class counts.  It then assembles the exponential
+generating series in (x, u, p) and extracts connected counts through the
+series logarithm — no ad-hoc connectivity bookkeeping — so it stays
+independent of the cut-and-join route and usable as a ground-truth
+cross-check.
 
-A vector over S_d is a list of exact ints indexed by position in
-``list(itertools.permutations(range(d)))``; that order is lexicographic, so
-the identity sits at index 0.  Permutations are held as ``bytes``, so the
-product tau∘sigma is ``sigma.translate(table)`` with one 256-byte table per
-transposition tau.  A transposition is an involution, so one step is a
-gather: the next count at sigma is the sum over tau of the count at
-tau∘sigma, read by one ``operator.itemgetter`` per transposition.  Cycle
-types are found once per permutation, and each class's counts are summed
-over its member indices after every step.
+Permutations are held as ``bytes`` in ``itertools.permutations(range(d))``
+order, so the identity comes first, and the product tau∘sigma is
+``sigma.translate(table)`` with one 256-byte table per transposition tau.
+Every product is formed once per degree and its cycle-type class read off;
+each sigma keeps one packed multiset of the classes its C(d, 2) products
+reach.  Those multisets are checked to agree across each class, which makes
+the counts class functions, so the r steps run on one count per class.
 
-Deliberately desk-scale: the oracle holds d! * max(r_max, 1) step-vector
-cells, the C(d, 2) * d! gather indices, and the d!-entry permutation list,
-index and class members.  Those cells at 64 bytes each must fit in
-HURWITZ_MEMORY_BUDGET (bytes; the default admits d = 7 with 20 steps).  The
-largest degree is checked before any counting starts.
+Deliberately desk-scale: the oracle holds the d!-entry permutation list, the
+class map from permutation to class, and one packed multiset per
+permutation, and it builds no vector over S_d per step.  The budget charges
+d! * (max(r_max, 1) + C(d, 2) + 3) cells of 64 bytes, room for a vector per
+step and a gather per transposition, so it is conservative for this sweep.
+Those cells must fit in HURWITZ_MEMORY_BUDGET (bytes; the default admits
+d = 7 with 20 steps).  The largest degree is checked before any counting
+starts.
 """
 
 from __future__ import annotations
@@ -29,12 +32,13 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from collections import Counter
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from typing import Iterable
 
 from .algebra import (
+    ExactSeries,
     SeriesRing,
     Truncation,
     VarSet,
@@ -57,9 +61,9 @@ _BYTES_PER_CELL = 64
 
 
 def _oracle_cells(d: int, r_max: int) -> int:
-    """Cells the oracle allocates for degree d: the step vectors, the
-    per-transposition gathers, and the permutation list, index and class
-    members."""
+    """Cells charged for degree d: room for a d!-entry vector per step, a
+    d!-entry gather per transposition and three permutation tables, an
+    upper bound on what the class sweep allocates."""
     return math.factorial(d) * (max(r_max, 1) + math.comb(d, 2) + 3)
 
 
@@ -98,19 +102,19 @@ def _check_cost(d: int, r_max: int) -> None:
 
 def _cycle_lengths(perm) -> tuple[int, ...]:
     """Cycle lengths of a permutation of range(len(perm)), sorted."""
-    seen = [False] * len(perm)
+    left = list(perm)  # a visited point is overwritten with -1
     lengths = []
-    for start in range(len(perm)):
-        if seen[start]:
+    for start, j in enumerate(perm):
+        if left[start] < 0:
             continue
-        n = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
+        left[start] = -1
+        n = 1
+        while j != start:
+            left[j], j = -1, left[j]
             n += 1
         lengths.append(n)
-    return tuple(sorted(lengths))
+    lengths.sort()
+    return tuple(lengths)
 
 
 def cycle_type(perm: tuple[int, ...]) -> Partition:
@@ -140,37 +144,55 @@ def count_factorizations(d: int, r_max: int) -> list[dict[Partition, int]]:
     of the product to the number of r-tuples of transpositions with that
     product.  Exact integers throughout.
 
-    Each step is C-level: every transposition's gather reads the current
-    vector at tau∘sigma for all sigma at once, the gathered tuples are summed
-    position by position, and each cycle type's count is the sum over its
-    member indices (counts are class functions, so a class is either all
-    zero or all nonzero).
+    >>> count_factorizations(3, 2)[2]
+    {(1, 1, 1): 3, (3,): 6}
+
+    The products are formed once per degree, not once per step: tau∘sigma
+    for every sigma and tau, at C level.  Each sigma gets one packed
+    multiset whose field c counts the tau with tau∘sigma in class c.  Every
+    member of a class must get the same multiset, or AssertionError is
+    raised; given that, N_0 = delta_id and, by induction, every N_r is a
+    class function with N_{r+1}(C) = sum_C' m(C, C') N_r(C').  So the steps
+    run on one count per class, and class C bins |C| N_r(C), with |C|
+    counted from the enumeration.
     """
     _check_cost(d, r_max)
     perms = [bytes(sigma) for sigma in itertools.permutations(range(d))]
-    index = {sigma: i for i, sigma in enumerate(perms)}
+    ids: dict[tuple[int, ...], int] = {}
+    class_of = [ids.setdefault(_cycle_lengths(sigma), len(ids)) for sigma in perms]
+    alphas = [Partition(lengths) for lengths in ids]
+    sizes = list(Counter(class_of).values())  # first-seen order is class-id order
+    width = math.comb(d, 2).bit_length()
+    mask = (1 << width) - 1
+    unit_of = dict(zip(perms, [1 << (width * c) for c in class_of]))
     tail = bytes(range(d, 256))
-    gathers = [
-        itemgetter(*[index[sigma.translate(table)] for sigma in perms])
-        for table in [bytes(tau) + tail for tau in transpositions(d)]
+    tables = [bytes(tau) + tail for tau in transpositions(d)]
+    if tables:
+        reached = [
+            map(unit_of.__getitem__, map(bytes.translate, perms, itertools.repeat(table)))
+            for table in tables
+        ]
+        packed = list(map(sum, zip(*reached)))
+    else:  # d <= 1: no transposition, so every product of r >= 1 is empty
+        packed = [0] * len(perms)
+    pairs = set(zip(class_of, packed))
+    if len(pairs) != len(ids):  # some class has members with different multisets
+        raise AssertionError(f"transposition counts are not class functions in S_{d}")
+    rows = dict(pairs)
+    # action[c] lists (c', m(c, c')) for every class c' that c reaches
+    action = [
+        [(c2, f) for c2 in range(len(ids)) if (f := rows[c] >> (width * c2) & mask)]
+        for c in range(len(ids))
     ]
-    members: dict[tuple[int, ...], list[int]] = {}
-    for i, sigma in enumerate(perms):
-        members.setdefault(_cycle_lengths(sigma), []).append(i)
-    classes = [(Partition(lengths), idx) for lengths, idx in members.items()]
 
     def binned(counts: list[int]) -> dict[Partition, int]:
-        sums = [(alpha, sum(map(counts.__getitem__, idx))) for alpha, idx in classes]
-        return {alpha: c for alpha, c in sums if c}
+        return {a: s * n for a, s, n in zip(alphas, sizes, counts) if n}
 
-    counts = [0] * len(perms)
-    counts[0] = 1  # perms[0] is the identity
+    counts = [0] * len(ids)
+    counts[0] = 1  # perms[0] is the identity, alone in class 0
     out = [binned(counts)]
     for _ in range(r_max):
-        if gathers:
-            counts = list(map(sum, zip(*[g(counts) for g in gathers])))
-        else:  # d <= 1: no transposition, so every product of r >= 1 is empty
-            counts = [0] * len(perms)
+        counts = [sum(f * counts[c2] for c2, f in row) for row in action]
         out.append(binned(counts))
     return out
 
@@ -271,17 +293,15 @@ def connected_hurwitz(d_max: int, g_max: int, r_max: int) -> HurwitzTable:
         VarSet.xup(d_max),
         Truncation(x_max=d_max, u_max=r_max, p_weight_max=d_max),
     )
-    monomials = [ring.one()]
+    encode = ring.varset.profile_exps
+    terms = {encode(()): Fraction(1)}
     for d in range(1, d_max + 1):
-        binned = count_factorizations(d, r_max)
         d_fact = math.factorial(d)
-        for r, bins in enumerate(binned):
+        for r, bins in enumerate(count_factorizations(d, r_max)):
             r_fact = math.factorial(r)
-            for alpha, count in sorted(bins.items()):
-                monomials.append(
-                    ring.profile_monomial(alpha, Fraction(count, d_fact * r_fact), r=r)
-                )
-    connected = ring.sum(monomials).log()
+            for alpha, count in bins.items():
+                terms[encode(alpha, r)] = Fraction(count, d_fact * r_fact)
+    connected = ExactSeries(ring, terms).log()
     table = HurwitzTable("oracle")
     for exps, coeff in sorted(connected.terms.items()):
         d, r, parts = ring.varset.profile(exps)

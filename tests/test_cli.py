@@ -285,6 +285,19 @@ def test_closed_forms_check_every_degree_up_to_dmax(capsys, monkeypatch):
     assert degrees == list(range(1, 13))
 
 
+def test_a_series_check_reaches_dmax(capsys, monkeypatch):
+    """a-series-vs-lagrange runs to max(--dmax, 12), like the other checks
+    of the suite, rather than stopping at 12."""
+    degrees = set()
+    real = simple_hurwitz.a_series_coeff
+    monkeypatch.setattr(
+        simple_hurwitz, "a_series_coeff", lambda k, d: degrees.add(d) or real(k, d)
+    )
+    code, out, _ = run_cli(capsys, "verify", "--suite", "closed-forms", "--dmax", "14")
+    assert code == 0 and "PASS a-series-vs-lagrange" in out.splitlines()
+    assert degrees == set(range(1, 15))
+
+
 def test_display_checks_compare_the_pinned_series_with_the_table(capsys, monkeypatch):
     """A pinned W-series with one coefficient changed fails its display
     check: the check expands it in x and reads the table, rather than

@@ -63,13 +63,41 @@ def test_count_factorizations_s3():
     assert sum(by_r[4].values()) == 3**4
 
 
-@pytest.mark.parametrize("d", range(1, 6))
+@pytest.mark.parametrize("d", range(1, 7))
 def test_count_factorizations_matches_naive_count(d):
-    by_r = count_factorizations(d, 6)
-    assert by_r == _naive_counts(d, 6)
+    by_r = count_factorizations(d, 8)
+    assert by_r == _naive_counts(d, 8)
     for r, bins in enumerate(by_r):
         assert sum(bins.values()) == math.comb(d, 2) ** r
         assert all((d - len(alpha) - r) % 2 == 0 for alpha in bins)
+
+
+def test_degree_7_counts_keep_mass_and_parity():
+    """Beyond the naive count's reach: at d = 7 every step still spreads
+    all 21^r tuples over cycle types of the parity r forces."""
+    for r, bins in enumerate(count_factorizations(7, 16)):
+        assert sum(bins.values()) == 21**r
+        assert all((7 - len(alpha) - r) % 2 == 0 for alpha in bins)
+
+
+def test_class_action_is_checked_not_assumed(monkeypatch):
+    """With one transposition missing the products are no longer a class
+    function: the sweep finds the disagreeing class and raises."""
+    real = oracle.transpositions
+    monkeypatch.setattr(oracle, "transpositions", lambda d: real(d)[1:])
+    with pytest.raises(AssertionError, match="class functions"):
+        count_factorizations(3, 2)
+
+
+@pytest.mark.parametrize("r_max", (1, 16))
+def test_cycle_types_are_read_once_per_permutation(monkeypatch, r_max):
+    """The per-degree work does not grow with the step count: each of the
+    7! permutations has its cycle type read exactly once."""
+    calls = []
+    real = oracle._cycle_lengths
+    monkeypatch.setattr(oracle, "_cycle_lengths", lambda perm: calls.append(perm) or real(perm))
+    count_factorizations(7, r_max)
+    assert len(calls) == math.factorial(7)
 
 
 @pytest.mark.parametrize("d", range(2, 8))
