@@ -121,7 +121,12 @@ class VarSet:
 
     def profile(self, exps: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
         """(x-degree, u-degree, sorted parts) of an exponent vector; the
-        inverse of `profile_exps`."""
+        inverse of `profile_exps`.
+
+        >>> vs = VarSet.xup(2)
+        >>> vs.profile(vs.profile_exps((2, 1), r=2))
+        (3, 2, (1, 2))
+        """
         d = r = 0
         parts: list[int] = []
         for fam, idx, e in zip(self.families, self.indices, exps):
@@ -334,16 +339,6 @@ class SeriesRing:
         for name, e in exps.items():
             vec[self.varset.position[name]] = e
         return ExactSeries(self, {tuple(vec): Fraction(coeff)})
-
-    def profile_monomial(self, alpha: Iterable[int], coeff, r: int | None = None) -> "ExactSeries":
-        """coeff * x^|alpha| p_alpha, times u^r when r is given, with the
-        exponents of `VarSet.profile_exps`; `VarSet.profile` decodes it.
-
-        >>> ring = SeriesRing(VarSet.xup(2), Truncation(x_max=3, u_max=2, p_weight_max=3))
-        >>> [ring.varset.profile(e) for e in ring.profile_monomial((2, 1), 1, r=2).terms]
-        [(3, 2, (1, 2))]
-        """
-        return ExactSeries(self, {self.varset.profile_exps(alpha, r): Fraction(coeff)})
 
     def __eq__(self, other) -> bool:
         return (

@@ -249,13 +249,13 @@ def extract_weight_slice(series: ExactSeries, weight: int) -> ExactSeries:
 
 def hurwitz_series(table: HurwitzTable, g: int, ctx: XpContext) -> ExactSeries:
     """H_g(x, p) = sum over profiles of H^g_alpha / r! p_alpha x^d."""
-    return ctx.ring.sum(
-        ctx.ring.profile_monomial(
-            alpha, table.entries[(g, alpha)] / math.factorial(riemann_hurwitz_r(g, alpha))
-        )
-        for gg, alpha in table.keys()
+    encode = ctx.ring.varset.profile_exps
+    terms = {
+        encode(alpha): value / math.factorial(riemann_hurwitz_r(g, alpha))
+        for (gg, alpha), value in table.entries.items()
         if gg == g and sum(alpha) <= ctx.d_max
-    )
+    }
+    return ExactSeries(ctx.ring, terms)
 
 
 def pair_correction_series(ctx: XpContext) -> ExactSeries:
@@ -265,20 +265,17 @@ def pair_correction_series(ctx: XpContext) -> ExactSeries:
     >>> pair_correction_series(XpContext(3)).coeff({"x": 3, "p_1": 1, "p_2": 1})
     Fraction(2, 3)
     """
-    return ctx.ring.sum(
-        ctx.ring.profile_monomial(
-            (i, j),
-            Fraction(
-                math.factorial(i + j - 1),
-                math.factorial(i - 1) * math.factorial(j - 1),
+    encode = ctx.ring.varset.profile_exps
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for i in range(1, ctx.d_max):
+        for j in range(1, ctx.d_max - i + 1):
+            exps = encode((i, j))  # (i, j) and (j, i) share one monomial
+            # the coefficient, with (i+j-1)!/(i+j)! = 1/(i+j)
+            terms[exps] = terms.get(exps, 0) + Fraction(
+                i ** (i - 1) * j ** (j - 1),
+                2 * (i + j) * math.factorial(i - 1) * math.factorial(j - 1),
             )
-            * i ** (i - 1)
-            * j ** (j - 1)
-            / (2 * math.factorial(i + j)),
-        )
-        for i in range(1, ctx.d_max)
-        for j in range(1, ctx.d_max - i + 1)
-    )
+    return ExactSeries(ctx.ring, terms)
 
 
 # -- check records ---------------------------------------------------------------
@@ -399,9 +396,7 @@ def fit_constants(
     form = AnsatzForm(g)
     for (theta, e, k, _), value in zip(basis, solution):
         form.constants[theta] = value
-        hodge_table.set_primitive(
-            HodgeKey.make(g, theta, k), Fraction((-1) ** k) * value, "fitted"
-        )
+        hodge_table.set_primitive(HodgeKey.make(g, theta, k), Fraction((-1) ** k) * value)
     return form
 
 

@@ -27,8 +27,9 @@ carries into the next, and every move of the operator is integer addition
 of unit keys: a cut of v into a + b adds unit[a] + unit[b] - unit[v], and
 a product of slices adds keys.  1^d packs to d itself.  Each builder call
 owns one `ProfileKeys`, which decodes a key into its degree, part count and
-(part, multiplicity) pairs once and remembers the answer; the table
-boundary unpacks each distinct key once into a `Partition`.
+(part, multiplicity) pairs once and remembers the answer; a table unpacks
+each distinct key once into a `Partition` and hands its counts to
+`HurwitzTable.from_counts`, the table boundary the oracle shares.
 
 The connected series H = log E has an equation of its own (Goulden and
 Jackson, 1997): the same operator plus a quadratic term that joins two
@@ -357,22 +358,12 @@ def hurwitz_via_cutjoin(d_max: int, g_max: int) -> HurwitzTable:
     keys = ProfileKeys(d_max)
     alphas = {k: Partition(keys.unpack(k)) for k in set().union(*h)}
     fact = [math.factorial(d) for d in range(d_max + 1)]
-    entries: dict[tuple[int, Partition], Fraction] = {}
-    for r, s in enumerate(h):
-        for k, n in s.items():
-            d, length, _ = keys[k]
-            alpha = alphas[k]
-            if d == 0:
-                raise AssertionError("connected slice contains a constant term")
-            two_g = r - d - length + 2
-            if two_g % 2 or two_g < 0:
-                raise AssertionError(
-                    f"parity/genus violation at r={r}, alpha={alpha}"
-                )
-            if n < 0:
-                raise ValueError(f"negative count at r={r}, alpha={alpha}: {n}")
-            entries[(two_g // 2, alpha)] = Fraction(n, fact[d])
-    return HurwitzTable("cutjoin", entries)
+    counts = (
+        (r, alphas[k], Fraction(n, fact[keys[k][0]]))
+        for r, s in enumerate(h)
+        for k, n in s.items()
+    )
+    return HurwitzTable.from_counts("cutjoin", counts, g_max)
 
 
 def _sub_profiles(alpha: Partition, keys: ProfileKeys) -> set[int]:

@@ -102,16 +102,15 @@ _BASE_VALUES = {
 class HodgeTable:
     """Primitive bracket values plus an evaluation memo.
 
-    `primitives` holds base and fitted values (write-once); `sources` tags
-    each stored key with how it was obtained.
+    `primitives` holds base and fitted values (write-once); a key is a
+    base value exactly when it is in `_BASE_VALUES`.
     """
 
     def __init__(self) -> None:
         self.primitives: dict[HodgeKey, Fraction] = dict(_BASE_VALUES)
-        self.sources: dict[HodgeKey, str] = dict.fromkeys(_BASE_VALUES, "base")
         self._memo: dict = {}
 
-    def set_primitive(self, key: HodgeKey, value, source: str = "fitted") -> None:
+    def set_primitive(self, key: HodgeKey, value) -> None:
         value = Fraction(value)
         if key in self.primitives:
             if self.primitives[key] != value:
@@ -122,7 +121,6 @@ class HodgeTable:
         if validity_gate(key) != "valid":
             raise ValueError(f"refusing to store non-valid key {key}")
         self.primitives[key] = value
-        self.sources[key] = source
 
     def to_json_records(self) -> list[dict]:
         keys = sorted(
@@ -134,7 +132,7 @@ class HodgeTable:
                 "theta": list(key.theta),
                 "k": key.k,
                 "value": rational_str(self.primitives[key]),
-                "source": self.sources[key],
+                "source": "base" if key in _BASE_VALUES else "fitted",
             }
             for key in keys
         ]

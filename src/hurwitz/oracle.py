@@ -17,6 +17,10 @@ each sigma keeps one packed multiset of the classes its C(d, 2) products
 reach.  Those multisets are checked to agree across each class, which makes
 the counts class functions, so the r steps run on one count per class.
 
+`HurwitzTable.from_counts` is the one table boundary of the oracle and of
+cut-and-join alike: it solves each count for its genus and refuses what no
+connected series holds.
+
 Deliberately desk-scale: the oracle holds the d!-entry permutation list, the
 class map from permutation to class, and one packed multiset per
 permutation, and it builds no vector over S_d per step.  The budget charges
@@ -48,7 +52,6 @@ from .partitions import Partition
 
 __all__ = [
     "BudgetExceededError",
-    "cycle_type",
     "transpositions",
     "count_factorizations",
     "connected_hurwitz",
@@ -115,15 +118,6 @@ def _cycle_lengths(perm) -> tuple[int, ...]:
         lengths.append(n)
     lengths.sort()
     return tuple(lengths)
-
-
-def cycle_type(perm: tuple[int, ...]) -> Partition:
-    """Cycle type as a sorted partition.
-
-    >>> tuple(cycle_type((1, 0, 2, 3)))
-    (1, 1, 2)
-    """
-    return Partition(_cycle_lengths(perm))
 
 
 def transpositions(d: int) -> list[tuple[int, ...]]:
@@ -210,7 +204,8 @@ class HurwitzTable:
     """Connected counts indexed by (genus, profile partition).
 
     Values are nonnegative rationals (automorphism-weighted counts); the
-    production method is recorded for provenance in exports.
+    production method is recorded for provenance in exports.  Both
+    production routes build their table through `from_counts`.
     """
 
     def __init__(
@@ -219,16 +214,31 @@ class HurwitzTable:
         self.method = method
         self.entries = {} if entries is None else entries
 
-    def add(self, g: int, alpha, value) -> None:
-        alpha = Partition(alpha)
-        value = Fraction(value)
-        if g < 0:
-            raise ValueError(f"negative genus {g}")
-        if riemann_hurwitz_r(g, alpha) < 0:
-            raise ValueError(f"negative branch count for g={g}, alpha={alpha}")
-        if value < 0:
-            raise ValueError(f"negative count for g={g}, alpha={alpha}: {value}")
-        self.entries[(g, alpha)] = value
+    @classmethod
+    def from_counts(
+        cls, method: str, counts: Iterable[tuple[int, Partition, Fraction]], g_max: int
+    ) -> "HurwitzTable":
+        """The table of (r, alpha, value) triples of a connected series, with
+        genus from r = d + l(alpha) + 2g - 2, keeping genus <= g_max.
+
+        A constant term, or an odd or negative 2g, raises AssertionError; a
+        negative value raises ValueError.
+
+        >>> HurwitzTable.from_counts("demo", [(2, Partition((1, 1)), Fraction(1, 2))], 0).entries
+        {(0, (1, 1)): Fraction(1, 2)}
+        """
+        entries = {}
+        for r, alpha, value in counts:
+            if not alpha:
+                raise AssertionError("connected series contains a constant term")
+            two_g = r - alpha.d - len(alpha) + 2
+            if two_g % 2 or two_g < 0:
+                raise AssertionError(f"parity/genus violation at r={r}, alpha={alpha}")
+            if value < 0:
+                raise ValueError(f"negative count at r={r}, alpha={alpha}: {value}")
+            if two_g <= 2 * g_max:
+                entries[two_g // 2, alpha] = value
+        return cls(method, entries)
 
     def value(self, g: int, alpha) -> Fraction:
         """Count with the zero-absence convention: exact zeros are never
@@ -302,18 +312,13 @@ def connected_hurwitz(d_max: int, g_max: int, r_max: int) -> HurwitzTable:
             for alpha, count in bins.items():
                 terms[encode(alpha, r)] = Fraction(count, d_fact * r_fact)
     connected = ExactSeries(ring, terms).log()
-    table = HurwitzTable("oracle")
-    for exps, coeff in sorted(connected.terms.items()):
-        d, r, parts = ring.varset.profile(exps)
-        alpha = Partition(parts)
-        if sum(alpha) != d:
-            raise AssertionError(f"inhomogeneous term {exps}")
-        two_g = r - d - len(alpha) + 2
-        if two_g % 2 or two_g < 0:
-            raise AssertionError(
-                f"parity/genus violation at d={d}, r={r}, alpha={tuple(alpha)}"
-            )
-        g = two_g // 2
-        if g <= g_max:
-            table.add(g, alpha, coeff * math.factorial(r))
-    return table
+
+    def counts():
+        for exps, coeff in sorted(connected.terms.items()):
+            d, r, parts = ring.varset.profile(exps)
+            alpha = Partition(parts)
+            if alpha.d != d:
+                raise AssertionError(f"inhomogeneous term {exps}")
+            yield r, alpha, coeff * math.factorial(r)
+
+    return HurwitzTable.from_counts("oracle", counts(), g_max)

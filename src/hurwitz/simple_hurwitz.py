@@ -3,10 +3,13 @@ operator D = x d/dx, represented exactly in the variable W = 1/(1-w) where
 w = x e^w.
 
 In W-coordinates D acts as W^2(W-1) d/dW, so D^n H~_g is a Laurent
-polynomial in W (with a single log W adjoined for the one series that needs
-it), and questions about recurrences among the D^n H~_g become exact linear
-algebra over the rationals.  Coefficient extraction [x^d] goes through the
-Lagrange double sum, independently of any series expansion.
+polynomial in W (plus one log W term for H~_1 alone), and questions about
+recurrences among the D^n H~_g become exact linear algebra over the
+rationals.  A `WExpr` holds one map from (log power, W exponent) to
+coefficient, so every operation, and the search matrix, is one loop over
+it.  Coefficient extraction [x^d] goes through the Lagrange double sum, with
+log W read through D log W = W^2 - W, independently of any series
+expansion.
 
 The numeric checks against a HurwitzTable (search vectors, differential
 identities, recurrences) read each genus's one-part column H^g_{(1^m)} once
@@ -46,7 +49,6 @@ __all__ = [
     "wexpr_from_ansatz",
     "wexpr_to_xseries",
     "extract_coeff",
-    "family_wexpr",
     "family_wexprs",
     "search_recursions",
     "differential_identity_wexpr",
@@ -61,13 +63,15 @@ __all__ = [
 
 
 class LogProductError(ValueError):
-    """Product would need log^2 W, which the two-slot representation lacks;
-    like any unrepresentable input, a usage error at the command line."""
+    """Product would need log^2 W, which a WExpr cannot hold; like any
+    unrepresentable input, a usage error at the command line."""
 
 
 class WExpr:
-    """c_j W^j sums plus an optional log W multiple: laurent + logpart.
+    """sum c W^j (log W)^l over one map `terms`: {(l, j): c}, l in {0, 1}.
 
+    `WExpr(laurent, logpart)` builds it from the log-free and the log W
+    coefficients by exponent, and `laurent` and `logpart` read them back.
     Immutable by convention: all operations return new instances.
 
     >>> e = WExpr({1: Fraction(1)}, {})          # W
@@ -77,11 +81,18 @@ class WExpr:
     {3: Fraction(1, 1), 2: Fraction(-1, 1)}
     """
 
-    __slots__ = ("laurent", "logpart")
+    __slots__ = ("terms",)
 
     def __init__(self, laurent: dict[int, Fraction], logpart: dict[int, Fraction] | None = None):
-        self.laurent = {j: Fraction(c) for j, c in laurent.items() if c}
-        self.logpart = {j: Fraction(c) for j, c in (logpart or {}).items() if c}
+        self.terms = {(0, j): Fraction(c) for j, c in laurent.items() if c}
+        self.terms.update(((1, j), Fraction(c)) for j, c in (logpart or {}).items() if c)
+
+    @classmethod
+    def _of(cls, terms: dict[tuple[int, int], Fraction]) -> "WExpr":
+        """Wrap a (l, j) -> coefficient map, dropping its zeros."""
+        expr = object.__new__(cls)
+        expr.terms = {k: c for k, c in terms.items() if c}
+        return expr
 
     @classmethod
     def zero(cls) -> "WExpr":
@@ -91,89 +102,55 @@ class WExpr:
     def const(cls, c: Fraction | int) -> "WExpr":
         return cls({0: Fraction(c)})
 
+    @property
+    def laurent(self) -> dict[int, Fraction]:
+        return {j: c for (l, j), c in self.terms.items() if not l}
+
+    @property
+    def logpart(self) -> dict[int, Fraction]:
+        return {j: c for (l, j), c in self.terms.items() if l}
+
     def is_zero(self) -> bool:
-        return not self.laurent and not self.logpart
+        return not self.terms
 
     def is_log_free(self) -> bool:
-        return not self.logpart
+        return not any(l for l, _ in self.terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WExpr):
             return NotImplemented
-        return self.laurent == other.laurent and self.logpart == other.logpart
-
-    def __hash__(self):
-        return hash(
-            (tuple(sorted(self.laurent.items())), tuple(sorted(self.logpart.items())))
-        )
+        return self.terms == other.terms
 
     def __add__(self, other: "WExpr") -> "WExpr":
-        lau = dict(self.laurent)
-        for j, c in other.laurent.items():
-            lau[j] = lau.get(j, Fraction(0)) + c
-        log = dict(self.logpart)
-        for j, c in other.logpart.items():
-            log[j] = log.get(j, Fraction(0)) + c
-        return WExpr(lau, log)
-
-    def __neg__(self) -> "WExpr":
-        return WExpr(
-            {j: -c for j, c in self.laurent.items()},
-            {j: -c for j, c in self.logpart.items()},
-        )
-
-    def __sub__(self, other: "WExpr") -> "WExpr":
-        return self + (-other)
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            terms[k] = terms.get(k, 0) + c
+        return WExpr._of(terms)
 
     def scale(self, c: Fraction | int) -> "WExpr":
         c = Fraction(c)
-        return WExpr(
-            {j: c * v for j, v in self.laurent.items()},
-            {j: c * v for j, v in self.logpart.items()},
-        )
+        return WExpr._of({k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other: "WExpr") -> "WExpr":
-        if self.logpart and other.logpart:
-            raise LogProductError("cannot multiply two log-bearing expressions")
-        lau: dict[int, Fraction] = {}
-        for j1, c1 in self.laurent.items():
-            for j2, c2 in other.laurent.items():
-                j = j1 + j2
-                lau[j] = lau.get(j, Fraction(0)) + c1 * c2
-        log: dict[int, Fraction] = {}
-        for own, src in ((self.logpart, other.laurent), (other.logpart, self.laurent)):
-            for j1, c1 in own.items():
-                for j2, c2 in src.items():
-                    j = j1 + j2
-                    log[j] = log.get(j, Fraction(0)) + c1 * c2
-        return WExpr(lau, log)
+        terms: dict[tuple[int, int], Fraction] = {}
+        for (l1, j1), c1 in self.terms.items():
+            for (l2, j2), c2 in other.terms.items():
+                if l1 and l2:
+                    raise LogProductError("cannot multiply two log-bearing expressions")
+                k = (l1 + l2, j1 + j2)
+                terms[k] = terms.get(k, 0) + c1 * c2
+        return WExpr._of(terms)
 
     def apply_D(self) -> "WExpr":
-        """D = W^2(W-1) d/dW: sends W^j to j(W^{j+2} - W^{j+1}) and log W
-        to W^2 - W."""
-        lau: dict[int, Fraction] = {}
-        log: dict[int, Fraction] = {}
-
-        def bump(target: dict[int, Fraction], j: int, c: Fraction) -> None:
-            target[j] = target.get(j, Fraction(0)) + c
-
-        for j, c in self.laurent.items():
-            if j:
-                bump(lau, j + 2, j * c)
-                bump(lau, j + 1, -j * c)
-        for j, c in self.logpart.items():
-            if j:
-                bump(log, j + 2, j * c)
-                bump(log, j + 1, -j * c)
-            bump(lau, j + 2, c)
-            bump(lau, j + 1, -c)
-        return WExpr(lau, log)
-
-    def min_exponent(self) -> int:
-        exps = list(self.laurent) + list(self.logpart)
-        if not exps:
-            raise ValueError("zero expression has no exponents")
-        return min(exps)
+        """D = W^2(W-1) d/dW: sends W^j (log W)^l to
+        (W^{j+2} - W^{j+1}) (j (log W)^l + l (log W)^{l-1})."""
+        terms: dict[tuple[int, int], Fraction] = {}
+        for (l, j), c in self.terms.items():
+            for ll, f in ((l, j * c), (l - 1, l * c)):
+                if f:
+                    terms[ll, j + 2] = terms.get((ll, j + 2), 0) + f
+                    terms[ll, j + 1] = terms.get((ll, j + 1), 0) - f
+        return WExpr._of(terms)
 
     def __repr__(self):
         return f"WExpr({self.laurent!r}, {self.logpart!r})"
@@ -215,7 +192,7 @@ def wexpr_for(g: int, n: int) -> WExpr:
     for _ in range(n - start):
         expr = expr.apply_D()
     if 2 * g - 2 + n > 0:
-        assert expr.is_log_free() and expr.min_exponent() >= 0
+        assert all(l == 0 and j >= 0 for l, j in expr.terms)
     return expr
 
 
@@ -246,32 +223,37 @@ def wexpr_to_xseries(expr: WExpr, d_max: int) -> ExactSeries:
         for nn in range(1, d_max + 1)
     )
     one_minus_w = ring.one() - w  # = W^-1
-    exps = [0, *expr.laurent, *expr.logpart]
+    exps = [0, *(j for _, j in expr.terms)]
     w_pows = dict(enumerate(one_minus_w.inverse().powers(max(exps))))
     w_pows.update((-j, s) for j, s in enumerate(one_minus_w.powers(-min(exps))))
-    parts = [w_pows[j].scale(c) for j, c in expr.laurent.items()]
-    if expr.logpart:
-        log_w = -one_minus_w.log()
-        parts += [(w_pows[j] * log_w).scale(c) for j, c in expr.logpart.items()]
-    return ring.sum(parts)
+    log_w = None if expr.is_log_free() else -one_minus_w.log()
+    return ring.sum(
+        (w_pows[j] * log_w if l else w_pows[j]).scale(c) for (l, j), c in expr.terms.items()
+    )
 
 
 def extract_coeff(expr: WExpr, d: int) -> Fraction:
-    """[x^d] of a log-free WExpr, via the Lagrange double sum.
+    """[x^d] of a WExpr, via the Lagrange double sum.
 
     W^j = (1-w)^{-j} for j > 0; W^0 contributes nothing for d >= 1;
-    negative exponents expand binomially in w.
+    negative exponents expand binomially in w.  log W is read through
+    D log W = W^2 - W, since [x^d] f = [x^d] D f / d; any other log term is
+    refused.
 
     >>> extract_coeff(WExpr({1: Fraction(1), 0: Fraction(-1)}), 1)
     Fraction(1, 1)
+    >>> extract_coeff(WExpr({}, {0: Fraction(1)}), 2)   # log W = w + ...
+    Fraction(3, 2)
     """
     if d < 1:
         raise ValueError("coefficient extraction needs d >= 1")
-    if not expr.is_log_free():
-        raise ValueError("log-bearing expression has no Lagrange extraction here")
     total = Fraction(0)
-    for j, c in expr.laurent.items():
-        if j > 0:
+    for (l, j), c in expr.terms.items():
+        if l:
+            if j:
+                raise ValueError(f"W^{j} log W has no Lagrange extraction here")
+            total += c * (lagrange_coeff(0, 2, d) - lagrange_coeff(0, 1, d)) / d
+        elif j > 0:
             total += c * lagrange_coeff(0, j, d)
         elif j < 0:
             for m in range(-j + 1):
@@ -282,14 +264,10 @@ def extract_coeff(expr: WExpr, d: int) -> Fraction:
 # -- recurrence search ------------------------------------------------------------
 
 
-def family_wexpr(descriptor: dict) -> WExpr:
-    """Product of D^p H~_g factors described by {"factors": [(g, p), ...]}."""
-    return family_wexprs([descriptor])[0]
-
-
 def family_wexprs(family: list[dict]) -> list[WExpr]:
-    """`family_wexpr` of each member, with each distinct factor D^p H~_g
-    built once per call, as D applied to D^(p-1) H~_g."""
+    """The product of D^p H~_g factors of each member
+    {"factors": [(g, p), ...]}, with each distinct factor built once per
+    call, as D applied to D^(p-1) H~_g."""
     built: dict[tuple[int, int], WExpr] = {}
 
     def factor(g: int, p: int) -> WExpr:
@@ -385,26 +363,16 @@ def search_recursions(
     vector is independently re-verified against the table as a numeric
     recurrence on the coefficients [x^d] for 1 <= d <= d_verify; a
     d_verify below 1, or a table lacking one of those degrees, is refused.
-    `exprs` are the members' `family_wexpr`s when the caller has built them
-    already.
+    `exprs` are the members' `family_wexprs` when the caller has built them
+    already.  Rows are reported as ("lau", j) for W^j and ("log", j) for
+    W^j log W, in that sorted order.
     """
     if d_verify < 1:
         raise ValueError(f"numeric check needs d_verify >= 1, got {d_verify}")
     if exprs is None:
         exprs = family_wexprs(family)
-    row_keys: set[tuple[str, int]] = set()
-    for e in exprs:
-        row_keys.update(("lau", j) for j in e.laurent)
-        row_keys.update(("log", j) for j in e.logpart)
-    rows = sorted(row_keys)
-    matrix = []
-    for kind, j in rows:
-        matrix.append(
-            [
-                (e.laurent if kind == "lau" else e.logpart).get(j, Fraction(0))
-                for e in exprs
-            ]
-        )
+    rows = sorted(set().union(*(e.terms for e in exprs)))
+    matrix = [[e.terms.get(row, Fraction(0)) for e in exprs] for row in rows]
     basis = nullspace(matrix, len(exprs))
     term_lists = _term_lists([term["factors"] for term in family], table, d_verify)
     numeric_failures = [
@@ -415,7 +383,7 @@ def search_recursions(
     return {
         "dimension": len(basis),
         "basis": basis,
-        "rows": rows,
+        "rows": [("log" if l else "lau", j) for l, j in rows],
         "numeric_failures": numeric_failures,
     }
 
@@ -476,17 +444,11 @@ def verify_recurrence(recurrence: Recurrence, table: HurwitzTable, d_range: rang
 # -- closed forms -----------------------------------------------------------------
 
 
-def _logw_series_coeff(d: int) -> Fraction:
-    """[x^d] log W, from D log W = W^2 - W and division by d."""
-    return (lagrange_coeff(0, 2, d) - lagrange_coeff(0, 1, d)) / d
-
-
 def closed_form_simple(g: int, d: int) -> Fraction:
     """H^g_{(1^d)} in closed form.
 
-    Genus 0 is the tree formula (2d-2)! d^{d-3}/d!; genus 1 combines the
-    log W and 1/W extractions of its display; higher genus goes through the
-    pinned W-polynomial (g = 2, 3).
+    Genus 0 is the tree formula (2d-2)! d^{d-3}/d!; every higher genus
+    extracts [x^d] of its pinned display H~_g (log-bearing at g = 1).
 
     >>> closed_form_simple(0, 3)
     Fraction(4, 1)
@@ -500,12 +462,6 @@ def closed_form_simple(g: int, d: int) -> Fraction:
             Fraction(math.factorial(2 * d - 2), math.factorial(d))
             * Fraction(d) ** (d - 3)
         )
-    if g == 1:
-        tilde = (
-            _logw_series_coeff(d) / 24
-            + Fraction(1, 24) * extract_coeff(WExpr({-1: Fraction(1)}), d)
-        )
-        return tilde * math.factorial(2 * d)
     return extract_coeff(wexpr_for(g, 0), d) * math.factorial(2 * d + 2 * g - 2)
 
 

@@ -618,7 +618,7 @@ def test_sessions_share_no_state(capsys):
     _, first, _ = run_cli(capsys, "fit", "--g", "2")
     _, second, _ = run_cli(capsys, "fit", "--g", "2")
     assert first == second
-    assert set(Session().hodge.sources.values()) == {"base"}
+    assert {rec["source"] for rec in Session().hodge.to_json_records()} == {"base"}
     assert len(Session().hodge.primitives) == 3
 
 

@@ -45,8 +45,7 @@ def test_new_table_holds_exactly_the_base_values():
         (1, (1,), 0): Fraction(1, 24),
         (1, (0,), 1): Fraction(1, 24),
     }
-    assert set(table.sources.values()) == {"base"}
-    assert table.sources.keys() == table.primitives.keys()
+    assert {rec["source"] for rec in table.to_json_records()} == {"base"}
     # each table owns its dicts: storing in one leaves the next one bare
     table.set_primitive(HodgeKey.make(2, (4,), 0), Fraction(1, 1152))
     assert len(HodgeTable().primitives) == 3

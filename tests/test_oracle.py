@@ -15,7 +15,6 @@ from hurwitz.oracle import (
     HurwitzTable,
     connected_hurwitz,
     count_factorizations,
-    cycle_type,
     riemann_hurwitz_r,
     transpositions,
 )
@@ -30,7 +29,7 @@ def _naive_counts(d, r_max):
     for _ in range(r_max + 1):
         bins = {}
         for sigma, c in vec.items():
-            alpha = cycle_type(sigma)
+            alpha = Partition(oracle._cycle_lengths(sigma))
             bins[alpha] = bins.get(alpha, 0) + c
         out.append(bins)
         nxt = {}
@@ -43,9 +42,9 @@ def _naive_counts(d, r_max):
 
 
 def test_cycle_type():
-    assert cycle_type((0, 1, 2)) == (1, 1, 1)
-    assert cycle_type((1, 0, 2)) == (1, 2)
-    assert cycle_type((1, 2, 0)) == (3,)
+    assert Partition(oracle._cycle_lengths((0, 1, 2))) == (1, 1, 1)
+    assert Partition(oracle._cycle_lengths((1, 0, 2))) == (1, 2)
+    assert Partition(oracle._cycle_lengths((1, 2, 0))) == (3,)
 
 
 def test_transposition_count():
@@ -201,8 +200,7 @@ def test_table_json_roundtrip(oracle_table):
 def test_table_json_is_the_indented_dump_of_its_records(oracle_table):
     """`to_json` writes the record layout itself, byte for byte what
     `json.dumps(..., indent=2)` writes."""
-    one = HurwitzTable("one")
-    one.add(1, (2,), Fraction(1, 2))
+    one = HurwitzTable("one", {(1, Partition((2,))): Fraction(1, 2)})
     for table in [HurwitzTable("empty"), one, hurwitz_via_cutjoin(6, 2), oracle_table]:
         assert table.to_json() == json.dumps(table.to_json_records(), indent=2)
 
@@ -218,8 +216,26 @@ def test_table_constructor_forms():
 
 
 def test_table_validates_entries():
-    table = HurwitzTable("test")
-    with pytest.raises(ValueError):
-        table.add(-1, (1,), 1)
-    with pytest.raises(ValueError):
-        table.add(0, (1, 1, 1), -4)
+    """`from_counts` refuses a constant term, an odd or a negative 2g and a
+    negative value; r = 2 on (1, 1) is genus 0."""
+    for bad in [
+        (0, Partition(()), Fraction(1)),  # constant term
+        (3, Partition((1, 1)), Fraction(1)),  # 2g = 1
+        (0, Partition((1, 1)), Fraction(1)),  # 2g = -2
+    ]:
+        with pytest.raises(AssertionError):
+            HurwitzTable.from_counts("test", [bad], 3)
+    with pytest.raises(ValueError, match="negative count"):
+        HurwitzTable.from_counts("test", [(4, Partition((1, 1, 1)), Fraction(-4))], 3)
+    table = HurwitzTable.from_counts("test", [(2, Partition((1, 1)), Fraction(1, 2))], 0)
+    assert (table.method, table.entries) == ("test", {(0, (1, 1)): Fraction(1, 2)})
+
+
+def test_from_counts_keeps_genus_up_to_g_max():
+    # r = d + l + 2g - 2 on (2,): r = 1, 3, 5 are genus 0, 1, 2
+    counts = [(r, Partition((2,)), Fraction(r)) for r in (1, 3, 5)]
+    assert HurwitzTable.from_counts("test", counts, 1).entries == {
+        (0, (2,)): Fraction(1),
+        (1, (2,)): Fraction(3),
+    }
+    assert len(HurwitzTable.from_counts("test", counts, 2).entries) == 3

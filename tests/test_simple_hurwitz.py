@@ -21,7 +21,6 @@ from hurwitz.simple_hurwitz import (
     differential_identity_residuals,
     differential_identity_wexpr,
     extract_coeff,
-    family_wexpr,
     family_wexprs,
     genus3_a_form,
     genus3_p_form,
@@ -101,6 +100,30 @@ def test_apply_D_is_euler_operator(expr):
     # D corresponds to x d/dx on x-series
     derived = wexpr_to_xseries(expr.apply_D(), 9)
     assert derived == wexpr_to_xseries(expr, 9).euler("x")
+
+
+@pytest.mark.parametrize("j", [-2, 0, 3])
+def test_apply_D_is_euler_operator_on_log_terms(j):
+    expr = WExpr({}, {j: F(1)})  # W^j log W
+    assert wexpr_to_xseries(expr.apply_D(), 10) == wexpr_to_xseries(expr, 10).euler("x")
+
+
+@pytest.mark.parametrize("g", [0, 1, 2, 3])
+def test_laurent_and_logpart_are_the_two_slots_of_one_map(g):
+    for n in range(g == 0, 7):
+        e = wexpr_for(g, n)
+        assert WExpr(e.laurent, e.logpart) == e, (g, n)
+        assert set(e.terms) == {(0, j) for j in e.laurent} | {(1, j) for j in e.logpart}
+
+
+def test_extract_coeff_reads_the_log_bearing_genus1_display():
+    expr = wexpr_for(1, 0)
+    assert not expr.is_log_free()
+    series = wexpr_to_xseries(expr, 12)
+    for d in range(1, 13):
+        assert extract_coeff(expr, d) == series.coeff({"x": d}), d
+    with pytest.raises(ValueError, match="log W"):
+        extract_coeff(WExpr({}, {2: F(1)}), 3)  # W^2 log W
 
 
 # -- pinned displays and their consequences --------------------------------------
@@ -211,7 +234,7 @@ def test_family_term_numeric_translation(deep_table):
     # [x^d] of a product of D^p H~_g factors = convolution of the factors'
     # numeric translations; spot-check one two-factor term both ways
     descriptor = {"factors": [(0, 2), (1, 1)]}
-    expr = family_wexpr(descriptor)
+    expr = family_wexprs([descriptor])[0]
     for d in range(1, 9):
         direct = extract_coeff(expr, d)
         conv = Fraction(0)
@@ -258,7 +281,7 @@ def test_three_factor_products_match_lagrange_route(factors, deep_table):
     lowest = sum(1 if g == 0 else 2 for g, _ in factors)
     assert set(residuals) == set(range(lowest, 13))
     for d in range(1, 13):
-        assert residuals.get(d, 0) == extract_coeff(family_wexpr(term), d), d
+        assert residuals.get(d, 0) == extract_coeff(family_wexprs([term])[0], d), d
 
 
 def _with_changed_entry(table, g, d):
@@ -397,7 +420,7 @@ def test_family_wexprs_build_each_factor_once(family, monkeypatch):
             top[g] = max(top.get(g, 0), p)
     assert len(applied) == sum(p - (g == 0) for g, p in top.items())
     monkeypatch.undo()
-    assert [family_wexpr(term) for term in family] == expected
+    assert [family_wexprs([term])[0] for term in family] == expected
 
 
 def test_family_wexprs_refuses_an_unpinned_genus_at_any_order():
