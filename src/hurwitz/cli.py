@@ -6,9 +6,10 @@ bracket), `verify` (named identity suites), `search` (recurrence null
 spaces over a term family).  All output is exact-rational JSON or CSV,
 deterministic for a fixed configuration.
 
-Exit codes: 0 success; 1 a verification failed; 2 usage error; 3 memory
-budget exceeded; 4 malformed family file; 141 stdout closed by its reader
-(128 + SIGPIPE).
+Exit codes: 0 success; 1 a verification or an internal check failed (one
+`error: internal check failed: ...` line on stderr, no traceback); 2 usage
+error; 3 memory budget exceeded; 4 malformed family file; 141 stdout closed
+by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -559,6 +560,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, DegenerateProfileError, MissingPrimitiveError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE
+    except AssertionError as ex:
+        print(f"error: internal check failed: {ex}", file=sys.stderr)
+        return EXIT_VERIFY
     except BrokenPipeError:
         # the reader is gone: send the buffered rest to devnull, so the exit flush cannot raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

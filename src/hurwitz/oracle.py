@@ -1,39 +1,30 @@
 """Brute-force transposition-factorization oracle and the Hurwitz table type.
 
 The oracle counts tuples of transpositions in S_d with prescribed product,
-binned by cycle type: it forms every product of a transposition with a
-permutation, checks that the transposition action is a class function, and
-runs dynamic programming on class counts.  It then assembles the exponential
-generating series in (x, u, p) and extracts connected counts through the
-series logarithm — no ad-hoc connectivity bookkeeping — so it stays
-independent of the cut-and-join route and usable as a ground-truth
+binned by cycle type, by plain permutation composition: since the sum of all
+transpositions is central, the count depends only on the cycle type of the
+product, so it composes one representative per conjugacy class with every
+transposition, checks the resulting class action against the class sizes,
+and runs dynamic programming on class counts.  It then assembles the
+exponential generating series in (x, u, p) and extracts connected counts
+through the series logarithm — no ad-hoc connectivity bookkeeping — so it
+stays independent of the cut-and-join route and usable as a ground-truth
 cross-check.
-
-Permutations are held as ``bytes`` in ``itertools.permutations(range(d))``
-order, so the identity comes first, and the product tau∘sigma is
-``sigma.translate(table)`` with one 256-byte table per transposition tau.
-Every product is formed once per degree and its cycle-type class read off;
-each sigma keeps one packed multiset of the classes its C(d, 2) products
-reach.  Those multisets are checked to agree across each class, which makes
-the counts class functions, so the r steps run on one count per class.
 
 `HurwitzTable.from_counts` is the one table boundary of the oracle and of
 cut-and-join alike: it solves each count for its genus and refuses what no
 connected series holds.
 
-Deliberately desk-scale: the oracle holds the d!-entry permutation list, the
-class map from permutation to class, and one packed multiset per
-permutation, and it builds no vector over S_d per step.  The budget charges
-d! * (max(r_max, 1) + C(d, 2) + 3) cells of 64 bytes, room for a vector per
-step and a gather per transposition, so it is conservative for this sweep.
-Those cells must fit in HURWITZ_MEMORY_BUDGET (bytes; the default admits
-d = 7 with 20 steps).  The largest degree is checked before any counting
-starts.
+The sweep forms p(d) * C(d, 2) products and holds one representative and
+one action row per class.  The budget charges d! * (max(r_max, 1) +
+C(d, 2) + 3) cells of 64 bytes, room for vectors over all of S_d, so it
+over-bounds this sweep by far.  Those cells must fit in
+HURWITZ_MEMORY_BUDGET (bytes; the default admits d = 7 with 20 steps).  The
+largest degree is checked before any counting starts.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from collections import Counter
@@ -48,7 +39,7 @@ from .algebra import (
     VarSet,
     rational_str,
 )
-from .partitions import Partition
+from .partitions import Partition, aut_count
 
 __all__ = [
     "BudgetExceededError",
@@ -141,52 +132,49 @@ def count_factorizations(d: int, r_max: int) -> list[dict[Partition, int]]:
     >>> count_factorizations(3, 2)[2]
     {(1, 1, 1): 3, (3,): 6}
 
-    The products are formed once per degree, not once per step: tau∘sigma
-    for every sigma and tau, at C level.  Each sigma gets one packed
-    multiset whose field c counts the tau with tau∘sigma in class c.  Every
-    member of a class must get the same multiset, or AssertionError is
-    raised; given that, N_0 = delta_id and, by induction, every N_r is a
-    class function with N_{r+1}(C) = sum_C' m(C, C') N_r(C').  So the steps
-    run on one count per class, and class C bins |C| N_r(C), with |C|
-    counted from the enumeration.
+    The sum of all transpositions is central in the group algebra of S_d,
+    so N_r(pi) depends only on the cycle type of pi.  Starting from the
+    identity, each class representative sigma_C is composed with every
+    transposition tau; a product of a new cycle type becomes that class's
+    representative, and m(C, C') counts the tau with tau∘sigma_C in C'.
+    That is p(d) * C(d, 2) products, whatever r_max is.  The class sizes
+    |C| = d!/(prod parts * aut) must sum to d! and satisfy detailed balance
+    |C| m(C, C') = |C'| m(C', C), or AssertionError is raised.  Then
+    N_0 = delta_id, N_{r+1}(C) = sum_C' m(C, C') N_r(C'), and class C bins
+    |C| N_r(C).
     """
     _check_cost(d, r_max)
-    perms = [bytes(sigma) for sigma in itertools.permutations(range(d))]
-    ids: dict[tuple[int, ...], int] = {}
-    class_of = [ids.setdefault(_cycle_lengths(sigma), len(ids)) for sigma in perms]
+    taus = transpositions(d)
+    ids = {(1,) * d: 0}  # cycle type -> class id, in order of discovery
+    reps = [tuple(range(d))]
+    action: list[Counter] = []  # action[c][c'] = m(c, c')
+    for sigma in reps:  # reps grows while it is swept
+        row = Counter()
+        for tau in taus:
+            prod = tuple(tau[v] for v in sigma)
+            lengths = _cycle_lengths(prod)
+            if lengths not in ids:
+                ids[lengths] = len(reps)
+                reps.append(prod)
+            row[ids[lengths]] += 1
+        action.append(row)
     alphas = [Partition(lengths) for lengths in ids]
-    sizes = list(Counter(class_of).values())  # first-seen order is class-id order
-    width = math.comb(d, 2).bit_length()
-    mask = (1 << width) - 1
-    unit_of = dict(zip(perms, [1 << (width * c) for c in class_of]))
-    tail = bytes(range(d, 256))
-    tables = [bytes(tau) + tail for tau in transpositions(d)]
-    if tables:
-        reached = [
-            map(unit_of.__getitem__, map(bytes.translate, perms, itertools.repeat(table)))
-            for table in tables
-        ]
-        packed = list(map(sum, zip(*reached)))
-    else:  # d <= 1: no transposition, so every product of r >= 1 is empty
-        packed = [0] * len(perms)
-    pairs = set(zip(class_of, packed))
-    if len(pairs) != len(ids):  # some class has members with different multisets
+    sizes = [math.factorial(d) // (math.prod(a) * aut_count(a)) for a in alphas]
+    if sum(sizes) != math.factorial(d) or any(
+        sizes[c] * f != sizes[c2] * action[c2][c]
+        for c, row in enumerate(action)
+        for c2, f in row.items()
+    ):
         raise AssertionError(f"transposition counts are not class functions in S_{d}")
-    rows = dict(pairs)
-    # action[c] lists (c', m(c, c')) for every class c' that c reaches
-    action = [
-        [(c2, f) for c2 in range(len(ids)) if (f := rows[c] >> (width * c2) & mask)]
-        for c in range(len(ids))
-    ]
 
     def binned(counts: list[int]) -> dict[Partition, int]:
         return {a: s * n for a, s, n in zip(alphas, sizes, counts) if n}
 
     counts = [0] * len(ids)
-    counts[0] = 1  # perms[0] is the identity, alone in class 0
+    counts[0] = 1  # the identity, alone in class 0
     out = [binned(counts)]
     for _ in range(r_max):
-        counts = [sum(f * counts[c2] for c2, f in row) for row in action]
+        counts = [sum(f * counts[c2] for c2, f in row.items()) for row in action]
         out.append(binned(counts))
     return out
 

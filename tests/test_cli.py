@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from hurwitz import ansatz, cli, cutjoin, golden, simple_hurwitz
+from hurwitz import ansatz, cli, cutjoin, golden, oracle, simple_hurwitz
 from hurwitz.algebra import ExactSeries
 from hurwitz.cli import Session, main
 from hurwitz.cutjoin import hurwitz_via_cutjoin
@@ -453,6 +453,17 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--suite", "oracle-vs-cutjoin")
     assert code == 1
     assert out.startswith("FAIL probe")
+
+
+def test_internal_check_failure_exits_1_without_traceback(capsys, monkeypatch):
+    """With one transposition missing, the oracle's class check fails: the
+    user gets one error line and exit 1, not a traceback."""
+    real = oracle.transpositions
+    monkeypatch.setattr(oracle, "transpositions", lambda d: real(d)[1:])
+    code, out, err = run_cli(capsys, "table", "--method", "oracle", "--dmax", "3", "--gmax", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: internal check failed:") and err.count("\n") == 1
+    assert "class functions" in err and "Traceback" not in err
 
 
 def test_search_default_family(capsys):

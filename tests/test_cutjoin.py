@@ -2,6 +2,7 @@
 brute-force oracle and internal consistency of the table builder."""
 
 import inspect
+import math
 from fractions import Fraction
 
 import pytest
@@ -172,6 +173,24 @@ def test_single_answer_matches_elsv_beyond_the_table(fitted, g, alpha):
 def test_single_answer_with_many_ones_matches_closed_form(g, d):
     # all-ones profiles are where pruning by part count drops the most
     assert hurwitz_number(g, (1,) * d) == closed_form_simple(g, d)
+
+
+def _one_part_closed_form(g, d):
+    """Shapiro-Shapiro-Vainshtein (see Goulden-Jackson-Vakil,
+    math/0309440): H^g_(d) = r! d^(r-1)/d! [t^(2g)] (sinh(t/2)/(t/2))^(d-1)
+    with r = d + 2g - 1, from a power series in s = t^2 over Fractions."""
+    r = d + 2 * g - 1
+    # sinh(t/2)/(t/2) = sum_k s^k / (4^k (2k+1)!)
+    base = [Fraction(1, 4**k * math.factorial(2 * k + 1)) for k in range(g + 1)]
+    power = [Fraction(1)] + [Fraction(0)] * g
+    for _ in range(d - 1):
+        power = [sum(power[i] * base[k - i] for i in range(k + 1)) for k in range(g + 1)]
+    return Fraction(math.factorial(r) * d ** (r - 1), math.factorial(d)) * power[g]
+
+
+@pytest.mark.parametrize("g, d", [(0, 16), (1, 10), (2, 12), (3, 20), (7, 9), (12, 16)])
+def test_single_answer_with_one_part_matches_closed_form(g, d):
+    assert hurwitz_number(g, (d,)) == _one_part_closed_form(g, d)
 
 
 def test_pruned_slices_keep_every_reachable_coefficient():

@@ -18,7 +18,7 @@ from hurwitz.oracle import (
     riemann_hurwitz_r,
     transpositions,
 )
-from hurwitz.partitions import Partition
+from hurwitz.partitions import Partition, partitions
 
 
 def _naive_counts(d, r_max):
@@ -89,14 +89,16 @@ def test_class_action_is_checked_not_assumed(monkeypatch):
 
 
 @pytest.mark.parametrize("r_max", (1, 16))
-def test_cycle_types_are_read_once_per_permutation(monkeypatch, r_max):
-    """The per-degree work does not grow with the step count: each of the
-    7! permutations has its cycle type read exactly once."""
+def test_cycle_types_are_read_once_per_class_product(monkeypatch, r_max):
+    """The per-degree work does not grow with the step count and never
+    spans S_7: one representative of each of the p(7) classes is composed
+    with each of the C(7, 2) transpositions, and each product's cycle type
+    is read exactly once."""
     calls = []
     real = oracle._cycle_lengths
     monkeypatch.setattr(oracle, "_cycle_lengths", lambda perm: calls.append(perm) or real(perm))
     count_factorizations(7, r_max)
-    assert len(calls) == math.factorial(7)
+    assert len(calls) == len(list(partitions(7))) * math.comb(7, 2) == 315
 
 
 @pytest.mark.parametrize("d", range(2, 8))
@@ -127,6 +129,15 @@ def test_sweep_allocates_within_its_cost_model(d):
     for r, peak in peaks.items():
         assert peak <= oracle._BYTES_PER_CELL * oracle._oracle_cells(d, r)
     assert peaks[2 * d + 2] <= 1.5 * peaks[1]
+
+
+def test_connected_counts_match_cutjoin_at_degree_10(monkeypatch):
+    """Past the default budget, the oracle and cut-and-join agree on every
+    entry of degree <= 10 and genus <= 3 (r <= 24 reaches (1^10) at g = 3)."""
+    monkeypatch.setenv("HURWITZ_MEMORY_BUDGET", str(10**12))
+    table = connected_hurwitz(10, 3, 24)
+    assert table.entries == hurwitz_via_cutjoin(10, 3).entries
+    assert max(alpha.d for _, alpha in table.entries) == 10
 
 
 def test_riemann_hurwitz_r():
