@@ -3,8 +3,9 @@
 Commands: `hurwitz` (one number, by any method), `table` (bulk exact
 tables), `fit` (pole-form constants + primitive brackets), `hodge` (one
 bracket), `verify` (named identity suites), `search` (recurrence null
-spaces over a term family).  All output is exact-rational JSON or CSV,
-deterministic for a fixed configuration.
+spaces over a term family), their flags in `_OPTIONS`, read by `parse_args`
+without argparse, whose import every one-answer process would pay for.  All
+output is exact-rational JSON or CSV, deterministic for a fixed configuration.
 
 Exit codes: 0 success; 1 a verification or an internal check failed (one
 `error: internal check failed: ...` line on stderr, no traceback); 2 usage
@@ -14,13 +15,13 @@ by its reader (128 + SIGPIPE).
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import math
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .algebra import lagrange_coeff, rational_str
 from .ansatz import (
@@ -60,15 +61,6 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_FAMILY = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader gone
-
-_METHODS = ("oracle", "cutjoin", "elsv", "closed-form")
-_SUITES = (
-    "change-theorem",
-    "genus-expansion",
-    "recursions",
-    "closed-forms",
-    "oracle-vs-cutjoin",
-)
 
 
 class FamilyFormatError(ValueError):
@@ -153,9 +145,7 @@ def _table_csv(table: HurwitzTable) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["g", "alpha", "r", "value"])
     for rec in table.to_json_records():
-        writer.writerow(
-            [rec["g"], ",".join(map(str, rec["alpha"])), rec["r"], rec["value"]]
-        )
+        writer.writerow([rec["g"], ",".join(map(str, rec["alpha"])), rec["r"], rec["value"]])
     return buf.getvalue()
 
 
@@ -171,7 +161,7 @@ def _parse_parts(text: str, *, minimum: int) -> tuple[int, ...]:
     return parts
 
 
-def _check_bounds(args: argparse.Namespace) -> None:
+def _check_bounds(args: SimpleNamespace) -> None:
     """Refuse degree and genus bounds under which there is nothing to compute."""
     for name, minimum in (("dmax", 1), ("gmax", 0), ("rmax", 0)):
         value = getattr(args, name, None)
@@ -182,7 +172,7 @@ def _check_bounds(args: argparse.Namespace) -> None:
 # -- commands ---------------------------------------------------------------------
 
 
-def _cmd_hurwitz(args: argparse.Namespace, session: Session) -> int:
+def _cmd_hurwitz(args: SimpleNamespace, session: Session) -> int:
     if args.g < 0:
         raise ValueError("genus must be >= 0")
     alpha = Partition.of(_parse_parts(args.alpha, minimum=1))
@@ -214,16 +204,14 @@ def _cmd_hurwitz(args: argparse.Namespace, session: Session) -> int:
     return EXIT_OK
 
 
-def _cmd_table(args: argparse.Namespace, session: Session) -> int:
+def _cmd_table(args: SimpleNamespace, session: Session) -> int:
     if args.method == "oracle":
         r_max = args.rmax if args.rmax is not None else 2 * args.dmax + 2 * args.gmax - 2
         table = connected_hurwitz(args.dmax, args.gmax, r_max)
-    elif args.method == "cutjoin":
+    else:
         table = session.table(args.dmax, args.gmax)
         if args.rmax is not None:
             table = table.restricted(r_max=args.rmax)
-    else:
-        raise ValueError("table method must be oracle or cutjoin")
     if args.format == "csv":
         _emit(_table_csv(table), args.out)
     else:
@@ -231,7 +219,7 @@ def _cmd_table(args: argparse.Namespace, session: Session) -> int:
     return EXIT_OK
 
 
-def _cmd_fit(args: argparse.Namespace, session: Session) -> int:
+def _cmd_fit(args: SimpleNamespace, session: Session) -> int:
     if args.g < 2:
         raise ValueError("pole-form constants exist for genus >= 2")
     form = session.form(args.g)
@@ -245,7 +233,7 @@ def _cmd_fit(args: argparse.Namespace, session: Session) -> int:
     return EXIT_OK
 
 
-def _cmd_hodge(args: argparse.Namespace, session: Session) -> int:
+def _cmd_hodge(args: SimpleNamespace, session: Session) -> int:
     theta = _parse_parts(args.theta, minimum=0)
     key = HodgeKey.make(args.g, theta, args.k)
     if args.g > 3:
@@ -293,7 +281,7 @@ def _load_family(path: str | None) -> list[dict]:
     return family
 
 
-def _cmd_search(args: argparse.Namespace, session: Session) -> int:
+def _cmd_search(args: SimpleNamespace, session: Session) -> int:
     family = _load_family(args.family)
     # each term's W-expression refuses a genus above 3 or a term it cannot
     # represent, so build them before the table
@@ -464,75 +452,88 @@ def _suite_closed_forms(session: Session, dmax: int) -> list[dict]:
 
 
 _SUITE_RUNNERS = {
-    "oracle-vs-cutjoin": (_suite_oracle_vs_cutjoin, 5),
     "change-theorem": (_suite_change_theorem, 8),
     "genus-expansion": (_suite_genus_expansion, 8),
     "recursions": (_suite_recursions, 10),
     "closed-forms": (_suite_closed_forms, 10),
+    "oracle-vs-cutjoin": (_suite_oracle_vs_cutjoin, 5),
 }
 
 
-def _cmd_verify(args: argparse.Namespace, session: Session) -> int:
+def _cmd_verify(args: SimpleNamespace, session: Session) -> int:
     runner, default_dmax = _SUITE_RUNNERS[args.suite]
     dmax = args.dmax if args.dmax is not None else default_dmax
     checks = runner(session, dmax)
     if args.format == "json":
         _emit(json.dumps({"suite": args.suite, "checks": checks}, indent=2), args.out)
     else:
-        lines = []
-        for check in checks:
-            mark = "PASS" if check["status"] == "pass" else "FAIL"
-            lines.append(f"{mark} {check['check']}")
-        _emit("\n".join(lines), args.out)
+        _emit("\n".join(f"{c['status'].upper()} {c['check']}" for c in checks), args.out)
     return EXIT_OK if all(c["status"] == "pass" for c in checks) else EXIT_VERIFY
 
 
 # -- argument parsing -------------------------------------------------------------
 
+# command -> flag -> (kind, default): a kind is int, str or a tuple of
+# choices, and a default of ... marks a flag that must be given
+_OPTIONS = {
+    "hurwitz": {"g": (int, ...), "alpha": (str, ...),
+                "method": (("oracle", "cutjoin", "elsv", "closed-form"), "cutjoin"),
+                "out": (str, None)},
+    "table": {"method": (("oracle", "cutjoin"), "cutjoin"), "dmax": (int, ...), "gmax": (int, 2),
+              "rmax": (int, None), "format": (("json", "csv"), "json"), "out": (str, None)},
+    "fit": {"g": (int, ...), "out": (str, None)},
+    "hodge": {"g": (int, ...), "theta": (str, ...), "k": (int, 0), "out": (str, None)},
+    "verify": {"suite": (tuple(_SUITE_RUNNERS), ...), "dmax": (int, None),
+               "format": (("text", "json"), "text"), "out": (str, None)},
+    "search": {"family": (str, None), "dmax": (int, 10), "out": (str, None)},
+}
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hurwitz",
-        description="Exact Hurwitz numbers, Hodge integrals, and their identities.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("hurwitz", help="one Hurwitz number by a chosen method")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--alpha", required=True, help="profile parts, e.g. 1,1,2")
-    p.add_argument("--method", choices=_METHODS, default="cutjoin")
-    p.add_argument("--out")
+def _usage(command: str | None) -> str:
+    if command not in _OPTIONS:
+        return "\n".join(map(_usage, _OPTIONS))
+    flags = []
+    for name, (kind, default) in _OPTIONS[command].items():
+        flag = f"--{name} " + (name.upper() if kind in (int, str) else "{" + ",".join(kind) + "}")
+        flags.append(flag if default is ... else f"[{flag}]")
+    return f"usage: hurwitz {command} [-h] " + " ".join(flags)
 
-    p = sub.add_parser("table", help="bulk table of Hurwitz numbers")
-    p.add_argument("--method", choices=("oracle", "cutjoin"), default="cutjoin")
-    p.add_argument("--dmax", type=int, required=True)
-    p.add_argument("--gmax", type=int, default=2)
-    p.add_argument("--rmax", type=int)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out")
 
-    p = sub.add_parser("fit", help="pole-form constants for one genus")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--out")
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command and its flags, defaults filled in, from `--flag value` or
+    `--flag=value`: the last value wins and may be empty or start with "-".
+    -h or --help prints usage and exits 0; a usage error prints `error: ...`
+    and usage to stderr and exits 2."""
+    command = argv[0] if argv else None
 
-    p = sub.add_parser("hodge", help="evaluate one bracket")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--theta", required=True, help="tau subscripts, e.g. 0,0,1 ('' for none)")
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--out")
+    def stop(code: int, error: str = ""):
+        out = sys.stderr if code else sys.stdout
+        print(error and f"error: {error}\n", _usage(command), sep="", file=out)
+        raise SystemExit(code)
 
-    p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("--suite", choices=_SUITES, required=True)
-    p.add_argument("--dmax", type=int)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out")
-
-    p = sub.add_parser("search", help="null space of a recurrence family")
-    p.add_argument("--family", help="JSON file: [{'factors': [[g, p], ...]}, ...]")
-    p.add_argument("--dmax", type=int, default=10)
-    p.add_argument("--out")
-
-    return parser
+    if "-h" in argv or "--help" in argv:
+        stop(EXIT_OK)
+    options = _OPTIONS.get(command) or stop(EXIT_USAGE, "the first argument must be a command")
+    given, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag[:2] != "--" or flag[2:] not in options:
+            stop(EXIT_USAGE, f"unrecognized argument {token!r}")
+        given[flag[2:]] = value if eq else next(tokens, ...)
+    args = SimpleNamespace(command=command)
+    for name, (kind, default) in options.items():
+        value = given.get(name, default)
+        if value is ...:
+            stop(EXIT_USAGE, f"--{name} needs a value")
+        if name in given and kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                stop(EXIT_USAGE, f"--{name}: invalid int value {value!r}")
+        elif name in given and kind is not str and value not in kind:
+            stop(EXIT_USAGE, f"--{name}: invalid choice {value!r}")
+        setattr(args, name, value)
+    return args
 
 
 _COMMANDS = {
@@ -546,8 +547,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         _check_bounds(args)
         return _COMMANDS[args.command](args, Session())

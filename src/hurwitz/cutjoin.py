@@ -126,25 +126,36 @@ def initial_slices(d_max: int) -> Slice:
     return dict.fromkeys(range(d_max + 1), 1)
 
 
-def cutjoin_step(slice_r: Slice, keys: ProfileKeys) -> Slice:
+def cutjoin_step(
+    slice_r: Slice, keys: ProfileKeys, reach: dict[int, set[int]] | None = None
+) -> Slice:
     """Apply the cut-and-join operator Delta.
 
     In the units of `Slice` one step is Delta itself.  Its weights are
     integers: an equal cut v = a + a has v even, and an equal join a + a
     has m_a (m_a - 1) even.
+
+    With `reach`, a map from a degree to the part counts to emit, only
+    profiles of those part counts are formed: a cut of a profile with n
+    parts gives n + 1 parts and a join n - 1, so each input profile skips
+    its whole cut loop or join loop when that count is out of reach.
     """
     unit = keys.unit
     out: Slice = {}
     for key, c in slice_r.items():
-        pairs = keys[key][2]
+        d, parts, pairs = keys[key]
+        cuts = joins = True
+        if reach is not None:
+            counts = reach.get(d, ())
+            cuts, joins = parts + 1 in counts, parts - 1 in counts
         for at, (v, m) in enumerate(pairs):
             rest = key - unit[v]
             # Cut: replace one part v by a + b = v.
-            for a in range(1, v // 2 + 1):
+            for a in range(1, v // 2 + 1) if cuts else ():
                 k = rest + unit[a] + unit[v - a]
                 out[k] = out.get(k, 0) + c * (v * m // 2 if 2 * a == v else v * m)
             # Join: replace parts v, w (w >= v) by v + w.
-            for w, n in pairs[at:]:
+            for w, n in pairs[at:] if joins else ():
                 if w == v and m < 2:
                     continue
                 k = rest - unit[w] + unit[v + w]
@@ -163,26 +174,30 @@ def disconnected_slices(
     operator preserves degree and changes the part count by exactly one, so
     a profile whose part count is more than r_max - s away from that of
     every kept profile of its degree feeds no kept coefficient at any step
-    <= r_max.  The coefficients that remain are exact.
+    <= r_max; the step is told which part counts are in reach and forms no
+    other profile.  The coefficients that remain are exact.
     """
     lengths: dict[int, set[int]] = {}
     for beta in keep or ():
         d, n, _ = keys[beta]
         lengths.setdefault(d, set()).add(n)
 
-    def prune(s: Slice, steps_left: int) -> Slice:
+    def reach(steps_left: int) -> dict[int, set[int]] | None:
         if keep is None:
-            return s
+            return None
         return {
-            k: v
-            for k, v in s.items()
-            for d, n, _ in (keys[k],)
-            if any(abs(n - b) <= steps_left for b in lengths.get(d, ()))
+            d: {n for b in bs for n in range(b - steps_left, b + steps_left + 1)}
+            for d, bs in lengths.items()
         }
 
-    slices = [prune(initial_slices(keys.d_max), r_max)]
+    e0 = initial_slices(keys.d_max)
+    if keep is not None:
+        # 1^d has key d, degree d and d parts
+        within = reach(r_max)
+        e0 = {d: c for d, c in e0.items() if d in within.get(d, ())}
+    slices = [e0]
     for r in range(r_max):
-        nxt = prune(cutjoin_step(slices[-1], keys), r_max - r - 1)
+        nxt = cutjoin_step(slices[-1], keys, reach(r_max - r - 1))
         for k in nxt:
             d, n, _ = keys[k]
             if (r + 1 - d + n) % 2:

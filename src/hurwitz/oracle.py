@@ -55,9 +55,11 @@ _BYTES_PER_CELL = 64
 
 
 def _oracle_cells(d: int, r_max: int) -> int:
-    """Cells charged for degree d: room for a d!-entry vector per step, a
-    d!-entry gather per transposition and three permutation tables, an
-    upper bound on what the class sweep allocates."""
+    """Cells charged for degree d: d! (max(r_max, 1) + C(d, 2) + 3), fitted
+    to an earlier sweep over all of S_d.  The class-representative sweep
+    holds p(d) representatives, action rows and count vectors and one
+    binned dict per step, so the charge over-bounds it (its traced peak is
+    under 1% of the charge at d = 7)."""
     return math.factorial(d) * (max(r_max, 1) + math.comb(d, 2) + 3)
 
 

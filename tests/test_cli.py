@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from collections import Counter
@@ -68,9 +69,9 @@ def test_cutjoin_query_builds_no_table(capsys, monkeypatch):
     steps = []
     real_step = cutjoin.cutjoin_step
 
-    def spy(slice_r, keys):
+    def spy(slice_r, keys, reach):
         steps.append({keys[k][0] for k in slice_r})
-        return real_step(slice_r, keys)
+        return real_step(slice_r, keys, reach)
 
     def no_table(*args, **kwargs):
         raise AssertionError("a table was built for one answer")
@@ -566,6 +567,115 @@ def test_argparse_usage_exit_2(capsys):
     assert exc.value.code == 2
 
 
+# Each command with only its required flags, and the namespace that
+# argparse made of it before the command table replaced it.
+PARSED_DEFAULTS = {
+    "hurwitz --g 0 --alpha 1": {
+        "command": "hurwitz", "g": 0, "alpha": "1", "method": "cutjoin", "out": None,
+    },
+    "table --dmax 3": {
+        "command": "table", "method": "cutjoin", "dmax": 3, "gmax": 2, "rmax": None,
+        "format": "json", "out": None,
+    },
+    "fit --g 2": {"command": "fit", "g": 2, "out": None},
+    "hodge --g 0 --theta 0,1": {"command": "hodge", "g": 0, "theta": "0,1", "k": 0, "out": None},
+    "verify --suite recursions": {
+        "command": "verify", "suite": "recursions", "dmax": None, "format": "text", "out": None,
+    },
+    "search": {"command": "search", "family": None, "dmax": 10, "out": None},
+}
+
+
+@pytest.mark.parametrize("line", sorted(PARSED_DEFAULTS))
+def test_parse_fills_in_each_commands_defaults(line):
+    assert vars(cli.parse_args(line.split())) == PARSED_DEFAULTS[line]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hurwitz", "--g", "-1", "--alpha", "1,2", "--method", "closed-form"],
+        ["table", "--dmax", "5", "--gmax", "0", "--rmax", "4", "--format", "csv", "--out", "-"],
+        ["hodge", "--g", "1", "--theta", "", "--k", "1"],
+        ["verify", "--suite", "oracle-vs-cutjoin", "--dmax", "4", "--format", "json"],
+        ["search", "--family", "--fam.json", "--dmax", "3"],
+    ],
+    ids=["hurwitz", "table", "hodge", "verify", "search"],
+)
+def test_flag_equals_value_parses_as_flag_space_value(argv):
+    joined = [argv[0]] + [f"{flag}={value}" for flag, value in zip(argv[1::2], argv[2::2])]
+    assert vars(cli.parse_args(joined)) == vars(cli.parse_args(argv))
+
+
+def test_repeated_flag_takes_the_last_value():
+    assert cli.parse_args(["table", "--dmax", "3", "--gmax", "1", "--dmax=5"]).dmax == 5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["tables", "--dmax", "3"],
+        ["table", "--dmax", "3", "--bogus", "1"],
+        ["table", "--dm", "3"],
+        ["table", "--dmax", "3", "6"],
+        ["table", "--dmax"],
+        ["table", "--dmax", "x"],
+        ["table", "--dmax", "3", "--format", "xml"],
+        ["hurwitz", "--alpha", "1"],
+    ],
+    ids=[
+        "no-command",
+        "unknown-command",
+        "unknown-flag",
+        "abbreviated-flag",
+        "stray-value",
+        "missing-value",
+        "bad-int",
+        "bad-choice",
+        "missing-required",
+    ],
+)
+def test_parse_errors_exit_2_with_an_error_and_the_usage(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert err.startswith("error: ")
+    assert "usage: hurwitz " in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-h"], ["--help"]] + [[line.split()[0], "--help"] for line in sorted(PARSED_DEFAULTS)],
+    ids=lambda argv: " ".join(argv),
+)
+def test_help_names_every_flag_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0
+    assert err == ""
+    for line, parsed in PARSED_DEFAULTS.items():
+        if argv[0] in (parsed["command"], "-h", "--help"):
+            assert f"usage: hurwitz {parsed['command']} " in out
+            assert all(f"--{flag} " in out for flag in parsed if flag != "command")
+
+
+def test_readme_cli_lines_parse():
+    """Every `hurwitz ...` line of the README's CLI block is a command the
+    parser accepts."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv[1:] for argv in lines if argv[:1] == ["hurwitz"]]
+    assert len(commands) >= 10
+    for argv in commands:
+        assert cli.parse_args(argv).command == argv[0]
+
+
 def test_budget_exit_3(capsys, monkeypatch):
     monkeypatch.setenv("HURWITZ_MEMORY_BUDGET", "64")
     code, _, err = run_cli(
@@ -671,9 +781,11 @@ def test_closed_stdout_exits_141_without_a_traceback():
 
 
 def test_cli_import_loads_no_heavy_modules():
-    """`import hurwitz.cli` adds none of dataclasses, inspect, ast, dis or
-    csv to what the bare interpreter loads, and no numpy or sympy, under
-    the benchmark's child environment."""
+    """`import hurwitz.cli` and one parsed command add none of dataclasses,
+    inspect, ast, dis, csv, argparse, gettext or locale to what the bare
+    interpreter loads, and no numpy or sympy, under the benchmark's child
+    environment.  gettext would load locale only at the first parse, so a
+    command runs before the modules are read."""
     root = Path(__file__).resolve().parents[1]
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONPATH"] = "src"
@@ -689,9 +801,11 @@ def test_cli_import_loads_no_heavy_modules():
         assert proc.returncode == 0, proc.stderr
         return set(proc.stdout.split())
 
-    added = loaded("import hurwitz.cli; ") - loaded("")
-    assert "hurwitz.cli" in added
-    heavy = {"dataclasses", "inspect", "ast", "dis", "csv", "numpy", "sympy"}
+    command = "hodge --g 0 --theta 0,0,0 --out".split() + [os.devnull]
+    added = loaded(f"import hurwitz.cli; assert hurwitz.cli.main({command!r}) == 0; ") - loaded("")
+    assert {"hurwitz.cli", "hurwitz.hodge"} <= added
+    heavy = {"dataclasses", "inspect", "ast", "dis", "csv", "numpy", "sympy", "argparse"}
+    heavy |= {"gettext", "locale"}
     assert added & heavy == set()
 
 

@@ -193,28 +193,40 @@ def test_single_answer_with_one_part_matches_closed_form(g, d):
     assert hurwitz_number(g, (d,)) == _one_part_closed_form(g, d)
 
 
-def test_pruned_slices_keep_every_reachable_coefficient():
-    # alpha = (1, 1, 2, 3) at g = 1: r = 9.  Each slice keeps exactly the
-    # profiles within r - s part counts of a sub-multiset of alpha of the
-    # same degree, with the unpruned coefficients.
-    keys = ProfileKeys(7)
-    keep = _sub_profiles(Partition((1, 1, 2, 3)), keys)
-    r = riemann_hurwitz_r(1, (1, 1, 2, 3))
-    full = disconnected_slices(keys, r)
-    pruned = disconnected_slices(keys, r, keep)
-    dropped = 0
-    for s, (a, b) in enumerate(zip(full, pruned)):
-        reach = {
-            k: v
-            for k, v in a.items()
-            if any(
-                keys[t][0] == keys[k][0] and abs(keys[t][1] - keys[k][1]) <= r - s
-                for t in keep
-            )
-        }
-        assert b == reach
-        dropped += len(a) - len(b)
-    assert dropped > 0
+def test_pruned_slices_keep_every_reachable_coefficient(monkeypatch):
+    # Each slice E_s keeps exactly the profiles within r - s part counts of
+    # a sub-multiset of alpha of the same degree, with the unpruned
+    # coefficients, and the step forms no entry that the slice then drops.
+    emitted = []
+    real_step = cutjoin.cutjoin_step
+
+    def spy(*args):
+        emitted.append(real_step(*args))
+        return emitted[-1]
+
+    for g, alpha in [(1, (1, 1, 2, 3)), (1, (3, 3, 4)), (2, (6, 6)), (0, (2, 2, 3))]:
+        keys = ProfileKeys(sum(alpha))
+        keep = _sub_profiles(Partition(alpha), keys)
+        r = riemann_hurwitz_r(g, alpha)
+        full = disconnected_slices(keys, r)
+        emitted.clear()
+        with monkeypatch.context() as m:
+            m.setattr(cutjoin, "cutjoin_step", spy)
+            pruned = disconnected_slices(keys, r, keep)
+        assert emitted == pruned[1:]
+        dropped = 0
+        for s, (a, b) in enumerate(zip(full, pruned)):
+            reach = {
+                k: v
+                for k, v in a.items()
+                if any(
+                    keys[t][0] == keys[k][0] and abs(keys[t][1] - keys[k][1]) <= r - s
+                    for t in keep
+                )
+            }
+            assert b == reach
+            dropped += len(a) - len(b)
+        assert dropped > 0
 
 
 @pytest.mark.parametrize("d_max", [1, 7, 8, 15, 16])

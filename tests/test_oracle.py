@@ -121,10 +121,11 @@ def _traced_peak(d, r):
 
 @pytest.mark.parametrize("d", (6, 7))
 def test_sweep_allocates_within_its_cost_model(d):
-    """The traced peak of a sweep stays inside the cells the budget charges
-    for it, and barely grows with the step count, so a sweep that kept every
-    step vector would fail here.  Below d = 6, fixed overheads that do not
-    scale with d! can exceed the model."""
+    """The traced peak of the class-representative sweep (p(d)
+    representatives, action rows and count vectors, and one binned dict
+    per step) stays inside the d!-scaled cells the budget charges for it,
+    and barely grows with the step count.  Below d = 4, fixed overheads
+    that do not scale with d! exceed the charge."""
     peaks = {r: _traced_peak(d, r) for r in (1, 2 * d + 2)}
     for r, peak in peaks.items():
         assert peak <= oracle._BYTES_PER_CELL * oracle._oracle_cells(d, r)
@@ -178,9 +179,10 @@ def test_budget_guard(monkeypatch):
 
 
 def test_budget_counts_what_the_oracle_allocates(monkeypatch):
-    """A byte budget for the 7! * 20 step cells alone no longer admits
-    d = 7, r = 20: the transposition action table and the permutation
-    list, index and cycle types are counted too."""
+    """A byte budget for the 7! * 20 step cells alone does not admit
+    d = 7, r = 20: the charge adds d! (C(d, 2) + 3) cells to the step
+    cells, and refuses before any class is swept, although the
+    class-representative sweep allocates far less than either term."""
     oracle._check_cost(7, 20)  # the default budget admits d = 7 with 20 steps
     with pytest.raises(BudgetExceededError):
         oracle._check_cost(7, 21)
