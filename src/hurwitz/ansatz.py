@@ -38,8 +38,8 @@ from .algebra import (
 )
 from .hodge import HodgeKey, HodgeTable, evaluate
 from .linalg import solve_exact
-from .oracle import HurwitzTable, riemann_hurwitz_r
 from .partitions import ThetaPartition, aut_count, partitions, primitive_thetas
+from .table import HurwitzTable, riemann_hurwitz_r
 
 __all__ = [
     "XpContext",
@@ -222,13 +222,10 @@ def assemble_G(g: int, table: HodgeTable, tctx: TContext) -> ExactSeries:
                 if not value:
                     continue
                 exps = [0] * len(position)
-                denom = 1
-                for i in sorted(set(theta)):
-                    a = theta.count(i)
-                    exps[position[f"t_{i}"]] = a
-                    denom *= math.factorial(a)
+                for i in set(theta):
+                    exps[position[f"t_{i}"]] = theta.count(i)
                 # sum(theta) = 3g - 3 + n - k, so each theta comes once
-                terms[tuple(exps)] = Fraction((-1) ** k) * value / denom
+                terms[tuple(exps)] = Fraction((-1) ** k) * value / aut_count(theta)
     return ExactSeries(tctx.ring, terms)
 
 
@@ -502,8 +499,7 @@ def verify_delta_annihilation(g: int, hodge_table: HodgeTable) -> dict:
         {e: c for e, c in image.terms.items() if sum(e) <= t_deg_max - 1},
     )
     window = {e for s in summands for e in s.terms if sum(e) <= t_deg_max - 1}
-    t0_exps = tuple(1 if i == 0 else 0 for i in range(len(ring.varset.names)))
-    residue = ring.const(-G.terms.get(t0_exps, Fraction(0)))
+    residue = ring.const(-G.coeff({"t_0": 1}))
     return compare_series(
         complete,
         residue,

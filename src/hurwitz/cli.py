@@ -46,13 +46,9 @@ from .hodge import (
     evaluate,
     validity_gate,
 )
-from .oracle import (
-    BudgetExceededError,
-    HurwitzTable,
-    connected_hurwitz,
-    riemann_hurwitz_r,
-)
+from .oracle import BudgetExceededError, connected_hurwitz
 from .partitions import Partition
+from .table import HurwitzTable, riemann_hurwitz_r
 from . import golden, simple_hurwitz
 
 EXIT_OK = 0

@@ -61,8 +61,8 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .oracle import HurwitzTable, riemann_hurwitz_r
 from .partitions import Partition
+from .table import HurwitzTable, riemann_hurwitz_r
 
 __all__ = [
     "ProfileKeys",
@@ -276,10 +276,10 @@ def _join_components(
     return out
 
 
-def connected_slices(d_max: int, r_max: int, g_max: int) -> list[Slice]:
+def connected_slices(keys: ProfileKeys, r_max: int, g_max: int) -> list[Slice]:
     """Slices H_0..H_{r_max} of the connected series H = log E in degree
-    <= d_max and genus <= g_max, keyed by `ProfileKeys(d_max)`, with no
-    logarithm taken.
+    <= keys.d_max and genus <= g_max, keyed by `keys`, with no logarithm
+    taken.
 
     H evolves by the connected cut-and-join equation from H_0 = p_1 x:
     (r+1) H_{r+1} = Delta H_r
@@ -288,15 +288,14 @@ def connected_slices(d_max: int, r_max: int, g_max: int) -> list[Slice]:
     the factor r+1 cancels and the join of steps a and b carries C(r, a).
     The sum over (a, b) is symmetric, so it runs over a <= b, doubled: with
     weight 2 for a < b and 1 for a = b, and the total is halved exactly.
-    No term lowers degree or genus, so pruning every slice to d_max and
+    No term lowers degree or genus, so pruning every slice to keys.d_max and
     g_max is exact.
 
     >>> keys = ProfileKeys(3)
-    >>> sorted((keys.unpack(k), n) for k, n in connected_slices(3, 4, 1)[2].items())
+    >>> sorted((keys.unpack(k), n) for k, n in connected_slices(keys, 4, 1)[2].items())
     [((1, 1), 1), ((3,), 6)]
     """
-    keys = ProfileKeys(d_max)
-    h: list[Slice] = [{1: 1} if d_max >= 1 else {}]
+    h: list[Slice] = [{1: 1} if keys.d_max >= 1 else {}]
     derivs = [_derivatives(h[0], 0, keys)]
     for r in range(r_max):
         twice: Slice = {}
@@ -369,8 +368,8 @@ def hurwitz_via_cutjoin(d_max: int, g_max: int) -> HurwitzTable:
     (Fraction(1, 1), Fraction(1, 2))
     """
     r_max = 2 * d_max + 2 * g_max - 2
-    h = connected_slices(d_max, r_max, g_max)
     keys = ProfileKeys(d_max)
+    h = connected_slices(keys, r_max, g_max)
     alphas = {k: Partition(keys.unpack(k)) for k in set().union(*h)}
     fact = [math.factorial(d) for d in range(d_max + 1)]
     counts = (

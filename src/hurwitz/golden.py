@@ -32,7 +32,6 @@ from typing import Callable
 __all__ = [
     "PINNED_W_SERIES",
     "POLE_FORM_COEFFS",
-    "A_COMBINATION_G3",
     "P3_PREFACTOR_DENOM",
     "P3_POLY",
     "DIFFERENTIAL_IDENTITIES",
@@ -91,17 +90,6 @@ POLE_FORM_COEFFS: dict[int, dict[tuple[int, int], Fraction]] = {
         (5, 9): _fr(89, 5184),
         (6, 10): _fr(245, 20736),
     },
-}
-
-# H^3_{(1^d)}/(2d+4)! as a combination of A_k(d) = [x^d] (1-w)^{-k}.
-A_COMBINATION_G3: dict[int, Fraction] = {
-    4: _fr(1, 1008),
-    5: _fr(-113, 10080),
-    6: _fr(2383, 51840),
-    7: _fr(-16759, 181440),
-    8: _fr(227, 2304),
-    9: _fr(-557, 10368),
-    10: _fr(245, 20736),
 }
 
 # H^3_{(1^d)} = (2d+4)!/P3_PREFACTOR_DENOM *

@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 from .algebra import rational_str
-from .oracle import riemann_hurwitz_r
 from .partitions import Partition, aut_count, multinomial
+from .table import riemann_hurwitz_r
 
 __all__ = [
     "HodgeKey",

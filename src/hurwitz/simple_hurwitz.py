@@ -31,16 +31,10 @@ from .algebra import (
     lagrange_coeff,
     rational_str,
 )
-from .golden import (
-    A_COMBINATION_G3,
-    P3_POLY,
-    P3_PREFACTOR_DENOM,
-    PINNED_W_SERIES,
-    Recurrence,
-)
+from .golden import P3_POLY, P3_PREFACTOR_DENOM, PINNED_W_SERIES, Recurrence
 from .linalg import nullspace
-from .oracle import HurwitzTable
 from .partitions import Partition, aut_count
+from .table import HurwitzTable
 
 __all__ = [
     "WExpr",
@@ -483,9 +477,10 @@ def a_series_coeff(k: int, d: int) -> Fraction:
 
 
 def genus3_a_form(d: int) -> Fraction:
-    """H^3_{(1^d)} as (2d+4)! times the pinned A_k combination."""
+    """H^3_{(1^d)} as (2d+4)! times sum_k c_k A_k(d), where c_k is the
+    W^k coefficient of the pinned H~_3 and A_k(d) = [x^d] W^k."""
     total = Fraction(0)
-    for k, c in A_COMBINATION_G3.items():
+    for k, c in PINNED_W_SERIES[(3, 0)]["laurent"].items():
         total += c * a_series_coeff(k, d)
     return total * math.factorial(2 * d + 4)
 

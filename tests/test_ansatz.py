@@ -154,8 +154,8 @@ def test_fit_is_overdetermined_and_consistent(deep_table):
 
 
 def test_fit_detects_corrupted_data(deep_table):
-    from hurwitz.oracle import HurwitzTable
     from hurwitz.partitions import Partition
+    from hurwitz.table import HurwitzTable
 
     bad = HurwitzTable("corrupt", dict(deep_table.entries))
     key = (2, Partition((1, 1, 1, 1, 1, 1)))

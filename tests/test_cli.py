@@ -1,6 +1,7 @@
 """Command-line interface: output contracts, exit codes, determinism."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import shlex
@@ -780,33 +781,48 @@ def test_closed_stdout_exits_141_without_a_traceback():
     assert (proc.returncode, proc.stderr) == (141, b"")
 
 
+def loaded_modules(code):
+    """The modules a fresh interpreter holds after running `code`, under the
+    benchmark's child environment: no PYTHON* variables and src on the path."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}import sys; print(*sys.modules, sep='\\n')"],
+        capture_output=True,
+        text=True,
+        cwd=Path(__file__).resolve().parents[1],
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
 def test_cli_import_loads_no_heavy_modules():
     """`import hurwitz.cli` and one parsed command add none of dataclasses,
     inspect, ast, dis, csv, argparse, gettext or locale to what the bare
     interpreter loads, and no numpy or sympy, under the benchmark's child
     environment.  gettext would load locale only at the first parse, so a
     command runs before the modules are read."""
-    root = Path(__file__).resolve().parents[1]
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
-    env["PYTHONPATH"] = "src"
-
-    def loaded(code):
-        proc = subprocess.run(
-            [sys.executable, "-c", f"{code}import sys; print(*sys.modules, sep='\\n')"],
-            capture_output=True,
-            text=True,
-            cwd=root,
-            env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        return set(proc.stdout.split())
-
     command = "hodge --g 0 --theta 0,0,0 --out".split() + [os.devnull]
-    added = loaded(f"import hurwitz.cli; assert hurwitz.cli.main({command!r}) == 0; ") - loaded("")
+    code = f"import hurwitz.cli; assert hurwitz.cli.main({command!r}) == 0; "
+    added = loaded_modules(code) - loaded_modules("")
     assert {"hurwitz.cli", "hurwitz.hodge"} <= added
     heavy = {"dataclasses", "inspect", "ast", "dis", "csv", "numpy", "sympy", "argparse"}
     heavy |= {"gettext", "locale"}
     assert added & heavy == set()
+
+
+ROUTES = ("oracle", "cutjoin", "hodge", "simple_hurwitz")
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_counting_routes_import_no_other_route(route):
+    """Transposition counting, cut-and-join, ELSV and the closed forms reach
+    the same numbers independently only if no route loads another: each
+    takes the table from `hurwitz.table`."""
+    loaded = loaded_modules(f"import hurwitz.{route}; ")
+    assert f"hurwitz.{route}" in loaded
+    assert {f"hurwitz.{r}" for r in ROUTES if r != route} & loaded == set()
 
 
 def test_probes_run_the_cli_in_traced_mode():
@@ -834,3 +850,21 @@ def test_recorded_benchmark_output(capsys, command):
     code, out, _ = run_cli(capsys, *command.split())
     assert code == RECORDED[command]["exit"]
     assert hashlib.sha256(out.encode()).hexdigest() == RECORDED[command]["sha256"]
+
+
+def test_query_checker_accepts_the_cli_answers(capsys):
+    """The benchmark's `queries` checker, loaded from perfbench/workloads.py,
+    accepts the CLI's answer to the first seed-1 query of each class."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    first = {}
+    for argv in workloads.commands("queries", 1):
+        first.setdefault("hodge" if argv[0] == "hodge" else argv[-1], argv)
+    assert sorted(first) == ["closed-form", "cutjoin", "elsv", "hodge", "oracle"]
+    checker = workloads.QueryOracle()
+    for argv in first.values():
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        assert workloads.check_query(out.encode(), checker.expected(argv)) is None, argv

@@ -18,9 +18,10 @@ from hurwitz.cutjoin import (
     hurwitz_via_cutjoin,
 )
 from hurwitz.hodge import elsv_hurwitz
-from hurwitz.oracle import connected_hurwitz, count_factorizations, riemann_hurwitz_r
+from hurwitz.oracle import connected_hurwitz, count_factorizations
 from hurwitz.partitions import Partition, partitions
 from hurwitz.simple_hurwitz import closed_form_simple
+from hurwitz.table import riemann_hurwitz_r
 
 
 def test_matches_oracle_on_full_overlap(oracle_table, deep_table):
@@ -55,7 +56,7 @@ def test_slices_hold_ints_and_answers_are_fractions():
     keep = _sub_profiles(Partition((1, 2, 3)), keys)
     e = disconnected_slices(keys, 10, keep)
     slices = (
-        connected_slices(7, 16, 2) + disconnected_slices(keys, 10) + e
+        connected_slices(ProfileKeys(7), 16, 2) + disconnected_slices(keys, 10) + e
         + _log_slices(e, keys, keep)
     )
     assert all(type(v) is int for s in slices for v in s.values())
@@ -78,7 +79,7 @@ def test_odd_doubled_join_is_refused(monkeypatch):
 
     monkeypatch.setattr(cutjoin, "_join_components", off_by_one)
     with pytest.raises(AssertionError, match="odd"):
-        connected_slices(4, 6, 2)
+        connected_slices(ProfileKeys(4), 6, 2)
 
 
 def _log_route(d_max, r_max, g_max=None):
@@ -98,13 +99,13 @@ def test_connected_evolution_equals_log_of_all_covers(d_max):
     """The connected cut-and-join evolution, pruned at genus 3, equals the
     logarithm of the all-covers series slice by slice and entry by entry."""
     r_max = 2 * d_max + 4
-    assert connected_slices(d_max, r_max, 3) == _log_route(d_max, r_max, 3)
+    assert connected_slices(ProfileKeys(d_max), r_max, 3) == _log_route(d_max, r_max, 3)
 
 
 @pytest.mark.parametrize("d_max, r_max", [(3, 4), (5, 16), (6, 18)])
 def test_connected_evolution_without_genus_cap(d_max, r_max):
     # r >= 2g on every entry, so the cap r_max // 2 never prunes
-    assert connected_slices(d_max, r_max, r_max // 2) == _log_route(d_max, r_max)
+    assert connected_slices(ProfileKeys(d_max), r_max, r_max // 2) == _log_route(d_max, r_max)
 
 
 def test_low_degree_spot_values(deep_table):

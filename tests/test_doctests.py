@@ -14,6 +14,7 @@ import hurwitz.linalg
 import hurwitz.oracle
 import hurwitz.partitions
 import hurwitz.simple_hurwitz
+import hurwitz.table
 
 MODULES = [
     hurwitz.algebra,
@@ -25,6 +26,7 @@ MODULES = [
     hurwitz.oracle,
     hurwitz.partitions,
     hurwitz.simple_hurwitz,
+    hurwitz.table,
 ]
 
 

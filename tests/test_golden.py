@@ -37,7 +37,7 @@ def test_a_combination_agrees_with_p_form():
 
 
 def test_a_combination_coefficient_window():
-    assert set(golden.A_COMBINATION_G3) == set(range(4, 11))
+    assert set(golden.PINNED_W_SERIES[(3, 0)]["laurent"]) == set(range(4, 11))
 
 
 def test_pole_form_top_coefficient_is_fit_aggregate():

@@ -12,13 +12,12 @@ from hurwitz import oracle
 from hurwitz.cutjoin import hurwitz_via_cutjoin
 from hurwitz.oracle import (
     BudgetExceededError,
-    HurwitzTable,
     connected_hurwitz,
     count_factorizations,
-    riemann_hurwitz_r,
     transpositions,
 )
 from hurwitz.partitions import Partition, partitions
+from hurwitz.table import HurwitzTable, riemann_hurwitz_r
 
 
 def _naive_counts(d, r_max):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from hurwitz import golden
 from hurwitz.cutjoin import hurwitz_via_cutjoin
-from hurwitz.oracle import HurwitzTable
 from hurwitz.simple_hurwitz import (
     LogProductError,
     WExpr,
@@ -32,6 +31,7 @@ from hurwitz.simple_hurwitz import (
 )
 from hurwitz.algebra import lagrange_coeff
 from hurwitz.partitions import Partition
+from hurwitz.table import HurwitzTable
 
 
 def F(a, b=1):
