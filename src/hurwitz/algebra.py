@@ -310,14 +310,27 @@ class SeriesRing:
 
     def sum(self, series: Iterable["ExactSeries"]) -> "ExactSeries":
         """The sum of series of this ring, over one common denominator."""
+        return self.combination((1, s) for s in series)
+
+    def combination(self, pairs: Iterable[tuple[int | Fraction, "ExactSeries"]]) -> "ExactSeries":
+        """sum c * S over (rational c, series S of this ring) pairs: one pass
+        over the integer numerators, over one common denominator."""
         parts = []
-        for s in series:
+        for c, s in pairs:
             if s.ring is not self and s.ring != self:
                 raise VarSetMismatchError(
                     f"operands in different rings: {self!r} vs {s.ring!r}"
                 )
-            parts.append((s.den, s.nums))
-        return ExactSeries._of(self, *_sum(parts))
+            if c and s.nums:
+                parts.append((c.numerator, c.denominator * s.den, s.nums))
+        den = math.lcm(*(d for _, d, _ in parts))
+        acc: dict[int, int] = {}
+        get = acc.get
+        for num, d, nums in parts:
+            f = num * (den // d)
+            for k, n in nums.items():
+                acc[k] = get(k, 0) + f * n
+        return ExactSeries._of(self, *_canonical(den, acc))
 
     def zero(self) -> "ExactSeries":
         return ExactSeries(self, {})

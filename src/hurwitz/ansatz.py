@@ -4,10 +4,12 @@ exact fitting of the per-genus primitive constants.
 The cast:
 
 * phi_k(z, p) = sum_n n^(n+k)/n! p_n z^n, with integer (possibly negative) k;
-* s, the unique series solution of s = x e^{phi_0(s, p)};
+* s, the unique series solution of s = x e^{phi_0(s, p)}, built from its
+  Lagrange coefficients and then checked against that equation;
 * the substitution homomorphism t_k -> phi_k(x, p) on descendant series;
 * I_k(t), the unique series solution family of I_0 = sum t_i I_0^i / i!
-  with I_k = sum_i t_{k+i} I_0^i / i!;
+  with I_k = sum_i t_{k+i} I_0^i / i!, I_0 built from its genus-0
+  coefficients and then checked against its equation;
 * G_g(t), the signed generating series of brackets, assembled from the
   hodge module;
 * the pole form sum_theta (K_theta/Aut theta) prod F_{theta_i} (1 - F_1)^{-e},
@@ -15,8 +17,9 @@ The cast:
   K_theta are fitted against cut-and-join data by exact linear algebra, and
   with F_k = I_k(t) in a `TContext`, where it is compared with G_g.
 
-Each context builds every series it holds once; the CLI builds one context
-per ring a command needs and hands it to each check.
+Each context builds every series it holds once, and every product of them
+once per distinct prefix of its factors; the CLI builds one context per
+ring a command needs and hands it to each check.
 
 Verifiers return check records, plain dicts (pass/fail plus the first
 mismatching monomial) rather than raising, which the CLI prints as they are.
@@ -34,11 +37,10 @@ from .algebra import (
     Truncation,
     VarSet,
     rational_str,
-    solve_graded_fixpoint,
 )
 from .hodge import HodgeKey, HodgeTable, evaluate
 from .linalg import solve_exact
-from .partitions import ThetaPartition, aut_count, partitions, primitive_thetas
+from .partitions import ThetaPartition, aut_count, multinomial, partitions, primitive_thetas
 from .table import HurwitzTable, riemann_hurwitz_r
 
 __all__ = [
@@ -79,11 +81,56 @@ def _descend(ring: SeriesRing, k: int, v_pows: list[ExactSeries]) -> ExactSeries
     )
 
 
+def _s_series(ring: SeriesRing, d_max: int) -> ExactSeries:
+    """s by Lagrange inversion: e^{n phi_0(z, p)} = prod_j exp(n j^j/j! p_j z^j),
+    so for mu |- n - 1 with m_j parts j,
+    [x^n p_mu] s = (1/n) [z^(n-1) p_mu] e^{n phi_0} = (1/n) prod_j (n j^j/j!)^m_j / m_j!.
+
+    >>> _s_series(SeriesRing(VarSet.xp(3), Truncation(x_max=3, p_weight_max=3)), 3).coeff(
+    ...     {"x": 3, "p_1": 2})
+    Fraction(3, 2)
+    """
+    x = ring.varset.position["x"]
+    terms = {}
+    for n in range(1, d_max + 1):
+        for mu in partitions(n - 1):
+            exps = list(ring.varset.profile_exps(mu))
+            exps[x] = n
+            terms[tuple(exps)] = Fraction(
+                n ** len(mu) * math.prod(j**j for j in mu),
+                n * math.prod(math.factorial(j) for j in mu) * aut_count(mu),
+            )
+    return ExactSeries(ring, terms)
+
+
+def _i0_series(ring: SeriesRing, t_index_max: int, t_deg_max: int) -> ExactSeries:
+    """I_0 = sum_theta (len theta - 1)!/(prod theta_i! Aut theta) t_theta, over
+    multisets theta of subscripts <= t_index_max with len theta <= t_deg_max
+    and sum theta = len theta - 1 (the genus-0 brackets <tau_0^2 tau_theta>).
+
+    >>> _i0_series(SeriesRing(VarSet.tvars(2), Truncation(t_deg_max=3)), 2, 3).coeff(
+    ...     {"t_0": 2, "t_2": 1})
+    Fraction(1, 2)
+    """
+    position = ring.varset.position
+    terms = {}
+    for length in range(1, t_deg_max + 1):
+        for q in partitions(length - 1):
+            if q and q[-1] > t_index_max:
+                continue
+            theta = (0,) * (length - len(q)) + q
+            exps = [0] * len(position)
+            for i in theta:
+                exps[position[f"t_{i}"]] += 1
+            terms[tuple(exps)] = multinomial(length - 1, theta) / aut_count(theta)
+    return ExactSeries(ring, terms)
+
+
 class _SeriesContext:
     """A ring plus every series built in it, each built once.
 
     A subclass defines the family F(k) that the pole form is evaluated on;
-    `inv_pole_power` is written here in terms of it.
+    `inv_pole_power` and `F_product` are written here in terms of it.
     """
 
     def __init__(self, ring: SeriesRing):
@@ -95,6 +142,15 @@ class _SeriesContext:
             self._memo[key] = build()
         return self._memo[key]
 
+    def _prefix_product(self, tag: str, factors: tuple, factor: Callable) -> ExactSeries:
+        """prod factor(f) over `factors`, one product per new prefix."""
+        if len(factors) <= 1:
+            return factor(factors[0]) if factors else self.ring.one()
+        return self._once(
+            (tag, factors),
+            lambda: self._prefix_product(tag, factors[:-1], factor) * factor(factors[-1]),
+        )
+
     def inv_pole_power(self, e: int) -> ExactSeries:
         """(1 - F_1)^(-e) for e >= 0, one product per new e."""
         if e == 0:
@@ -105,10 +161,15 @@ class _SeriesContext:
             ("inv", e), lambda: self.inv_pole_power(e - 1) * self.inv_pole_power(1)
         )
 
+    def F_product(self, theta: tuple[int, ...]) -> ExactSeries:
+        """prod_i F(theta_i), shared by every theta with the same prefix."""
+        return self._prefix_product("F", tuple(theta), self.F)
+
 
 class XpContext(_SeriesContext):
     """Series in (x, p) with x-degree and part-weight capped at d_max:
-    phi_k at x and at s, their powers, and the pole powers; F is phi_s."""
+    phi_k at x and at s, their powers and products, and the pole powers;
+    F is phi_s."""
 
     def __init__(self, d_max: int):
         self.d_max = d_max
@@ -129,22 +190,30 @@ class XpContext(_SeriesContext):
             ("phi_x", k, a), lambda: self.phi_x_power(k, a - 1) * self.phi_x(k)
         )
 
+    def xi_product(self, factors: tuple[tuple[int, int], ...]) -> ExactSeries:
+        """prod phi_k(x, p)^a over the (k, a) factors of a t-monomial."""
+        return self._prefix_product("xi", factors, lambda ka: self.phi_x_power(*ka))
+
     def s_powers(self) -> list[ExactSeries]:
-        """s^0..s^d_max for the series solution of s = x e^{phi_0(s, p)}."""
-        ring, n = self.ring, self.d_max
-        return self._once(
-            "s",
-            lambda: solve_graded_fixpoint(
-                lambda v: v.ring.var("x") * _phi(v.ring, 0, v.powers(n)).exp(),
-                ring,
-                n,
-                "x_max",
-            ).powers(n),
-        )
+        """s^0..s^d_max for the series solution of s = x e^{phi_0(s, p)}.
+
+        The map s -> x e^{phi_0(s, p)} raises the x-degree, so its fixed
+        point is unique and one exact check proves the Lagrange series."""
+        return self._once("s", self._build_s_powers)
+
+    def _build_s_powers(self) -> list[ExactSeries]:
+        ring = self.ring
+        s = _s_series(ring, self.d_max)
+        powers = s.powers(self.d_max)
+        phi0 = self._memo[("phi_s", 0)] = _phi(ring, 0, powers)
+        if ring.var("x") * phi0.exp() != s:
+            raise AssertionError("s is not the fixed point of s = x e^{phi_0(s, p)}")
+        return powers
 
     def phi_s(self, k: int) -> ExactSeries:
         """phi_k evaluated at z = s: sum_n n^(n+k)/n! p_n s^n."""
-        return self._once(("phi_s", k), lambda: _phi(self.ring, k, self.s_powers()))
+        powers = self.s_powers()  # builds phi_s(0) on the way
+        return self._once(("phi_s", k), lambda: _phi(self.ring, k, powers))
 
     F = phi_s
 
@@ -161,18 +230,24 @@ class TContext(_SeriesContext):
         )
 
     def _i0_powers(self) -> list[ExactSeries]:
-        """I_0^0..I_0^t_deg_max for the fixed point I_0 = sum_i t_i I_0^i / i!."""
-        ring, n = self.ring, self.t_deg_max
-        return self._once(
-            "I0",
-            lambda: solve_graded_fixpoint(
-                lambda v: _descend(v.ring, 0, v.powers(n)), ring, n, "t_deg_max"
-            ).powers(n),
-        )
+        """I_0^0..I_0^t_deg_max for the fixed point I_0 = sum_i t_i I_0^i / i!.
+
+        The map v -> sum_i t_i v^i / i! raises the t-degree, so its fixed
+        point is unique and one exact check proves the closed form."""
+        return self._once("I0", self._build_i0_powers)
+
+    def _build_i0_powers(self) -> list[ExactSeries]:
+        i0 = _i0_series(self.ring, self.t_index_max, self.t_deg_max)
+        powers = i0.powers(self.t_deg_max)
+        if _descend(self.ring, 0, powers) != i0:
+            raise AssertionError("I_0 is not the fixed point of I_0 = sum_i t_i I_0^i / i!")
+        self._memo[("I", 0)] = i0
+        return powers
 
     def I(self, k: int) -> ExactSeries:
         """I_k = sum_i t_{k+i} I_0^i / i! (k = 0 gives the fixed point)."""
-        return self._once(("I", k), lambda: _descend(self.ring, k, self._i0_powers()))
+        powers = self._i0_powers()  # builds I_0 on the way
+        return self._once(("I", k), lambda: _descend(self.ring, k, powers))
 
     F = I
 
@@ -182,17 +257,10 @@ def xi_substitute(t_series: ExactSeries, ctx: XpContext) -> ExactSeries:
     varset = t_series.ring.varset
     if any(f != "t" for f in varset.families):
         raise ValueError("xi_substitute expects a pure t-series")
-
-    def image(exps: tuple[int, ...], coeff: Fraction) -> ExactSeries:
-        product = ctx.ring.const(coeff)
-        for pos, a in enumerate(exps):
-            if a:
-                product = product * ctx.phi_x_power(varset.indices[pos], a)
-        return product
-
+    indices = varset.indices
     # the image of a monomial of degree n starts at x^n
-    return ctx.ring.sum(
-        image(exps, coeff)
+    return ctx.ring.combination(
+        (coeff, ctx.xi_product(tuple((indices[pos], a) for pos, a in enumerate(exps) if a)))
         for exps, coeff in t_series.terms.items()
         if sum(exps) <= ctx.d_max
     )
@@ -347,10 +415,8 @@ def pole_basis_series(
     with F_j = phi_j(s, p) in an XpContext and F_j = I_j(t) in a TContext."""
     out = []
     for theta, e, k in primitive_thetas(g):
-        series = ctx.inv_pole_power(e) * Fraction(1, aut_count(theta))
-        for part in theta:
-            series = series * ctx.F(part)
-        out.append((theta, e, k, series))
+        series = ctx.F_product(theta) * ctx.inv_pole_power(e)
+        out.append((theta, e, k, series.scale(Fraction(1, aut_count(theta)))))
     return out
 
 
@@ -439,27 +505,23 @@ def verify_genus_expansion(
     G = assemble_G(g, hodge_table, tctx)
 
     # Form 1: the pole form with F_j = I_j, weighted by the fitted constants.
-    terms = [
-        (k, series * form.constants[theta])
-        for theta, _, k, series in pole_basis_series(g, tctx)
-    ]
-    rhs1 = ring.sum(term for _, term in terms)
-    rhs1_k0 = ring.sum(term for k, term in terms if k == 0)
+    basis = pole_basis_series(g, tctx)
+    rhs1 = ring.combination((form.constants[theta], series) for theta, _, _, series in basis)
+    rhs1_k0 = ring.combination(
+        (form.constants[theta], series) for theta, _, k, series in basis if k == 0
+    )
 
-    # Form 2: substitute t_0, t_1 -> 0, t_j -> I_j/(1-I_1) into G itself.
-    varset = ring.varset
-
-    def substituted(exps: tuple[int, ...], coeff: Fraction) -> ExactSeries:
-        term = ring.const(coeff) * tctx.inv_pole_power(2 * g - 2 + sum(exps))
-        for pos, a in enumerate(exps):
-            for _ in range(a):
-                term = term * tctx.I(varset.indices[pos])
-        return term
-
-    rhs2 = ring.sum(
-        substituted(exps, coeff)
+    # Form 2: substitute t_0, t_1 -> 0, t_j -> I_j/(1-I_1) into G itself;
+    # a monomial t_theta goes to prod I_theta_i (1 - I_1)^-(2g-2+len theta).
+    indices = ring.varset.indices
+    thetas = [
+        (coeff, tuple(indices[pos] for pos, a in enumerate(exps) for _ in range(a)))
         for exps, coeff in G.terms.items()
         if not (exps[0] or exps[1])  # positions of t_0, t_1
+    ]
+    rhs2 = ring.combination(
+        (coeff, tctx.F_product(theta) * tctx.inv_pole_power(2 * g - 2 + len(theta)))
+        for coeff, theta in thetas
     )
 
     return [

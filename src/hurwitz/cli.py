@@ -7,10 +7,10 @@ spaces over a term family), their flags in `_OPTIONS`, read by `parse_args`
 without argparse, whose import every one-answer process would pay for.  All
 output is exact-rational JSON or CSV, deterministic for a fixed configuration.
 
-Exit codes: 0 success; 1 a verification or an internal check failed (one
-`error: internal check failed: ...` line on stderr, no traceback); 2 usage
-error; 3 memory budget exceeded; 4 malformed family file; 141 stdout closed
-by its reader (128 + SIGPIPE).
+Exit codes: 0 success; 1 a verification or an internal check failed, a
+fit's contradictory rows included (one `error: internal check failed: ...`
+line on stderr, no traceback); 2 usage error; 3 memory budget exceeded; 4
+malformed family file; 141 stdout closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .hodge import (
     evaluate,
     validity_gate,
 )
+from .linalg import InconsistentSystemError
 from .oracle import BudgetExceededError, connected_hurwitz
 from .partitions import Partition
 from .table import HurwitzTable, riemann_hurwitz_r
@@ -553,12 +554,13 @@ def main(argv: list[str] | None = None) -> int:
     except FamilyFormatError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_FAMILY
+    except (AssertionError, InconsistentSystemError) as ex:
+        # a fit's contradictory rows come from the program's own tables
+        print(f"error: internal check failed: {ex}", file=sys.stderr)
+        return EXIT_VERIFY
     except (ValueError, DegenerateProfileError, MissingPrimitiveError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE
-    except AssertionError as ex:
-        print(f"error: internal check failed: {ex}", file=sys.stderr)
-        return EXIT_VERIFY
     except BrokenPipeError:
         # the reader is gone: send the buffered rest to devnull, so the exit flush cannot raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -4,10 +4,11 @@ G_g potentials, the pole-form fits, and the structural verifiers."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hurwitz import ansatz
+from hurwitz.algebra import ExactSeries
 from hurwitz.ansatz import (
     AnsatzForm,
     TContext,
@@ -29,6 +30,7 @@ from hurwitz.ansatz import (
 )
 from hurwitz.hodge import HodgeTable
 from hurwitz.linalg import InconsistentSystemError
+from hurwitz.partitions import aut_count
 
 
 def test_phi_zero_is_tree_weighted():
@@ -66,23 +68,48 @@ def test_fixed_points_match_full_ring_iteration():
     assert t.I(0) == i0
 
 
-def test_fixed_point_iteration_k_runs_with_its_cap_at_k(monkeypatch):
-    caps = []
-    real = ansatz.solve_graded_fixpoint
+def _reference_xi(t_series, ctx):
+    """t_k -> phi_k(x, p) one monomial at a time: the constant times one
+    phi_x(k) per unit of each exponent, summed term by term."""
+    indices = t_series.ring.varset.indices
+    total = ctx.ring.zero()
+    for exps, coeff in t_series.terms.items():
+        term = ctx.ring.const(coeff)
+        for pos, a in enumerate(exps):
+            for _ in range(a):
+                term = term * ctx.phi_x(indices[pos])
+        total = total + term
+    return total
 
-    def spy(functional, ring, max_grade, cap):
-        def recorded(v):
-            caps.append(getattr(v.ring.trunc, cap))
-            return functional(v)
 
-        return real(recorded, ring, max_grade, cap)
+# t_0..t_4 up to t-degree 6 against x-degree 4: degrees 5 and 6 map to 0
+_T_RING = TContext(4, 6).ring
+_t_series = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 5).filter(lambda e: sum(e) <= 6),
+    st.fractions(max_denominator=50),
+    max_size=12,
+).map(lambda terms: ExactSeries(_T_RING, terms))
 
-    monkeypatch.setattr(ansatz, "solve_graded_fixpoint", spy)
-    XpContext(5).s_powers()
-    assert caps == [1, 2, 3, 4, 5, 5]  # the last call checks the fixed point
-    caps.clear()
-    TContext(4, 4).I(0)
-    assert caps == [1, 2, 3, 4, 4]
+
+@given(_t_series, _t_series)
+@example(_T_RING.zero(), _T_RING.var("t_4") ** 5)
+@settings(max_examples=40, deadline=None)
+def test_xi_substitute_matches_per_monomial_products(a, b):
+    # one context for both series, so the second reuses the first's products
+    ctx = XpContext(4)
+    assert xi_substitute(a, ctx) == _reference_xi(a, ctx)
+    assert xi_substitute(b, ctx) == _reference_xi(b, ctx)
+    assert xi_substitute(a + b, ctx) == _reference_xi(a + b, ctx)
+
+
+@pytest.mark.parametrize("g", (2, 3))
+def test_pole_basis_is_the_plain_factor_chain(g):
+    for ctx in (XpContext(2 * g + 2), TContext(3 * g + 2, 5)):
+        for theta, e, _, series in pole_basis_series(g, ctx):
+            plain = (ctx.ring.one() - ctx.F(1)).inverse() ** e * Fraction(1, aut_count(theta))
+            for part in theta:
+                plain = plain * ctx.F(part)
+            assert series == plain, theta
 
 
 @given(st.integers(0, 4))

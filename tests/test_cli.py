@@ -428,21 +428,63 @@ def test_cutjoin_table_takes_no_log(capsys, monkeypatch):
     assert out == hurwitz_via_cutjoin(6, 3).to_json() + "\n"
 
 
-def test_genus_expansion_solves_one_fixed_point_per_ring(capsys, monkeypatch):
-    # the fit's (x, p) ring, the genus expansion's t ring, the (x, p) ring
-    # of the xi-image and phi-shift checks, and the t ring the xi-image
-    # checks share
-    solved = []
-    real = ansatz.solve_graded_fixpoint
+def test_genus_expansion_builds_s_and_i0_once_per_ring(capsys, monkeypatch):
+    # s in the fit's (x, p) ring and in the (x, p) ring of the xi-image and
+    # phi-shift checks; I_0 in the genus expansion's t ring and in the t ring
+    # the xi-image checks share
+    built = []
+    for name in ("_s_series", "_i0_series"):
 
-    def spy(*args, **kwargs):
-        solved.append(args[1])
-        return real(*args, **kwargs)
+        def spy(ring, *bounds, real=getattr(ansatz, name)):
+            built.append(ring)
+            return real(ring, *bounds)
 
-    monkeypatch.setattr(ansatz, "solve_graded_fixpoint", spy)
+        monkeypatch.setattr(ansatz, name, spy)
     code, out, _ = run_cli(capsys, "verify", "--suite", "genus-expansion", "--dmax", "7")
     assert code == 0 and "FAIL" not in out
-    assert len(solved) == len(set(solved)) == 4
+    assert len(built) == len(set(built)) == 4
+
+
+def test_a_perturbed_fixed_point_fails_its_check(capsys, monkeypatch):
+    """One coefficient of s or of I_0 off by 1, at the top degree of its
+    ring, is caught by the fixed-point check; the CLI exits 1 with one
+    error line."""
+    for name, monomial in [
+        ("_s_series", {"x": 5, "p_2": 2}),
+        ("_i0_series", {"t_0": 3, "t_3": 1}),
+    ]:
+
+        def perturbed(ring, *bounds, real=getattr(ansatz, name), monomial=monomial):
+            series = real(ring, *bounds)
+            assert series.coeff(monomial) != 0
+            return series + ring.monomial(monomial, 1)
+
+        monkeypatch.setattr(ansatz, name, perturbed)
+    with pytest.raises(AssertionError, match="s is not the fixed point"):
+        ansatz.XpContext(5).s_powers()
+    with pytest.raises(AssertionError, match="I_0 is not the fixed point"):
+        ansatz.TContext(4, 4).I(0)
+    code, out, err = run_cli(capsys, "verify", "--suite", "change-theorem")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: internal check failed: s is not the fixed point")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_contradictory_fit_rows_exit_1(capsys, monkeypatch):
+    """One table entry raised at a degree the fit reads makes its rows
+    contradict each other; the data are the program's own, so this is an
+    internal check failure, not a usage error."""
+    real = cli.hurwitz_via_cutjoin
+
+    def raised(*args):
+        table = real(*args)
+        table.entries[(2, Partition((3, 3)))] += 1
+        return table
+
+    monkeypatch.setattr(cli, "hurwitz_via_cutjoin", raised)
+    code, out, err = run_cli(capsys, "fit", "--g", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: internal check failed: no exact solution (contradictory rows)\n"
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):

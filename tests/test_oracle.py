@@ -1,7 +1,8 @@
 """Brute-force transposition-factorization oracle: permutation helpers,
-raw counts against hand values and a naive count, and the budget guard."""
+raw counts against hand values and a naive count, and the budget guard.
+The table container's own tests are in test_table.py."""
 
-import json
+import gc
 import math
 import tracemalloc
 from fractions import Fraction
@@ -17,7 +18,7 @@ from hurwitz.oracle import (
     transpositions,
 )
 from hurwitz.partitions import Partition, partitions
-from hurwitz.table import HurwitzTable, riemann_hurwitz_r
+from hurwitz.table import riemann_hurwitz_r
 
 
 def _naive_counts(d, r_max):
@@ -110,6 +111,10 @@ def test_cycle_factorizations_match_denes_count(d):
 
 
 def _traced_peak(d, r):
+    # the peak depends on what the allocator already holds: one untraced run
+    # and a collection first, so that earlier tests do not move it
+    count_factorizations(d, r)
+    gc.collect()
     tracemalloc.start()
     try:
         count_factorizations(d, r)
@@ -138,12 +143,6 @@ def test_connected_counts_match_cutjoin_at_degree_10(monkeypatch):
     table = connected_hurwitz(10, 3, 24)
     assert table.entries == hurwitz_via_cutjoin(10, 3).entries
     assert max(alpha.d for _, alpha in table.entries) == 10
-
-
-def test_riemann_hurwitz_r():
-    assert riemann_hurwitz_r(0, (1, 1, 1)) == 4
-    assert riemann_hurwitz_r(1, (1, 1)) == 4
-    assert riemann_hurwitz_r(0, (3,)) == 2
 
 
 def test_connected_spot_values(oracle_table):
@@ -198,56 +197,3 @@ def test_over_budget_refused_before_counting(monkeypatch):
     with pytest.raises(BudgetExceededError):
         connected_hurwitz(8, 2, 18)
     assert calls == []
-
-
-def test_table_json_roundtrip(oracle_table):
-    records = oracle_table.to_json_records()
-    assert records == sorted(
-        records, key=lambda r: (r["g"], sum(r["alpha"]), tuple(r["alpha"]))
-    )
-    back = {(rec["g"], Partition(rec["alpha"])): Fraction(rec["value"]) for rec in records}
-    assert back == oracle_table.entries
-
-
-def test_table_json_is_the_indented_dump_of_its_records(oracle_table):
-    """`to_json` writes the record layout itself, byte for byte what
-    `json.dumps(..., indent=2)` writes."""
-    one = HurwitzTable("one", {(1, Partition((2,))): Fraction(1, 2)})
-    for table in [HurwitzTable("empty"), one, hurwitz_via_cutjoin(6, 2), oracle_table]:
-        assert table.to_json() == json.dumps(table.to_json_records(), indent=2)
-
-
-def test_table_constructor_forms():
-    entries = {(0, Partition((1, 1))): Fraction(1, 2), (1, Partition((2,))): Fraction(1, 2)}
-    table = HurwitzTable("given", entries)
-    assert (table.method, table.entries) == ("given", entries)
-    assert HurwitzTable("empty").entries == {}
-    assert HurwitzTable("a").entries is not HurwitzTable("b").entries
-    sub = table.restricted(r_max=2)
-    assert (sub.method, sub.entries) == ("given", {(0, Partition((1, 1))): Fraction(1, 2)})
-
-
-def test_table_validates_entries():
-    """`from_counts` refuses a constant term, an odd or a negative 2g and a
-    negative value; r = 2 on (1, 1) is genus 0."""
-    for bad in [
-        (0, Partition(()), Fraction(1)),  # constant term
-        (3, Partition((1, 1)), Fraction(1)),  # 2g = 1
-        (0, Partition((1, 1)), Fraction(1)),  # 2g = -2
-    ]:
-        with pytest.raises(AssertionError):
-            HurwitzTable.from_counts("test", [bad], 3)
-    with pytest.raises(ValueError, match="negative count"):
-        HurwitzTable.from_counts("test", [(4, Partition((1, 1, 1)), Fraction(-4))], 3)
-    table = HurwitzTable.from_counts("test", [(2, Partition((1, 1)), Fraction(1, 2))], 0)
-    assert (table.method, table.entries) == ("test", {(0, (1, 1)): Fraction(1, 2)})
-
-
-def test_from_counts_keeps_genus_up_to_g_max():
-    # r = d + l + 2g - 2 on (2,): r = 1, 3, 5 are genus 0, 1, 2
-    counts = [(r, Partition((2,)), Fraction(r)) for r in (1, 3, 5)]
-    assert HurwitzTable.from_counts("test", counts, 1).entries == {
-        (0, (2,)): Fraction(1),
-        (1, (2,)): Fraction(3),
-    }
-    assert len(HurwitzTable.from_counts("test", counts, 2).entries) == 3
