@@ -321,16 +321,8 @@ class SeriesRing:
                 raise VarSetMismatchError(
                     f"operands in different rings: {self!r} vs {s.ring!r}"
                 )
-            if c and s.nums:
-                parts.append((c.numerator, c.denominator * s.den, s.nums))
-        den = math.lcm(*(d for _, d, _ in parts))
-        acc: dict[int, int] = {}
-        get = acc.get
-        for num, d, nums in parts:
-            f = num * (den // d)
-            for k, n in nums.items():
-                acc[k] = get(k, 0) + f * n
-        return ExactSeries._of(self, *_canonical(den, acc))
+            parts.append((c.numerator, c.denominator * s.den, s.nums))
+        return ExactSeries._of(self, *_sum(parts))
 
     def zero(self) -> "ExactSeries":
         return ExactSeries(self, {})
@@ -378,16 +370,17 @@ def _canonical(den: int, nums: Mapping[int, int]) -> tuple[int, dict[int, int]]:
     return den, nums
 
 
-def _sum(parts: Iterable[tuple[int, Mapping[int, int]]]) -> tuple[int, dict[int, int]]:
-    """The canonical sum of (den, nums) parts, over the lcm of their dens."""
-    parts = [p for p in parts if p[1]]
-    den = math.lcm(*(d for d, _ in parts))
+def _sum(parts: Iterable[tuple[int, int, Mapping[int, int]]]) -> tuple[int, dict[int, int]]:
+    """The canonical sum of scale * nums / den over (scale, den, nums) parts,
+    over the lcm of their dens."""
+    parts = [p for p in parts if p[0] and p[2]]
+    den = math.lcm(*(d for _, d, _ in parts))
     acc: dict[int, int] = {}
     get = acc.get
-    for d, nums in parts:
-        f = den // d
+    for c, d, nums in parts:
+        f = c * (den // d)
         for k, n in nums.items():
-            acc[k] = get(k, 0) + n * f
+            acc[k] = get(k, 0) + f * n
     return _canonical(den, acc)
 
 
@@ -562,7 +555,7 @@ class ExactSeries:
         ops = {0: (first[0], sorted(first[1].items()))}
         for m in range(1, ring.max_total_degree() + 1):
             acc = _sum(
-                (den * ops[m - j][0], ring._product(op, ops[m - j][1]))
+                (1, den * ops[m - j][0], ring._product(op, ops[m - j][1]))
                 for j, op in fixed_ops
                 if m - j in ops
             )
@@ -588,7 +581,7 @@ class ExactSeries:
             (p, {0: q}),
             lambda m, acc: _canonical(acc[0] * p, {k: -q * n for k, n in acc[1].items()}),
         )
-        return ExactSeries._of(self.ring, *_sum(slices.values()))
+        return ExactSeries._of(self.ring, *_sum((1, *s) for s in slices.values()))
 
     def exp(self) -> "ExactSeries":
         """Exponential; requires constant term 0.
@@ -600,7 +593,7 @@ class ExactSeries:
             raise ConstantTermError("exp requires constant term 0")
         fixed = {j: {k: j * n for k, n in s.items()} for j, s in self._slices().items()}
         slices = self._graded(fixed, (1, {0: 1}), lambda m, acc: _canonical(acc[0] * m, acc[1]))
-        return ExactSeries._of(self.ring, *_sum(slices.values()))
+        return ExactSeries._of(self.ring, *_sum((1, *s) for s in slices.values()))
 
     def log(self) -> "ExactSeries":
         """Logarithm; requires constant term 1.
@@ -611,18 +604,13 @@ class ExactSeries:
         if self.constant_term() != 1:
             raise ConstantTermError("log requires constant term 1")
         e_slices = self._slices()
-
-        def finish(m: int, acc: tuple) -> tuple:
-            e_m = e_slices.get(m, {})
-            return _sum((acc, (self.den, {k: m * n for k, n in e_m.items()})))
-
         k_slices = self._graded(
             {j: {k: -n for k, n in s.items()} for j, s in e_slices.items()},
             (1, {}),
-            finish,
+            lambda m, acc: _sum(((1, *acc), (m, self.den, e_slices.get(m, {})))),
         )
         return ExactSeries._of(
-            self.ring, *_sum((d * m, nums) for m, (d, nums) in k_slices.items() if m)
+            self.ring, *_sum((1, d * m, nums) for m, (d, nums) in k_slices.items() if m)
         )
 
     # -- derivations -------------------------------------------------------

@@ -130,7 +130,7 @@ class _SeriesContext:
     """A ring plus every series built in it, each built once.
 
     A subclass defines the family F(k) that the pole form is evaluated on;
-    `inv_pole_power` and `F_product` are written here in terms of it.
+    `inv_pole_power` and `pole_term` are written here in terms of it.
     """
 
     def __init__(self, ring: SeriesRing):
@@ -153,17 +153,18 @@ class _SeriesContext:
 
     def inv_pole_power(self, e: int) -> ExactSeries:
         """(1 - F_1)^(-e) for e >= 0, one product per new e."""
-        if e == 0:
-            return self.ring.one()
-        if e == 1:
-            return self._once("inv", lambda: (self.ring.one() - self.F(1)).inverse())
-        return self._once(
-            ("inv", e), lambda: self.inv_pole_power(e - 1) * self.inv_pole_power(1)
+        return self._prefix_product(
+            "inv", (1,) * e, lambda _: self._once("inv", lambda: (1 - self.F(1)).inverse())
         )
 
-    def F_product(self, theta: tuple[int, ...]) -> ExactSeries:
-        """prod_i F(theta_i), shared by every theta with the same prefix."""
-        return self._prefix_product("F", tuple(theta), self.F)
+    def pole_term(self, g: int, theta: tuple[int, ...]) -> ExactSeries:
+        """prod_i F(theta_i) (1 - F_1)^-(len theta + 2g - 2), once per (g, theta);
+        the product over theta is shared by every theta with the same prefix."""
+        return self._once(
+            ("pole", g, theta),
+            lambda: self._prefix_product("F", theta, self.F)
+            * self.inv_pole_power(len(theta) + 2 * g - 2),
+        )
 
 
 class XpContext(_SeriesContext):
@@ -183,16 +184,11 @@ class XpContext(_SeriesContext):
             ("phi_x", k), lambda: _phi(self.ring, k, self.ring.var("x").powers(self.d_max))
         )
 
-    def phi_x_power(self, k: int, a: int) -> ExactSeries:
-        if a == 0:
-            return self.ring.one()
-        return self._once(
-            ("phi_x", k, a), lambda: self.phi_x_power(k, a - 1) * self.phi_x(k)
-        )
-
     def xi_product(self, factors: tuple[tuple[int, int], ...]) -> ExactSeries:
         """prod phi_k(x, p)^a over the (k, a) factors of a t-monomial."""
-        return self._prefix_product("xi", factors, lambda ka: self.phi_x_power(*ka))
+        return self._prefix_product(
+            "xi", factors, lambda ka: self._prefix_product("phi_x^", (ka[0],) * ka[1], self.phi_x)
+        )
 
     def s_powers(self) -> list[ExactSeries]:
         """s^0..s^d_max for the series solution of s = x e^{phi_0(s, p)}.
@@ -413,11 +409,10 @@ def pole_basis_series(
 ) -> list[tuple[ThetaPartition, int, int, ExactSeries]]:
     """Per primitive theta: (theta, e, k, prod F_theta_i (1 - F_1)^-e / Aut),
     with F_j = phi_j(s, p) in an XpContext and F_j = I_j(t) in a TContext."""
-    out = []
-    for theta, e, k in primitive_thetas(g):
-        series = ctx.F_product(theta) * ctx.inv_pole_power(e)
-        out.append((theta, e, k, series.scale(Fraction(1, aut_count(theta)))))
-    return out
+    return [
+        (theta, e, k, ctx.pole_term(g, theta).scale(Fraction(1, aut_count(theta))))
+        for theta, e, k in primitive_thetas(g)
+    ]
 
 
 _MIN_SURPLUS = 10  # equations beyond the unknowns that a fit must have
@@ -519,10 +514,7 @@ def verify_genus_expansion(
         for exps, coeff in G.terms.items()
         if not (exps[0] or exps[1])  # positions of t_0, t_1
     ]
-    rhs2 = ring.combination(
-        (coeff, tctx.F_product(theta) * tctx.inv_pole_power(2 * g - 2 + len(theta)))
-        for coeff, theta in thetas
-    )
+    rhs2 = ring.combination((coeff, tctx.pole_term(g, theta)) for coeff, theta in thetas)
 
     return [
         compare_series(G, rhs1, f"genus-expansion-g{g}-constants-form", trunc),

@@ -81,28 +81,18 @@ class Session:
         self.hodge = HodgeTable()
 
     def table(self, d_max: int, g_max: int) -> HurwitzTable:
-        """The cut-and-join table of degree <= d_max and genus <= g_max.
+        """A cut-and-join table covering degree <= d_max and genus <= g_max.
 
-        A table at least as large in both bounds is trimmed instead of
-        recomputed: its entries are exact, since the evolution it came from
-        prunes by degree and genus, which no cut-and-join term lowers.
+        The first cached table at least as large in both bounds is handed
+        out as it is, so a caller reads only the entries within its own
+        bounds; they are exact, since the evolution prunes by degree and
+        genus, which no cut-and-join term lowers.
         """
-        key = (d_max, g_max)
-        if key not in self.tables:
-            larger = next(
-                (t for (d, g), t in self.tables.items() if d >= d_max and g >= g_max),
-                None,
-            )
-            if larger is None:
-                self.tables[key] = hurwitz_via_cutjoin(d_max, g_max)
-            else:
-                trimmed = {
-                    (g, alpha): v
-                    for (g, alpha), v in larger.entries.items()
-                    if g <= g_max and alpha.d <= d_max
-                }
-                self.tables[key] = HurwitzTable(larger.method, trimmed)
-        return self.tables[key]
+        for (d, g), table in self.tables.items():
+            if d >= d_max and g >= g_max:
+                return table
+        table = self.tables[d_max, g_max] = hurwitz_via_cutjoin(d_max, g_max)
+        return table
 
     def form(self, g: int) -> AnsatzForm:
         if g not in self.forms:
@@ -206,7 +196,7 @@ def _cmd_table(args: SimpleNamespace, session: Session) -> int:
         r_max = args.rmax if args.rmax is not None else 2 * args.dmax + 2 * args.gmax - 2
         table = connected_hurwitz(args.dmax, args.gmax, r_max)
     else:
-        table = session.table(args.dmax, args.gmax)
+        table = hurwitz_via_cutjoin(args.dmax, args.gmax)
         if args.rmax is not None:
             table = table.restricted(r_max=args.rmax)
     if args.format == "csv":
@@ -315,7 +305,7 @@ def _suite_oracle_vs_cutjoin(session: Session, dmax: int) -> list[dict]:
     r_max = 2 * dmax + 6
     oracle = connected_hurwitz(dmax, r_max // 2, r_max)
     # r >= 2g on every entry, so genus r_max // 2 reaches all of r <= r_max
-    cj = session.table(dmax, r_max // 2).restricted(r_max)
+    cj = hurwitz_via_cutjoin(dmax, r_max // 2).restricted(r_max)
     name = f"oracle-vs-cutjoin-d{dmax}-r{r_max}"
     for g, alpha in sorted(oracle.entries.keys() | cj.entries.keys()):
         a, b = oracle.value(g, alpha), cj.value(g, alpha)

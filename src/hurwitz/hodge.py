@@ -62,10 +62,6 @@ class HodgeKey(NamedTuple):
             raise ValueError(f"bad bracket index g={g}, theta={theta}, k={k}")
         return cls(g, theta, k)
 
-    @property
-    def n(self) -> int:
-        return len(self.theta)
-
     def __str__(self) -> str:
         taus = " ".join(f"tau_{a}" for a in self.theta)
         return f"<{taus} lambda_{self.k}>_{self.g}"
@@ -178,7 +174,7 @@ def _evaluate(key: HodgeKey, table: HodgeTable, genus0: str, order: str) -> Frac
     if g == 0 and genus0 == "closed_form":
         return multinomial(len(theta) - 3, theta)
 
-    def string_step() -> Fraction:
+    if 0 in theta and (1 not in theta or order == "string_first"):
         rest = _without_one(theta, 0)
         total = Fraction(0)
         for v in sorted(set(rest)):
@@ -188,23 +184,12 @@ def _evaluate(key: HodgeKey, table: HodgeTable, genus0: str, order: str) -> Frac
             sub = HodgeKey.make(g, _without_one(rest, v) + (v - 1,), k)
             total += mult * evaluate(sub, table, genus0=genus0, order=order)
         return total
-
-    def dilaton_step() -> Fraction:
+    if 1 in theta:
         rest = _without_one(theta, 1)
         sub = HodgeKey.make(g, rest, k)
         return (2 * g - 2 + len(rest)) * evaluate(
             sub, table, genus0=genus0, order=order
         )
-
-    steps = []
-    if 0 in theta:
-        steps.append(string_step)
-    if 1 in theta:
-        steps.append(dilaton_step)
-    if steps:
-        if order == "dilaton_first":
-            steps.reverse()
-        return steps[0]()
 
     if key not in table.primitives:
         raise MissingPrimitiveError(key)

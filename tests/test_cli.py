@@ -256,6 +256,57 @@ def test_closed_forms_refuse_a_table_missing_a_degree(capsys, monkeypatch):
     assert "table lacks H^3_(1^5)" in err and "Traceback" not in err
 
 
+def _raise_first_constant(g):
+    """Perturb the first fitted K_theta of genus g by 1."""
+
+    def perturb(monkeypatch):
+        real = cli.fit_constants
+
+        def raised(gg, *args):
+            form = real(gg, *args)
+            if gg == g:
+                form.constants[next(iter(form.constants))] += 1
+            return form
+
+        monkeypatch.setattr(cli, "fit_constants", raised)
+
+    return perturb
+
+
+def _raise_spot_value(monkeypatch):
+    monkeypatch.setitem(golden.SPOT_VALUES, (1, 2), golden.SPOT_VALUES[(1, 2)] + 1)
+
+
+def _raise_a_series_coeff(monkeypatch):
+    real = simple_hurwitz.a_series_coeff
+    monkeypatch.setattr(
+        simple_hurwitz, "a_series_coeff", lambda k, d: real(k, d) + ((k, d) == (3, 12))
+    )
+
+
+@pytest.mark.parametrize(
+    "perturb, failing",
+    [
+        # at g = 2 the W-form and the aggregates read the same sums by length
+        (_raise_first_constant(2), ["fitted-form-matches-display-g2", "fitted-aggregates-g2"]),
+        (_raise_first_constant(3), ["fitted-form-matches-display-g3"]),
+        (_raise_spot_value, ["spot-values"]),
+        (_raise_a_series_coeff, ["a-series-vs-lagrange"]),
+    ],
+    ids=["fitted-constant-g2", "fitted-constant-g3", "spot-value", "a-series-coeff"],
+)
+def test_closed_forms_checks_fail_on_their_own_input(capsys, monkeypatch, perturb, failing):
+    """The closed-forms checks that no table perturbation reaches each
+    fail, and no other check does, when their own input, a fitted
+    constant, a pinned value or one A_k(d), is off by 1."""
+    perturb(monkeypatch)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "closed-forms")
+    assert code == 1
+    assert [line for line in out.splitlines() if not line.startswith("PASS ")] == [
+        f"FAIL {name}" for name in failing
+    ]
+
+
 def test_vacuous_recurrence_check_exits_2(capsys):
     """With --dmax 1 the recurrences, which start at d = 2, would compare
     nothing; that is a usage error, not five passes."""
@@ -765,17 +816,26 @@ def test_unwritable_out_exits_2(capsys, tmp_path):
     [((10, 3), (6, 2)), ((10, 3), (8, 3)), ((8, 2), (6, 2)), ((10, 3), (10, 2))],
     ids=["d10g3-d6g2", "d10g3-d8g3", "d8g2-d6g2", "d10g3-d10g2"],
 )
-def test_session_trims_smaller_tables(monkeypatch, big, small):
+def test_session_serves_smaller_tables_from_a_covering_one(monkeypatch, big, small):
+    """A smaller table is the cached covering one, not a copy; its entries
+    within the smaller bounds are exact, and a fit read from it (every big
+    table covers the g = 2 fit's (6, 2)) equals a fresh session's."""
     session = Session()
-    session.table(*big)
+    covering = session.table(*big)
 
     def recompute(*args):
-        raise AssertionError("smaller table was recomputed instead of trimmed")
+        raise AssertionError("a covered table was recomputed")
 
     monkeypatch.setattr(cutjoin, "connected_slices", recompute)
-    trimmed = session.table(*small).to_json()
+    assert session.table(*small) is covering
+    constants = session.form(2).constants
     monkeypatch.undo()
-    assert trimmed == hurwitz_via_cutjoin(*small).to_json()
+    d_max, g_max = small
+    within = {
+        (g, alpha): v for (g, alpha), v in covering.entries.items() if g <= g_max and alpha.d <= d_max
+    }
+    assert within == hurwitz_via_cutjoin(*small).entries
+    assert constants == Session().form(2).constants
 
 
 def test_sessions_share_no_state(capsys):

@@ -33,7 +33,7 @@ def test_key_is_a_value_type():
     key = HodgeKey.make(2, (3, 0, 1), 1)
     fields = (2, (0, 1, 3), 1)
     assert key == fields and hash(key) == hash(fields)
-    assert key == HodgeKey(2, (0, 1, 3), 1) and key.n == 3
+    assert key == HodgeKey(2, (0, 1, 3), 1) and len(key.theta) == 3
     assert repr(key) == "HodgeKey(g=2, theta=(0, 1, 3), k=1)"
     assert str(key) == "<tau_0 tau_1 tau_3 lambda_1>_2"
 
