@@ -68,7 +68,10 @@ _VAR_RE = re.compile(r"^(x|u|p_(\d+)|t_(\d+))$")
 
 
 class VarSet:
-    """An ordered set of named variables with derived family/index metadata.
+    """An ordered set of named variables with derived family/index metadata,
+    and the one codec between exponent vectors and what they stand for:
+    name maps (`encode`/`decode`), profiles (`profile_exps`/`profile`) and
+    multisets of t-subscripts (`theta_exps`/`theta`).
 
     >>> vs = VarSet(("x", "p_1", "p_2"))
     >>> vs.families
@@ -104,20 +107,37 @@ class VarSet:
         self.indices = tuple(indices)
         self.position = {n: i for i, n in enumerate(names)}
 
-    def profile_exps(self, alpha: Iterable[int], r: int | None = None) -> tuple[int, ...]:
-        """The exponent vector of x^|alpha| p_alpha, times u^r when r is
-        given: the one encoding of a profile as a monomial.
+    def encode(self, named: Mapping[str, int], factors: Iterable[str] = ()) -> tuple[int, ...]:
+        """The exponent vector of prod name^e over `named`, times one more
+        power of each variable named in `factors`: the one place a monomial
+        is built from variable names."""
+        vec = [0] * len(self.names)
+        for name, e in named.items():
+            vec[self.position[name]] = e
+        for name in factors:
+            vec[self.position[name]] += 1
+        return tuple(vec)
+
+    def decode(self, exps: tuple[int, ...]) -> dict[str, int]:
+        """name -> exponent of the variables in an exponent vector."""
+        return {name: e for name, e in zip(self.names, exps) if e}
+
+    def _subscripts(self, family: str, exps: tuple[int, ...]) -> tuple[int, ...]:
+        """The sorted multiset of the family's subscripts in a vector."""
+        found = zip(self.families, self.indices, exps)
+        return tuple(sorted(i for f, i, e in found if f == family for _ in range(e)))
+
+    def profile_exps(
+        self, alpha: Iterable[int], r: int | None = None, d: int | None = None
+    ) -> tuple[int, ...]:
+        """The exponent vector of x^d p_alpha, with d = |alpha| unless given,
+        times u^r when r is given: the one encoding of a profile as a monomial.
 
         >>> VarSet.xup(2).profile_exps((2, 1), r=2)
         (3, 2, 1, 1)
         """
-        vec = [0] * len(self.names)
-        vec[self.position["x"]] = sum(alpha)
-        if r is not None:
-            vec[self.position["u"]] = r
-        for part in alpha:
-            vec[self.position[f"p_{part}"]] += 1
-        return tuple(vec)
+        head = {"x": sum(alpha) if d is None else d} | ({} if r is None else {"u": r})
+        return self.encode(head, (f"p_{part}" for part in alpha))
 
     def profile(self, exps: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
         """(x-degree, u-degree, sorted parts) of an exponent vector; the
@@ -127,16 +147,17 @@ class VarSet:
         >>> vs.profile(vs.profile_exps((2, 1), r=2))
         (3, 2, (1, 2))
         """
-        d = r = 0
-        parts: list[int] = []
-        for fam, idx, e in zip(self.families, self.indices, exps):
-            if fam == "x":
-                d = e
-            elif fam == "u":
-                r = e
-            elif fam == "p":
-                parts.extend([idx] * e)
-        return d, r, tuple(sorted(parts))
+        named = self.decode(exps)
+        return named.get("x", 0), named.get("u", 0), self._subscripts("p", exps)
+
+    def theta_exps(self, theta: Iterable[int]) -> tuple[int, ...]:
+        """The exponent vector of prod_i t_{theta_i}."""
+        return self.encode({}, (f"t_{i}" for i in theta))
+
+    def theta(self, exps: tuple[int, ...]) -> tuple[int, ...]:
+        """The sorted t-subscripts of an exponent vector; the inverse of
+        `theta_exps`."""
+        return self._subscripts("t", exps)
 
     @classmethod
     def xp(cls, p_max: int) -> "VarSet":
@@ -317,12 +338,14 @@ class SeriesRing:
         over the integer numerators, over one common denominator."""
         parts = []
         for c, s in pairs:
-            if s.ring is not self and s.ring != self:
-                raise VarSetMismatchError(
-                    f"operands in different rings: {self!r} vs {s.ring!r}"
-                )
+            self._require(s.ring)
             parts.append((c.numerator, c.denominator * s.den, s.nums))
         return ExactSeries._of(self, *_sum(parts))
+
+    def _require(self, other: "SeriesRing") -> None:
+        """Refuse an operand from another ring."""
+        if other is not self and other != self:
+            raise VarSetMismatchError(f"operands in different rings: {self!r} vs {other!r}")
 
     def zero(self) -> "ExactSeries":
         return ExactSeries(self, {})
@@ -331,19 +354,13 @@ class SeriesRing:
         return self.const(1)
 
     def const(self, c) -> "ExactSeries":
-        c = Fraction(c)
-        if c == 0:
-            return self.zero()
-        return ExactSeries(self, {(0,) * len(self.varset.names): c})
+        return self.monomial({}, c)
 
     def var(self, name: str) -> "ExactSeries":
         return self.monomial({name: 1}, 1)
 
     def monomial(self, exps: Mapping[str, int], coeff) -> "ExactSeries":
-        vec = [0] * len(self.varset.names)
-        for name, e in exps.items():
-            vec[self.varset.position[name]] = e
-        return ExactSeries(self, {tuple(vec): Fraction(coeff)})
+        return ExactSeries(self, {self.varset.encode(exps): Fraction(coeff)})
 
     def __eq__(self, other) -> bool:
         return (
@@ -423,12 +440,6 @@ class ExactSeries:
 
     # -- basics ----------------------------------------------------------
 
-    def _check_ring(self, other: "ExactSeries") -> None:
-        if self.ring != other.ring:
-            raise VarSetMismatchError(
-                f"operands in different rings: {self.ring!r} vs {other.ring!r}"
-            )
-
     def is_zero(self) -> bool:
         return not self.nums
 
@@ -436,12 +447,9 @@ class ExactSeries:
         return Fraction(self.nums.get(0, 0), self.den)
 
     def coeff(self, exps: Mapping[str, int]) -> Fraction:
-        vec = [0] * len(self.ring.varset.names)
-        for name, e in exps.items():
-            vec[self.ring.varset.position[name]] = e
-        if not self.ring.admits(vec):
-            return Fraction(0)
-        return Fraction(self.nums.get(self.ring._key(vec), 0), self.den)
+        vec = self.ring.varset.encode(exps)
+        n = self.nums.get(self.ring._key(vec), 0) if self.ring.admits(vec) else 0
+        return Fraction(n, self.den)
 
     def __eq__(self, other) -> bool:
         return (
@@ -450,9 +458,6 @@ class ExactSeries:
             and self.den == other.den
             and self.nums == other.nums
         )
-
-    def __hash__(self):
-        raise TypeError("ExactSeries is not hashable")
 
     def __repr__(self) -> str:
         n = len(self.nums)
@@ -500,7 +505,7 @@ class ExactSeries:
     def __mul__(self, other) -> "ExactSeries":
         if not isinstance(other, ExactSeries):
             return self.scale(other)
-        self._check_ring(other)
+        self.ring._require(other.ring)
         nums = self.ring._product(sorted(self.nums.items()), sorted(other.nums.items()))
         return ExactSeries._of(self.ring, *_canonical(self.den * other.den, nums))
 
@@ -662,8 +667,7 @@ def solve_graded_fixpoint(
     for step in range(1, max_grade + 1):
         sub = lowered(step)
         nxt = functional(cur._moved(sub))
-        if nxt.ring != sub:
-            raise VarSetMismatchError(f"the functional left the ring {sub!r}")
+        sub._require(nxt.ring)  # the functional must stay in the lowered ring
         if nxt._moved(cur.ring) != cur:
             raise DivergingFunctionalError(
                 f"slice of grade <= {step - 1} changed at iteration {step}"
@@ -698,8 +702,6 @@ def lagrange_coeff(n: int, r: int, d: int) -> Fraction:
     total = Fraction(0)
     if r == 0:
         # w^n alone: only the i = 0 term of the first sum survives.
-        if n == 0:
-            return Fraction(1) if d == 0 else Fraction(0)
         return n * Fraction(d) ** (d - n - 1) / math.factorial(d - n)
     for i in range(0, d - n + 1):
         total += (

@@ -53,6 +53,7 @@ __all__ = [
     "hurwitz_series",
     "pair_correction_series",
     "pole_basis_series",
+    "fit_rows",
     "fit_constants",
     "verify_change_theorem",
     "verify_euler_square",
@@ -77,7 +78,7 @@ def _descend(ring: SeriesRing, k: int, v_pows: list[ExactSeries]) -> ExactSeries
     return ring.sum(
         ring.var(f"t_{k + i}") * v_pow * Fraction(1, math.factorial(i))
         for i, v_pow in enumerate(v_pows)
-        if f"t_{k + i}" in ring.varset.position
+        if f"t_{k + i}" in ring.varset.names
     )
 
 
@@ -90,13 +91,11 @@ def _s_series(ring: SeriesRing, d_max: int) -> ExactSeries:
     ...     {"x": 3, "p_1": 2})
     Fraction(3, 2)
     """
-    x = ring.varset.position["x"]
+    encode = ring.varset.profile_exps
     terms = {}
     for n in range(1, d_max + 1):
         for mu in partitions(n - 1):
-            exps = list(ring.varset.profile_exps(mu))
-            exps[x] = n
-            terms[tuple(exps)] = Fraction(
+            terms[encode(mu, d=n)] = Fraction(
                 n ** len(mu) * math.prod(j**j for j in mu),
                 n * math.prod(math.factorial(j) for j in mu) * aut_count(mu),
             )
@@ -112,17 +111,14 @@ def _i0_series(ring: SeriesRing, t_index_max: int, t_deg_max: int) -> ExactSerie
     ...     {"t_0": 2, "t_2": 1})
     Fraction(1, 2)
     """
-    position = ring.varset.position
+    encode = ring.varset.theta_exps
     terms = {}
     for length in range(1, t_deg_max + 1):
         for q in partitions(length - 1):
             if q and q[-1] > t_index_max:
                 continue
             theta = (0,) * (length - len(q)) + q
-            exps = [0] * len(position)
-            for i in theta:
-                exps[position[f"t_{i}"]] += 1
-            terms[tuple(exps)] = multinomial(length - 1, theta) / aut_count(theta)
+            terms[encode(theta)] = multinomial(length - 1, theta) / aut_count(theta)
     return ExactSeries(ring, terms)
 
 
@@ -184,11 +180,9 @@ class XpContext(_SeriesContext):
             ("phi_x", k), lambda: _phi(self.ring, k, self.ring.var("x").powers(self.d_max))
         )
 
-    def xi_product(self, factors: tuple[tuple[int, int], ...]) -> ExactSeries:
-        """prod phi_k(x, p)^a over the (k, a) factors of a t-monomial."""
-        return self._prefix_product(
-            "xi", factors, lambda ka: self._prefix_product("phi_x^", (ka[0],) * ka[1], self.phi_x)
-        )
+    def xi_product(self, theta: tuple[int, ...]) -> ExactSeries:
+        """prod_i phi_{theta_i}(x, p), the image of the t-monomial t_theta."""
+        return self._prefix_product("xi", theta, self.phi_x)
 
     def s_powers(self) -> list[ExactSeries]:
         """s^0..s^d_max for the series solution of s = x e^{phi_0(s, p)}.
@@ -253,10 +247,9 @@ def xi_substitute(t_series: ExactSeries, ctx: XpContext) -> ExactSeries:
     varset = t_series.ring.varset
     if any(f != "t" for f in varset.families):
         raise ValueError("xi_substitute expects a pure t-series")
-    indices = varset.indices
     # the image of a monomial of degree n starts at x^n
     return ctx.ring.combination(
-        (coeff, ctx.xi_product(tuple((indices[pos], a) for pos, a in enumerate(exps) if a)))
+        (coeff, ctx.xi_product(varset.theta(exps)))
         for exps, coeff in t_series.terms.items()
         if sum(exps) <= ctx.d_max
     )
@@ -270,7 +263,7 @@ def assemble_G(g: int, table: HodgeTable, tctx: TContext) -> ExactSeries:
     subscripts within the ring's index range.
     """
     terms: dict[tuple[int, ...], Fraction] = {}
-    position = tctx.ring.varset.position
+    encode = tctx.ring.varset.theta_exps
     for n in range(tctx.t_deg_max + 1):
         if 2 * g - 2 + n <= 0:
             continue
@@ -285,11 +278,8 @@ def assemble_G(g: int, table: HodgeTable, tctx: TContext) -> ExactSeries:
                 value = evaluate(HodgeKey.make(g, theta, k), table)
                 if not value:
                     continue
-                exps = [0] * len(position)
-                for i in set(theta):
-                    exps[position[f"t_{i}"]] = theta.count(i)
                 # sum(theta) = 3g - 3 + n - k, so each theta comes once
-                terms[tuple(exps)] = Fraction((-1) ** k) * value / aut_count(theta)
+                terms[encode(theta)] = Fraction((-1) ** k) * value / aut_count(theta)
     return ExactSeries(tctx.ring, terms)
 
 
@@ -299,13 +289,9 @@ def extract_weight_slice(series: ExactSeries, weight: int) -> ExactSeries:
     For G_g this selects a fixed lambda-degree; weight 3g-3 is the
     lambda-free part F_g.
     """
-    varset = series.ring.varset
-    terms = {}
-    for exps, coeff in series.terms.items():
-        w = sum((varset.indices[pos] - 1) * a for pos, a in enumerate(exps))
-        if w == weight:
-            terms[exps] = coeff
-    return ExactSeries(series.ring, terms)
+    decode = series.ring.varset.theta
+    kept = {e: c for e, c in series.terms.items() if sum(i - 1 for i in decode(e)) == weight}
+    return ExactSeries(series.ring, kept)
 
 
 def hurwitz_series(table: HurwitzTable, g: int, ctx: XpContext) -> ExactSeries:
@@ -359,10 +345,9 @@ def compare_series(
         record["status"] = "pass"
     else:
         exps = sorted(diff.terms)[0]
-        names = lhs.ring.varset.names
         record["status"] = "fail"
         record["first_mismatch"] = {
-            "monomial": {names[i]: e for i, e in enumerate(exps) if e},
+            "monomial": lhs.ring.varset.decode(exps),
             "lhs": rational_str(lhs.terms.get(exps, Fraction(0))),
             "rhs": rational_str(rhs.terms.get(exps, Fraction(0))),
         }
@@ -418,6 +403,21 @@ def pole_basis_series(
 _MIN_SURPLUS = 10  # equations beyond the unknowns that a fit must have
 
 
+def fit_rows(g: int, d_fit: int) -> list[tuple[int, ...]]:
+    """The fit's equations, known before any series is built: p_alpha x^d
+    for every alpha |- d <= d_fit, encoded as in `XpContext(d_fit)`, sorted.
+    Raises ValueError if they exceed the unknowns by less than `_MIN_SURPLUS`."""
+    encode = VarSet.xp(d_fit).profile_exps
+    rows = sorted(encode(alpha) for d in range(1, d_fit + 1) for alpha in partitions(d))
+    unknowns = len(primitive_thetas(g))
+    if len(rows) < unknowns + _MIN_SURPLUS:
+        raise ValueError(
+            f"only {len(rows)} equations for {unknowns} unknowns; "
+            f"need {_MIN_SURPLUS} surplus — increase d_fit"
+        )
+    return rows
+
+
 def fit_constants(
     g: int,
     hurwitz: HurwitzTable,
@@ -426,25 +426,17 @@ def fit_constants(
 ) -> AnsatzForm:
     """Determine the K_theta exactly from Hurwitz data.
 
-    Builds the pole-form basis series, equates coefficients of p_alpha x^d
-    with the Hurwitz generating series for every profile with d <= d_fit,
-    and solves the over-determined rational system.  Requires full rank and
-    exact consistency of every equation, with at least `_MIN_SURPLUS` more
-    equations than unknowns; writes the fitted primitive brackets
+    Equates coefficients of p_alpha x^d between the pole-form basis series
+    and the Hurwitz generating series on the rows of `fit_rows`, refused
+    there before any series is built, and solves the over-determined
+    rational system.  Requires full rank and exact consistency of every
+    equation; writes the fitted primitive brackets
     <tau_theta lambda_k>_g = (-1)^k K_theta into `hodge_table`.
     """
+    rows = fit_rows(g, d_fit)
     ctx = XpContext(d_fit)
     basis = pole_basis_series(g, ctx)
     target = hurwitz_series(hurwitz, g, ctx)
-    monomials = set(target.terms)
-    for _, _, _, series in basis:
-        monomials.update(series.terms)
-    rows = sorted(monomials)
-    if len(rows) < len(basis) + _MIN_SURPLUS:
-        raise ValueError(
-            f"only {len(rows)} equations for {len(basis)} unknowns; "
-            f"need {_MIN_SURPLUS} surplus — increase d_fit"
-        )
     matrix = [
         [series.terms.get(row, Fraction(0)) for _, _, _, series in basis]
         for row in rows
@@ -508,13 +500,12 @@ def verify_genus_expansion(
 
     # Form 2: substitute t_0, t_1 -> 0, t_j -> I_j/(1-I_1) into G itself;
     # a monomial t_theta goes to prod I_theta_i (1 - I_1)^-(2g-2+len theta).
-    indices = ring.varset.indices
-    thetas = [
-        (coeff, tuple(indices[pos] for pos, a in enumerate(exps) for _ in range(a)))
-        for exps, coeff in G.terms.items()
-        if not (exps[0] or exps[1])  # positions of t_0, t_1
-    ]
-    rhs2 = ring.combination((coeff, tctx.pole_term(g, theta)) for coeff, theta in thetas)
+    thetas = ((coeff, ring.varset.theta(exps)) for exps, coeff in G.terms.items())
+    rhs2 = ring.combination(
+        (coeff, tctx.pole_term(g, theta))
+        for coeff, theta in thetas
+        if 0 not in theta and 1 not in theta
+    )
 
     return [
         compare_series(G, rhs1, f"genus-expansion-g{g}-constants-form", trunc),

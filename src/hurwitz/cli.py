@@ -29,6 +29,7 @@ from .ansatz import (
     TContext,
     XpContext,
     fit_constants,
+    fit_rows,
     verify_change_theorem,
     verify_delta_annihilation,
     verify_euler_square,
@@ -97,6 +98,7 @@ class Session:
     def form(self, g: int) -> AnsatzForm:
         if g not in self.forms:
             d_fit = 2 * g + 2
+            fit_rows(g, d_fit)  # a fit too small is refused before its table is built
             self.forms[g] = fit_constants(g, self.table(d_fit, g), d_fit, self.hodge)
         return self.forms[g]
 
@@ -166,9 +168,8 @@ def _cmd_hurwitz(args: SimpleNamespace, session: Session) -> int:
     if not alpha:
         raise ValueError("profile must be non-empty")
     g, d = args.g, alpha.d
-    r = riemann_hurwitz_r(g, alpha)
     if args.method == "oracle":
-        table = connected_hurwitz(d, g, r)
+        table = connected_hurwitz(d, g, riemann_hurwitz_r(g, alpha))
         value = table.value(g, alpha)
     elif args.method == "cutjoin":
         value = hurwitz_number(g, alpha)
@@ -180,14 +181,8 @@ def _cmd_hurwitz(args: SimpleNamespace, session: Session) -> int:
         if set(alpha) != {1}:
             raise ValueError("closed-form method covers only profiles (1,...,1)")
         value = simple_hurwitz.closed_form_simple(g, d)
-    obj = {
-        "g": g,
-        "alpha": list(alpha),
-        "r": r,
-        "value": rational_str(value),
-        "method": args.method,
-    }
-    _emit(json.dumps(obj, indent=2), args.out)
+    (record,) = HurwitzTable(args.method, {(g, alpha): value}).to_json_records()
+    _emit(json.dumps(record, indent=2), args.out)
     return EXIT_OK
 
 
@@ -260,7 +255,8 @@ def _load_family(path: str | None) -> list[dict]:
             if (
                 not isinstance(pair, (list, tuple))
                 or len(pair) != 2
-                or not all(isinstance(v, int) and v >= 0 for v in pair)
+                # a bool is an int, but JSON true or false is no factor
+                or not all(type(v) is int and v >= 0 for v in pair)
             ):
                 raise FamilyFormatError(f"factor must be [g, p] of ints >= 0: {pair!r}")
             clean.append((pair[0], pair[1]))
@@ -377,6 +373,11 @@ def _suite_recursions(session: Session, dmax: int) -> list[dict]:
 
 
 def _suite_closed_forms(session: Session, dmax: int) -> list[dict]:
+    if dmax < 2:
+        # H^g_(1) = 0 for g >= 1, and so is every genus-1..3 closed form at d = 1
+        raise ValueError(
+            f"closed-form checks would compare nothing: --dmax must be >= 2, got {dmax}"
+        )
     d_table = max(dmax, 10)
     table = session.table(d_table, 3)
     # H^g_{(1^d)} for d <= d_table, read once per genus
@@ -489,8 +490,8 @@ def _usage(command: str | None) -> str:
 def parse_args(argv: list[str]) -> SimpleNamespace:
     """The command and its flags, defaults filled in, from `--flag value` or
     `--flag=value`: the last value wins and may be empty or start with "-".
-    -h or --help prints usage and exits 0; a usage error prints `error: ...`
-    and usage to stderr and exits 2."""
+    -h or --help in place of the command or of a flag prints usage and exits
+    0; a usage error prints `error: ...` and usage to stderr and exits 2."""
     command = argv[0] if argv else None
 
     def stop(code: int, error: str = ""):
@@ -498,11 +499,13 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
         print(error and f"error: {error}\n", _usage(command), sep="", file=out)
         raise SystemExit(code)
 
-    if "-h" in argv or "--help" in argv:
+    if command in ("-h", "--help"):
         stop(EXIT_OK)
     options = _OPTIONS.get(command) or stop(EXIT_USAGE, "the first argument must be a command")
     given, tokens = {}, iter(argv[1:])
     for token in tokens:
+        if token in ("-h", "--help"):
+            stop(EXIT_OK)
         flag, eq, value = token.partition("=")
         if flag[:2] != "--" or flag[2:] not in options:
             stop(EXIT_USAGE, f"unrecognized argument {token!r}")

@@ -17,6 +17,7 @@ from hurwitz.ansatz import (
     compare_series,
     extract_weight_slice,
     fit_constants,
+    fit_rows,
     hurwitz_series,
     pair_correction_series,
     pole_basis_series,
@@ -28,9 +29,10 @@ from hurwitz.ansatz import (
     verify_xi_on_I,
     xi_substitute,
 )
+from hurwitz.cutjoin import hurwitz_via_cutjoin
 from hurwitz.hodge import HodgeTable
 from hurwitz.linalg import InconsistentSystemError
-from hurwitz.partitions import aut_count
+from hurwitz.partitions import aut_count, partitions
 
 
 def test_phi_zero_is_tree_weighted():
@@ -178,6 +180,22 @@ def test_fit_is_overdetermined_and_consistent(deep_table):
     hodge = HodgeTable()
     form = fit_constants(2, deep_table, 6, hodge)
     assert len(form.constants) == 6
+
+
+@pytest.mark.parametrize("g, count", [(2, 29), (3, 66), (4, 138)])
+def test_fit_rows_are_the_monomials_its_series_hold(g, count):
+    """The rows, counted before any series is built, are the encoded
+    profiles of degree <= d_fit: exactly the monomials that the Hurwitz
+    series and the pole basis hold between them."""
+    d_fit = 2 * g + 2
+    ctx = XpContext(d_fit)
+    monomials = set(hurwitz_series(hurwitz_via_cutjoin(d_fit, g), g, ctx).terms)
+    for _, _, _, series in pole_basis_series(g, ctx):
+        monomials.update(series.terms)
+    rows = fit_rows(g, d_fit)
+    assert rows == sorted(monomials) and len(rows) == count
+    encode = ctx.ring.varset.profile_exps
+    assert rows == sorted(encode(a) for d in range(1, d_fit + 1) for a in partitions(d))
 
 
 def test_fit_detects_corrupted_data(deep_table):

@@ -417,6 +417,7 @@ def test_search_builds_each_family_factor_once(capsys, monkeypatch):
     [
         "recursions-dmax-1",
         "change-theorem-dmax-1",
+        "closed-forms-dmax-1",
         "closed-form-genus-4",
         "search-genus-9",
         "search-genus-0-series",
@@ -428,7 +429,8 @@ def test_refused_before_building_a_table(capsys, monkeypatch, tmp_path, case):
     term with no W-expression, exits 2 with a message naming the limit,
     before any cut-and-join table is evolved.  At --dmax 1 the recurrences,
     which start at d = 2, compare nothing, and every H^g with g >= 1 is 0,
-    so the genus-1 and genus-2 change-theorem checks would compare 0 with 0."""
+    so the genus-1 and genus-2 change-theorem checks would compare 0 with 0,
+    as would eight closed-forms checks whose closed forms are 0 at d = 1."""
     family = tmp_path / "family.json"
     family.write_text(
         json.dumps(
@@ -444,6 +446,10 @@ def test_refused_before_building_a_table(capsys, monkeypatch, tmp_path, case):
         "recursions-dmax-1": (["verify", "--suite", "recursions", "--dmax", "1"], "--dmax must be >= 2"),
         "change-theorem-dmax-1": (
             ["verify", "--suite", "change-theorem", "--dmax", "1"],
+            "--dmax must be >= 2",
+        ),
+        "closed-forms-dmax-1": (
+            ["verify", "--suite", "closed-forms", "--dmax", "1"],
             "--dmax must be >= 2",
         ),
         "closed-form-genus-4": (
@@ -538,6 +544,25 @@ def test_contradictory_fit_rows_exit_1(capsys, monkeypatch):
     assert err == "error: internal check failed: no exact solution (contradictory rows)\n"
 
 
+@pytest.mark.parametrize(
+    "g, line",
+    [(6, "only 507 equations for 617 unknowns"), (7, "only 914 equations for 1458 unknowns")],
+    ids=["g6", "g7"],
+)
+def test_too_small_a_fit_is_refused_before_any_work(capsys, monkeypatch, g, line):
+    """A genus whose profiles up to d_fit = 2g + 2 give too few equations
+    exits 2 from the row count alone: no table and no pole basis is built."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work was done before the refusal")
+
+    monkeypatch.setattr(cutjoin, "connected_slices", no_work)
+    monkeypatch.setattr(ansatz, "pole_basis_series", no_work)
+    code, out, err = run_cli(capsys, "fit", "--g", str(g))
+    assert (code, out) == (2, "")
+    assert err == f"error: {line}; need 10 surplus — increase d_fit\n"
+
+
 def test_verify_failure_exits_1(capsys, monkeypatch):
     import hurwitz.cli as cli
 
@@ -608,6 +633,8 @@ def test_unrepresentable_family_term_exits_2(capsys, tmp_path, factors, message)
         '[{"factors": []}]',
         '[{"factors": [[1]]}]',
         '[{"factors": [[1, -2]]}]',
+        '[{"factors": [[true, 2]]}]',
+        '[{"factors": [[1, false]]}]',
         '[{"terms": [[1, 2]]}]',
     ],
 )
@@ -756,6 +783,19 @@ def test_help_names_every_flag_and_exits_0(capsys, argv):
         if argv[0] in (parsed["command"], "-h", "--help"):
             assert f"usage: hurwitz {parsed['command']} " in out
             assert all(f"--{flag} " in out for flag in parsed if flag != "command")
+
+
+@pytest.mark.parametrize("value", ["-h", "--help"])
+def test_help_as_a_flags_value_is_that_value(capsys, monkeypatch, tmp_path, value):
+    """-h and --help ask for help only where the command or a flag is
+    expected; as the value of --out they name the file to write."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "table", "--dmax", "2", "--out", value)
+    assert (code, out, err) == (0, "", "")
+    assert (tmp_path / value).read_text() == hurwitz_via_cutjoin(2, 2).to_json() + "\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--dmax", "2", value, "--out", "x"])
+    assert exc.value.code == 0 and not (tmp_path / "x").exists()
 
 
 def test_readme_cli_lines_parse():
