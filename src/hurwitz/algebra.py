@@ -80,7 +80,7 @@ class VarSet:
     (0, 1, 2)
     """
 
-    __slots__ = ("names", "families", "indices", "position")
+    __slots__ = ("names", "families", "indices", "position", "_at", "_ordered")
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
@@ -106,16 +106,27 @@ class VarSet:
         self.families = tuple(families)
         self.indices = tuple(indices)
         self.position = {n: i for i, n in enumerate(names)}
+        # per family, subscript -> position, and the (subscript, position)
+        # pairs by subscript, so a codec never builds or parses a name
+        self._at = {f: {} for f in "xupt"}
+        for pos, (f, i) in enumerate(zip(self.families, self.indices)):
+            self._at[f][i] = pos
+        self._ordered = {f: sorted(at.items()) for f, at in self._at.items()}
 
     def encode(self, named: Mapping[str, int], factors: Iterable[str] = ()) -> tuple[int, ...]:
         """The exponent vector of prod name^e over `named`, times one more
         power of each variable named in `factors`: the one place a monomial
         is built from variable names."""
+        return self._vector(named, map(self.position.__getitem__, factors))
+
+    def _vector(self, named: Mapping[str, int], positions: Iterable[int]) -> tuple[int, ...]:
+        """The vector of the powers in `named` times one more power of the
+        variable at each of `positions`."""
         vec = [0] * len(self.names)
         for name, e in named.items():
             vec[self.position[name]] = e
-        for name in factors:
-            vec[self.position[name]] += 1
+        for pos in positions:
+            vec[pos] += 1
         return tuple(vec)
 
     def decode(self, exps: tuple[int, ...]) -> dict[str, int]:
@@ -124,8 +135,7 @@ class VarSet:
 
     def _subscripts(self, family: str, exps: tuple[int, ...]) -> tuple[int, ...]:
         """The sorted multiset of the family's subscripts in a vector."""
-        found = zip(self.families, self.indices, exps)
-        return tuple(sorted(i for f, i, e in found if f == family for _ in range(e)))
+        return tuple(i for i, pos in self._ordered[family] for _ in range(exps[pos]))
 
     def profile_exps(
         self, alpha: Iterable[int], r: int | None = None, d: int | None = None
@@ -136,8 +146,9 @@ class VarSet:
         >>> VarSet.xup(2).profile_exps((2, 1), r=2)
         (3, 2, 1, 1)
         """
+        alpha = tuple(alpha)
         head = {"x": sum(alpha) if d is None else d} | ({} if r is None else {"u": r})
-        return self.encode(head, (f"p_{part}" for part in alpha))
+        return self._vector(head, map(self._at["p"].__getitem__, alpha))
 
     def profile(self, exps: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
         """(x-degree, u-degree, sorted parts) of an exponent vector; the
@@ -147,12 +158,12 @@ class VarSet:
         >>> vs.profile(vs.profile_exps((2, 1), r=2))
         (3, 2, (1, 2))
         """
-        named = self.decode(exps)
-        return named.get("x", 0), named.get("u", 0), self._subscripts("p", exps)
+        x, u = (exps[self.position[v]] if v in self.position else 0 for v in "xu")
+        return x, u, self._subscripts("p", exps)
 
     def theta_exps(self, theta: Iterable[int]) -> tuple[int, ...]:
         """The exponent vector of prod_i t_{theta_i}."""
-        return self.encode({}, (f"t_{i}" for i in theta))
+        return self._vector({}, map(self._at["t"].__getitem__, theta))
 
     def theta(self, exps: tuple[int, ...]) -> tuple[int, ...]:
         """The sorted t-subscripts of an exponent vector; the inverse of
@@ -287,11 +298,12 @@ class SeriesRing:
     def admits(self, exps: tuple[int, ...]) -> bool:
         return min(exps, default=0) >= 0 and all(map(le, self._loads(exps), self._caps))
 
-    def _key(self, exps: tuple[int, ...]) -> int:
-        """The packed key of an admitted exponent vector."""
+    def key(self, exps: tuple[int, ...]) -> int:
+        """The packed key of an admitted exponent vector, as `nums` holds it."""
         return sum(map(mul, exps, self._units))
 
-    def _exps(self, key: int) -> tuple[int, ...]:
+    def exps(self, key: int) -> tuple[int, ...]:
+        """The exponent vector of a packed key; the inverse of `key`."""
         return tuple((key >> s) & m for s, m in self._fields)
 
     def _product(self, a: list, b: list) -> dict[int, int]:
@@ -360,7 +372,9 @@ class SeriesRing:
         return self.monomial({name: 1}, 1)
 
     def monomial(self, exps: Mapping[str, int], coeff) -> "ExactSeries":
-        return ExactSeries(self, {self.varset.encode(exps): Fraction(coeff)})
+        c = Fraction(coeff)
+        vec = self.varset.encode(exps)
+        return ExactSeries.from_ratios(self, [(vec, c.numerator, c.denominator)])
 
     def __eq__(self, other) -> bool:
         return (
@@ -401,25 +415,34 @@ def _sum(parts: Iterable[tuple[int, int, Mapping[int, int]]]) -> tuple[int, dict
     return _canonical(den, acc)
 
 
+def _packed(
+    ring: SeriesRing, ratios: Iterable[tuple[tuple[int, ...], int, int]]
+) -> tuple[int, dict[int, int]]:
+    """The canonical (den, nums) of sum num/den x^exps over (exps, num, den)
+    triples with distinct vectors and den > 0, less what the ring does not admit."""
+    kept = [(ring.key(e), n, d) for e, n, d in ratios if n and ring.admits(e)]
+    den = math.lcm(*(d for _, _, d in kept))
+    return _canonical(den, {k: n * (den // d) for k, n, d in kept})
+
+
 class ExactSeries:
     """A sparse truncated series: integer numerators over one denominator.
 
     `nums` maps the packed key of each admitted monomial to a nonzero
     numerator, and `den` is positive with gcd(den, *nums) == 1, so equal
     series have equal fields.  `terms`, the map from exponent vector to
-    Fraction, is built on first read.  Instances are immutable by
-    convention; all operations return new series in the same ring.
+    Fraction, and the key-sorted items that products read are built on
+    first use.  Instances are immutable by convention; all operations
+    return new series in the same ring.
     """
 
-    __slots__ = ("ring", "den", "nums", "_terms")
+    __slots__ = ("ring", "den", "nums", "_terms", "_sorted")
 
     def __init__(self, ring: SeriesRing, terms: Mapping[tuple[int, ...], Fraction]):
         self.ring = ring
-        kept = {e: Fraction(c) for e, c in terms.items() if c != 0 and ring.admits(e)}
-        # over the lcm of reduced denominators the numerators share no factor with it
-        self.den = den = math.lcm(*(c.denominator for c in kept.values()))
-        self.nums = {ring._key(e): c.numerator * (den // c.denominator) for e, c in kept.items()}
-        self._terms = None
+        rationals = ((e, Fraction(c)) for e, c in terms.items())
+        self.den, self.nums = _packed(ring, ((e, c.numerator, c.denominator) for e, c in rationals))
+        self._terms = self._sorted = None
 
     @classmethod
     def _of(cls, ring: SeriesRing, den: int, nums: dict[int, int]) -> "ExactSeries":
@@ -428,15 +451,36 @@ class ExactSeries:
         series.ring = ring
         series.den = den
         series.nums = nums
-        series._terms = None
+        series._terms = series._sorted = None
         return series
+
+    @classmethod
+    def from_ratios(
+        cls, ring: SeriesRing, ratios: Iterable[tuple[tuple[int, ...], int, int]]
+    ) -> "ExactSeries":
+        """The series sum num/den x^exps over (exps, num, den) triples, with
+        distinct vectors and den > 0, less the terms the ring does not admit:
+        `ExactSeries(ring, terms)` from integers, with no Fraction built."""
+        return cls._of(ring, *_packed(ring, ratios))
 
     @property
     def terms(self) -> dict[tuple[int, ...], Fraction]:
         if self._terms is None:
-            exps, den = self.ring._exps, self.den
+            exps, den = self.ring.exps, self.den
             self._terms = {exps(k): Fraction(n, den) for k, n in self.nums.items()}
         return self._terms
+
+    def _items(self) -> list[tuple[int, int]]:
+        """The (key, numerator) pairs sorted by key, as the product kernel reads them."""
+        if self._sorted is None:
+            self._sorted = sorted(self.nums.items())
+        return self._sorted
+
+    def where(self, keep: Callable[[tuple[int, ...]], bool]) -> "ExactSeries":
+        """The terms whose exponent vector satisfies `keep`."""
+        exps = self.ring.exps
+        nums = {k: n for k, n in self.nums.items() if keep(exps(k))}
+        return ExactSeries._of(self.ring, *_canonical(self.den, nums))
 
     # -- basics ----------------------------------------------------------
 
@@ -448,7 +492,7 @@ class ExactSeries:
 
     def coeff(self, exps: Mapping[str, int]) -> Fraction:
         vec = self.ring.varset.encode(exps)
-        n = self.nums.get(self.ring._key(vec), 0) if self.ring.admits(vec) else 0
+        n = self.nums.get(self.ring.key(vec), 0) if self.ring.admits(vec) else 0
         return Fraction(n, self.den)
 
     def __eq__(self, other) -> bool:
@@ -466,12 +510,12 @@ class ExactSeries:
     def _moved(self, ring: SeriesRing) -> "ExactSeries":
         """This series in a ring over the same variables, less the terms
         that ring does not admit."""
-        exps = self.ring._exps
+        exps = self.ring.exps
         nums = {}
         for k, n in self.nums.items():
             e = exps(k)
             if ring.admits(e):
-                nums[ring._key(e)] = n
+                nums[ring.key(e)] = n
         return ExactSeries._of(ring, *_canonical(self.den, nums))
 
     # -- ring operations ---------------------------------------------------
@@ -506,7 +550,7 @@ class ExactSeries:
         if not isinstance(other, ExactSeries):
             return self.scale(other)
         self.ring._require(other.ring)
-        nums = self.ring._product(sorted(self.nums.items()), sorted(other.nums.items()))
+        nums = self.ring._product(self._items(), other._items())
         return ExactSeries._of(self.ring, *_canonical(self.den * other.den, nums))
 
     __rmul__ = __mul__

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from .algebra import (
     ExactSeries,
@@ -40,7 +40,7 @@ from .algebra import (
 )
 from .hodge import HodgeKey, HodgeTable, evaluate
 from .linalg import solve_exact
-from .partitions import ThetaPartition, aut_count, multinomial, partitions, primitive_thetas
+from .partitions import ThetaPartition, aut_count, partitions, primitive_thetas
 from .table import HurwitzTable, riemann_hurwitz_r
 
 __all__ = [
@@ -92,14 +92,13 @@ def _s_series(ring: SeriesRing, d_max: int) -> ExactSeries:
     Fraction(3, 2)
     """
     encode = ring.varset.profile_exps
-    terms = {}
+    ratios = []
     for n in range(1, d_max + 1):
         for mu in partitions(n - 1):
-            terms[encode(mu, d=n)] = Fraction(
-                n ** len(mu) * math.prod(j**j for j in mu),
-                n * math.prod(math.factorial(j) for j in mu) * aut_count(mu),
-            )
-    return ExactSeries(ring, terms)
+            num = n ** len(mu) * math.prod(j**j for j in mu)
+            den = n * math.prod(math.factorial(j) for j in mu) * aut_count(mu)
+            ratios.append((encode(mu, d=n), num, den))
+    return ExactSeries.from_ratios(ring, ratios)
 
 
 def _i0_series(ring: SeriesRing, t_index_max: int, t_deg_max: int) -> ExactSeries:
@@ -112,14 +111,15 @@ def _i0_series(ring: SeriesRing, t_index_max: int, t_deg_max: int) -> ExactSerie
     Fraction(1, 2)
     """
     encode = ring.varset.theta_exps
-    terms = {}
+    ratios = []
     for length in range(1, t_deg_max + 1):
         for q in partitions(length - 1):
             if q and q[-1] > t_index_max:
                 continue
             theta = (0,) * (length - len(q)) + q
-            terms[encode(theta)] = multinomial(length - 1, theta) / aut_count(theta)
-    return ExactSeries(ring, terms)
+            den = math.prod(math.factorial(i) for i in theta) * aut_count(theta)
+            ratios.append((encode(theta), math.factorial(length - 1), den))
+    return ExactSeries.from_ratios(ring, ratios)
 
 
 class _SeriesContext:
@@ -132,6 +132,10 @@ class _SeriesContext:
     def __init__(self, ring: SeriesRing):
         self.ring = ring
         self._memo: dict = {}
+
+    def thetas(self, g: int) -> list[tuple[ThetaPartition, int, int]]:
+        """`primitive_thetas(g)`, the unknowns of the genus-g pole form, once."""
+        return self._once(("thetas", g), lambda: primitive_thetas(g))
 
     def _once(self, key, build: Callable[[], ExactSeries | list[ExactSeries]]):
         if key not in self._memo:
@@ -242,17 +246,23 @@ class TContext(_SeriesContext):
     F = I
 
 
+def _t_monomials(t_series: ExactSeries) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(theta, numerator over `t_series.den`) of each monomial t_theta of a
+    t-series."""
+    ring = t_series.ring
+    theta, exps = ring.varset.theta, ring.exps
+    return ((theta(exps(k)), n) for k, n in t_series.nums.items())
+
+
 def xi_substitute(t_series: ExactSeries, ctx: XpContext) -> ExactSeries:
     """Apply the homomorphism t_k -> phi_k(x, p) to a descendant series."""
-    varset = t_series.ring.varset
-    if any(f != "t" for f in varset.families):
+    if any(f != "t" for f in t_series.ring.varset.families):
         raise ValueError("xi_substitute expects a pure t-series")
     # the image of a monomial of degree n starts at x^n
-    return ctx.ring.combination(
-        (coeff, ctx.xi_product(varset.theta(exps)))
-        for exps, coeff in t_series.terms.items()
-        if sum(exps) <= ctx.d_max
+    image = ctx.ring.combination(
+        (n, ctx.xi_product(theta)) for theta, n in _t_monomials(t_series) if len(theta) <= ctx.d_max
     )
+    return image.scale(Fraction(1, t_series.den))
 
 
 def assemble_G(g: int, table: HodgeTable, tctx: TContext) -> ExactSeries:
@@ -262,8 +272,8 @@ def assemble_G(g: int, table: HodgeTable, tctx: TContext) -> ExactSeries:
     prod a_i!, summed over 0 <= k <= g, restricted to stable sizes and to
     subscripts within the ring's index range.
     """
-    terms: dict[tuple[int, ...], Fraction] = {}
     encode = tctx.ring.varset.theta_exps
+    ratios = []
     for n in range(tctx.t_deg_max + 1):
         if 2 * g - 2 + n <= 0:
             continue
@@ -274,13 +284,12 @@ def assemble_G(g: int, table: HodgeTable, tctx: TContext) -> ExactSeries:
             for q in partitions(needed):
                 if len(q) > n or (q and q[-1] > tctx.t_index_max):
                     continue
-                theta = (0,) * (n - len(q)) + tuple(q)
-                value = evaluate(HodgeKey.make(g, theta, k), table)
-                if not value:
-                    continue
+                theta = (0,) * (n - len(q)) + q
+                value = evaluate(HodgeKey(g, theta, k), table)
                 # sum(theta) = 3g - 3 + n - k, so each theta comes once
-                terms[encode(theta)] = Fraction((-1) ** k) * value / aut_count(theta)
-    return ExactSeries(tctx.ring, terms)
+                num, den = (-1) ** k * value.numerator, value.denominator * aut_count(theta)
+                ratios.append((encode(theta), num, den))
+    return ExactSeries.from_ratios(tctx.ring, ratios)
 
 
 def extract_weight_slice(series: ExactSeries, weight: int) -> ExactSeries:
@@ -290,19 +299,18 @@ def extract_weight_slice(series: ExactSeries, weight: int) -> ExactSeries:
     lambda-free part F_g.
     """
     decode = series.ring.varset.theta
-    kept = {e: c for e, c in series.terms.items() if sum(i - 1 for i in decode(e)) == weight}
-    return ExactSeries(series.ring, kept)
+    return series.where(lambda e: sum(i - 1 for i in decode(e)) == weight)
 
 
 def hurwitz_series(table: HurwitzTable, g: int, ctx: XpContext) -> ExactSeries:
     """H_g(x, p) = sum over profiles of H^g_alpha / r! p_alpha x^d."""
     encode = ctx.ring.varset.profile_exps
-    terms = {
-        encode(alpha): value / math.factorial(riemann_hurwitz_r(g, alpha))
-        for (gg, alpha), value in table.entries.items()
-        if gg == g and sum(alpha) <= ctx.d_max
-    }
-    return ExactSeries(ctx.ring, terms)
+    ratios = []
+    for (gg, alpha), value in table.entries.items():
+        if gg == g and sum(alpha) <= ctx.d_max:
+            r_fact = math.factorial(riemann_hurwitz_r(g, alpha))
+            ratios.append((encode(alpha), value.numerator, value.denominator * r_fact))
+    return ExactSeries.from_ratios(ctx.ring, ratios)
 
 
 def pair_correction_series(ctx: XpContext) -> ExactSeries:
@@ -368,10 +376,12 @@ class AnsatzForm:
         self.constants = {} if constants is None else constants
 
     def records(self) -> list[tuple[ThetaPartition, int, int, Fraction]]:
-        """(theta, pole order e, lambda-degree k, K) in canonical order."""
+        """(theta, pole order e, lambda-degree k, K) in the order the constants
+        were fitted, the canonical order of `primitive_thetas`."""
+        g = self.g
         return [
-            (theta, e, k, self.constants[theta])
-            for theta, e, k in primitive_thetas(self.g)
+            (theta, len(theta) + 2 * g - 2, 3 * g - 3 + len(theta) - sum(theta), value)
+            for theta, value in self.constants.items()
         ]
 
     def to_json_obj(self) -> dict:
@@ -396,7 +406,7 @@ def pole_basis_series(
     with F_j = phi_j(s, p) in an XpContext and F_j = I_j(t) in a TContext."""
     return [
         (theta, e, k, ctx.pole_term(g, theta).scale(Fraction(1, aut_count(theta))))
-        for theta, e, k in primitive_thetas(g)
+        for theta, e, k in ctx.thetas(g)
     ]
 
 
@@ -407,9 +417,13 @@ def fit_rows(g: int, d_fit: int) -> list[tuple[int, ...]]:
     """The fit's equations, known before any series is built: p_alpha x^d
     for every alpha |- d <= d_fit, encoded as in `XpContext(d_fit)`, sorted.
     Raises ValueError if they exceed the unknowns by less than `_MIN_SURPLUS`."""
+    return _rows(d_fit, len(primitive_thetas(g)))
+
+
+def _rows(d_fit: int, unknowns: int) -> list[tuple[int, ...]]:
+    """`fit_rows` for a count of unknowns already known."""
     encode = VarSet.xp(d_fit).profile_exps
     rows = sorted(encode(alpha) for d in range(1, d_fit + 1) for alpha in partitions(d))
-    unknowns = len(primitive_thetas(g))
     if len(rows) < unknowns + _MIN_SURPLUS:
         raise ValueError(
             f"only {len(rows)} equations for {unknowns} unknowns; "
@@ -429,24 +443,24 @@ def fit_constants(
     Equates coefficients of p_alpha x^d between the pole-form basis series
     and the Hurwitz generating series on the rows of `fit_rows`, refused
     there before any series is built, and solves the over-determined
-    rational system.  Requires full rank and exact consistency of every
-    equation; writes the fitted primitive brackets
-    <tau_theta lambda_k>_g = (-1)^k K_theta into `hodge_table`.
+    rational system.  Every series is read as integer numerators over the
+    lcm of their denominators, so each equation is one integer row.
+    Requires full rank and exact consistency of every equation; writes the
+    fitted primitive brackets <tau_theta lambda_k>_g = (-1)^k K_theta into
+    `hodge_table`.
     """
-    rows = fit_rows(g, d_fit)
     ctx = XpContext(d_fit)
+    rows = _rows(d_fit, len(ctx.thetas(g)))
     basis = pole_basis_series(g, ctx)
-    target = hurwitz_series(hurwitz, g, ctx)
-    matrix = [
-        [series.terms.get(row, Fraction(0)) for _, _, _, series in basis]
-        for row in rows
-    ]
-    rhs = [target.terms.get(row, Fraction(0)) for row in rows]
-    solution = solve_exact(matrix, rhs)
+    columns = [series for _, _, _, series in basis] + [hurwitz_series(hurwitz, g, ctx)]
+    den = math.lcm(*(series.den for series in columns))
+    scaled = [(series.nums, den // series.den) for series in columns]
+    aug = [[nums.get(key, 0) * f for nums, f in scaled] for key in map(ctx.ring.key, rows)]
+    solution = solve_exact([row[:-1] for row in aug], [row[-1] for row in aug])
     form = AnsatzForm(g)
     for (theta, e, k, _), value in zip(basis, solution):
         form.constants[theta] = value
-        hodge_table.set_primitive(HodgeKey.make(g, theta, k), Fraction((-1) ** k) * value)
+        hodge_table.set_primitive(HodgeKey.make(g, theta, k), (-1) ** k * value)
     return form
 
 
@@ -500,12 +514,11 @@ def verify_genus_expansion(
 
     # Form 2: substitute t_0, t_1 -> 0, t_j -> I_j/(1-I_1) into G itself;
     # a monomial t_theta goes to prod I_theta_i (1 - I_1)^-(2g-2+len theta).
-    thetas = ((coeff, ring.varset.theta(exps)) for exps, coeff in G.terms.items())
     rhs2 = ring.combination(
-        (coeff, tctx.pole_term(g, theta))
-        for coeff, theta in thetas
+        (n, tctx.pole_term(g, theta))
+        for theta, n in _t_monomials(G)
         if 0 not in theta and 1 not in theta
-    )
+    ).scale(Fraction(1, G.den))
 
     return [
         compare_series(G, rhs1, f"genus-expansion-g{g}-constants-form", trunc),
@@ -539,18 +552,19 @@ def verify_delta_annihilation(g: int, hodge_table: HodgeTable) -> dict:
         G.diff(f"t_{m}") * ring.var(f"t_{m + 1}") for m in range(t_index_max)
     ]
     image = ring.sum(summands)
-    complete = ExactSeries(
-        ring,
-        {e: c for e, c in image.terms.items() if sum(e) <= t_deg_max - 1},
-    )
-    window = {e for s in summands for e in s.terms if sum(e) <= t_deg_max - 1}
+
+    def determined(exps: tuple[int, ...]) -> bool:
+        return sum(exps) <= t_deg_max - 1
+
+    complete = image.where(determined)
+    window = set().union(*(s.where(determined).nums for s in summands))
     residue = ring.const(-G.coeff({"t_0": 1}))
     return compare_series(
         complete,
         residue,
         f"delta-annihilation-g{g}",
         {"t_index_max": t_index_max, "t_deg_max": t_deg_max - 1},
-        cancelled=len(window - image.terms.keys()),
+        cancelled=len(window - complete.nums.keys()),
     )
 
 

@@ -134,12 +134,6 @@ class HodgeTable:
         ]
 
 
-def _without_one(theta: tuple[int, ...], value: int) -> tuple[int, ...]:
-    out = list(theta)
-    out.remove(value)
-    return tuple(out)
-
-
 def evaluate(
     key: HodgeKey,
     table: HodgeTable,
@@ -154,17 +148,23 @@ def evaluate(
     must agree, which the test suite checks.  `order` switches whether a
     key containing both a 0 and a 1 subscript reduces by string or dilaton
     first; the result is order-independent.
-    """
-    memo_key = (key, genus0, order)
-    if memo_key in table._memo:
-        return table._memo[memo_key]
 
-    value = _evaluate(key, table, genus0, order)
-    table._memo[memo_key] = value
-    return value
+    The key is made canonical here, once: every reduction below lowers the
+    first copy of a subscript or drops the first 0 or 1 of a sorted theta,
+    which keeps it sorted, so each sub-key is built directly.
+    """
+    return _evaluate(HodgeKey.make(*key), table, genus0, order)
 
 
 def _evaluate(key: HodgeKey, table: HodgeTable, genus0: str, order: str) -> Fraction:
+    """`evaluate` of a canonical key, through the table's memo."""
+    memo_key = (key, genus0, order)
+    if memo_key not in table._memo:
+        table._memo[memo_key] = _reduce(key, table, genus0, order)
+    return table._memo[memo_key]
+
+
+def _reduce(key: HodgeKey, table: HodgeTable, genus0: str, order: str) -> Fraction:
     if validity_gate(key) != "valid":
         return Fraction(0)
     if key in _BASE_VALUES:
@@ -175,21 +175,19 @@ def _evaluate(key: HodgeKey, table: HodgeTable, genus0: str, order: str) -> Frac
         return multinomial(len(theta) - 3, theta)
 
     if 0 in theta and (1 not in theta or order == "string_first"):
-        rest = _without_one(theta, 0)
-        total = Fraction(0)
-        for v in sorted(set(rest)):
-            if v < 1:
-                continue
-            mult = rest.count(v)
-            sub = HodgeKey.make(g, _without_one(rest, v) + (v - 1,), k)
-            total += mult * evaluate(sub, table, genus0=genus0, order=order)
-        return total
+        rest = theta[1:]  # theta is sorted, so its first subscript is the 0
+        terms = []
+        for v in sorted(set(rest) - {0}):
+            i = rest.index(v)  # lowering the first v keeps rest sorted
+            sub = HodgeKey(g, rest[:i] + (v - 1,) + rest[i + 1 :], k)
+            terms.append((rest.count(v), _evaluate(sub, table, genus0, order)))
+        # summed as integers over one denominator: one Fraction per key
+        den = math.lcm(*(value.denominator for _, value in terms))
+        return Fraction(sum(m * v.numerator * (den // v.denominator) for m, v in terms), den)
     if 1 in theta:
-        rest = _without_one(theta, 1)
-        sub = HodgeKey.make(g, rest, k)
-        return (2 * g - 2 + len(rest)) * evaluate(
-            sub, table, genus0=genus0, order=order
-        )
+        i = theta.index(1)
+        rest = theta[:i] + theta[i + 1 :]
+        return (2 * g - 2 + len(rest)) * _evaluate(HodgeKey(g, rest, k), table, genus0, order)
 
     if key not in table.primitives:
         raise MissingPrimitiveError(key)

@@ -1,10 +1,14 @@
 """Exact rational linear algebra: row reduction, null spaces, unique solve.
 
-Small dense systems only (tens of rows, at most a few hundred).  Inputs and
-outputs are exact rationals (`Fraction`); inside, each row is scaled to
-coprime integers and eliminated fraction-free (Bareiss 1968), so no
-intermediate rational is ever normalised.  Pivoting is deterministic (first
-nonzero in column order), so results are byte-reproducible across runs.
+Small dense systems only (tens of rows, at most a few hundred).  Every
+entry is an `int` or a `Fraction`; anything else, a float, a Decimal or a
+string, is refused with a TypeError rather than read as a nearby binary
+fraction.  Inside, each row is scaled to coprime integers, read straight
+from each entry's numerator and denominator, and eliminated fraction-free
+(Bareiss 1968), so no intermediate rational is ever normalised; a caller
+whose data are already integer rows (the fit) builds no `Fraction` on the
+way in.  Outputs are `Fraction`s.  Pivoting is deterministic (first nonzero
+in column order), so results are byte-reproducible across runs.
 """
 
 from __future__ import annotations
@@ -28,8 +32,12 @@ class InconsistentSystemError(ValueError):
 
 def _integer_row(row) -> list[int]:
     """The row times the lcm of its denominators, divided by the gcd of the
-    result: a coprime integer row with the same span."""
-    row = [Fraction(v) for v in row]
+    result: a coprime integer row with the same span.  Refuses an entry
+    that is neither an int nor a Fraction."""
+    for kind in set(map(type, row)):
+        if not issubclass(kind, (int, Fraction)):
+            bad = next(v for v in row if type(v) is kind)
+            raise TypeError(f"exact entries only (int or Fraction), got {bad!r} ({kind.__name__})")
     den = math.lcm(*(v.denominator for v in row))
     ints = [v.numerator * (den // v.denominator) for v in row]
     g = math.gcd(*ints)

@@ -111,16 +111,17 @@ def primitive_thetas(g: int) -> list[tuple[ThetaPartition, int, int]]:
     """
     if g < 2:
         raise ValueError("primitive constants exist only for g >= 2")
-    out: list[tuple[ThetaPartition, int, int]] = []
-    for l in range(1, 3 * g - 3 + 1):
-        for n in range(l + 2 * g - 3, l + 3 * g - 3 + 1):
-            k = 3 * g - 3 + l - n
-            if not 0 <= k <= g:
-                continue
-            for theta in partitions(n, min_part=2):
-                if len(theta) == l:
-                    out.append((ThetaPartition(theta), l + 2 * g - 2, k))
-    return out
+    # each size n is enumerated once, its partitions bucketed by length
+    by_length: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    for n in range(2 * g - 2, 6 * g - 6 + 1):
+        for theta in partitions(n, min_part=2):
+            by_length.setdefault((len(theta), n), []).append(theta)
+    return [
+        (ThetaPartition(theta), l + 2 * g - 2, 3 * g - 3 + l - n)
+        for l in range(1, 3 * g - 3 + 1)
+        for n in range(l + 2 * g - 3, l + 3 * g - 3 + 1)
+        for theta in by_length.get((l, n), ())
+    ]
 
 
 def multinomial(n: int, parts) -> Fraction:

@@ -299,10 +299,18 @@ def one_part_column(table: HurwitzTable, g: int, d_max: int) -> list[Fraction]:
     return column
 
 
+def _over_lcm(ratios: list[tuple[int, int]]) -> tuple[int, list[int]]:
+    """(den, nums) with nums[i] / den = num_i / den_i over (num_i, den_i),
+    den the lcm of the den_i."""
+    den = math.lcm(*(d for _, d in ratios))
+    return den, [n * (den // d) for n, d in ratios]
+
+
 def _term_lists(
     factor_lists: list[list[tuple[int, int]]], table: HurwitzTable, d_max: int
-) -> list[list[Fraction]]:
-    """[x^m] of each product of D^p H~_g factors, m = 0..d_max.
+) -> list[tuple[int, list[int]]]:
+    """[x^m] of each product of D^p H~_g factors, m = 0..d_max, as integer
+    numerators over one denominator per product.
 
     Each genus's column is read once and each factor's list
     [x^m] D^p H~_g = m^p H^g_{(1^m)}/(2m+2g-2)! built once; a term's list is
@@ -311,34 +319,43 @@ def _term_lists(
     column = functools.cache(lambda g: one_part_column(table, g, d_max))
 
     @functools.cache
-    def factor(g: int, p: int) -> list[Fraction]:
+    def factor(g: int, p: int) -> tuple[int, list[int]]:
         h = column(g)
-        return [Fraction(0)] + [
-            m**p * h[m] / math.factorial(2 * m + 2 * g - 2) for m in range(1, d_max + 1)
-        ]
+        return _over_lcm(
+            [(0, 1)]
+            + [
+                (m**p * h[m].numerator, h[m].denominator * math.factorial(2 * m + 2 * g - 2))
+                for m in range(1, d_max + 1)
+            ]
+        )
 
     lists = []
     for term in factor_lists:
-        product = [Fraction(1)] + [Fraction(0)] * d_max  # the empty product
+        den, product = 1, [1] + [0] * d_max  # the empty product
         for g, p in term:
-            f = factor(g, p)
+            f_den, f = factor(g, p)
+            den *= f_den
             product = [
-                sum((product[i] * f[n - i] for i in range(n) if product[i]), Fraction(0))
+                sum(product[i] * f[n - i] for i in range(n) if product[i])
                 for n in range(d_max + 1)
             ]
-        lists.append(product)
+        lists.append((den, product))
     return lists
 
 
 def _residuals(
-    coeffs: list, term_lists: list[list[Fraction]], d_range: range
+    coeffs: list, term_lists: list[tuple[int, list[int]]], d_range: range
 ) -> dict[int, Fraction]:
-    """The nonzero sums coeff_i [x^d] T_i over d in d_range."""
+    """The nonzero sums coeff_i [x^d] T_i over d in d_range, each summed as
+    one integer over a common denominator; a Fraction is made only for a
+    residual that is not zero."""
+    used = [(c, t_den, t) for c, (t_den, t) in zip(coeffs, term_lists) if c]
+    den, weights = _over_lcm([(c.numerator, c.denominator * t_den) for c, t_den, _ in used])
     failures = {}
     for d in d_range:
-        residual = sum((c * t[d] for c, t in zip(coeffs, term_lists) if c), Fraction(0))
+        residual = sum(w * t[d] for w, (_, _, t) in zip(weights, used))
         if residual:
-            failures[d] = residual
+            failures[d] = Fraction(residual, den)
     return failures
 
 
@@ -366,7 +383,7 @@ def search_recursions(
     if exprs is None:
         exprs = family_wexprs(family)
     rows = sorted(set().union(*(e.terms for e in exprs)))
-    matrix = [[e.terms.get(row, Fraction(0)) for e in exprs] for row in rows]
+    matrix = [[e.terms.get(row, 0) for e in exprs] for row in rows]
     basis = nullspace(matrix, len(exprs))
     term_lists = _term_lists([term["factors"] for term in family], table, d_verify)
     numeric_failures = [

@@ -307,6 +307,101 @@ def test_closed_forms_checks_fail_on_their_own_input(capsys, monkeypatch, pertur
     ]
 
 
+def _raise_constant(theta):
+    """Perturb the fitted genus-2 K_theta by 1 in the form the checks read;
+    the brackets the fit wrote into the table stay as they were."""
+
+    def perturb(monkeypatch):
+        real = cli.fit_constants
+
+        def raised(g, *args):
+            form = real(g, *args)
+            form.constants[theta] += 1
+            return form
+
+        monkeypatch.setattr(cli, "fit_constants", raised)
+
+    return perturb
+
+
+def _raise_bracket(key):
+    """Perturb one bracket by 1 as `assemble_G` reads it.  A primitive
+    bracket changed in the table would move every bracket the string and
+    dilaton equations reduce to it, and G would stay consistent; so the key
+    holds a tau_0, and only its own coefficient of G moves."""
+
+    def perturb(monkeypatch):
+        real = ansatz.evaluate
+        monkeypatch.setattr(ansatz, "evaluate", lambda k, table: real(k, table) + (k == key))
+
+    return perturb
+
+
+def _raise_I(k):
+    """Add t_k to I_k as the xi-image check reads it (the pole form reads I
+    through `TContext.F`, bound before the patch)."""
+
+    def perturb(monkeypatch):
+        real = ansatz.TContext.I
+        monkeypatch.setattr(
+            ansatz.TContext,
+            "I",
+            lambda self, j: real(self, j) + (self.ring.var(f"t_{k}") if j == k else 0),
+        )
+
+    return perturb
+
+
+def _raise_phi_s(k):
+    """Add x p_1 to phi_k(s, p) as the xi-image and phi-shift checks read it
+    (the fit reads phi(s, p) through `XpContext.F`, bound before the patch)."""
+
+    def perturb(monkeypatch):
+        real = ansatz.XpContext.phi_s
+        monkeypatch.setattr(
+            ansatz.XpContext,
+            "phi_s",
+            lambda self, j: real(self, j)
+            + (self.ring.monomial({"x": 1, "p_1": 1}, 1) if j == k else 0),
+        )
+
+    return perturb
+
+
+# each check of `verify --suite genus-expansion` -> an input of its own
+# that, off by one, must turn it to FAIL
+GENUS_EXPANSION_PERTURBATIONS = {
+    "genus-expansion-g2-constants-form": _raise_constant((2,)),
+    "genus-expansion-g2-substituted-form": _raise_bracket((2, (0, 4), 1)),
+    "genus-expansion-g2-forms-agree": _raise_constant((3,)),
+    # (4,) has lambda-degree 0, so it sits in the lambda-free slice
+    "genus-expansion-g2-lambda-free-slice": _raise_constant((4,)),
+    "delta-annihilation-g1": _raise_bracket((1, (0, 2), 0)),
+    "delta-annihilation-g2": _raise_bracket((2, (0, 2, 4), 0)),
+    **{f"xi-image-of-I{k}": _raise_I(k) for k in range(5)},
+    **{f"phi-shift-expansion-k{k}": _raise_phi_s(k) for k in range(5)},
+}
+
+
+def test_every_genus_expansion_check_has_a_perturbation(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "genus-expansion")
+    assert code == 0
+    assert sorted(line.removeprefix("PASS ") for line in out.splitlines()) == sorted(
+        GENUS_EXPANSION_PERTURBATIONS
+    )
+
+
+@pytest.mark.parametrize("check", sorted(GENUS_EXPANSION_PERTURBATIONS))
+def test_genus_expansion_checks_fail_on_their_own_input(capsys, monkeypatch, check):
+    """Each series identity of the suite fails when one input of its own,
+    a fitted constant, a bracket of G, or one coefficient of I_k or
+    phi_k(s, p), is off by 1: no check passes however its input moves."""
+    GENUS_EXPANSION_PERTURBATIONS[check](monkeypatch)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "genus-expansion")
+    assert code == 1
+    assert f"FAIL {check}" in out.splitlines()
+
+
 def test_vacuous_recurrence_check_exits_2(capsys):
     """With --dmax 1 the recurrences, which start at d = 2, would compare
     nothing; that is a usage error, not five passes."""

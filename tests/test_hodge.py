@@ -168,3 +168,32 @@ def test_hodge_json_records(fitted):
         for rec in records
     }
     assert back == hodge.primitives
+
+
+def test_genus_one_without_points_is_unstable():
+    # 2g - 2 + n = 0: unstable, whatever the lambda-index
+    for k in (0, 1, 2):
+        assert validity_gate(HodgeKey.make(1, (), k)) == "zero_unstable"
+        assert evaluate(HodgeKey.make(1, (), k), HodgeTable()) == 0
+
+
+@pytest.mark.parametrize("genus0", ["closed_form", "string"])
+@pytest.mark.parametrize("order", ["string_first", "dilaton_first"])
+@pytest.mark.parametrize(
+    "g, theta, k",
+    [
+        (0, (1, 0, 0, 1, 0), 0),
+        (0, (3, 0, 0, 1, 0, 0, 0), 0),
+        (1, (2, 0, 1), 0),
+        (1, (2, 0, 0, 1), 1),
+    ],
+)
+def test_unsorted_key_evaluates_as_its_sorted_twin(genus0, order, g, theta, k):
+    """`evaluate` sorts a key once, on entry, and every sub-key of its
+    reduction stays sorted: an unsorted key has its sorted twin's value,
+    and the memo holds sorted keys only."""
+    unsorted, table = HodgeKey(g, theta, k), HodgeTable()
+    value = evaluate(unsorted, table, genus0=genus0, order=order)
+    assert value == evaluate(HodgeKey.make(g, theta, k), HodgeTable(), genus0=genus0, order=order)
+    assert value != 0
+    assert all(list(key.theta) == sorted(key.theta) for key, _, _ in table._memo)

@@ -1,6 +1,7 @@
 """Exact rational linear algebra: row reduction, null spaces, and the
 over-determined solver used by the constant fits."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -124,6 +125,35 @@ def test_solve_exact_refuses_mismatched_shapes_before_eliminating(monkeypatch):
         with pytest.raises(ValueError) as info:
             solve_exact(bad_rows, rhs)
         assert info.type is ValueError
+
+
+# neither int nor Fraction: Fraction() would read a float or a Decimal as a
+# nearby binary fraction and parse a string, silently
+INEXACT = [0.1, Decimal("0.1"), "1/2"]
+
+
+@pytest.mark.parametrize("bad", INEXACT, ids=["float", "Decimal", "str"])
+def test_row_reduce_refuses_an_inexact_entry(bad):
+    with pytest.raises(TypeError, match=type(bad).__name__) as info:
+        row_reduce([[1, Fraction(1, 2)], [bad, 3]])
+    assert repr(bad) in str(info.value)
+
+
+@pytest.mark.parametrize("bad", INEXACT, ids=["float", "Decimal", "str"])
+def test_nullspace_refuses_an_inexact_entry(bad):
+    with pytest.raises(TypeError, match=type(bad).__name__) as info:
+        nullspace([[1, bad, 2]])
+    assert repr(bad) in str(info.value)
+
+
+@pytest.mark.parametrize("bad", INEXACT, ids=["float", "Decimal", "str"])
+def test_solve_exact_refuses_an_inexact_entry(bad):
+    # in the matrix and on the right-hand side
+    cases = [([[1, 0], [0, bad], [1, 1]], [1, 2, 3]), ([[1, 0], [0, 1], [1, 1]], [1, bad, 3])]
+    for rows, rhs in cases:
+        with pytest.raises(TypeError, match=type(bad).__name__) as info:
+            solve_exact(rows, rhs)
+        assert repr(bad) in str(info.value)
 
 
 def test_solve_exact_confirms_a_shortfall_mod_p_over_q():

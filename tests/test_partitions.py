@@ -1,6 +1,8 @@
 """Partition plumbing: enumeration, automorphism counts, and the
 primitive index sets used by the pole-form fits."""
 
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -73,3 +75,25 @@ def test_primitive_theta_invariants():
 def test_genus2_primitive_thetas_exactly():
     keys = [theta for theta, _, _ in primitive_thetas(2)]
     assert sorted(keys) == [(2,), (2, 2), (2, 2, 2), (2, 3), (3,), (4,)]
+
+
+def _reference_primitive_thetas(g):
+    """(theta, e, k) by brute force over non-decreasing tuples of parts
+    >= 2, in the canonical order: by length l, then size n, then
+    lexicographically."""
+    out = []
+    for l in range(1, 3 * g - 2):
+        for n in range(l + 2 * g - 3, l + 3 * g - 2):
+            # the largest part leaves at least 2 for each of the other l - 1
+            for theta in combinations_with_replacement(range(2, n - 2 * l + 3), l):
+                if sum(theta) == n:
+                    out.append((theta, l + 2 * g - 2, 3 * g - 3 + l - n))
+    return out
+
+
+@pytest.mark.parametrize("g, count", [(2, 6), (3, 26), (4, 85), (5, 242), (6, 617)])
+def test_primitive_thetas_match_a_brute_force_reference(g, count):
+    thetas = primitive_thetas(g)
+    assert len(thetas) == count
+    assert thetas == _reference_primitive_thetas(g)
+    assert all(type(theta) is ThetaPartition for theta, _, _ in thetas)
