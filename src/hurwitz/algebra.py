@@ -44,6 +44,7 @@ __all__ = [
     "ExactSeries",
     "solve_graded_fixpoint",
     "lagrange_coeff",
+    "over_lcm",
     "rational_str",
 ]
 
@@ -113,11 +114,10 @@ class VarSet:
             self._at[f][i] = pos
         self._ordered = {f: sorted(at.items()) for f, at in self._at.items()}
 
-    def encode(self, named: Mapping[str, int], factors: Iterable[str] = ()) -> tuple[int, ...]:
-        """The exponent vector of prod name^e over `named`, times one more
-        power of each variable named in `factors`: the one place a monomial
-        is built from variable names."""
-        return self._vector(named, map(self.position.__getitem__, factors))
+    def encode(self, named: Mapping[str, int]) -> tuple[int, ...]:
+        """The exponent vector of prod name^e over `named`: the one place a
+        monomial is built from variable names."""
+        return self._vector(named, ())
 
     def _vector(self, named: Mapping[str, int], positions: Iterable[int]) -> tuple[int, ...]:
         """The vector of the powers in `named` times one more power of the
@@ -401,15 +401,26 @@ def _canonical(den: int, nums: Mapping[int, int]) -> tuple[int, dict[int, int]]:
     return den, nums
 
 
+def over_lcm(pairs: Iterable[tuple[int, int]]) -> tuple[int, list[int]]:
+    """(den, nums) with nums[i] / den = n_i / d_i over (n_i, d_i > 0) pairs,
+    den their lcm (1 for none): where rationals go over a common denominator.
+
+    >>> over_lcm([(1, 2), (1, 3), (-5, 6)])
+    (6, [3, 2, -5])
+    """
+    pairs = list(pairs)
+    den = math.lcm(*(d for _, d in pairs))
+    return den, [n * (den // d) for n, d in pairs]
+
+
 def _sum(parts: Iterable[tuple[int, int, Mapping[int, int]]]) -> tuple[int, dict[int, int]]:
     """The canonical sum of scale * nums / den over (scale, den, nums) parts,
     over the lcm of their dens."""
     parts = [p for p in parts if p[0] and p[2]]
-    den = math.lcm(*(d for _, d, _ in parts))
+    den, scales = over_lcm((c, d) for c, d, _ in parts)
     acc: dict[int, int] = {}
     get = acc.get
-    for c, d, nums in parts:
-        f = c * (den // d)
+    for f, (_, _, nums) in zip(scales, parts):
         for k, n in nums.items():
             acc[k] = get(k, 0) + f * n
     return _canonical(den, acc)
@@ -420,9 +431,9 @@ def _packed(
 ) -> tuple[int, dict[int, int]]:
     """The canonical (den, nums) of sum num/den x^exps over (exps, num, den)
     triples with distinct vectors and den > 0, less what the ring does not admit."""
-    kept = [(ring.key(e), n, d) for e, n, d in ratios if n and ring.admits(e)]
-    den = math.lcm(*(d for _, _, d in kept))
-    return _canonical(den, {k: n * (den // d) for k, n, d in kept})
+    kept = [(e, n, d) for e, n, d in ratios if n and ring.admits(e)]
+    den, nums = over_lcm((n, d) for _, n, d in kept)
+    return _canonical(den, {ring.key(e): n for (e, _, _), n in zip(kept, nums)})
 
 
 class ExactSeries:

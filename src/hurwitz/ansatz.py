@@ -36,6 +36,7 @@ from .algebra import (
     SeriesRing,
     Truncation,
     VarSet,
+    over_lcm,
     rational_str,
 )
 from .hodge import HodgeKey, HodgeTable, evaluate
@@ -132,10 +133,6 @@ class _SeriesContext:
     def __init__(self, ring: SeriesRing):
         self.ring = ring
         self._memo: dict = {}
-
-    def thetas(self, g: int) -> list[tuple[ThetaPartition, int, int]]:
-        """`primitive_thetas(g)`, the unknowns of the genus-g pole form, once."""
-        return self._once(("thetas", g), lambda: primitive_thetas(g))
 
     def _once(self, key, build: Callable[[], ExactSeries | list[ExactSeries]]):
         if key not in self._memo:
@@ -321,16 +318,14 @@ def pair_correction_series(ctx: XpContext) -> ExactSeries:
     Fraction(2, 3)
     """
     encode = ctx.ring.varset.profile_exps
-    terms: dict[tuple[int, ...], Fraction] = {}
+    ratios = []
     for i in range(1, ctx.d_max):
-        for j in range(1, ctx.d_max - i + 1):
-            exps = encode((i, j))  # (i, j) and (j, i) share one monomial
-            # the coefficient, with (i+j-1)!/(i+j)! = 1/(i+j)
-            terms[exps] = terms.get(exps, 0) + Fraction(
-                i ** (i - 1) * j ** (j - 1),
-                2 * (i + j) * math.factorial(i - 1) * math.factorial(j - 1),
-            )
-    return ExactSeries(ctx.ring, terms)
+        for j in range(i, ctx.d_max - i + 1):
+            # (i, j) and (j, i) share one monomial, and (i+j-1)!/(i+j)! = 1/(i+j)
+            num = (1 + (i < j)) * i ** (i - 1) * j ** (j - 1)
+            den = 2 * (i + j) * math.factorial(i - 1) * math.factorial(j - 1)
+            ratios.append((encode((i, j)), num, den))
+    return ExactSeries.from_ratios(ctx.ring, ratios)
 
 
 # -- check records ---------------------------------------------------------------
@@ -406,7 +401,7 @@ def pole_basis_series(
     with F_j = phi_j(s, p) in an XpContext and F_j = I_j(t) in a TContext."""
     return [
         (theta, e, k, ctx.pole_term(g, theta).scale(Fraction(1, aut_count(theta))))
-        for theta, e, k in ctx.thetas(g)
+        for theta, e, k in primitive_thetas(g)
     ]
 
 
@@ -417,11 +412,7 @@ def fit_rows(g: int, d_fit: int) -> list[tuple[int, ...]]:
     """The fit's equations, known before any series is built: p_alpha x^d
     for every alpha |- d <= d_fit, encoded as in `XpContext(d_fit)`, sorted.
     Raises ValueError if they exceed the unknowns by less than `_MIN_SURPLUS`."""
-    return _rows(d_fit, len(primitive_thetas(g)))
-
-
-def _rows(d_fit: int, unknowns: int) -> list[tuple[int, ...]]:
-    """`fit_rows` for a count of unknowns already known."""
+    unknowns = len(primitive_thetas(g))
     encode = VarSet.xp(d_fit).profile_exps
     rows = sorted(encode(alpha) for d in range(1, d_fit + 1) for alpha in partitions(d))
     if len(rows) < unknowns + _MIN_SURPLUS:
@@ -443,18 +434,18 @@ def fit_constants(
     Equates coefficients of p_alpha x^d between the pole-form basis series
     and the Hurwitz generating series on the rows of `fit_rows`, refused
     there before any series is built, and solves the over-determined
-    rational system.  Every series is read as integer numerators over the
-    lcm of their denominators, so each equation is one integer row.
+    rational system.  Every series is read as integer numerators over one
+    common denominator (`over_lcm`), so each equation is one integer row.
     Requires full rank and exact consistency of every equation; writes the
     fitted primitive brackets <tau_theta lambda_k>_g = (-1)^k K_theta into
     `hodge_table`.
     """
+    rows = fit_rows(g, d_fit)
     ctx = XpContext(d_fit)
-    rows = _rows(d_fit, len(ctx.thetas(g)))
     basis = pole_basis_series(g, ctx)
     columns = [series for _, _, _, series in basis] + [hurwitz_series(hurwitz, g, ctx)]
-    den = math.lcm(*(series.den for series in columns))
-    scaled = [(series.nums, den // series.den) for series in columns]
+    _, scales = over_lcm((1, series.den) for series in columns)
+    scaled = [(series.nums, f) for series, f in zip(columns, scales)]
     aug = [[nums.get(key, 0) * f for nums, f in scaled] for key in map(ctx.ring.key, rows)]
     solution = solve_exact([row[:-1] for row in aug], [row[-1] for row in aug])
     form = AnsatzForm(g)

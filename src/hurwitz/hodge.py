@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .algebra import rational_str
+from .algebra import over_lcm, rational_str
 from .partitions import Partition, aut_count, multinomial
 from .table import riemann_hurwitz_r
 
@@ -182,8 +182,8 @@ def _reduce(key: HodgeKey, table: HodgeTable, genus0: str, order: str) -> Fracti
             sub = HodgeKey(g, rest[:i] + (v - 1,) + rest[i + 1 :], k)
             terms.append((rest.count(v), _evaluate(sub, table, genus0, order)))
         # summed as integers over one denominator: one Fraction per key
-        den = math.lcm(*(value.denominator for _, value in terms))
-        return Fraction(sum(m * v.numerator * (den // v.denominator) for m, v in terms), den)
+        den, nums = over_lcm((m * v.numerator, v.denominator) for m, v in terms)
+        return Fraction(sum(nums), den)
     if 1 in theta:
         i = theta.index(1)
         rest = theta[:i] + theta[i + 1 :]
@@ -234,7 +234,7 @@ def elsv_hurwitz(g: int, alpha, table: HodgeTable) -> Fraction:
             continue
         sign = (-1) ** k
         for b in _compositions(dim, m):
-            bracket = evaluate(HodgeKey.make(g, b, k), table)
+            bracket = evaluate(HodgeKey(g, b, k), table)
             if bracket:
                 weight = math.prod(a**e for a, e in zip(alpha, b))
                 total += sign * bracket * weight

@@ -3,12 +3,12 @@
 Small dense systems only (tens of rows, at most a few hundred).  Every
 entry is an `int` or a `Fraction`; anything else, a float, a Decimal or a
 string, is refused with a TypeError rather than read as a nearby binary
-fraction.  Inside, each row is scaled to coprime integers, read straight
-from each entry's numerator and denominator, and eliminated fraction-free
-(Bareiss 1968), so no intermediate rational is ever normalised; a caller
-whose data are already integer rows (the fit) builds no `Fraction` on the
-way in.  Outputs are `Fraction`s.  Pivoting is deterministic (first nonzero
-in column order), so results are byte-reproducible across runs.
+fraction.  Inside, each row is read through `algebra.over_lcm`, scaled to
+coprime integers and eliminated fraction-free (Bareiss 1968), so no
+intermediate rational is ever normalised; a caller whose data are already
+integer rows (the fit) builds no `Fraction` on the way in.  Outputs are
+`Fraction`s.  Pivoting is deterministic (first nonzero in column order), so
+results are byte-reproducible across runs.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
+
+from .algebra import over_lcm
 
 __all__ = ["row_reduce", "nullspace", "solve_exact", "RankDeficientError", "InconsistentSystemError"]
 
@@ -31,15 +33,14 @@ class InconsistentSystemError(ValueError):
 
 
 def _integer_row(row) -> list[int]:
-    """The row times the lcm of its denominators, divided by the gcd of the
-    result: a coprime integer row with the same span.  Refuses an entry
-    that is neither an int nor a Fraction."""
+    """The row's numerators over the lcm of its denominators (`over_lcm`),
+    divided by their gcd: a coprime integer row with the same span.
+    Refuses an entry that is neither an int nor a Fraction."""
     for kind in set(map(type, row)):
         if not issubclass(kind, (int, Fraction)):
             bad = next(v for v in row if type(v) is kind)
             raise TypeError(f"exact entries only (int or Fraction), got {bad!r} ({kind.__name__})")
-    den = math.lcm(*(v.denominator for v in row))
-    ints = [v.numerator * (den // v.denominator) for v in row]
+    _, ints = over_lcm((v.numerator, v.denominator) for v in row)
     g = math.gcd(*ints)
     return [v // g for v in ints] if g > 1 else ints
 
@@ -179,8 +180,7 @@ def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fractio
             f"rank {len(pivots)} < {ncols} unknowns; undetermined columns {missing}"
         )
     sol = [r[ncols] for r in rref]
-    den = math.lcm(*(v.denominator for v in sol))
-    nums = [v.numerator * (den // v.denominator) for v in sol]
+    den, nums = over_lcm((v.numerator, v.denominator) for v in sol)
     if any(sum(map(mul, row, nums)) != row[ncols] * den for row in aug):
         raise InconsistentSystemError("no exact solution (contradictory rows)")
     return sol

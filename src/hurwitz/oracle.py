@@ -185,21 +185,21 @@ def connected_hurwitz(d_max: int, g_max: int, r_max: int) -> HurwitzTable:
         Truncation(x_max=d_max, u_max=r_max, p_weight_max=d_max),
     )
     encode = ring.varset.profile_exps
-    terms = {encode(()): Fraction(1)}
+    ratios = [(encode(()), 1, 1)]
     for d in range(1, d_max + 1):
         d_fact = math.factorial(d)
         for r, bins in enumerate(count_factorizations(d, r_max)):
             r_fact = math.factorial(r)
             for alpha, count in bins.items():
-                terms[encode(alpha, r)] = Fraction(count, d_fact * r_fact)
-    connected = ExactSeries(ring, terms).log()
+                ratios.append((encode(alpha, r), count, d_fact * r_fact))
+    connected = ExactSeries.from_ratios(ring, ratios).log()
 
     def counts():
-        for exps, coeff in sorted(connected.terms.items()):
-            d, r, parts = ring.varset.profile(exps)
+        for e, n in sorted((ring.exps(k), n) for k, n in connected.nums.items()):
+            d, r, parts = ring.varset.profile(e)
             alpha = Partition(parts)
             if alpha.d != d:
-                raise AssertionError(f"inhomogeneous term {exps}")
-            yield r, alpha, coeff * math.factorial(r)
+                raise AssertionError(f"inhomogeneous term {e}")
+            yield r, alpha, Fraction(n * math.factorial(r), connected.den)
 
     return HurwitzTable.from_counts("oracle", counts(), g_max)

@@ -83,9 +83,6 @@ def partitions(d: int, min_part: int = 1) -> Iterator[tuple[int, ...]]:
 
     Ordering is deterministic: lexicographic on the non-decreasing tuples.
     """
-    if d == 0:
-        yield ()
-        return
 
     def rec(remaining: int, lo: int, prefix: tuple[int, ...]):
         if remaining == 0:

@@ -29,6 +29,7 @@ from .algebra import (
     Truncation,
     VarSet,
     lagrange_coeff,
+    over_lcm,
     rational_str,
 )
 from .golden import P3_POLY, P3_PREFACTOR_DENOM, PINNED_W_SERIES, Recurrence
@@ -299,13 +300,6 @@ def one_part_column(table: HurwitzTable, g: int, d_max: int) -> list[Fraction]:
     return column
 
 
-def _over_lcm(ratios: list[tuple[int, int]]) -> tuple[int, list[int]]:
-    """(den, nums) with nums[i] / den = num_i / den_i over (num_i, den_i),
-    den the lcm of the den_i."""
-    den = math.lcm(*(d for _, d in ratios))
-    return den, [n * (den // d) for n, d in ratios]
-
-
 def _term_lists(
     factor_lists: list[list[tuple[int, int]]], table: HurwitzTable, d_max: int
 ) -> list[tuple[int, list[int]]]:
@@ -321,7 +315,7 @@ def _term_lists(
     @functools.cache
     def factor(g: int, p: int) -> tuple[int, list[int]]:
         h = column(g)
-        return _over_lcm(
+        return over_lcm(
             [(0, 1)]
             + [
                 (m**p * h[m].numerator, h[m].denominator * math.factorial(2 * m + 2 * g - 2))
@@ -350,7 +344,7 @@ def _residuals(
     one integer over a common denominator; a Fraction is made only for a
     residual that is not zero."""
     used = [(c, t_den, t) for c, (t_den, t) in zip(coeffs, term_lists) if c]
-    den, weights = _over_lcm([(c.numerator, c.denominator * t_den) for c, t_den, _ in used])
+    den, weights = over_lcm([(c.numerator, c.denominator * t_den) for c, t_den, _ in used])
     failures = {}
     for d in d_range:
         residual = sum(w * t[d] for w, (_, _, t) in zip(weights, used))

@@ -17,6 +17,8 @@ from .partitions import Partition
 
 __all__ = ["HurwitzTable", "riemann_hurwitz_r"]
 
+_ZERO = Fraction(0)  # what `HurwitzTable.value` reads for a missing key
+
 
 def riemann_hurwitz_r(g: int, alpha: Iterable[int]) -> int:
     """Number of simple branch points for genus g and profile alpha."""
@@ -67,7 +69,7 @@ class HurwitzTable:
     def value(self, g: int, alpha) -> Fraction:
         """Count with the zero-absence convention: exact zeros are never
         stored, so a missing key reads as 0."""
-        return self.entries.get((g, Partition(alpha)), Fraction(0))
+        return self.entries.get((g, Partition(alpha)), _ZERO)
 
     def keys(self) -> list[tuple[int, Partition]]:
         return sorted(self.entries, key=lambda k: (k[0], sum(k[1]), k[1]))

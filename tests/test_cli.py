@@ -1,5 +1,6 @@
 """Command-line interface: output contracts, exit codes, determinism."""
 
+import ast
 import hashlib
 import importlib.util
 import json
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from hurwitz import ansatz, cli, cutjoin, golden, oracle, simple_hurwitz
-from hurwitz.algebra import ExactSeries
+from hurwitz.algebra import ExactSeries, rational_str
 from hurwitz.cli import Session, main
 from hurwitz.cutjoin import hurwitz_via_cutjoin
 from hurwitz.partitions import Partition
@@ -112,6 +113,27 @@ def test_table_csv_shape(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "g,alpha,r,value"
     assert '0,"1,1,1",4,4/1' in lines
+
+
+def _table_records(capsys, *argv):
+    code, out, _ = run_cli(capsys, "table", *argv)
+    assert code == 0
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("rmax", [0, 4, 7, 10])
+def test_cutjoin_table_rmax_keeps_the_entries_within_it(capsys, rmax):
+    """`table --method cutjoin --rmax N` prints the full table's records
+    with r <= N and, up to degree 4, the oracle's records for the same N."""
+    full = _table_records(capsys, "--dmax", "6")
+    kept = _table_records(capsys, "--method", "cutjoin", "--dmax", "6", "--rmax", str(rmax))
+    assert kept and len(kept) < len(full)
+    assert kept == [rec for rec in full if rec["r"] <= rmax]
+    small = _table_records(capsys, "--dmax", "4", "--rmax", str(rmax))
+    oracle_small = _table_records(capsys, "--method", "oracle", "--dmax", "4", "--rmax", str(rmax))
+    assert {rec.pop("method") for rec in small} == {"cutjoin"}
+    assert {rec.pop("method") for rec in oracle_small} == {"oracle"}
+    assert small == oracle_small
 
 
 def test_table_json_matches_direct_build(capsys):
@@ -690,6 +712,33 @@ def test_search_default_family(capsys):
     assert obj["numeric_failures"] == []
 
 
+def test_search_exits_1_when_a_null_vector_fails_its_numeric_check(capsys, monkeypatch):
+    """With H^2_{(1^7)} raised by 1 in the session's table, the null space
+    (read from the W-expressions alone) is unchanged, but its vectors fail
+    the numeric re-check from d = 7 on: exit 1, each failure printed with
+    its vector and residual as rational strings."""
+    real = cli.hurwitz_via_cutjoin
+
+    def raised(*args):
+        table = real(*args)
+        table.entries[(2, Partition((1,) * 7))] += 1
+        return table
+
+    monkeypatch.setattr(cli, "hurwitz_via_cutjoin", raised)
+    code, out, _ = run_cli(capsys, "search", "--dmax", "8")
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["dimension"] == 11
+    failures = obj["numeric_failures"]
+    assert failures and min(item["d"] for item in failures) == 7
+    for item in failures:
+        assert set(item) == {"vector", "d", "residual"}
+        assert len(item["vector"]) == obj["family_size"]
+        for text in [*item["vector"], item["residual"]]:
+            assert rational_str(Fraction(text)) == text
+        assert Fraction(item["residual"]) != 0 and type(item["d"]) is int
+
+
 def test_search_custom_family_runs(capsys, tmp_path):
     path = tmp_path / "family.json"
     path.write_text(
@@ -1060,6 +1109,23 @@ def test_counting_routes_import_no_other_route(route):
     loaded = loaded_modules(f"import hurwitz.{route}; ")
     assert f"hurwitz.{route}" in loaded
     assert {f"hurwitz.{r}" for r in ROUTES if r != route} & loaded == set()
+
+
+def test_only_algebra_computes_a_common_denominator():
+    """`algebra.over_lcm` is the one routine that puts rationals over a
+    common denominator: no other module under src/hurwitz calls `math.lcm`
+    or imports `lcm` from math."""
+    src = Path(__file__).resolve().parents[1] / "src" / "hurwitz"
+    callers = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "lcm") or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "math"
+                and any(alias.name == "lcm" for alias in node.names)
+            ):
+                callers.add(path.name)
+    assert callers == {"algebra.py"}
 
 
 def test_probes_run_the_cli_in_traced_mode():
