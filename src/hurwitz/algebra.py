@@ -409,7 +409,7 @@ def over_lcm(pairs: Iterable[tuple[int, int]]) -> tuple[int, list[int]]:
     (6, [3, 2, -5])
     """
     pairs = list(pairs)
-    den = math.lcm(*(d for _, d in pairs))
+    den = math.lcm(*[d for _, d in pairs])
     return den, [n * (den // d) for n, d in pairs]
 
 
@@ -417,7 +417,7 @@ def _sum(parts: Iterable[tuple[int, int, Mapping[int, int]]]) -> tuple[int, dict
     """The canonical sum of scale * nums / den over (scale, den, nums) parts,
     over the lcm of their dens."""
     parts = [p for p in parts if p[0] and p[2]]
-    den, scales = over_lcm((c, d) for c, d, _ in parts)
+    den, scales = over_lcm([(c, d) for c, d, _ in parts])
     acc: dict[int, int] = {}
     get = acc.get
     for f, (_, _, nums) in zip(scales, parts):
@@ -432,7 +432,7 @@ def _packed(
     """The canonical (den, nums) of sum num/den x^exps over (exps, num, den)
     triples with distinct vectors and den > 0, less what the ring does not admit."""
     kept = [(e, n, d) for e, n, d in ratios if n and ring.admits(e)]
-    den, nums = over_lcm((n, d) for _, n, d in kept)
+    den, nums = over_lcm([(n, d) for _, n, d in kept])
     return _canonical(den, {ring.key(e): n for (e, _, _), n in zip(kept, nums)})
 
 
