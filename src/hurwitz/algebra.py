@@ -521,13 +521,8 @@ class ExactSeries:
     def _moved(self, ring: SeriesRing) -> "ExactSeries":
         """This series in a ring over the same variables, less the terms
         that ring does not admit."""
-        exps = self.ring.exps
-        nums = {}
-        for k, n in self.nums.items():
-            e = exps(k)
-            if ring.admits(e):
-                nums[ring.key(e)] = n
-        return ExactSeries._of(ring, *_canonical(self.den, nums))
+        exps, den = self.ring.exps, self.den
+        return ExactSeries.from_ratios(ring, ((exps(k), n, den) for k, n in self.nums.items()))
 
     # -- ring operations ---------------------------------------------------
 
@@ -539,23 +534,18 @@ class ExactSeries:
     __radd__ = __add__
 
     def __neg__(self) -> "ExactSeries":
-        return ExactSeries._of(self.ring, self.den, {k: -n for k, n in self.nums.items()})
+        return self.scale(-1)
 
     def __sub__(self, other) -> "ExactSeries":
         if not isinstance(other, ExactSeries):
             other = self.ring.const(other)
-        return self.ring.sum((self, -other))
+        return self.ring.combination(((1, self), (-1, other)))
 
     def __rsub__(self, other) -> "ExactSeries":
         return self.ring.const(other) - self
 
     def scale(self, c) -> "ExactSeries":
-        c = Fraction(c)
-        p = c.numerator
-        return ExactSeries._of(
-            self.ring,
-            *_canonical(self.den * c.denominator, {k: n * p for k, n in self.nums.items()}),
-        )
+        return self.ring.combination(((Fraction(c), self),))
 
     def __mul__(self, other) -> "ExactSeries":
         if not isinstance(other, ExactSeries):

@@ -67,17 +67,21 @@ __all__ = [
 
 
 def _phi(ring: SeriesRing, k: int, z_pows: list[ExactSeries]) -> ExactSeries:
-    """phi_k(z, p) = sum_n n^(n+k)/n! p_n z^n, given z^0..z^d_max."""
-    return ring.sum(
-        ring.monomial({f"p_{n}": 1}, Fraction(n) ** (n + k) / math.factorial(n)) * z_pows[n]
-        for n in range(1, len(z_pows))
-    )
+    """phi_k(z, p) = sum_n n^(n+k)/n! p_n z^n, given z^0..z^d_max, each
+    coefficient built as an integer ratio (n^-(n+k) below when n + k < 0)."""
+    encode = ring.varset.profile_exps
+
+    def term(n: int) -> ExactSeries:
+        num, den = n ** max(n + k, 0), math.factorial(n) * n ** max(-n - k, 0)
+        return ExactSeries.from_ratios(ring, [(encode((n,), d=0), num, den)]) * z_pows[n]
+
+    return ring.sum(map(term, range(1, len(z_pows))))
 
 
 def _descend(ring: SeriesRing, k: int, v_pows: list[ExactSeries]) -> ExactSeries:
     """sum_i t_{k+i} v^i / i!, given v^0..v^n, over the t_j the ring has."""
-    return ring.sum(
-        ring.var(f"t_{k + i}") * v_pow * Fraction(1, math.factorial(i))
+    return ring.combination(
+        (Fraction(1, math.factorial(i)), ring.var(f"t_{k + i}") * v_pow)
         for i, v_pow in enumerate(v_pows)
         if f"t_{k + i}" in ring.varset.names
     )
@@ -575,8 +579,8 @@ def verify_xi_on_I(k: int, ctx: XpContext, tctx: TContext) -> dict:
 def verify_phi_shift_expansion(k: int, ctx: XpContext) -> dict:
     """phi_k(s, p) = sum_m phi_{k+m}(x, p) phi_0(s, p)^m / m!."""
     d_max = ctx.d_max
-    total = ctx.ring.sum(
-        ctx.phi_x(k + m) * phi0s_pow * Fraction(1, math.factorial(m))
+    total = ctx.ring.combination(
+        (Fraction(1, math.factorial(m)), ctx.phi_x(k + m) * phi0s_pow)
         for m, phi0s_pow in enumerate(ctx.phi_s(0).powers(d_max))
     )
     return compare_series(

@@ -3,9 +3,10 @@
 Commands: `hurwitz` (one number, by any method), `table` (bulk exact
 tables), `fit` (pole-form constants + primitive brackets), `hodge` (one
 bracket), `verify` (named identity suites), `search` (recurrence null
-spaces over a term family), their flags in `_OPTIONS`, read by `parse_args`
-without argparse, whose import every one-answer process would pay for.  All
-output is exact-rational JSON or CSV, deterministic for a fixed configuration.
+spaces over a term family), each with its handler and flags in `_COMMANDS`,
+which `parse_args` reads without argparse, whose import every one-answer
+process would pay for.  All output is exact-rational JSON or CSV,
+deterministic for a fixed configuration.
 
 Exit codes: 0 success; 1 a verification or an internal check failed, a
 fit's contradictory rows included (one `error: internal check failed: ...`
@@ -39,7 +40,6 @@ from .ansatz import (
 )
 from .cutjoin import hurwitz_number, hurwitz_via_cutjoin
 from .hodge import (
-    DegenerateProfileError,
     HodgeKey,
     HodgeTable,
     MissingPrimitiveError,
@@ -191,7 +191,7 @@ def _cmd_table(args: SimpleNamespace, session: Session) -> int:
         r_max = args.rmax if args.rmax is not None else 2 * args.dmax + 2 * args.gmax - 2
         table = connected_hurwitz(args.dmax, args.gmax, r_max)
     else:
-        table = hurwitz_via_cutjoin(args.dmax, args.gmax)
+        table = session.table(args.dmax, args.gmax)
         if args.rmax is not None:
             table = table.restricted(r_max=args.rmax)
     if args.format == "csv":
@@ -301,7 +301,7 @@ def _suite_oracle_vs_cutjoin(session: Session, dmax: int) -> list[dict]:
     r_max = 2 * dmax + 6
     oracle = connected_hurwitz(dmax, r_max // 2, r_max)
     # r >= 2g on every entry, so genus r_max // 2 reaches all of r <= r_max
-    cj = hurwitz_via_cutjoin(dmax, r_max // 2).restricted(r_max)
+    cj = session.table(dmax, r_max // 2).restricted(r_max)
     name = f"oracle-vs-cutjoin-d{dmax}-r{r_max}"
     for g, alpha in sorted(oracle.entries.keys() | cj.entries.keys()):
         a, b = oracle.value(g, alpha), cj.value(g, alpha)
@@ -461,27 +461,29 @@ def _cmd_verify(args: SimpleNamespace, session: Session) -> int:
 
 # -- argument parsing -------------------------------------------------------------
 
-# command -> flag -> (kind, default): a kind is int, str or a tuple of
-# choices, and a default of ... marks a flag that must be given
-_OPTIONS = {
-    "hurwitz": {"g": (int, ...), "alpha": (str, ...),
+# command -> (handler, flag -> (kind, default)): a kind is int, str or a
+# tuple of choices, and a default of ... marks a flag that must be given
+_COMMANDS = {
+    "hurwitz": (_cmd_hurwitz, {"g": (int, ...), "alpha": (str, ...),
                 "method": (("oracle", "cutjoin", "elsv", "closed-form"), "cutjoin"),
-                "out": (str, None)},
-    "table": {"method": (("oracle", "cutjoin"), "cutjoin"), "dmax": (int, ...), "gmax": (int, 2),
-              "rmax": (int, None), "format": (("json", "csv"), "json"), "out": (str, None)},
-    "fit": {"g": (int, ...), "out": (str, None)},
-    "hodge": {"g": (int, ...), "theta": (str, ...), "k": (int, 0), "out": (str, None)},
-    "verify": {"suite": (tuple(_SUITE_RUNNERS), ...), "dmax": (int, None),
-               "format": (("text", "json"), "text"), "out": (str, None)},
-    "search": {"family": (str, None), "dmax": (int, 10), "out": (str, None)},
+                "out": (str, None)}),
+    "table": (_cmd_table, {"method": (("oracle", "cutjoin"), "cutjoin"), "dmax": (int, ...),
+              "gmax": (int, 2), "rmax": (int, None), "format": (("json", "csv"), "json"),
+              "out": (str, None)}),
+    "fit": (_cmd_fit, {"g": (int, ...), "out": (str, None)}),
+    "hodge": (_cmd_hodge, {"g": (int, ...), "theta": (str, ...), "k": (int, 0),
+              "out": (str, None)}),
+    "verify": (_cmd_verify, {"suite": (tuple(_SUITE_RUNNERS), ...), "dmax": (int, None),
+               "format": (("text", "json"), "text"), "out": (str, None)}),
+    "search": (_cmd_search, {"family": (str, None), "dmax": (int, 10), "out": (str, None)}),
 }
 
 
 def _usage(command: str | None) -> str:
-    if command not in _OPTIONS:
-        return "\n".join(map(_usage, _OPTIONS))
+    if command not in _COMMANDS:
+        return "\n".join(map(_usage, _COMMANDS))
     flags = []
-    for name, (kind, default) in _OPTIONS[command].items():
+    for name, (kind, default) in _COMMANDS[command][1].items():
         flag = f"--{name} " + (name.upper() if kind in (int, str) else "{" + ",".join(kind) + "}")
         flags.append(flag if default is ... else f"[{flag}]")
     return f"usage: hurwitz {command} [-h] " + " ".join(flags)
@@ -501,7 +503,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
 
     if command in ("-h", "--help"):
         stop(EXIT_OK)
-    options = _OPTIONS.get(command) or stop(EXIT_USAGE, "the first argument must be a command")
+    _, options = _COMMANDS.get(command) or stop(EXIT_USAGE, "the first argument must be a command")
     given, tokens = {}, iter(argv[1:])
     for token in tokens:
         if token in ("-h", "--help"):
@@ -526,21 +528,11 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     return args
 
 
-_COMMANDS = {
-    "hurwitz": _cmd_hurwitz,
-    "table": _cmd_table,
-    "fit": _cmd_fit,
-    "hodge": _cmd_hodge,
-    "verify": _cmd_verify,
-    "search": _cmd_search,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         _check_bounds(args)
-        return _COMMANDS[args.command](args, Session())
+        return _COMMANDS[args.command][0](args, Session())
     except BudgetExceededError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_BUDGET
@@ -551,7 +543,7 @@ def main(argv: list[str] | None = None) -> int:
         # a fit's contradictory rows come from the program's own tables
         print(f"error: internal check failed: {ex}", file=sys.stderr)
         return EXIT_VERIFY
-    except (ValueError, DegenerateProfileError, MissingPrimitiveError) as ex:
+    except (ValueError, MissingPrimitiveError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

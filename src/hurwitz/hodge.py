@@ -12,6 +12,7 @@ bracket = 1/24.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterator, NamedTuple
@@ -151,8 +152,11 @@ def evaluate(
 
     The key is made canonical here, once: every reduction below lowers the
     first copy of a subscript or drops the first 0 or 1 of a sorted theta,
-    which keeps it sorted, so each sub-key is built directly.
+    which keeps it sorted, so each sub-key is built directly.  Any other
+    route name is refused.
     """
+    if genus0 not in ("closed_form", "string") or order not in ("string_first", "dilaton_first"):
+        raise ValueError(f"unknown evaluation route genus0={genus0!r}, order={order!r}")
     return _evaluate(HodgeKey.make(*key), table, genus0, order)
 
 
@@ -195,17 +199,16 @@ def _reduce(key: HodgeKey, table: HodgeTable, genus0: str, order: str) -> Fracti
 
 
 def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
-    """Nonnegative integer vectors of given length summing to total."""
+    """Nonnegative integer vectors of given length summing to total: the
+    gaps between slots - 1 bars placed among total + slots - 1 places."""
     if slots == 0:
         if total == 0:
             yield ()
         return
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, slots - 1):
-            yield (first,) + rest
+    end = total + slots - 1
+    for bars in itertools.combinations(range(end), slots - 1):
+        edges = (-1, *bars, end)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
 def elsv_hurwitz(g: int, alpha, table: HodgeTable) -> Fraction:
@@ -223,11 +226,7 @@ def elsv_hurwitz(g: int, alpha, table: HodgeTable) -> Fraction:
         raise DegenerateProfileError(
             f"genus 0 needs at least 3 parts, got {tuple(alpha)}"
         )
-    r = riemann_hurwitz_r(g, alpha)
-    prefactor = Fraction(math.factorial(r), aut_count(alpha))
-    for a in alpha:
-        prefactor *= Fraction(a**a, math.factorial(a))
-    total = Fraction(0)
+    terms = []  # (signed weight * numerator, denominator) of each nonzero bracket
     for k in range(g + 1):
         dim = 3 * g - 3 + m - k
         if dim < 0:
@@ -237,5 +236,9 @@ def elsv_hurwitz(g: int, alpha, table: HodgeTable) -> Fraction:
             bracket = evaluate(HodgeKey(g, b, k), table)
             if bracket:
                 weight = math.prod(a**e for a, e in zip(alpha, b))
-                total += sign * bracket * weight
-    return prefactor * total
+                terms.append((sign * weight * bracket.numerator, bracket.denominator))
+    den, nums = over_lcm(terms)
+    prefactor = math.factorial(riemann_hurwitz_r(g, alpha)) * math.prod(a**a for a in alpha)
+    return Fraction(
+        prefactor * sum(nums), den * aut_count(alpha) * math.prod(map(math.factorial, alpha))
+    )

@@ -213,17 +213,16 @@ def wexpr_to_xseries(expr: WExpr, d_max: int) -> ExactSeries:
     series for w.  Reference route for extract_coeff; O(d_max^2) series
     arithmetic."""
     ring = SeriesRing(VarSet(("x",)), Truncation(x_max=d_max))
-    w = ring.sum(
-        ring.monomial({"x": nn}, Fraction(nn) ** (nn - 1) / math.factorial(nn))
-        for nn in range(1, d_max + 1)
+    w = ExactSeries.from_ratios(
+        ring, [((nn,), nn ** (nn - 1), math.factorial(nn)) for nn in range(1, d_max + 1)]
     )
     one_minus_w = ring.one() - w  # = W^-1
     exps = [0, *(j for _, j in expr.terms)]
     w_pows = dict(enumerate(one_minus_w.inverse().powers(max(exps))))
     w_pows.update((-j, s) for j, s in enumerate(one_minus_w.powers(-min(exps))))
     log_w = None if expr.is_log_free() else -one_minus_w.log()
-    return ring.sum(
-        (w_pows[j] * log_w if l else w_pows[j]).scale(c) for (l, j), c in expr.terms.items()
+    return ring.combination(
+        (c, w_pows[j] * log_w if l else w_pows[j]) for (l, j), c in expr.terms.items()
     )
 
 

@@ -263,6 +263,39 @@ def test_oracle_mismatch_detail_is_rational(capsys, monkeypatch, key, oracle, cu
     assert check["detail"] == detail
 
 
+@pytest.mark.parametrize(
+    "argv, bounds",
+    [
+        (["table", "--dmax", "5", "--gmax", "1"], (5, 1)),
+        (["table", "--dmax", "5", "--rmax", "4"], (5, 2)),
+        (["verify", "--suite", "oracle-vs-cutjoin", "--dmax", "4", "--format", "json"], (4, 7)),
+    ],
+    ids=["table", "table-rmax", "oracle-vs-cutjoin"],
+)
+def test_every_cutjoin_table_comes_from_the_session(capsys, monkeypatch, argv, bounds):
+    """The commands read their cut-and-join table from `Session.table` and
+    nowhere else: a session table with H^0_(1,1) raised by 1 is the one
+    each command prints or compares against the oracle."""
+    real, calls = Session.table, []
+
+    def raised(self, d_max, g_max):
+        calls.append((d_max, g_max))
+        table = real(self, d_max, g_max)
+        table.entries[(0, Partition((1, 1)))] += 1
+        return table
+
+    monkeypatch.setattr(Session, "table", raised)
+    code, out, _ = run_cli(capsys, *argv)
+    assert calls == [bounds]
+    if argv[0] == "table":
+        [value] = [r["value"] for r in json.loads(out) if (r["g"], r["alpha"]) == (0, [1, 1])]
+        assert (code, value) == (0, "3/2")
+    else:
+        [check] = json.loads(out)["checks"]
+        assert (code, check["status"]) == (1, "fail")
+        assert check["detail"] == {"g": 0, "alpha": [1, 1], "oracle": "1/2", "cutjoin": "3/2"}
+
+
 def test_closed_forms_refuse_a_table_missing_a_degree(capsys, monkeypatch):
     """A one-part count the table lacks is refused, not read as 0."""
     real = cli.hurwitz_via_cutjoin

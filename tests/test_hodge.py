@@ -1,6 +1,7 @@
 """Bracket evaluation: the validity gate, string/dilaton reduction, the
 genus-0 closed form, and the weighted-sum formula for Hurwitz numbers."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from hurwitz.hodge import (
     HodgeTable,
     MissingPrimitiveError,
     PrimitiveConflictError,
+    _compositions,
     elsv_hurwitz,
     evaluate,
     validity_gate,
@@ -197,3 +199,28 @@ def test_unsorted_key_evaluates_as_its_sorted_twin(genus0, order, g, theta, k):
     assert value == evaluate(HodgeKey.make(g, theta, k), HodgeTable(), genus0=genus0, order=order)
     assert value != 0
     assert all(list(key.theta) == sorted(key.theta) for key, _, _ in table._memo)
+
+
+def test_compositions_are_every_vector_with_the_sum_once():
+    """Stars and bars gives exactly the vectors of {0..total}^slots that sum
+    to total, with no duplicate, the empty vector alone for 0 into 0 slots."""
+    for total in range(7):
+        for slots in range(5):
+            got = list(_compositions(total, slots))
+            brute = itertools.product(range(total + 1), repeat=slots)
+            assert len(got) == len(set(got))
+            assert set(got) == {v for v in brute if sum(v) == total}, (total, slots)
+
+
+@pytest.mark.parametrize(
+    "route",
+    [{"genus0": "closed-form"}, {"genus0": "String"}, {"order": "dilaton-first"}, {"order": ""}],
+    ids=["closed-form", "String", "dilaton-first", "empty-order"],
+)
+def test_evaluate_refuses_an_unknown_route(route):
+    """A misspelt route is refused on entry, not read as the other route;
+    a genus-0 key with a misspelt closed form would otherwise go by string."""
+    table = HodgeTable()
+    with pytest.raises(ValueError, match="unknown evaluation route"):
+        evaluate(HodgeKey.make(0, (0, 0, 0, 1, 1), 0), table, **route)
+    assert table._memo == {}

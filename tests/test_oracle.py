@@ -189,6 +189,18 @@ def test_budget_counts_what_the_oracle_allocates(monkeypatch):
         count_factorizations(7, 20)
 
 
+def test_budget_charge_is_pinned_by_its_own_numbers(monkeypatch):
+    """d = 7, r = 20 is charged 7! (20 + C(7, 2) + 3) = 221760 cells of 64
+    bytes: a byte budget of exactly that admits it and one byte less refuses
+    it, so neither the cell size nor the + 3 can change unseen."""
+    assert oracle._oracle_cells(7, 20) == 221_760
+    monkeypatch.setenv("HURWITZ_MEMORY_BUDGET", str(64 * 221_760))
+    oracle._check_cost(7, 20)
+    monkeypatch.setenv("HURWITZ_MEMORY_BUDGET", str(64 * 221_760 - 1))
+    with pytest.raises(BudgetExceededError):
+        oracle._check_cost(7, 20)
+
+
 def test_over_budget_refused_before_counting(monkeypatch):
     calls = []
     monkeypatch.setattr(
