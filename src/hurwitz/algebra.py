@@ -731,7 +731,9 @@ def lagrange_coeff(n: int, r: int, d: int) -> Fraction:
 
     Evaluates the closed double sum
     sum_i C(r+i-1, r-1) n d^(d-n-i-1)/(d-n-i)!
-    + sum_i C(r+i, r) r d^(d-n-i-2)/(d-n-i-1)!.
+    + sum_i C(r+i, r) r d^(d-n-i-2)/(d-n-i-1)!
+    as one integer over d (d-n)!: with k = d - n, each term's
+    d^(k-i-1)/(k-i)! is d^(k-i) k!/(k-i)! over d k!.
 
     >>> lagrange_coeff(1, 0, 3)
     Fraction(3, 2)
@@ -744,25 +746,14 @@ def lagrange_coeff(n: int, r: int, d: int) -> Fraction:
         raise ValueError("n and r must be nonnegative")
     if n > d:
         return Fraction(0)
-    total = Fraction(0)
+    k = d - n
     if r == 0:
         # w^n alone: only the i = 0 term of the first sum survives.
-        return n * Fraction(d) ** (d - n - 1) / math.factorial(d - n)
-    for i in range(0, d - n + 1):
-        total += (
-            math.comb(r + i - 1, r - 1)
-            * n
-            * Fraction(d) ** (d - n - i - 1)
-            / math.factorial(d - n - i)
-        )
-    for i in range(0, d - n):
-        total += (
-            math.comb(r + i, r)
-            * r
-            * Fraction(d) ** (d - n - i - 2)
-            / math.factorial(d - n - i - 1)
-        )
-    return total
+        return Fraction(n * d**k, d * math.factorial(k))
+    total = sum(
+        math.comb(r + i - 1, r - 1) * n * d ** (k - i) * math.perm(k, i) for i in range(k + 1)
+    ) + sum(math.comb(r + i, r) * r * d ** (k - i - 1) * math.perm(k, i + 1) for i in range(k))
+    return Fraction(total, d * math.factorial(k))
 
 
 def rational_str(q) -> str:

@@ -188,7 +188,7 @@ def _cmd_hurwitz(args: SimpleNamespace, session: Session) -> int:
 
 def _cmd_table(args: SimpleNamespace, session: Session) -> int:
     if args.method == "oracle":
-        r_max = args.rmax if args.rmax is not None else 2 * args.dmax + 2 * args.gmax - 2
+        r_max = riemann_hurwitz_r(args.gmax, (1,) * args.dmax) if args.rmax is None else args.rmax
         table = connected_hurwitz(args.dmax, args.gmax, r_max)
     else:
         table = session.table(args.dmax, args.gmax)

@@ -360,14 +360,14 @@ def hurwitz_via_cutjoin(d_max: int, g_max: int) -> HurwitzTable:
     the cut-and-join iteration.
 
     Riemann-Hurwitz fixes the step count: r = d + l(alpha) + 2g - 2 is at
-    most r_max = 2*d_max + 2*g_max - 2 on the table, so that many steps
-    reach every entry.
+    most its value r_max = 2*d_max + 2*g_max - 2 at genus g_max and profile
+    (1^d_max), so that many steps reach every entry.
 
     >>> table = hurwitz_via_cutjoin(3, 1)
     >>> table.value(0, (3,)), table.value(1, (1, 1))
     (Fraction(1, 1), Fraction(1, 2))
     """
-    r_max = 2 * d_max + 2 * g_max - 2
+    r_max = riemann_hurwitz_r(g_max, (1,) * d_max)
     keys = ProfileKeys(d_max)
     h = connected_slices(keys, r_max, g_max)
     alphas = {k: Partition(keys.unpack(k)) for k in set().union(*h)}

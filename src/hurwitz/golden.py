@@ -43,38 +43,36 @@ __all__ = [
 ]
 
 
-def _fr(num: int, den: int = 1) -> Fraction:
-    return Fraction(num, den)
-
-
 # D^n H~_g as Laurent data in W, keyed by (g, n).  These are the five
 # displayed base series; everything else is derived by applying D.
 PINNED_W_SERIES: dict[tuple[int, int], dict[str, dict[int, Fraction]]] = {
     (0, 1): {
-        "laurent": {0: _fr(1, 2), -2: _fr(-1, 2)},
+        "laurent": {0: Fraction(1, 2), -2: Fraction(-1, 2)},
         "log": {},
     },
     (1, 0): {
-        "laurent": {0: _fr(-1, 24), -1: _fr(1, 24)},
-        "log": {0: _fr(1, 24)},
+        "laurent": {0: Fraction(-1, 24), -1: Fraction(1, 24)},
+        "log": {0: Fraction(1, 24)},
     },
     (1, 1): {
-        "laurent": {2: _fr(1, 24), 1: _fr(-1, 12), 0: _fr(1, 24)},
+        "laurent": {2: Fraction(1, 24), 1: Fraction(-1, 12), 0: Fraction(1, 24)},
         "log": {},
     },
     (2, 0): {
-        "laurent": {5: _fr(7, 1440), 4: _fr(-1, 72), 3: _fr(19, 1440), 2: _fr(-1, 240)},
+        "laurent": {
+            5: Fraction(7, 1440), 4: Fraction(-1, 72), 3: Fraction(19, 1440), 2: Fraction(-1, 240)
+        },
         "log": {},
     },
     (3, 0): {
         "laurent": {
-            4: _fr(720, 725760),
-            5: _fr(-8136, 725760),
-            6: _fr(33362, 725760),
-            7: _fr(-67036, 725760),
-            8: _fr(71505, 725760),
-            9: _fr(-38990, 725760),
-            10: _fr(8575, 725760),
+            4: Fraction(720, 725760),
+            5: Fraction(-8136, 725760),
+            6: Fraction(33362, 725760),
+            7: Fraction(-67036, 725760),
+            8: Fraction(71505, 725760),
+            9: Fraction(-38990, 725760),
+            10: Fraction(8575, 725760),
         },
         "log": {},
     },
@@ -82,13 +80,13 @@ PINNED_W_SERIES: dict[tuple[int, int], dict[str, dict[int, Fraction]]] = {
 
 # H~_g as sum of c * w^m / (1-w)^r, keyed g -> {(m, r): c}.
 POLE_FORM_COEFFS: dict[int, dict[tuple[int, int], Fraction]] = {
-    2: {(2, 4): _fr(4, 5760), (3, 5): _fr(28, 5760)},
+    2: {(2, 4): Fraction(4, 5760), (3, 5): Fraction(28, 5760)},
     3: {
-        (2, 6): _fr(1, 80640),
-        (3, 7): _fr(73, 90720),
-        (4, 8): _fr(37, 5184),
-        (5, 9): _fr(89, 5184),
-        (6, 10): _fr(245, 20736),
+        (2, 6): Fraction(1, 80640),
+        (3, 7): Fraction(73, 90720),
+        (4, 8): Fraction(37, 5184),
+        (5, 9): Fraction(89, 5184),
+        (6, 10): Fraction(245, 20736),
     },
 }
 
@@ -101,40 +99,40 @@ P3_POLY: tuple[int, ...] = (1680, -2822, 35, 3770, 1225)
 DIFFERENTIAL_IDENTITIES: dict[str, list[dict]] = {
     # D^2 H~_0 = (1/2)(D^2 H~_0)^2 + D H~_0
     "genus0-quadratic": [
-        {"coeff": _fr(1), "factors": [(0, 2)]},
-        {"coeff": _fr(-1, 2), "factors": [(0, 2), (0, 2)]},
-        {"coeff": _fr(-1), "factors": [(0, 1)]},
+        {"coeff": Fraction(1), "factors": [(0, 2)]},
+        {"coeff": Fraction(-1, 2), "factors": [(0, 2), (0, 2)]},
+        {"coeff": Fraction(-1), "factors": [(0, 1)]},
     ],
     # D H~_1 = (1/24)(D^3 H~_0)^2
     "genus1-square": [
-        {"coeff": _fr(1), "factors": [(1, 1)]},
-        {"coeff": _fr(-1, 24), "factors": [(0, 3), (0, 3)]},
+        {"coeff": Fraction(1), "factors": [(1, 1)]},
+        {"coeff": Fraction(-1, 24), "factors": [(0, 3), (0, 3)]},
     ],
     # D H~_1 = D^3 H~_0/24 - D^2 H~_0/24 + (D^2 H~_0)(D H~_1)
     "genus1-mixed": [
-        {"coeff": _fr(1), "factors": [(1, 1)]},
-        {"coeff": _fr(-1, 24), "factors": [(0, 3)]},
-        {"coeff": _fr(1, 24), "factors": [(0, 2)]},
-        {"coeff": _fr(-1), "factors": [(0, 2), (1, 1)]},
+        {"coeff": Fraction(1), "factors": [(1, 1)]},
+        {"coeff": Fraction(-1, 24), "factors": [(0, 3)]},
+        {"coeff": Fraction(1, 24), "factors": [(0, 2)]},
+        {"coeff": Fraction(-1), "factors": [(0, 2), (1, 1)]},
     ],
     # 4320 H~_2 = -300 D^2 H~_1 + 7(D^5 - D^4) H~_0
     "genus2-linear": [
-        {"coeff": _fr(4320), "factors": [(2, 0)]},
-        {"coeff": _fr(300), "factors": [(1, 2)]},
-        {"coeff": _fr(-7), "factors": [(0, 5)]},
-        {"coeff": _fr(7), "factors": [(0, 4)]},
+        {"coeff": Fraction(4320), "factors": [(2, 0)]},
+        {"coeff": Fraction(300), "factors": [(1, 2)]},
+        {"coeff": Fraction(-7), "factors": [(0, 5)]},
+        {"coeff": Fraction(7), "factors": [(0, 4)]},
     ],
     # 2880 H~_3 = -(2/49 - (227/294)D + (99845/588)D^2) H~_2
     #             -((1/490)D^2 - (11/294)D^3 + (38845/14112)D^4 - (1225/576)D^5) H~_1
     "genus3-linear": [
-        {"coeff": _fr(2880), "factors": [(3, 0)]},
-        {"coeff": _fr(2, 49), "factors": [(2, 0)]},
-        {"coeff": _fr(-227, 294), "factors": [(2, 1)]},
-        {"coeff": _fr(99845, 588), "factors": [(2, 2)]},
-        {"coeff": _fr(1, 490), "factors": [(1, 2)]},
-        {"coeff": _fr(-11, 294), "factors": [(1, 3)]},
-        {"coeff": _fr(38845, 14112), "factors": [(1, 4)]},
-        {"coeff": _fr(-1225, 576), "factors": [(1, 5)]},
+        {"coeff": Fraction(2880), "factors": [(3, 0)]},
+        {"coeff": Fraction(2, 49), "factors": [(2, 0)]},
+        {"coeff": Fraction(-227, 294), "factors": [(2, 1)]},
+        {"coeff": Fraction(99845, 588), "factors": [(2, 2)]},
+        {"coeff": Fraction(1, 490), "factors": [(1, 2)]},
+        {"coeff": Fraction(-11, 294), "factors": [(1, 3)]},
+        {"coeff": Fraction(38845, 14112), "factors": [(1, 4)]},
+        {"coeff": Fraction(-1225, 576), "factors": [(1, 5)]},
     ],
 }
 
@@ -218,13 +216,13 @@ RECURRENCES: dict[str, Recurrence] = {
 # pole-form coefficients above under the p_1 = 1 specialization:
 # sum of singleton K's; K_{(2,2)}/2 + K_{(2,3)}; K_{(2,2,2)}.
 AGGREGATE_CONSTANT_CHECKS_G2 = {
-    "singleton_sum": _fr(0),
-    "pair_weighted_sum": _fr(1, 1440),
-    "triple": _fr(7, 240),
+    "singleton_sum": Fraction(0),
+    "pair_weighted_sum": Fraction(1, 1440),
+    "triple": Fraction(7, 240),
 }
 
 # Hand-checked table entries (g, d) -> H^g_{(1^d)}.
 SPOT_VALUES: dict[tuple[int, int], Fraction] = {
-    (0, 3): _fr(4),
-    (1, 2): _fr(1, 2),
+    (0, 3): Fraction(4),
+    (1, 2): Fraction(1, 2),
 }

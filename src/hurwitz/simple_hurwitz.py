@@ -5,11 +5,12 @@ w = x e^w.
 In W-coordinates D acts as W^2(W-1) d/dW, so D^n H~_g is a Laurent
 polynomial in W (plus one log W term for H~_1 alone), and questions about
 recurrences among the D^n H~_g become exact linear algebra over the
-rationals.  A `WExpr` holds one map from (log power, W exponent) to
-coefficient, so every operation, and the search matrix, is one loop over
-it.  Coefficient extraction [x^d] goes through the Lagrange double sum, with
-log W read through D log W = W^2 - W, independently of any series
-expansion.
+rationals.  A `WExpr` holds integer numerators keyed by (log power,
+W exponent) over one denominator, canonical as an `ExactSeries` is, and
+sums through the same `algebra` kernel; the search matrix is its
+numerators over the lcm of the members' denominators.  Coefficient
+extraction [x^d] goes through the Lagrange double sum, with log W read
+through D log W = W^2 - W, independently of any series expansion.
 
 The numeric checks against a HurwitzTable (search vectors, differential
 identities, recurrences) read each genus's one-part column H^g_{(1^m)} once
@@ -22,12 +23,15 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from typing import Iterable
 
 from .algebra import (
     ExactSeries,
     SeriesRing,
     Truncation,
     VarSet,
+    _canonical,
+    _sum,
     lagrange_coeff,
     over_lcm,
     rational_str,
@@ -63,11 +67,15 @@ class LogProductError(ValueError):
 
 
 class WExpr:
-    """sum c W^j (log W)^l over one map `terms`: {(l, j): c}, l in {0, 1}.
+    """sum (nums[l, j] / den) W^j (log W)^l, l in {0, 1}: integer numerators
+    over one denominator.
 
-    `WExpr(laurent, logpart)` builds it from the log-free and the log W
-    coefficients by exponent, and `laurent` and `logpart` read them back.
-    Immutable by convention: all operations return new instances.
+    `nums` maps each (l, j) to a nonzero numerator and `den` is positive
+    with gcd(den, *nums) == 1, as in `ExactSeries`, so equal expressions
+    have equal fields.  `WExpr(laurent, logpart)` builds one from the
+    rational log-free and log W coefficients by exponent; `terms`,
+    `laurent` and `logpart` read them back as Fractions.  Immutable by
+    convention: all operations return new instances.
 
     >>> e = WExpr({1: Fraction(1)}, {})          # W
     >>> (e * e).laurent
@@ -76,17 +84,19 @@ class WExpr:
     {3: Fraction(1, 1), 2: Fraction(-1, 1)}
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("den", "nums")
 
     def __init__(self, laurent: dict[int, Fraction], logpart: dict[int, Fraction] | None = None):
-        self.terms = {(0, j): Fraction(c) for j, c in laurent.items() if c}
-        self.terms.update(((1, j), Fraction(c)) for j, c in (logpart or {}).items() if c)
+        items = [((0, j), c) for j, c in laurent.items()]
+        items += [((1, j), c) for j, c in (logpart or {}).items()]
+        den, nums = over_lcm([(c.numerator, c.denominator) for _, c in items])
+        self.den, self.nums = _canonical(den, {k: n for (k, _), n in zip(items, nums)})
 
     @classmethod
-    def _of(cls, terms: dict[tuple[int, int], Fraction]) -> "WExpr":
-        """Wrap a (l, j) -> coefficient map, dropping its zeros."""
+    def _of(cls, den: int, nums: dict[tuple[int, int], int]) -> "WExpr":
+        """Wrap a canonical (den, nums)."""
         expr = object.__new__(cls)
-        expr.terms = {k: c for k, c in terms.items() if c}
+        expr.den, expr.nums = den, nums
         return expr
 
     @classmethod
@@ -95,57 +105,60 @@ class WExpr:
 
     @classmethod
     def const(cls, c: Fraction | int) -> "WExpr":
-        return cls({0: Fraction(c)})
+        return cls({0: c})
+
+    @classmethod
+    def combination(cls, pairs: Iterable[tuple[int | Fraction, "WExpr"]]) -> "WExpr":
+        """sum c * E over (rational c, WExpr E) pairs: one pass over the
+        integer numerators, over one common denominator."""
+        return cls._of(*_sum((c.numerator, c.denominator * e.den, e.nums) for c, e in pairs))
+
+    @property
+    def terms(self) -> dict[tuple[int, int], Fraction]:
+        return {k: Fraction(n, self.den) for k, n in self.nums.items()}
 
     @property
     def laurent(self) -> dict[int, Fraction]:
-        return {j: c for (l, j), c in self.terms.items() if not l}
+        return {j: Fraction(n, self.den) for (l, j), n in self.nums.items() if not l}
 
     @property
     def logpart(self) -> dict[int, Fraction]:
-        return {j: c for (l, j), c in self.terms.items() if l}
+        return {j: Fraction(n, self.den) for (l, j), n in self.nums.items() if l}
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def is_log_free(self) -> bool:
-        return not any(l for l, _ in self.terms)
+        return not any(l for l, _ in self.nums)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WExpr):
             return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other: "WExpr") -> "WExpr":
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, 0) + c
-        return WExpr._of(terms)
+        return self.den == other.den and self.nums == other.nums
 
     def scale(self, c: Fraction | int) -> "WExpr":
-        c = Fraction(c)
-        return WExpr._of({k: c * v for k, v in self.terms.items()})
+        return WExpr.combination(((c, self),))
 
     def __mul__(self, other: "WExpr") -> "WExpr":
-        terms: dict[tuple[int, int], Fraction] = {}
-        for (l1, j1), c1 in self.terms.items():
-            for (l2, j2), c2 in other.terms.items():
+        nums: dict[tuple[int, int], int] = {}
+        for (l1, j1), n1 in self.nums.items():
+            for (l2, j2), n2 in other.nums.items():
                 if l1 and l2:
                     raise LogProductError("cannot multiply two log-bearing expressions")
                 k = (l1 + l2, j1 + j2)
-                terms[k] = terms.get(k, 0) + c1 * c2
-        return WExpr._of(terms)
+                nums[k] = nums.get(k, 0) + n1 * n2
+        return WExpr._of(*_canonical(self.den * other.den, nums))
 
     def apply_D(self) -> "WExpr":
         """D = W^2(W-1) d/dW: sends W^j (log W)^l to
         (W^{j+2} - W^{j+1}) (j (log W)^l + l (log W)^{l-1})."""
-        terms: dict[tuple[int, int], Fraction] = {}
-        for (l, j), c in self.terms.items():
-            for ll, f in ((l, j * c), (l - 1, l * c)):
+        nums: dict[tuple[int, int], int] = {}
+        for (l, j), n in self.nums.items():
+            for ll, f in ((l, j * n), (l - 1, l * n)):
                 if f:
-                    terms[ll, j + 2] = terms.get((ll, j + 2), 0) + f
-                    terms[ll, j + 1] = terms.get((ll, j + 1), 0) - f
-        return WExpr._of(terms)
+                    nums[ll, j + 2] = nums.get((ll, j + 2), 0) + f
+                    nums[ll, j + 1] = nums.get((ll, j + 1), 0) - f
+        return WExpr._of(*_canonical(self.den, nums))
 
     def __repr__(self):
         return f"WExpr({self.laurent!r}, {self.logpart!r})"
@@ -187,7 +200,7 @@ def wexpr_for(g: int, n: int) -> WExpr:
     for _ in range(n - start):
         expr = expr.apply_D()
     if 2 * g - 2 + n > 0:
-        assert all(l == 0 and j >= 0 for l, j in expr.terms)
+        assert all(l == 0 and j >= 0 for l, j in expr.nums)
     return expr
 
 
@@ -196,16 +209,12 @@ def wexpr_from_ansatz(form) -> WExpr:
     1 - phi_1 to 1 - w = W^{-1}, each theta contributes
     (K/Aut) w^l (1-w)^{-(l+2g-2)} = (K/Aut)(W-1)^l W^{2g-2}."""
     g = form.g
-    total = WExpr.zero()
+    pairs = []
     for theta, _e, _k, value in form.records():
-        scale = value / aut_count(theta)
         l = len(theta)
-        lau = {
-            m + 2 * g - 2: scale * math.comb(l, m) * (-1) ** (l - m)
-            for m in range(l + 1)
-        }
-        total = total + WExpr(lau)
-    return total
+        lau = {m + 2 * g - 2: math.comb(l, m) * (-1) ** (l - m) for m in range(l + 1)}
+        pairs.append((value / aut_count(theta), WExpr(lau)))
+    return WExpr.combination(pairs)
 
 
 def wexpr_to_xseries(expr: WExpr, d_max: int) -> ExactSeries:
@@ -217,13 +226,14 @@ def wexpr_to_xseries(expr: WExpr, d_max: int) -> ExactSeries:
         ring, [((nn,), nn ** (nn - 1), math.factorial(nn)) for nn in range(1, d_max + 1)]
     )
     one_minus_w = ring.one() - w  # = W^-1
-    exps = [0, *(j for _, j in expr.terms)]
+    exps = [0, *(j for _, j in expr.nums)]
     w_pows = dict(enumerate(one_minus_w.inverse().powers(max(exps))))
     w_pows.update((-j, s) for j, s in enumerate(one_minus_w.powers(-min(exps))))
     log_w = None if expr.is_log_free() else -one_minus_w.log()
-    return ring.combination(
-        (c, w_pows[j] * log_w if l else w_pows[j]) for (l, j), c in expr.terms.items()
+    numerator = ring.combination(
+        (n, w_pows[j] * log_w if l else w_pows[j]) for (l, j), n in expr.nums.items()
     )
+    return numerator.scale(Fraction(1, expr.den))
 
 
 def extract_coeff(expr: WExpr, d: int) -> Fraction:
@@ -241,18 +251,19 @@ def extract_coeff(expr: WExpr, d: int) -> Fraction:
     """
     if d < 1:
         raise ValueError("coefficient extraction needs d >= 1")
-    total = Fraction(0)
-    for (l, j), c in expr.terms.items():
+    parts = []  # (weight, m, r, div): weight/div times [x^d] w^m W^r
+    for (l, j), n in expr.nums.items():
         if l:
             if j:
                 raise ValueError(f"W^{j} log W has no Lagrange extraction here")
-            total += c * (lagrange_coeff(0, 2, d) - lagrange_coeff(0, 1, d)) / d
+            parts += [(n, 0, 2, d), (-n, 0, 1, d)]
         elif j > 0:
-            total += c * lagrange_coeff(0, j, d)
+            parts.append((n, 0, j, 1))
         elif j < 0:
-            for m in range(-j + 1):
-                total += c * math.comb(-j, m) * (-1) ** m * lagrange_coeff(m, 0, d)
-    return total
+            parts += [(n * math.comb(-j, m) * (-1) ** m, m, 0, 1) for m in range(-j + 1)]
+    values = [(w, div, lagrange_coeff(m, r, d)) for w, m, r, div in parts]
+    den, nums = over_lcm([(w * q.numerator, div * q.denominator) for w, div, q in values])
+    return Fraction(sum(nums), den * expr.den)
 
 
 # -- recurrence search ------------------------------------------------------------
@@ -375,8 +386,10 @@ def search_recursions(
         raise ValueError(f"numeric check needs d_verify >= 1, got {d_verify}")
     if exprs is None:
         exprs = family_wexprs(family)
-    rows = sorted(set().union(*(e.terms for e in exprs)))
-    matrix = [[e.terms.get(row, 0) for e in exprs] for row in rows]
+    rows = sorted(set().union(*(e.nums for e in exprs)))
+    # every column over the lcm of the denominators: one uniform scalar
+    _, scales = over_lcm([(1, e.den) for e in exprs])
+    matrix = [[e.nums.get(row, 0) * f for e, f in zip(exprs, scales)] for row in rows]
     basis = nullspace(matrix, len(exprs))
     term_lists = _term_lists([term["factors"] for term in family], table, d_verify)
     numeric_failures = [
@@ -394,10 +407,9 @@ def search_recursions(
 
 def differential_identity_wexpr(terms: list[dict]) -> WExpr:
     """Sum of coeff * prod D^p H~_g terms; zero iff the identity holds."""
-    total = WExpr.zero()
-    for term, expr in zip(terms, family_wexprs(terms)):
-        total = total + expr.scale(term["coeff"])
-    return total
+    return WExpr.combination(
+        (term["coeff"], expr) for term, expr in zip(terms, family_wexprs(terms))
+    )
 
 
 def differential_identity_residuals(
@@ -462,49 +474,41 @@ def closed_form_simple(g: int, d: int) -> Fraction:
     if d < 1:
         raise ValueError("need d >= 1")
     if g == 0:
-        return (
-            Fraction(math.factorial(2 * d - 2), math.factorial(d))
-            * Fraction(d) ** (d - 3)
-        )
+        return Fraction(math.factorial(2 * d - 2) * d**d, math.factorial(d) * d**3)
     return extract_coeff(wexpr_for(g, 0), d) * math.factorial(2 * d + 2 * g - 2)
 
 
 def a_series_coeff(k: int, d: int) -> Fraction:
     """A_k(d) = [x^d] (1-w)^{-k} = (k/d) sum_r C(k+r, k) d^{d-r-1}/(d-r-1)!.
 
-    Computed here from the displayed single sum; agreement with
-    lagrange_coeff(0, k, d) is a test.
+    Computed here from the displayed single sum, as integers over d!;
+    agreement with lagrange_coeff(0, k, d) is a test.
 
     >>> a_series_coeff(3, 1)
     Fraction(3, 1)
     """
-    total = Fraction(0)
-    for r in range(d):
-        total += (
-            math.comb(k + r, k) * Fraction(d) ** (d - r - 1) / math.factorial(d - r - 1)
-        )
-    return Fraction(k, d) * total
+    total = sum(math.comb(k + r, k) * d ** (d - r - 1) * math.perm(d - 1, r) for r in range(d))
+    return Fraction(k * total, math.factorial(d))
 
 
 def genus3_a_form(d: int) -> Fraction:
     """H^3_{(1^d)} as (2d+4)! times sum_k c_k A_k(d), where c_k is the
-    W^k coefficient of the pinned H~_3 and A_k(d) = [x^d] W^k."""
-    total = Fraction(0)
+    W^k coefficient of the pinned H~_3 and A_k(d) = [x^d] W^k, summed as
+    integers over one denominator."""
+    pairs = []
     for k, c in PINNED_W_SERIES[(3, 0)]["laurent"].items():
-        total += c * a_series_coeff(k, d)
-    return total * math.factorial(2 * d + 4)
+        a = a_series_coeff(k, d)
+        pairs.append((c.numerator * a.numerator, c.denominator * a.denominator))
+    den, nums = over_lcm(pairs)
+    return Fraction(sum(nums) * math.factorial(2 * d + 4), den)
 
 
 def genus3_p_form(d: int) -> Fraction:
-    """H^3_{(1^d)} as the single-sum polynomial form."""
-    total = Fraction(0)
+    """H^3_{(1^d)} as the single-sum polynomial form, its terms
+    d^{d-r-2}/(d-r-1)! = d^{d-r-1} (d-1)!/(d-r-1)! / d! summed as integers
+    over d!."""
+    total = 0
     for r in range(d):
         poly = sum(c * r**e for e, c in enumerate(P3_POLY))
-        total += (
-            Fraction(d) ** (d - r - 2)
-            / math.factorial(d - r - 1)
-            * math.comb(r + 4, 5)
-            * (r + 1)
-            * poly
-        )
-    return total * Fraction(math.factorial(2 * d + 4), P3_PREFACTOR_DENOM)
+        total += d ** (d - r - 1) * math.perm(d - 1, r) * math.comb(r + 4, 5) * (r + 1) * poly
+    return Fraction(total * math.factorial(2 * d + 4), P3_PREFACTOR_DENOM * math.factorial(d))

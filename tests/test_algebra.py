@@ -211,11 +211,12 @@ def test_lagrange_coeff_matches_series_extraction():
     s = solve_graded_fixpoint(
         lambda cur: cur.ring.var("x") * cur.exp(), ring, d_max, "x_max"
     )
-    one_minus = ring.one() - s
-    inv = one_minus.inverse()
-    for n in range(0, 4):
-        for r in range(0, 5):
-            series = (s**n) * (inv**r)
+    # n <= 6 and r <= 10 cover every (m, r) of golden.POLE_FORM_COEFFS
+    s_pows = s.powers(6)
+    inv_pows = (ring.one() - s).inverse().powers(10)
+    for n in range(0, 7):
+        for r in range(0, 11):
+            series = s_pows[n] * inv_pows[r]
             for d in range(1, d_max + 1):
                 assert lagrange_coeff(n, r, d) == series.coeff({"x": d}), (n, r, d)
 

@@ -68,13 +68,18 @@ def test_apply_D_product_rule_on_log_terms():
     assert got.laurent == {4: F(1), 3: F(-1)}
 
 
+rationals = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
+
+
 @st.composite
-def laurent_exprs(draw):
-    laurent = {
-        draw(st.integers(-4, 6)): F(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
-        for _ in range(draw(st.integers(0, 4)))
-    }
-    return WExpr(laurent)
+def laurent_exprs(draw, with_log=False):
+    """A WExpr of up to four W^j terms, and up to four W^j log W terms
+    when `with_log` is set."""
+
+    def slot():
+        return {draw(st.integers(-4, 6)): draw(rationals) for _ in range(draw(st.integers(0, 4)))}
+
+    return WExpr(slot(), slot() if with_log else None)
 
 
 @given(laurent_exprs(), laurent_exprs())
@@ -84,6 +89,33 @@ def test_wexpr_mul_matches_series(a, b):
     sa = wexpr_to_xseries(a, 8)
     sb = wexpr_to_xseries(b, 8)
     assert wexpr_to_xseries(prod, 8) == sa * sb
+
+
+def assert_canonical(expr):
+    assert expr.den > 0
+    assert all(type(n) is int and n for n in expr.nums.values())
+    assert math.gcd(expr.den, *expr.nums.values()) == 1
+
+
+@given(st.lists(st.tuples(rationals, laurent_exprs(with_log=True)), max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_wexpr_is_canonical_and_combination_sums_its_terms(pairs):
+    expected = {}
+    for c, e in pairs:
+        assert_canonical(e)
+        assert_canonical(e.apply_D())
+        # the same expression built another way has the same fields
+        for other in (
+            WExpr(e.laurent, e.logpart),
+            e.scale(F(7, 3)).scale(F(3, 7)),
+            (e * WExpr.const(F(7, 3))) * WExpr.const(F(3, 7)),
+        ):
+            assert (other.den, other.nums) == (e.den, e.nums)
+        for k, v in e.terms.items():
+            expected[k] = expected.get(k, 0) + c * v
+    got = WExpr.combination(pairs)
+    assert_canonical(got)
+    assert got.terms == {k: v for k, v in expected.items() if v}
 
 
 @given(laurent_exprs())
