@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterator
 
 from .algebra import (
@@ -54,6 +55,7 @@ __all__ = [
     "hurwitz_series",
     "pair_correction_series",
     "pole_basis_series",
+    "check_fit_size",
     "fit_rows",
     "fit_constants",
     "verify_change_theorem",
@@ -412,19 +414,30 @@ def pole_basis_series(
 _MIN_SURPLUS = 10  # equations beyond the unknowns that a fit must have
 
 
-def fit_rows(g: int, d_fit: int) -> list[tuple[int, ...]]:
-    """The fit's equations, known before any series is built: p_alpha x^d
-    for every alpha |- d <= d_fit, encoded as in `XpContext(d_fit)`, sorted.
-    Raises ValueError if they exceed the unknowns by less than `_MIN_SURPLUS`."""
-    unknowns = len(primitive_thetas(g))
-    encode = VarSet.xp(d_fit).profile_exps
-    rows = sorted(encode(alpha) for d in range(1, d_fit + 1) for alpha in partitions(d))
-    if len(rows) < unknowns + _MIN_SURPLUS:
+def check_fit_size(g: int, d_fit: int) -> None:
+    """Refuse (ValueError) a fit whose equations, one per alpha |- d <= d_fit,
+    exceed its unknowns by less than `_MIN_SURPLUS`.  Both are counted, not
+    enumerated: theta -> theta - (1, ..., 1) maps `primitive_thetas(g)` onto
+    the partitions of 2g-3..3g-3."""
+    p = [1] + [0] * max(d_fit, 3 * g - 3)  # p[m], the partitions of m
+    for part in range(1, len(p)):
+        for m in range(part, len(p)):
+            p[m] += p[m - part]
+    rows, unknowns = sum(p[1 : d_fit + 1]), sum(p[2 * g - 3 : 3 * g - 2])
+    if rows < unknowns + _MIN_SURPLUS:
         raise ValueError(
-            f"only {len(rows)} equations for {unknowns} unknowns; "
+            f"only {rows} equations for {unknowns} unknowns; "
             f"need {_MIN_SURPLUS} surplus — increase d_fit"
         )
-    return rows
+
+
+def fit_rows(g: int, d_fit: int) -> list[tuple[int, ...]]:
+    """The fit's equations, known before any series is built: p_alpha x^d
+    for every alpha |- d <= d_fit, encoded as in `XpContext(d_fit)`, sorted,
+    and enumerated only once `check_fit_size` has passed."""
+    check_fit_size(g, d_fit)
+    encode = VarSet.xp(d_fit).profile_exps
+    return sorted(encode(alpha) for d in range(1, d_fit + 1) for alpha in partitions(d))
 
 
 def fit_constants(
@@ -437,12 +450,15 @@ def fit_constants(
 
     Equates coefficients of p_alpha x^d between the pole-form basis series
     and the Hurwitz generating series on the rows of `fit_rows`, refused
-    there before any series is built, and solves the over-determined
-    rational system.  Every series is read as integer numerators over one
-    common denominator (`over_lcm`), so each equation is one integer row.
-    Requires full rank and exact consistency of every equation; writes the
-    fitted primitive brackets <tau_theta lambda_k>_g = (-1)^k K_theta into
-    `hodge_table`.
+    there before any series is built.  Every series is read as integer
+    numerators over one common denominator (`over_lcm`), so each equation
+    is one integer row.  Each term of F_k = phi_k(s, p) carries one p_n, so
+    column theta is zero on every row with fewer than len theta parts
+    (AssertionError otherwise): block l = 1..d_fit, the rows with l parts,
+    goes to `solve_exact` for the theta with len theta = l, the shorter
+    ones known, and checks every row once, as a zero-column system if l >
+    3g - 3.  Writes the fitted primitive brackets
+    <tau_theta lambda_k>_g = (-1)^k K_theta into `hodge_table`.
     """
     rows = fit_rows(g, d_fit)
     ctx = XpContext(d_fit)
@@ -450,8 +466,18 @@ def fit_constants(
     columns = [series for _, _, _, series in basis] + [hurwitz_series(hurwitz, g, ctx)]
     _, scales = over_lcm((1, series.den) for series in columns)
     scaled = [(series.nums, f) for series, f in zip(columns, scales)]
-    aug = [[nums.get(key, 0) * f for nums, f in scaled] for key in map(ctx.ring.key, rows)]
-    solution = solve_exact([row[:-1] for row in aug], [row[-1] for row in aug])
+    aug = [(sum(e[1:]), [nums.get(ctx.ring.key(e), 0) * f for nums, f in scaled]) for e in rows]
+    solution: list[Fraction] = []
+    for l in range(1, d_fit + 1):
+        block = [row for parts, row in aug if parts == l]
+        known, end = len(solution), len(solution) + sum(len(t) == l for t, _, _, _ in basis)
+        if any(any(row[end:-1]) for row in block):
+            raise AssertionError(f"a longer pole-basis column is nonzero on a row with {l} parts")
+        den, nums = over_lcm((v.numerator, v.denominator) for v in solution)
+        solution += solve_exact(
+            [[a * den for a in row[known:end]] for row in block],
+            [row[-1] * den - sum(map(mul, row[:known], nums)) for row in block],
+        )
     form = AnsatzForm(g)
     for (theta, e, k, _), value in zip(basis, solution):
         form.constants[theta] = value

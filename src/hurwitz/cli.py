@@ -24,13 +24,13 @@ import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .algebra import lagrange_coeff, rational_str
+from .algebra import lagrange_coeff, over_lcm, rational_str
 from .ansatz import (
     AnsatzForm,
     TContext,
     XpContext,
+    check_fit_size,
     fit_constants,
-    fit_rows,
     verify_change_theorem,
     verify_delta_annihilation,
     verify_euler_square,
@@ -98,7 +98,7 @@ class Session:
     def form(self, g: int) -> AnsatzForm:
         if g not in self.forms:
             d_fit = 2 * g + 2
-            fit_rows(g, d_fit)  # a fit too small is refused before its table is built
+            check_fit_size(g, d_fit)  # a fit too small is refused before its table is built
             self.forms[g] = fit_constants(g, self.table(d_fit, g), d_fit, self.hodge)
         return self.forms[g]
 
@@ -372,6 +372,13 @@ def _suite_recursions(session: Session, dmax: int) -> list[dict]:
     return checks
 
 
+def _lagrange_sum(coeffs: dict[tuple[int, int], Fraction], d: int) -> Fraction:
+    """sum c [x^d] w^m W^r over {(m, r): c}, as integers over one denominator."""
+    cq = [(c, lagrange_coeff(m, r, d)) for (m, r), c in coeffs.items()]
+    den, nums = over_lcm((c.numerator * q.numerator, c.denominator * q.denominator) for c, q in cq)
+    return Fraction(sum(nums), den)
+
+
 def _suite_closed_forms(session: Session, dmax: int) -> list[dict]:
     if dmax < 2:
         # H^g_(1) = 0 for g >= 1, and so is every genus-1..3 closed form at d = 1
@@ -401,9 +408,7 @@ def _suite_closed_forms(session: Session, dmax: int) -> list[dict]:
         results.append((f"fitted-form-matches-display-g{g}", ok))
     for g, coeffs in sorted(golden.POLE_FORM_COEFFS.items()):
         ok = all(
-            sum((c * lagrange_coeff(m, r, d) for (m, r), c in coeffs.items()), Fraction(0))
-            * math.factorial(2 * d + 2 * g - 2)
-            == h[g][d]
+            _lagrange_sum(coeffs, d) * math.factorial(2 * d + 2 * g - 2) == h[g][d]
             for d in degrees
         )
         results.append((f"pole-form-display-g{g}", ok))

@@ -3,25 +3,23 @@
 Small dense systems only (tens of rows, at most a few hundred).  Every
 entry is an `int` or a `Fraction`; anything else, a float, a Decimal or a
 string, is refused with a TypeError rather than read as a nearby binary
-fraction.  Inside, each row is read through `algebra.over_lcm`, scaled to
+fraction.  One elimination path, `row_reduce`, serves `nullspace` and
+`solve_exact`: each row is read through `algebra.over_lcm`, scaled to
 coprime integers and eliminated fraction-free (Bareiss 1968), so no
-intermediate rational is ever normalised; a caller whose data are already
-integer rows (the fit) builds no `Fraction` on the way in.  Outputs are
-`Fraction`s.  Pivoting is deterministic (first nonzero in column order), so
-results are byte-reproducible across runs.
+intermediate rational is normalised and integer rows (the fit's) build no
+`Fraction` on the way in.  Outputs are `Fraction`s.  Pivoting is
+deterministic (first nonzero in column order), so results are
+byte-reproducible across runs.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
 
 from .algebra import over_lcm
 
 __all__ = ["row_reduce", "nullspace", "solve_exact", "RankDeficientError", "InconsistentSystemError"]
-
-_P = 2**61 - 1  # the prime that picks a square subsystem in `solve_exact`
 
 
 class RankDeficientError(ValueError):
@@ -127,37 +125,13 @@ def nullspace(rows: list[list[Fraction]], ncols: int | None = None) -> list[list
     return basis
 
 
-def _independent_mod_p(rows: list[list[int]], n: int) -> list[int]:
-    """Indices of the first rows, greedily in row order, whose first n
-    entries are independent mod `_P`; stops at n of them."""
-    basis: list[tuple[int, list[int]]] = []  # (pivot column, row with pivot 1)
-    chosen = []
-    for idx, row in enumerate(rows):
-        v = [a % _P for a in row[:n]]
-        for pcol, b in basis:
-            c = v[pcol]
-            if c:
-                v = [(a - c * e) % _P for a, e in zip(v, b)]
-        pcol = next((j for j, a in enumerate(v) if a), None)
-        if pcol is None:
-            continue
-        inv = pow(v[pcol], -1, _P)
-        basis.append((pcol, [a * inv % _P for a in v]))
-        chosen.append(idx)
-        if len(chosen) == n:
-            break
-    return chosen
-
-
 def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
     """Solve an (over-determined) system requiring full column rank and
     exact consistency of every equation; raises otherwise.
 
-    The solution comes from n rows that are independent mod a large prime
-    (such rows are independent over Q too); it is then substituted into
-    every equation exactly.  When fewer than n rows are independent mod the
-    prime, the whole system is reduced over Q, so `RankDeficientError`
-    means the rank over Q is short.
+    The augmented rows are reduced together (`row_reduce`), so every
+    equation is decided: a pivot in the right-hand-side column means
+    contradictory rows, and fewer pivots than unknowns a short rank over Q.
 
     >>> solve_exact([[1, 1], [1, -1], [2, 0]], [3, 1, 4])
     [Fraction(2, 1), Fraction(1, 1)]
@@ -169,9 +143,7 @@ def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fractio
         raise ValueError(f"{len(rows)} equations but {len(rhs)} right-hand sides")
     if any(len(row) != ncols for row in rows):
         raise ValueError(f"ragged system: every equation needs {ncols} coefficients")
-    aug = [_integer_row([*row, b]) for row, b in zip(rows, rhs)]
-    chosen = _independent_mod_p(aug, ncols)
-    rref, pivots = row_reduce([aug[i] for i in chosen] if len(chosen) == ncols else aug)
+    rref, pivots = row_reduce([[*row, b] for row, b in zip(rows, rhs)])
     if ncols in pivots:
         raise InconsistentSystemError("no exact solution (contradictory rows)")
     if len(pivots) < ncols:
@@ -179,8 +151,4 @@ def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fractio
         raise RankDeficientError(
             f"rank {len(pivots)} < {ncols} unknowns; undetermined columns {missing}"
         )
-    sol = [r[ncols] for r in rref]
-    den, nums = over_lcm((v.numerator, v.denominator) for v in sol)
-    if any(sum(map(mul, row, nums)) != row[ncols] * den for row in aug):
-        raise InconsistentSystemError("no exact solution (contradictory rows)")
-    return sol
+    return [r[ncols] for r in rref]

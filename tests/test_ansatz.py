@@ -14,6 +14,7 @@ from hurwitz.ansatz import (
     TContext,
     XpContext,
     assemble_G,
+    check_fit_size,
     compare_series,
     extract_weight_slice,
     fit_constants,
@@ -32,7 +33,8 @@ from hurwitz.ansatz import (
 from hurwitz.cutjoin import hurwitz_via_cutjoin
 from hurwitz.hodge import HodgeTable
 from hurwitz.linalg import InconsistentSystemError
-from hurwitz.partitions import aut_count, partitions
+from hurwitz.partitions import Partition, aut_count, partitions, primitive_thetas
+from hurwitz.table import HurwitzTable
 
 
 def test_phi_zero_is_tree_weighted():
@@ -199,15 +201,58 @@ def test_fit_rows_are_the_monomials_its_series_hold(g, count):
 
 
 def test_fit_detects_corrupted_data(deep_table):
-    from hurwitz.partitions import Partition
-    from hurwitz.table import HurwitzTable
-
     bad = HurwitzTable("corrupt", dict(deep_table.entries))
     key = (2, Partition((1, 1, 1, 1, 1, 1)))
     assert key in bad.entries
     bad.entries[key] = bad.entries[key] + 1
     with pytest.raises(InconsistentSystemError):
         fit_constants(2, bad, 6, HodgeTable())
+
+
+@pytest.mark.parametrize("g", range(2, 8))
+def test_fit_size_is_counted_as_enumeration_would(g):
+    """The refusal's counts, made without enumerating, are the number of
+    profiles of degree <= d_fit and the number of `primitive_thetas(g)`."""
+    rows = sum(1 for d in range(1, 4) for _ in partitions(d))
+    with pytest.raises(ValueError, match=f"^only {rows} equations for {len(primitive_thetas(g))} "):
+        check_fit_size(g, 3)
+
+
+def block_spy(monkeypatch):
+    """The (rows, unknowns) shape of each block that `fit_constants` solves."""
+    shapes = []
+
+    def spy(rows, rhs, real=ansatz.solve_exact):
+        shapes.append((len(rows), len(rows[0])))
+        return real(rows, rhs)
+
+    monkeypatch.setattr(ansatz, "solve_exact", spy)
+    return shapes
+
+
+def test_fit_solves_one_block_per_part_count(deep_table, fitted, monkeypatch):
+    """At g = 3 (d_fit = 8) the rows with l parts fix the theta of length l:
+    every row lands in exactly one block, every block has a spare row, and
+    the blocks with l > 3g - 3 = 6 have no unknown."""
+    shapes = block_spy(monkeypatch)
+    form = fit_constants(3, deep_table, 8, HodgeTable())
+    assert form.constants == fitted[1].constants
+    assert shapes == [(8, 4), (16, 8), (16, 7), (12, 4), (7, 2), (4, 1), (2, 0), (1, 0)]
+    assert sum(r for r, _ in shapes) == len(fit_rows(3, 8))
+    assert sum(n for _, n in shapes) == len(primitive_thetas(3))
+
+
+@pytest.mark.parametrize("l", range(1, 9))
+def test_every_fit_block_catches_a_raised_entry(deep_table, monkeypatch, l):
+    """Raising H^3 at (1^(l-1), 9 - l), a row only block l reads, makes that
+    block's spare rows contradict each other, before any later block."""
+    bad = HurwitzTable("corrupt", dict(deep_table.entries))
+    key = (3, Partition((1,) * (l - 1) + (9 - l,)))
+    bad.entries[key] += 1
+    shapes = block_spy(monkeypatch)
+    with pytest.raises(InconsistentSystemError):
+        fit_constants(3, bad, 8, HodgeTable())
+    assert len(shapes) == l
 
 
 def test_genus_expansion_reports(fitted):

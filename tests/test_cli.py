@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from hurwitz import ansatz, cli, cutjoin, golden, oracle, simple_hurwitz
+from hurwitz import ansatz, cli, cutjoin, golden, oracle, partitions, simple_hurwitz
 from hurwitz.algebra import ExactSeries, rational_str
 from hurwitz.cli import Session, main
 from hurwitz.cutjoin import hurwitz_via_cutjoin
@@ -711,6 +711,40 @@ def test_too_small_a_fit_is_refused_before_any_work(capsys, monkeypatch, g, line
     code, out, err = run_cli(capsys, "fit", "--g", str(g))
     assert (code, out) == (2, "")
     assert err == f"error: {line}; need 10 surplus — increase d_fit\n"
+
+
+def test_fit_refusal_enumerates_nothing(capsys, monkeypatch):
+    """At g = 100 the counts alone refuse the fit: no partition, of the
+    degrees or of the unknowns, is enumerated first."""
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("partitions enumerated before the refusal")
+
+    monkeypatch.setattr(ansatz, "partitions", no_enumeration)
+    monkeypatch.setattr(partitions, "partitions", no_enumeration)
+    code, out, err = run_cli(capsys, "fit", "--g", "100")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: only ") and err.endswith("; need 10 surplus — increase d_fit\n")
+
+
+def test_fit_block_structure_is_checked(capsys, monkeypatch):
+    """A pole-basis column of length 2 given an entry on a one-part row
+    breaks the block structure the fit solves by: exit 1, one line."""
+
+    def widened(g, ctx, real=ansatz.pole_basis_series):
+        basis = real(g, ctx)
+        i = next(i for i, (theta, *_) in enumerate(basis) if len(theta) == 2)
+        theta, e, k, series = basis[i]
+        assert series.coeff({"x": 3, "p_3": 1}) == 0
+        basis[i] = (theta, e, k, series + ctx.ring.monomial({"x": 3, "p_3": 1}, 1))
+        return basis
+
+    monkeypatch.setattr(ansatz, "pole_basis_series", widened)
+    code, out, err = run_cli(capsys, "fit", "--g", "2")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: internal check failed: a longer pole-basis column is nonzero on a row with 1 parts\n"
+    )
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
