@@ -12,10 +12,21 @@ Exit codes: 0 success; 1 a verification or an internal check failed, a
 fit's contradictory rows included (one `error: internal check failed: ...`
 line on stderr, no traceback); 2 usage error; 3 memory budget exceeded; 4
 malformed family file; 141 stdout closed by its reader (128 + SIGPIPE).
+
+`run()` is the process entry point (`python -m hurwitz.cli` and the
+installed `hurwitz` script); `main(argv)` is the in-process API.  `run`
+calls `main` and then `gc.freeze()`, which moves every live object into the
+permanent generation that the interpreter's exit-time collections skip, so
+a command's process no longer walks its whole heap on the way out.  The
+interpreter still flushes `sys.stdout` and `sys.stderr` and runs atexit
+handlers after the freeze, but `main` must not leave output to those: every
+write is closed or flushed inside `main`, as `_emit` does, so that an error
+in writing is reported with `main`'s exit codes.
 """
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import math
@@ -503,7 +514,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
 
     def stop(code: int, error: str = ""):
         out = sys.stderr if code else sys.stdout
-        print(error and f"error: {error}\n", _usage(command), sep="", file=out)
+        print(error and f"error: {error}\n", _usage(command), sep="", file=out, flush=True)
         raise SystemExit(code)
 
     if command in ("-h", "--help"):
@@ -534,8 +545,8 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         _check_bounds(args)
         return _COMMANDS[args.command][0](args, Session())
     except BudgetExceededError as ex:
@@ -557,5 +568,15 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BROKEN_PIPE
 
 
+def run() -> int:
+    """Process entry point: `main()` on sys.argv, then freeze the heap so
+    that the exit-time collections skip it.  Never call this in a process
+    that goes on working."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

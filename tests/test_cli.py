@@ -1,6 +1,7 @@
 """Command-line interface: output contracts, exit codes, determinism."""
 
 import ast
+import gc
 import hashlib
 import importlib.util
 import json
@@ -1114,24 +1115,98 @@ def test_entry_point_subprocess():
     assert json.loads(proc.stdout)["value"] == "4/1"
 
 
-def test_closed_stdout_exits_141_without_a_traceback():
-    """With the reader of stdout gone, as in `hurwitz ... | true`, the
-    command exits 128 + SIGPIPE and writes nothing to stderr."""
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH="src")
+def run_to_a_closed_stdout(*argv):
+    """Exit code and stderr of `python -m hurwitz.cli argv` whose stdout
+    reader is gone, as in `hurwitz ... | true`."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "hurwitz.cli", "hurwitz", "--g", "0", "--alpha", "3"],
+            [sys.executable, "-m", "hurwitz.cli", *argv],
             stdout=write_end,
             stderr=subprocess.PIPE,
-            cwd=root,
-            env=env,
+            cwd=Path(__file__).resolve().parents[1],
+            env=dict(os.environ, PYTHONPATH="src"),
         )
     finally:
         os.close(write_end)
-    assert (proc.returncode, proc.stderr) == (141, b"")
+    return proc.returncode, proc.stderr
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    """With the reader of stdout gone, as in `hurwitz ... | true`, the
+    command exits 128 + SIGPIPE and writes nothing to stderr."""
+    assert run_to_a_closed_stdout("hurwitz", "--g", "0", "--alpha", "3") == (141, b"")
+
+
+def test_help_to_a_closed_stdout_exits_141_without_a_traceback():
+    """The usage text `-h` prints is flushed inside `main`, so a reader gone
+    is reported as for any other command."""
+    assert run_to_a_closed_stdout("-h") == (141, b"")
+
+
+ENTRY_CASES = {
+    "table": ("table --dmax 13 --gmax 3", {}),
+    "table-out": ("table --dmax 13 --gmax 3 --out {out}", {}),
+    "usage": ("hurwitz --g -1 --alpha 1", {}),
+    "budget": ("hurwitz --g 0 --alpha 1,1,1,1,1 --method oracle", {"HURWITZ_MEMORY_BUDGET": "64"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENTRY_CASES))
+def test_process_entry_point_matches_in_process_main(capsys, monkeypatch, tmp_path, case):
+    """`python -m hurwitz.cli` runs `cli.run`, which freezes the heap after
+    `main`: its stdout, stderr, `--out` file and exit code equal those of
+    `main` called in process, byte for byte."""
+    command, env = ENTRY_CASES[case]
+    root = Path(__file__).resolve().parents[1]
+    child_out, own_out = tmp_path / "child.json", tmp_path / "own.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "hurwitz.cli", *command.format(out=child_out).split()],
+        capture_output=True,
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH="src", **env),
+    )
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run_cli(capsys, *command.format(out=own_out).split())
+    assert proc.returncode == code == {"usage": 2, "budget": 3}.get(case, 0)
+    assert (proc.stdout, proc.stderr) == (out.encode(), err.encode())
+    if case == "table-out":
+        assert out == "" and child_out.read_bytes() == own_out.read_bytes()
+    elif case == "table":
+        assert proc.stdout.startswith(b"[") and proc.stdout.endswith(b"]\n")
+    else:
+        assert err.startswith("error: ")
+
+
+def test_only_the_process_entry_point_freezes_the_heap(capsys):
+    """The installed script and `python -m hurwitz.cli` both start at
+    `cli.run`; `main` called in process leaves the collector as it was."""
+    root = Path(__file__).resolve().parents[1]
+    pyproject = (root / "pyproject.toml").read_text().split("\n[")
+    scripts = next(s for s in pyproject if s.startswith("project.scripts]"))
+    assert 'hurwitz = "hurwitz.cli:run"' in scripts.splitlines()
+    tree = ast.parse((root / "src" / "hurwitz" / "cli.py").read_text())
+    (guard,) = [node for node in tree.body if isinstance(node, ast.If)]
+    assert ast.unparse(guard.test) == "__name__ == '__main__'"
+    assert [ast.unparse(stmt) for stmt in guard.body] == ["sys.exit(run())"]
+    argv = ["hodge", "--g", "0", "--theta", "0,0,0", "--out", os.devnull]
+    code = f"import gc, sys, hurwitz.cli; sys.argv[1:] = {argv!r}; "
+    code += "assert hurwitz.cli.run() == 0; print(gc.get_freeze_count() > 0)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH="src"),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
+    frozen = gc.get_freeze_count()
+    assert main(["hurwitz", "--g", "0", "--alpha", "1,2"]) == 0
+    assert main(["hurwitz", "--g", "-1", "--alpha", "1"]) == 2
+    assert gc.get_freeze_count() == frozen
+    capsys.readouterr()
 
 
 def loaded_modules(code):

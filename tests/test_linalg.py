@@ -156,9 +156,10 @@ def test_solve_exact_refuses_an_inexact_entry(bad):
         assert repr(bad) in str(info.value)
 
 
-def test_solve_exact_confirms_a_shortfall_mod_p_over_q():
-    # the second row vanishes mod P, so only one row is independent mod P,
-    # but the rank over Q is full
+def test_solve_exact_keeps_a_large_prime_pivot():
+    # the second pivot is the large prime P: the rank over Q is full, the
+    # solution comes out exact, and a surplus row that is a multiple of the
+    # second is checked against its own right-hand side
     assert solve_exact([[1, 0], [0, P]], [1, P]) == [1, 1]
     assert outcome([[1, 0], [0, P]], [1, P + 1]) == [1, Fraction(P + 1, P)]
     assert outcome([[1, 0], [0, P], [0, 2 * P]], [1, P, 3 * P]) is InconsistentSystemError
@@ -211,8 +212,9 @@ def test_solve_exact_matches_the_reference_solve(rows, data):
 @given(low_rank_matrices(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_solve_exact_on_a_square_subsystem_checks_every_equation(rows, data):
-    """Full column rank with surplus rows: the solve rests on n of them, so
-    a perturbed surplus equation must still be caught."""
+    """Full column rank with surplus rows: n identity rows already pin the
+    solution, and a perturbed surplus equation after them must still be
+    caught."""
     ncols = len(rows[0])
     identity = [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
     system = identity + rows
