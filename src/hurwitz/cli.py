@@ -32,10 +32,9 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 
-from .algebra import lagrange_coeff, over_lcm, rational_str
+from .algebra import lagrange_coeff, rational_str
 from .ansatz import (
     AnsatzForm,
     TContext,
@@ -383,13 +382,6 @@ def _suite_recursions(session: Session, dmax: int) -> list[dict]:
     return checks
 
 
-def _lagrange_sum(coeffs: dict[tuple[int, int], Fraction], d: int) -> Fraction:
-    """sum c [x^d] w^m W^r over {(m, r): c}, as integers over one denominator."""
-    cq = [(c, lagrange_coeff(m, r, d)) for (m, r), c in coeffs.items()]
-    den, nums = over_lcm((c.numerator * q.numerator, c.denominator * q.denominator) for c, q in cq)
-    return Fraction(sum(nums), den)
-
-
 def _suite_closed_forms(session: Session, dmax: int) -> list[dict]:
     if dmax < 2:
         # H^g_(1) = 0 for g >= 1, and so is every genus-1..3 closed form at d = 1
@@ -405,21 +397,20 @@ def _suite_closed_forms(session: Session, dmax: int) -> list[dict]:
 
     # each pinned D^n H~_g, expanded in x, against the table: [x^d] of it
     # is d^n H^g_{(1^d)} / (2d + 2g - 2)!
-    for (g, n), data in sorted(golden.PINNED_W_SERIES.items()):
-        pinned = simple_hurwitz.WExpr(data["laurent"], data["log"])
-        series = simple_hurwitz.wexpr_to_xseries(pinned, dmax)
+    for g, n in sorted(golden.PINNED_W_SERIES):
+        series = simple_hurwitz.wexpr_to_xseries(simple_hurwitz.pinned(g, n), dmax)
         ok = all(
             series.coeff({"x": d}) * math.factorial(2 * d + 2 * g - 2) == d**n * h[g][d]
             for d in degrees
         )
         results.append((f"w-series-display-g{g}-n{n}", ok))
     for g in (2, 3):
-        fitted = simple_hurwitz.wexpr_from_ansatz(session.form(g))
-        ok = fitted == simple_hurwitz.wexpr_for(g, 0)
+        ok = simple_hurwitz.wexpr_from_ansatz(session.form(g)) == simple_hurwitz.wexpr_for(g, 0)
         results.append((f"fitted-form-matches-display-g{g}", ok))
     for g, coeffs in sorted(golden.POLE_FORM_COEFFS.items()):
+        form = simple_hurwitz.pole_form(coeffs.items())
         ok = all(
-            _lagrange_sum(coeffs, d) * math.factorial(2 * d + 2 * g - 2) == h[g][d]
+            simple_hurwitz.extract_coeff(form, d) * math.factorial(2 * d + 2 * g - 2) == h[g][d]
             for d in degrees
         )
         results.append((f"pole-form-display-g{g}", ok))

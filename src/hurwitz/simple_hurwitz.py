@@ -44,6 +44,8 @@ from .table import HurwitzTable
 __all__ = [
     "WExpr",
     "LogProductError",
+    "pinned",
+    "pole_form",
     "wexpr_for",
     "wexpr_from_ansatz",
     "wexpr_to_xseries",
@@ -73,9 +75,9 @@ class WExpr:
     `nums` maps each (l, j) to a nonzero numerator and `den` is positive
     with gcd(den, *nums) == 1, as in `ExactSeries`, so equal expressions
     have equal fields.  `WExpr(laurent, logpart)` builds one from the
-    rational log-free and log W coefficients by exponent; `terms`,
-    `laurent` and `logpart` read them back as Fractions.  Immutable by
-    convention: all operations return new instances.
+    rational log-free and log W coefficients by exponent; `laurent` and
+    `logpart` read them back as Fractions.  Immutable by convention: all
+    operations return new instances.
 
     >>> e = WExpr({1: Fraction(1)}, {})          # W
     >>> (e * e).laurent
@@ -100,10 +102,6 @@ class WExpr:
         return expr
 
     @classmethod
-    def zero(cls) -> "WExpr":
-        return cls({})
-
-    @classmethod
     def const(cls, c: Fraction | int) -> "WExpr":
         return cls({0: c})
 
@@ -112,10 +110,6 @@ class WExpr:
         """sum c * E over (rational c, WExpr E) pairs: one pass over the
         integer numerators, over one common denominator."""
         return cls._of(*_sum((c.numerator, c.denominator * e.den, e.nums) for c, e in pairs))
-
-    @property
-    def terms(self) -> dict[tuple[int, int], Fraction]:
-        return {k: Fraction(n, self.den) for k, n in self.nums.items()}
 
     @property
     def laurent(self) -> dict[int, Fraction]:
@@ -164,9 +158,18 @@ class WExpr:
         return f"WExpr({self.laurent!r}, {self.logpart!r})"
 
 
-def _pinned(g: int, n: int) -> WExpr:
+def pinned(g: int, n: int) -> WExpr:
+    """D^n H~_g as `golden.PINNED_W_SERIES` pins it: the one decoder of that table."""
     data = PINNED_W_SERIES[(g, n)]
     return WExpr(data["laurent"], data["log"])
+
+
+def pole_form(terms: Iterable[tuple[tuple[int, int], Fraction | int]]) -> WExpr:
+    """sum c w^m W^r over ((m, r), c) pairs, through w^m W^r = (W-1)^m W^(r-m)."""
+    return WExpr.combination(
+        (c, WExpr({r - m + k: math.comb(m, k) * (-1) ** (m - k) for k in range(m + 1)}))
+        for (m, r), c in terms
+    )
 
 
 def wexpr_for(g: int, n: int) -> WExpr:
@@ -192,9 +195,9 @@ def wexpr_for(g: int, n: int) -> WExpr:
     if g < 0 or n < 0:
         raise ValueError("genus and derivative order must be non-negative")
     if g == 0:
-        expr, start = _pinned(0, 1), 1
+        expr, start = pinned(0, 1), 1
     elif (g, 0) in PINNED_W_SERIES:
-        expr, start = _pinned(g, 0), 0
+        expr, start = pinned(g, 0), 0
     else:
         raise ValueError(f"no pinned base series for genus {g}; supported for g <= 3")
     for _ in range(n - start):
@@ -205,16 +208,12 @@ def wexpr_for(g: int, n: int) -> WExpr:
 
 
 def wexpr_from_ansatz(form) -> WExpr:
-    """H~_g from fitted constants: with every part specializing to w and
-    1 - phi_1 to 1 - w = W^{-1}, each theta contributes
-    (K/Aut) w^l (1-w)^{-(l+2g-2)} = (K/Aut)(W-1)^l W^{2g-2}."""
-    g = form.g
-    pairs = []
-    for theta, _e, _k, value in form.records():
-        l = len(theta)
-        lau = {m + 2 * g - 2: math.comb(l, m) * (-1) ** (l - m) for m in range(l + 1)}
-        pairs.append((value / aut_count(theta), WExpr(lau)))
-    return WExpr.combination(pairs)
+    """H~_g from fitted constants: with every part specializing to w and 1 - phi_1
+    to W^{-1}, each theta of length l is the pole term (K/Aut) w^l W^(l+2g-2)."""
+    return pole_form(
+        ((len(theta), len(theta) + 2 * form.g - 2), value / aut_count(theta))
+        for theta, _e, _k, value in form.records()
+    )
 
 
 def wexpr_to_xseries(expr: WExpr, d_max: int) -> ExactSeries:
@@ -377,21 +376,23 @@ def search_recursions(
     members, and returns a rational basis of its null space.  Every basis
     vector is independently re-verified against the table as a numeric
     recurrence on the coefficients [x^d] for 1 <= d <= d_verify; a
-    d_verify below 1, or a table lacking one of those degrees, is refused.
-    `exprs` are the members' `family_wexprs` when the caller has built them
-    already.  Rows are reported as ("lau", j) for W^j and ("log", j) for
-    W^j log W, in that sorted order.
+    d_verify below 1 or at which every member is 0, or a table lacking one
+    of those degrees, is refused.  `exprs` are the members' `family_wexprs`
+    when the caller has built them already.  Rows are reported as
+    ("lau", j) for W^j and ("log", j) for W^j log W, in that sorted order.
     """
     if d_verify < 1:
         raise ValueError(f"numeric check needs d_verify >= 1, got {d_verify}")
     if exprs is None:
         exprs = family_wexprs(family)
+    term_lists = _term_lists([term["factors"] for term in family], table, d_verify)
+    if not any(any(t[1:]) for _, t in term_lists):
+        raise ValueError(f"search would compare nothing: every member is 0 for d <= {d_verify}")
     rows = sorted(set().union(*(e.nums for e in exprs)))
     # every column over the lcm of the denominators: one uniform scalar
     _, scales = over_lcm([(1, e.den) for e in exprs])
     matrix = [[e.nums.get(row, 0) * f for e, f in zip(exprs, scales)] for row in rows]
     basis = nullspace(matrix, len(exprs))
-    term_lists = _term_lists([term["factors"] for term in family], table, d_verify)
     numeric_failures = [
         {"vector": vec, "d": d, "residual": residual}
         for vec in basis
@@ -495,12 +496,10 @@ def genus3_a_form(d: int) -> Fraction:
     """H^3_{(1^d)} as (2d+4)! times sum_k c_k A_k(d), where c_k is the
     W^k coefficient of the pinned H~_3 and A_k(d) = [x^d] W^k, summed as
     integers over one denominator."""
-    pairs = []
-    for k, c in PINNED_W_SERIES[(3, 0)]["laurent"].items():
-        a = a_series_coeff(k, d)
-        pairs.append((c.numerator * a.numerator, c.denominator * a.denominator))
-    den, nums = over_lcm(pairs)
-    return Fraction(sum(nums) * math.factorial(2 * d + 4), den)
+    h3 = pinned(3, 0)
+    values = [(n, a_series_coeff(k, d)) for (_, k), n in h3.nums.items()]
+    den, nums = over_lcm((n * a.numerator, a.denominator) for n, a in values)
+    return Fraction(sum(nums) * math.factorial(2 * d + 4), den * h3.den)
 
 
 def genus3_p_form(d: int) -> Fraction:

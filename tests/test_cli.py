@@ -363,6 +363,21 @@ def test_closed_forms_checks_fail_on_their_own_input(capsys, monkeypatch, pertur
     ]
 
 
+@pytest.mark.parametrize("g", [2, 3])
+def test_pole_form_check_reads_the_pinned_coefficients(capsys, monkeypatch, g):
+    """The pole-form check expands the pinned coefficients and compares
+    them with the table: its first coefficient raised by 1/5760 fails
+    `pole-form-display-g{g}` and no other check."""
+    coeffs = golden.POLE_FORM_COEFFS[g]
+    first = next(iter(coeffs))
+    monkeypatch.setitem(coeffs, first, coeffs[first] + Fraction(1, 5760))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "closed-forms")
+    assert code == 1
+    assert [line for line in out.splitlines() if not line.startswith("PASS ")] == [
+        f"FAIL pole-form-display-g{g}"
+    ]
+
+
 def _raise_constant(theta):
     """Perturb the fitted genus-2 K_theta by 1 in the form the checks read;
     the brackets the fit wrote into the table stay as they were."""
@@ -778,6 +793,15 @@ def test_search_default_family(capsys):
     assert obj["family_size"] == 26
     assert obj["dimension"] == 11
     assert obj["numeric_failures"] == []
+
+
+def test_search_refuses_a_dmax_at_which_every_member_is_0(capsys):
+    """At --dmax 1 every member of the default family has [x^1] = 0, so the
+    numeric re-check of the null vectors would compare only zeros: a usage
+    error on one line, not a pass."""
+    code, out, err = run_cli(capsys, "search", "--dmax", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: search would compare nothing: every member is 0 for d <= 1\n"
 
 
 def test_search_exits_1_when_a_null_vector_fails_its_numeric_check(capsys, monkeypatch):

@@ -23,6 +23,8 @@ from hurwitz.simple_hurwitz import (
     family_wexprs,
     genus3_a_form,
     genus3_p_form,
+    pinned,
+    pole_form,
     search_recursions,
     verify_recurrence,
     wexpr_for,
@@ -42,7 +44,8 @@ def F(a, b=1):
 
 
 def test_wexpr_equality_drops_zeros():
-    assert WExpr({2: F(0)}) == WExpr.zero()
+    zero = WExpr({2: F(0)})
+    assert (zero.den, zero.nums) == (1, {})
     assert WExpr({0: F(1)}) == WExpr.const(F(1))
 
 
@@ -111,11 +114,13 @@ def test_wexpr_is_canonical_and_combination_sums_its_terms(pairs):
             (e * WExpr.const(F(7, 3))) * WExpr.const(F(3, 7)),
         ):
             assert (other.den, other.nums) == (e.den, e.nums)
-        for k, v in e.terms.items():
-            expected[k] = expected.get(k, 0) + c * v
+        for k, n in e.nums.items():
+            expected[k] = expected.get(k, 0) + c * F(n, e.den)
     got = WExpr.combination(pairs)
     assert_canonical(got)
-    assert got.terms == {k: v for k, v in expected.items() if v}
+    assert {k: F(n, got.den) for k, n in got.nums.items()} == {
+        k: v for k, v in expected.items() if v
+    }
 
 
 @given(laurent_exprs())
@@ -145,7 +150,7 @@ def test_laurent_and_logpart_are_the_two_slots_of_one_map(g):
     for n in range(g == 0, 7):
         e = wexpr_for(g, n)
         assert WExpr(e.laurent, e.logpart) == e, (g, n)
-        assert set(e.terms) == {(0, j) for j in e.laurent} | {(1, j) for j in e.logpart}
+        assert set(e.nums) == {(0, j) for j in e.laurent} | {(1, j) for j in e.logpart}
 
 
 def test_extract_coeff_reads_the_log_bearing_genus1_display():
@@ -366,6 +371,15 @@ def test_search_refuses_vacuous_verification(d_verify, deep_table):
         search_recursions(golden.SEARCH_FAMILY_26, deep_table, d_verify=d_verify)
 
 
+def test_search_refuses_a_degree_range_where_every_member_is_0(deep_table):
+    """No member of the 26-term family has a nonzero [x^1]: H^g_(1) = 0 for
+    g >= 1, and a product of two factors starts at x^2.  At d_verify = 1 the
+    re-check of every null vector would compare only zeros."""
+    with pytest.raises(ValueError, match="every member is 0 for d <= 1"):
+        search_recursions(golden.SEARCH_FAMILY_26, deep_table, d_verify=1)
+    assert search_recursions(golden.SEARCH_FAMILY_26, deep_table, d_verify=2)["dimension"] == 11
+
+
 @pytest.fixture
 def lookups(monkeypatch):
     """Counts HurwitzTable.value calls made while the test runs."""
@@ -414,6 +428,26 @@ def test_genus3_a_and_p_forms(deep_table):
         h = deep_table.value(3, Partition((1,) * d))
         assert genus3_a_form(d) == h, d
         assert genus3_p_form(d) == h, d
+
+
+def test_pole_form_extracts_as_the_lagrange_double_sum():
+    """[x^d] w^m W^r read through the W-expression of `pole_form` equals
+    the double sum of `lagrange_coeff`: a second route to its m > 0 branch,
+    which no verify suite reaches beyond m = 1."""
+    for m in range(7):
+        for r in range(9):
+            expr = pole_form([((m, r), 1)])
+            for d in range(1, 13):
+                assert extract_coeff(expr, d) == lagrange_coeff(m, r, d), (m, r, d)
+
+
+def test_pole_form_sums_its_terms():
+    # w W = W - 1, and each pinned pole form is the pinned display
+    assert pole_form([((1, 1), 1)]) == WExpr({1: F(1), 0: F(-1)})
+    assert pole_form([((1, 1), F(1, 2)), ((0, 0), F(1, 2))]) == WExpr({1: F(1, 2)})
+    assert pole_form([]) == WExpr({})
+    for g, coeffs in golden.POLE_FORM_COEFFS.items():
+        assert pole_form(coeffs.items()) == pinned(g, 0), g
 
 
 def test_a_series_is_lagrange_column():
