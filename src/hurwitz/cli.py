@@ -10,7 +10,8 @@ deterministic for a fixed configuration.
 
 Exit codes: 0 success; 1 a verification or an internal check failed, a
 fit's contradictory rows included (one `error: internal check failed: ...`
-line on stderr, no traceback); 2 usage error; 3 memory budget exceeded; 4
+line on stderr, no traceback); 2 usage error; 3 too large: over the memory
+budget, or a recursion too deep, as reducing a bracket of 500 points is; 4
 malformed family file; 141 stdout closed by its reader (128 + SIGPIPE).
 
 `run()` is the process entry point (`python -m hurwitz.cli` and the
@@ -542,6 +543,9 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command][0](args, Session())
     except BudgetExceededError as ex:
         print(f"error: {ex}", file=sys.stderr)
+        return EXIT_BUDGET
+    except RecursionError:
+        print("error: too large: recursion deeper than the interpreter allows", file=sys.stderr)
         return EXIT_BUDGET
     except FamilyFormatError as ex:
         print(f"error: {ex}", file=sys.stderr)

@@ -12,10 +12,9 @@ bracket = 1/24.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .algebra import over_lcm, rational_str
 from .partitions import Partition, aut_count, multinomial
@@ -198,25 +197,13 @@ def _reduce(key: HodgeKey, table: HodgeTable, genus0: str, order: str) -> Fracti
     return table.primitives[key]
 
 
-def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
-    """Nonnegative integer vectors of given length summing to total: the
-    gaps between slots - 1 bars placed among total + slots - 1 places."""
-    if slots == 0:
-        if total == 0:
-            yield ()
-        return
-    end = total + slots - 1
-    for bars in itertools.combinations(range(end), slots - 1):
-        edges = (-1, *bars, end)
-        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
-
-
 def elsv_hurwitz(g: int, alpha, table: HodgeTable) -> Fraction:
     """Hurwitz number from the bracket sum over descendant exponents.
 
-    H^g_alpha = (r!/Aut(alpha)) * prod(alpha_i^alpha_i / alpha_i!) *
-    sum over k and exponent vectors b with |b| = 3g-3+m-k of
-    (-1)^k <tau_{b_1}...tau_{b_m} lambda_k>_g * prod(alpha_i^{b_i}).
+    H^g_alpha = (r!/Aut(alpha)) * prod(alpha_i^alpha_i / alpha_i!) * sum over
+    sorted exponent vectors b, with k = 3g-3+m-|b| in [0, g], of (-1)^k *
+    <tau_{b_1}...tau_{b_m} lambda_k>_g * m_b(alpha): the monomial symmetric
+    polynomial m_b sums prod(alpha_i^{b_i}) over b's distinct orderings.
 
     Genus 0 with fewer than 3 parts is outside the formula's domain.
     """
@@ -226,17 +213,21 @@ def elsv_hurwitz(g: int, alpha, table: HodgeTable) -> Fraction:
         raise DegenerateProfileError(
             f"genus 0 needs at least 3 parts, got {tuple(alpha)}"
         )
+    top = 3 * g - 3 + m
+    weights = {(): 1}  # m_b over the parts seen so far, keyed by sorted b
+    for a in alpha:
+        grown: dict[tuple[int, ...], int] = {}
+        for b, w in weights.items():
+            for e in range(top - sum(b) + 1):
+                key = tuple(sorted((*b, e)))
+                grown[key] = grown.get(key, 0) + w * a**e
+        weights = grown
     terms = []  # (signed weight * numerator, denominator) of each nonzero bracket
-    for k in range(g + 1):
-        dim = 3 * g - 3 + m - k
-        if dim < 0:
-            continue
-        sign = (-1) ** k
-        for b in _compositions(dim, m):
-            bracket = evaluate(HodgeKey(g, b, k), table)
-            if bracket:
-                weight = math.prod(a**e for a, e in zip(alpha, b))
-                terms.append((sign * weight * bracket.numerator, bracket.denominator))
+    for b, w in weights.items():
+        k = top - sum(b)
+        bracket = evaluate(HodgeKey(g, b, k), table) if k <= g else 0
+        if bracket:
+            terms.append(((-1) ** k * w * bracket.numerator, bracket.denominator))
     den, nums = over_lcm(terms)
     prefactor = math.factorial(riemann_hurwitz_r(g, alpha)) * math.prod(a**a for a in alpha)
     return Fraction(

@@ -1055,6 +1055,38 @@ def test_budget_exit_3(capsys, monkeypatch):
     assert "budget" in err.lower()
 
 
+@pytest.mark.parametrize("method", ["elsv", "cutjoin"])
+def test_genus3_ten_simple_branch_points(capsys, method):
+    """ELSV and cut-and-join print the same value for (1^10) at g = 3."""
+    code, out, _ = run_cli(
+        capsys, "hurwitz", "--g", "3", "--alpha", ",".join(["1"] * 10), "--method", method
+    )
+    assert code == 0
+    assert json.loads(out)["value"] == "524746976911216327876608000/1"
+
+
+# <tau_0^2000 tau_2001>_1: its string reduction recurses once per tau_0
+DEEP_HODGE = ("hodge", "--g", "1", "--theta", ",".join(["0"] * 2000 + ["2001"]), "--k", "0")
+
+
+def test_deep_bracket_reduction_exits_3(capsys):
+    code, out, err = run_cli(capsys, *DEEP_HODGE)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: too large") and err.count("\n") == 1
+
+
+def test_deep_bracket_reduction_child_has_no_traceback():
+    proc = subprocess.run(
+        [sys.executable, "-m", "hurwitz.cli", *DEEP_HODGE],
+        capture_output=True,
+        text=True,
+        cwd=Path(__file__).resolve().parents[1],
+        env=dict(os.environ, PYTHONPATH="src"),
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("value", ["abc", "-64"])
 def test_bad_memory_budget_exit_2(capsys, monkeypatch, value):
     monkeypatch.setenv("HURWITZ_MEMORY_BUDGET", value)

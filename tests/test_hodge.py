@@ -1,7 +1,6 @@
 """Bracket evaluation: the validity gate, string/dilaton reduction, the
 genus-0 closed form, and the weighted-sum formula for Hurwitz numbers."""
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -9,18 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hurwitz.cutjoin import hurwitz_number
 from hurwitz.hodge import (
     DegenerateProfileError,
     HodgeKey,
     HodgeTable,
     MissingPrimitiveError,
     PrimitiveConflictError,
-    _compositions,
     elsv_hurwitz,
     evaluate,
     validity_gate,
 )
-from hurwitz.partitions import multinomial
+from hurwitz.partitions import multinomial, partitions
 
 
 def test_gate_order():
@@ -75,11 +74,9 @@ def test_genus0_string_route_equals_multinomial():
     """Pure string-equation recursion equals the multinomial closed form
     for every genus-0 bracket with n <= 8 points."""
     table = HodgeTable()
-    from hurwitz.hodge import _compositions
-
     for n in range(3, 9):
-        for theta in _compositions(n - 3, n):
-            key = HodgeKey.make(0, theta, 0)
+        for parts in partitions(n - 3):
+            key = HodgeKey.make(0, (0,) * (n - len(parts)) + parts, 0)
             lhs = evaluate(key, table, genus0="string")
             rhs = evaluate(key, table, genus0="closed_form")
             assert lhs == rhs == multinomial(n - 3, key.theta), key
@@ -147,18 +144,24 @@ def test_elsv_rejects_short_genus0_profiles():
 
 
 def test_elsv_reproduces_cutjoin(deep_table, fitted):
-    """Weighted-sum formula vs cut-and-join for every profile with at
-    least 3 parts, d <= 5, g <= 2."""
+    """Weighted-sum formula vs cut-and-join for every profile with d <= 5
+    at g <= 2 (at least 3 parts at g = 0) and with d <= 8 at g = 3."""
     _, _, hodge = fitted
-    from hurwitz.partitions import partitions
-
-    for g in (0, 1, 2):
-        for d in range(3, 6):
+    for g, d_max in ((0, 5), (1, 5), (2, 5), (3, 8)):
+        for d in range(1, d_max + 1):
             for alpha in partitions(d):
-                if len(alpha) < 3:
+                if g == 0 and len(alpha) < 3:
                     continue
                 got = elsv_hurwitz(g, alpha, hodge)
                 assert got == deep_table.value(g, alpha), (g, alpha)
+
+
+@pytest.mark.parametrize("alpha", [(1,) * 10, (1,) * 12, (1, 1, 2, 2, 3, 3, 4)])
+def test_elsv_genus3_matches_hurwitz_number(fitted, alpha):
+    """ELSV equals the single-answer cut-and-join at g = 3 on 7, 10 and 12
+    parts."""
+    _, _, hodge = fitted
+    assert elsv_hurwitz(3, alpha, hodge) == hurwitz_number(3, alpha)
 
 
 def test_hodge_json_records(fitted):
@@ -199,17 +202,6 @@ def test_unsorted_key_evaluates_as_its_sorted_twin(genus0, order, g, theta, k):
     assert value == evaluate(HodgeKey.make(g, theta, k), HodgeTable(), genus0=genus0, order=order)
     assert value != 0
     assert all(list(key.theta) == sorted(key.theta) for key, _, _ in table._memo)
-
-
-def test_compositions_are_every_vector_with_the_sum_once():
-    """Stars and bars gives exactly the vectors of {0..total}^slots that sum
-    to total, with no duplicate, the empty vector alone for 0 into 0 slots."""
-    for total in range(7):
-        for slots in range(5):
-            got = list(_compositions(total, slots))
-            brute = itertools.product(range(total + 1), repeat=slots)
-            assert len(got) == len(set(got))
-            assert set(got) == {v for v in brute if sum(v) == total}, (total, slots)
 
 
 @pytest.mark.parametrize(
