@@ -34,8 +34,8 @@ each distinct key once into a `Partition` and hands its counts to
 The connected series H = log E has an equation of its own (Goulden and
 Jackson, 1997): the same operator plus a quadratic term that joins two
 connected covers into one.  No term lowers degree or genus, so H is exact
-when pruned to degree <= d_max and genus <= g_max after every step.  The
-quadratic term carries a factor 1/2; its symmetric sum is accumulated
+when each step forms only profiles of degree <= d_max and genus <= g_max.
+The quadratic term carries a factor 1/2; its symmetric sum is accumulated
 doubled and halved exactly, and an odd sum is an error, never floored.
 
 The two users reach connected counts by different routes:
@@ -59,7 +59,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable
+from typing import Container, Iterable
 
 from .partitions import Partition
 from .table import HurwitzTable, riemann_hurwitz_r
@@ -127,7 +127,7 @@ def initial_slices(d_max: int) -> Slice:
 
 
 def cutjoin_step(
-    slice_r: Slice, keys: ProfileKeys, reach: dict[int, set[int]] | None = None
+    slice_r: Slice, keys: ProfileKeys, reach: dict[int, Container[int]] | None = None
 ) -> Slice:
     """Apply the cut-and-join operator Delta.
 
@@ -208,28 +208,21 @@ def disconnected_slices(
     return slices
 
 
-def _slice_mul(a: Slice, b: Slice, keys: ProfileKeys) -> Slice:
-    """The product of two slices in degree <= keys.d_max, with the binomial
-    C(d_a + d_b, d_a) that the exponential units in x carry."""
-    out: Slice = {}
+def _mul_into(
+    out: Slice, scale: int, a: Slice, b: Slice, keys: ProfileKeys,
+    keep: set[int] | None = None,
+) -> None:
+    """Add scale times the product of two slices into `out`, in degree <=
+    keys.d_max, with the binomial C(d_a + d_b, d_a) that the exponential
+    units in x carry.  With `keep`, no key outside it is formed."""
     b_items = [(kb, keys[kb][0], cb) for kb, cb in b.items()]
     for ka, ca in a.items():
         da = keys[ka][0]
+        ca *= scale
         for kb, db, cb in b_items:
-            if da + db > keys.d_max:
-                continue
             k = ka + kb
-            out[k] = out.get(k, 0) + math.comb(da + db, da) * ca * cb
-    return {k: v for k, v in out.items() if v}
-
-
-def _slice_axpy(acc: Slice, scale: int, s: Slice) -> None:
-    for k, v in s.items():
-        u = acc.get(k, 0) + scale * v
-        if u:
-            acc[k] = u
-        else:
-            del acc[k]
+            if da + db <= keys.d_max and (keep is None or k in keep):
+                out[k] = out.get(k, 0) + math.comb(da + db, da) * ca * cb
 
 
 def _derivatives(
@@ -239,41 +232,44 @@ def _derivatives(
     (degree, genus) of the profile they came from.
 
     Each term is (i, rest, i * m_i * N): p_alpha with multiplicity m_i of
-    part i loses one copy of i and leaves the profile key `rest`.
+    part i loses one copy of i and leaves the profile key `rest`.  A
+    profile of degree keys.d_max joins nothing, so it has no terms.
     """
     unit = keys.unit
     out: dict[tuple[int, int], list] = {}
     for key, c in slice_r.items():
         d, n, pairs = keys[key]
+        if d == keys.d_max:
+            continue
         items = out.setdefault((d, (r - d - n + 2) // 2), [])
         for i, m in pairs:
             items.append((i, key - unit[i], i * m * c))
     return out
 
 
-def _join_components(
+def _join_into(
+    out: Slice,
+    scale: int,
     da: dict[tuple[int, int], list],
     db: dict[tuple[int, int], list],
     keys: ProfileKeys,
     g_max: int,
-) -> Slice:
-    """sum_{i,j} ij p_{i+j} dH_a/dp_i dH_b/dp_j in degree <= keys.d_max and
-    genus <= g_max, in exponential units in x: each pair of degrees
-    (d_a, d_b) carries C(d_a + d_b, d_a).  Joining two connected covers
-    adds their genera."""
+) -> None:
+    """Add scale times sum_{i,j} ij p_{i+j} dH_a/dp_i dH_b/dp_j into `out`,
+    in degree <= keys.d_max and genus <= g_max, in exponential units in x:
+    each pair of degrees (d_a, d_b) carries C(d_a + d_b, d_a).  Joining
+    two connected covers adds their genera."""
     unit = keys.unit
-    out: Slice = {}
     for (deg_a, g_a), items_a in da.items():
         for (deg_b, g_b), items_b in db.items():
             if deg_a + deg_b > keys.d_max or g_a + g_b > g_max:
                 continue
-            binom = math.comb(deg_a + deg_b, deg_a)
+            binom = scale * math.comb(deg_a + deg_b, deg_a)
             for i, rest_a, wa in items_a:
                 wa *= binom
                 for j, rest_b, wb in items_b:
                     k = rest_a + rest_b + unit[i + j]
                     out[k] = out.get(k, 0) + wa * wb
-    return out
 
 
 def connected_slices(keys: ProfileKeys, r_max: int, g_max: int) -> list[Slice]:
@@ -288,8 +284,8 @@ def connected_slices(keys: ProfileKeys, r_max: int, g_max: int) -> list[Slice]:
     the factor r+1 cancels and the join of steps a and b carries C(r, a).
     The sum over (a, b) is symmetric, so it runs over a <= b, doubled: with
     weight 2 for a < b and 1 for a = b, and the total is halved exactly.
-    No term lowers degree or genus, so pruning every slice to keys.d_max and
-    g_max is exact.
+    No term lowers degree or genus, so each step forms only the profiles
+    of degree <= keys.d_max and genus <= g_max, and the slices are exact.
 
     >>> keys = ProfileKeys(3)
     >>> sorted((keys.unpack(k), n) for k, n in connected_slices(keys, 4, 1)[2].items())
@@ -300,10 +296,12 @@ def connected_slices(keys: ProfileKeys, r_max: int, g_max: int) -> list[Slice]:
     for r in range(r_max):
         twice: Slice = {}
         for a in range(r // 2 + 1):
-            b = r - a
-            joined = _join_components(derivs[a], derivs[b], keys, g_max)
-            _slice_axpy(twice, math.comb(r, a) * (1 if a == b else 2), joined)
-        nxt = cutjoin_step(h[r], keys)
+            weight = math.comb(r, a) * (1 if 2 * a == r else 2)
+            _join_into(twice, weight, derivs[a], derivs[r - a], keys, g_max)
+        # at step r + 1 a profile of degree d has genus <= g_max exactly
+        # when it has at least r + 3 - d - 2 g_max parts
+        reach = {d: range(r + 3 - d - 2 * g_max, d + 1) for d in range(keys.d_max + 1)}
+        nxt = cutjoin_step(h[r], keys, reach)
         for k, v in twice.items():
             half, odd = divmod(v, 2)
             if odd:
@@ -311,12 +309,6 @@ def connected_slices(keys: ProfileKeys, r_max: int, g_max: int) -> list[Slice]:
                     f"odd doubled join at r={r + 1}, alpha={keys.unpack(k)}"
                 )
             nxt[k] = nxt.get(k, 0) + half
-        nxt = {
-            k: v
-            for k, v in nxt.items()
-            for d, n, _ in (keys[k],)
-            if r + 1 - d - n + 2 <= 2 * g_max
-        }
         h.append(nxt)
         derivs.append(_derivatives(nxt, r + 1, keys))
     return h
@@ -349,9 +341,10 @@ def _log_slices(
     for r in range(len(e) - 1):
         acc: Slice = dict(e[r + 1])
         for k in range(r):
-            term = cut(_slice_mul(h[k + 1], e[r - k], keys))
-            _slice_axpy(acc, -math.comb(r, k), term)
-        h.append(cut(_slice_mul(e0_inv, acc, keys)))
+            _mul_into(acc, -math.comb(r, k), h[k + 1], e[r - k], keys, keep)
+        nxt: Slice = {}
+        _mul_into(nxt, 1, e0_inv, acc, keys, keep)
+        h.append({k: v for k, v in nxt.items() if v})
     return h
 
 

@@ -473,6 +473,58 @@ def test_genus_expansion_checks_fail_on_their_own_input(capsys, monkeypatch, che
     assert f"FAIL {check}" in out.splitlines()
 
 
+
+def _raise_entry(g, alpha):
+    """Raise one Hurwitz number by 1 in every table the session builds."""
+
+    def perturb(monkeypatch):
+        real = cli.hurwitz_via_cutjoin
+
+        def raised(*args):
+            table = real(*args)
+            if (g, Partition(alpha)) in table.entries:
+                table.entries[(g, Partition(alpha))] += 1
+            return table
+
+        monkeypatch.setattr(cli, "hurwitz_via_cutjoin", raised)
+
+    return perturb
+
+
+# an input of `verify --suite change-theorem`, off by one -> the checks it
+# must turn to FAIL; H^2_(1^7) has degree 7, above the g = 2 fit's d_fit = 6,
+# so the fit does not see it
+CHANGE_THEOREM_PERTURBATIONS = {
+    "phi-s-0": (_raise_phi_s(0), ["euler-square-h0"]),
+    "entry-g0-111": (
+        _raise_entry(0, (1, 1, 1)),
+        ["euler-square-h0", "change-theorem-g0-decomposition"],
+    ),
+    "entry-g1-112": (_raise_entry(1, (1, 1, 2)), ["change-theorem-g1"]),
+    "entry-g2-1^7": (_raise_entry(2, (1,) * 7), ["change-theorem-g2"]),
+}
+
+
+def test_every_change_theorem_check_has_a_perturbation(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "change-theorem")
+    assert code == 0
+    assert {line.removeprefix("PASS ") for line in out.splitlines()} == {
+        check for _, failing in CHANGE_THEOREM_PERTURBATIONS.values() for check in failing
+    }
+
+
+@pytest.mark.parametrize("case", sorted(CHANGE_THEOREM_PERTURBATIONS))
+def test_change_theorem_checks_fail_on_their_own_input(capsys, monkeypatch, case):
+    """Each change-theorem check fails, and no other check does, when
+    phi_0(s, p) or one Hurwitz number it reads is off by 1."""
+    perturb, failing = CHANGE_THEOREM_PERTURBATIONS[case]
+    perturb(monkeypatch)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "change-theorem")
+    assert code == 1
+    assert [line for line in out.splitlines() if not line.startswith("PASS ")] == [
+        f"FAIL {name}" for name in failing
+    ]
+
 def test_vacuous_recurrence_check_exits_2(capsys):
     """With --dmax 1 the recurrences, which start at d = 2, would compare
     nothing; that is a usage error, not five passes."""

@@ -69,15 +69,14 @@ def test_slices_hold_ints_and_answers_are_fractions():
 def test_odd_doubled_join_is_refused(monkeypatch):
     """The doubled join sum must be even; one stray unit in it raises
     instead of being floored away by the halving."""
-    real = cutjoin._join_components
+    real = cutjoin._join_into
 
-    def off_by_one(*args):
-        out = real(*args)
+    def off_by_one(out, *args):
+        real(out, *args)
         key = next(iter(out))
         out[key] += 1
-        return out
 
-    monkeypatch.setattr(cutjoin, "_join_components", off_by_one)
+    monkeypatch.setattr(cutjoin, "_join_into", off_by_one)
     with pytest.raises(AssertionError, match="odd"):
         connected_slices(ProfileKeys(4), 6, 2)
 
@@ -228,6 +227,30 @@ def test_pruned_slices_keep_every_reachable_coefficient(monkeypatch):
             assert b == reach
             dropped += len(a) - len(b)
         assert dropped > 0
+
+
+@pytest.mark.parametrize("d_max, g_max", [(6, 0), (10, 3), (13, 3)])
+def test_connected_step_forms_nothing_it_would_drop(monkeypatch, d_max, g_max):
+    # A connected step is told which part counts keep genus <= g_max, so
+    # every profile it emits has genus <= g_max, and no prune follows it.
+    emitted = []
+    real_step = cutjoin.cutjoin_step
+
+    def spy(slice_r, *args):
+        emitted.append(real_step(slice_r, *args))
+        return emitted[-1]
+
+    monkeypatch.setattr(cutjoin, "cutjoin_step", spy)
+    keys = ProfileKeys(d_max)
+    r_max = riemann_hurwitz_r(g_max, (1,) * d_max)
+    connected_slices(keys, r_max, g_max)
+    assert len(emitted) == r_max
+    genera = {
+        (r - keys[k][0] - keys[k][1] + 2) // 2
+        for r, s in enumerate(emitted, start=1)
+        for k in s
+    }
+    assert max(genera) == g_max
 
 
 @pytest.mark.parametrize("d_max", [1, 7, 8, 15, 16])
