@@ -360,10 +360,10 @@ def _suite_genus_expansion(session: Session, dmax: int) -> list[dict]:
 def _suite_recursions(session: Session, dmax: int) -> list[dict]:
     if dmax < 2:
         raise ValueError(f"recurrence check would compare nothing: --dmax must be >= 2, got {dmax}")
-    table = session.table(max(dmax, 10), 3)
+    table = session.table(dmax, 3)
     checks = []
-    for name, spec in sorted(golden.RECURRENCES.items()):
-        failures = simple_hurwitz.verify_recurrence(spec, table, range(2, dmax + 1))["failures"]
+    for name, terms in sorted(golden.RECURRENCES.items()):
+        failures = simple_hurwitz.verify_recurrence(terms, table, range(2, dmax + 1))["failures"]
         checks.append(_check(f"recurrence-{name}-d{dmax}", not failures, {"failures": failures}))
     for name, terms in sorted(golden.DIFFERENTIAL_IDENTITIES.items()):
         symbolic_zero = simple_hurwitz.differential_identity_wexpr(terms).is_zero()

@@ -2,8 +2,8 @@
 
 Laurent series in W = 1/(1-w) for the low-genus simple-Hurwitz generating
 series and their D-derivatives, pole-form coefficients in w, the 26-term
-search family, aggregate constant checks, and the numeric recurrences on
-H^g_{(1^d)}, each written as a plain function of d.  Every constant is an
+search family, aggregate constant checks, and the recurrences on
+H^g_{(1^d)} as differential identities.  Every constant is an
 exact rational; tests and the CLI verification suites consume this module
 and never restate the numbers.
 
@@ -19,15 +19,13 @@ Encodings
 * Differential identities: list of terms, each {"coeff": Fraction,
   "factors": [(g, p), ...]} standing for coeff * prod D^p H~_g; the terms
   sum to zero.  An empty factor list would be a constant term (unused).
-* Numeric recurrences: functions (d, h) -> (lhs, rhs) with
-  h(g, m) = H^g_{(1^m)}; the recurrence holds at d when lhs == rhs.
+* Recurrences: differential identities in the encoding above; [x^d] of an
+  identity in genus g, times (2d+2g-2)!, is its recurrence on H^g_{(1^d)}.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
-from typing import Callable
 
 __all__ = [
     "PINNED_W_SERIES",
@@ -151,65 +149,46 @@ SEARCH_FAMILY_26: list[dict] = (
 )
 SEARCH_FAMILY_26_NULLITY = 11
 
-# Numeric recurrences on H^g_{(1^d)} for d >= 2, encoded as described in
-# the module docstring; the sums run over i + j = d with i, j >= 1.
-Recurrence = Callable[[int, Callable[[int, int], Fraction]], tuple[Fraction, Fraction]]
-
-
-def _splits(d: int):
-    return ((i, d - i) for i in range(1, d))
-
-
-def _genus0(d, h):
-    rhs = sum(
-        i**2 * j**2 * comb(2 * d - 2, 2) * comb(2 * d - 4, 2 * i - 2) * h(0, i) * h(0, j)
-        for i, j in _splits(d)
-    )
-    return h(0, d), rhs / (d**2 - d)
-
-
-def _genus1(d, h):
-    rhs = sum(
-        i**3 * j**3 * comb(2 * d, 4) * comb(2 * d - 4, 2 * i - 2) * h(0, i) * h(0, j)
-        for i, j in _splits(d)
-    )
-    return h(1, d), rhs / d
-
-
-def _genus2(d, h):
-    rhs = (
-        -25 * d**2 * comb(2 * d + 2, 2) * h(1, d)
-        + 7 * (d**5 - d**4) * comb(2 * d + 2, 4) * h(0, d)
-    )
-    return 180 * h(2, d), rhs
-
-
-def _genus3(d, h):
-    p2 = Fraction(24 - 454 * d + 99845 * d**2, 294)
-    p1 = Fraction(-288 * d**2 + 5280 * d**3 - 388450 * d**4 + 300125 * d**5, 5880)
-    rhs = -p2 * comb(2 * d + 4, 2) * h(2, d) + p1 * comb(2 * d + 4, 4) * h(1, d)
-    return 2880 * h(3, d), rhs
-
-
-def _genus3_geometric(d, h):
-    # solving the 10-constant system exactly from table data pins the
-    # 1/851131505 (which absorbs the 1/2 of C(d, 2) = d(d-1)/2), with every
-    # other constant here unchanged
-    rhs = Fraction(1532127678 * d - 2213123851, 851131505) * comb(d, 2) * h(2, d)
-    for i, j in _splits(d):
-        q03 = i * j * (760192125 * i * j - 12054428314 * i - 2006745110 * j + 1033797958)
-        q12 = i * j * (798201731250 * i * j - 217500288725 * i - 473678414332 * j - 42109762821)
-        rhs += Fraction(-2 * q03, 121590215) * comb(2 * d + 2, 2 * i - 2) * h(0, i) * h(3, j)
-        rhs += Fraction(-4 * q12, 2553394515) * comb(2 * d + 2, 2 * i) * h(1, i) * h(2, j)
-    return h(3, d), rhs
-
-
-RECURRENCES: dict[str, Recurrence] = {
-    "genus0": _genus0,
-    "genus1": _genus1,
-    "genus2": _genus2,
-    "genus3": _genus3,
-    "genus3-geometric": _genus3_geometric,
+# The recurrences on H^g_{(1^d)} the paper prints, as differential
+# identities: [x^d] (2d+2g-2)! of an identity in genus g is its recurrence,
+# since [x^d] D^p H~_g = d^p H^g_{(1^d)}/(2d+2g-2)! and a product's [x^d]
+# sums over i + j = d.  Four of them are identities above.  The geometric
+# genus-3 recurrence
+#   H^3_{(1^d)} = a(d) C(d, 2) H^2_{(1^d)} + sum_{i+j=d} (
+#       -2 q03(i, j)/121590215 C(2d+2, 2i-2) H^0_{(1^i)} H^3_{(1^j)}
+#       -4 q12(i, j)/2553394515 C(2d+2, 2i) H^1_{(1^i)} H^2_{(1^j)}),
+# with a(d) = (1532127678 d - 2213123851)/851131505 and q03, q12 the
+# polynomials below, is divided by (2d+2)!: (4D^2 + 14D + 12) H~_3 equals
+# a(D) C(D, 2) H~_2 plus the D^a H~_0 D^b H~_3 and D^a H~_1 D^b H~_2 terms
+# of each i^a j^b monomial.  Solving its 10-constant system exactly from
+# table data pins the 1/851131505, which absorbs the 1/2 of C(d, 2).
+_MONOMIALS = ((2, 2), (2, 1), (1, 2), (1, 1))  # (a, b) of i^a j^b
+RECURRENCES: dict[str, list[dict]] = {
+    "genus0": DIFFERENTIAL_IDENTITIES["genus0-quadratic"],
+    "genus1": DIFFERENTIAL_IDENTITIES["genus1-square"],
+    "genus2": DIFFERENTIAL_IDENTITIES["genus2-linear"],
+    "genus3": DIFFERENTIAL_IDENTITIES["genus3-linear"],
+    "genus3-geometric": [
+        {"coeff": Fraction(4), "factors": [(3, 2)]},
+        {"coeff": Fraction(14), "factors": [(3, 1)]},
+        {"coeff": Fraction(12), "factors": [(3, 0)]},
+        # a(d) C(d, 2) = (1532127678 d^3 - 3745251529 d^2 + 2213123851 d)/(2 * 851131505)
+        {"coeff": Fraction(-1532127678, 2 * 851131505), "factors": [(2, 3)]},
+        {"coeff": Fraction(3745251529, 2 * 851131505), "factors": [(2, 2)]},
+        {"coeff": Fraction(-2213123851, 2 * 851131505), "factors": [(2, 1)]},
+    ]
+    # q03 = ij(760192125 ij - 12054428314 i - 2006745110 j + 1033797958)
+    + [
+        {"coeff": Fraction(2 * q, 121590215), "factors": [(0, a), (3, b)]}
+        for (a, b), q in zip(_MONOMIALS, (760192125, -12054428314, -2006745110, 1033797958))
+    ]
+    # q12 = ij(798201731250 ij - 217500288725 i - 473678414332 j - 42109762821)
+    + [
+        {"coeff": Fraction(4 * q, 2553394515), "factors": [(1, a), (2, b)]}
+        for (a, b), q in zip(
+            _MONOMIALS, (798201731250, -217500288725, -473678414332, -42109762821)
+        )
+    ],
 }
 
 # Constraints the fitted genus-2 constants must satisfy, implied by the

@@ -13,9 +13,10 @@ extraction [x^d] goes through the Lagrange double sum, with log W read
 through D log W = W^2 - W, independently of any series expansion.
 
 The numeric checks against a HurwitzTable (search vectors, differential
-identities, recurrences) read each genus's one-part column H^g_{(1^m)} once
-and then only convolve truncated coefficient lists.  A degree the table does
-not hold is refused rather than read as 0, since H^g_{(1^m)} > 0 for m >= 2.
+identities, and the recurrences, which are identities read at [x^d]) read
+each genus's one-part column H^g_{(1^m)} once and then only convolve
+truncated coefficient lists.  A degree the table does not hold is refused
+rather than read as 0, since H^g_{(1^m)} > 0 for m >= 2.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .algebra import (
     over_lcm,
     rational_str,
 )
-from .golden import P3_POLY, P3_PREFACTOR_DENOM, PINNED_W_SERIES, Recurrence
+from .golden import P3_POLY, P3_PREFACTOR_DENOM, PINNED_W_SERIES
 from .linalg import nullspace
 from .partitions import Partition, aut_count
 from .table import HurwitzTable
@@ -430,28 +431,16 @@ def differential_identity_residuals(
 # -- numeric recurrences ----------------------------------------------------------
 
 
-def verify_recurrence(recurrence: Recurrence, table: HurwitzTable, d_range: range) -> dict:
-    """Exact check of a numeric recurrence (d, h) -> (lhs, rhs) for each d;
-    returns the failing d values (with both sides) and a status.  A d_range
-    that is empty or holds a degree below 2 is refused: an empty check cannot fail,
-    and the recurrences hold from d = 2 on (genus 0 divides by d^2 - d).  So is
-    a table lacking a degree of a genus the recurrence reads."""
-    if not d_range or min(d_range) < 2:
-        raise ValueError(
-            f"recurrence check needs a nonempty degree range from d >= 2, got {d_range}"
-        )
-    column = functools.cache(lambda g: one_part_column(table, g, max(d_range)))
-
-    def h(g: int, m: int) -> Fraction:
-        return column(g)[m]
-
-    failures = []
-    for d in d_range:
-        lhs, rhs = recurrence(d, h)
-        if lhs != rhs:
-            failures.append(
-                {"d": d, "lhs": rational_str(lhs), "rhs": rational_str(rhs)}
-            )
+def verify_recurrence(terms: list[dict], table: HurwitzTable, d_range: range) -> dict:
+    """Exact check of a recurrence on H^g_{(1^d)} held as a differential
+    identity: [x^d] (2d+2g-2)! of the identity is the recurrence at d, so it
+    holds at d when the identity's [x^d] residual is 0.  Returns a status
+    and the failing d values with their residuals; refuses what
+    `differential_identity_residuals` refuses."""
+    failures = [
+        {"d": d, "residual": rational_str(residual)}
+        for d, residual in differential_identity_residuals(terms, table, d_range).items()
+    ]
     return {
         "status": "pass" if not failures else "fail",
         "failures": failures,

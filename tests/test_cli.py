@@ -525,6 +525,77 @@ def test_change_theorem_checks_fail_on_their_own_input(capsys, monkeypatch, case
         f"FAIL {name}" for name in failing
     ]
 
+
+def _raise_coeff(pinned, name):
+    """Raise the first coefficient of one pinned term list by 1, in a copy
+    that replaces its entry: a list two maps share stays as it is."""
+
+    def perturb(monkeypatch):
+        terms = [dict(term) for term in pinned[name]]
+        terms[0]["coeff"] += 1
+        monkeypatch.setitem(pinned, name, terms)
+
+    return perturb
+
+
+def _lower_order(index):
+    """Lower the derivative order of a one-factor member of the 26-term
+    search family by 1, replacing its "factors" entry."""
+
+    def perturb(monkeypatch):
+        member = golden.SEARCH_FAMILY_26[index]
+        ((g, p),) = member["factors"]
+        monkeypatch.setitem(member, "factors", [(g, p - 1)])
+
+    return perturb
+
+
+# an input of `verify --suite recursions`, off by one -> the checks it must
+# turn to FAIL; RECURRENCES and DIFFERENTIAL_IDENTITIES share four lists, so
+# each case replaces an entry of one map and leaves the other's list intact.
+# Member 12 of the family is D^4 H~_3; lowered to D^3 H~_3 it repeats
+# member 11, which raises the nullity to 12.
+RECURSIONS_PERTURBATIONS = {
+    **{
+        f"RECURRENCES[{name}]": (
+            _raise_coeff(golden.RECURRENCES, name),
+            [f"recurrence-{name}-d10"],
+        )
+        for name in golden.RECURRENCES
+    },
+    **{
+        f"DIFFERENTIAL_IDENTITIES[{name}]": (
+            _raise_coeff(golden.DIFFERENTIAL_IDENTITIES, name),
+            [f"differential-{name}"],
+        )
+        for name in golden.DIFFERENTIAL_IDENTITIES
+    },
+    "SEARCH_FAMILY_26[12]": (_lower_order(12), ["search-family-26-nullity"]),
+}
+
+
+def test_every_recursions_check_has_a_perturbation(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "recursions")
+    assert code == 0
+    assert sorted(line.removeprefix("PASS ") for line in out.splitlines()) == sorted(
+        check for _, failing in RECURSIONS_PERTURBATIONS.values() for check in failing
+    )
+
+
+@pytest.mark.parametrize("case", sorted(RECURSIONS_PERTURBATIONS))
+def test_recursions_checks_fail_on_their_own_input(capsys, monkeypatch, case):
+    """Each recurrence, identity and the search fail, and no other check
+    does, when one coefficient or one family member of their own is off
+    by 1."""
+    perturb, failing = RECURSIONS_PERTURBATIONS[case]
+    perturb(monkeypatch)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "recursions")
+    assert code == 1
+    assert [line for line in out.splitlines() if not line.startswith("PASS ")] == [
+        f"FAIL {name}" for name in failing
+    ]
+
+
 def test_vacuous_recurrence_check_exits_2(capsys):
     """With --dmax 1 the recurrences, which start at d = 2, would compare
     nothing; that is a usage error, not five passes."""

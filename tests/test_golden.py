@@ -25,6 +25,16 @@ def test_genus3_linear_constants_present():
         assert expected in coeffs, expected
 
 
+def test_golden_defines_no_function():
+    """The module pins data: even its recurrences are term lists."""
+    defined = [
+        name
+        for name, value in vars(golden).items()
+        if callable(value) and getattr(value, "__module__", None) == golden.__name__
+    ]
+    assert defined == []
+
+
 def test_family_has_26_members():
     assert len(golden.SEARCH_FAMILY_26) == 26
     assert golden.SEARCH_FAMILY_26_NULLITY == 11

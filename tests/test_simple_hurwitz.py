@@ -1,9 +1,7 @@
 """Single-variable layer for profiles (1,...,1): Laurent-plus-log
 expressions in W, the pinned displays, recurrences, and closed forms."""
 
-import inspect
 import math
-import textwrap
 from fractions import Fraction
 
 import pytest
@@ -216,25 +214,38 @@ def test_recurrences_hold(name, deep_table):
     assert result["status"] == "pass", result["failures"]
 
 
-# One constant of each recurrence and its value in a deliberately broken copy.
+# One coefficient of each recurrence, by the factors of its term, and its
+# value in a deliberately broken copy.
 _ONE_CONSTANT_CHANGED = {
-    "genus0": ("comb(2 * d - 2, 2)", "comb(2 * d - 2, 3)"),
-    "genus1": ("comb(2 * d, 4)", "comb(2 * d, 3)"),
-    "genus2": ("-25 * d**2", "-24 * d**2"),
-    "genus3": ("99845 * d**2", "99846 * d**2"),
-    "genus3-geometric": ("42109762821", "42109762822"),
+    "genus0": ([(0, 2), (0, 2)], F(-1, 2), F(-1, 3)),
+    "genus1": ([(0, 3), (0, 3)], F(-1, 24), F(-1, 23)),
+    "genus2": ([(1, 2)], F(300), F(301)),
+    "genus3": ([(2, 2)], F(99845, 588), F(99846, 588)),
+    "genus3-geometric": (
+        [(1, 1), (2, 1)],
+        F(4 * -42109762821, 2553394515),
+        F(4 * -42109762822, 2553394515),
+    ),
 }
 
 
 def _broken_copy(name):
-    """The recurrence's function recompiled with one constant changed."""
-    fn = golden.RECURRENCES[name]
-    old, new = _ONE_CONSTANT_CHANGED[name]
-    source = textwrap.dedent(inspect.getsource(fn))
-    assert source.count(old) == 1, (name, old)
-    namespace = dict(vars(golden))
-    exec(source.replace(old, new), namespace)
-    return namespace[fn.__name__]
+    """A copy of the recurrence's term list with one coefficient changed;
+    the pinned list is left as it is."""
+    factors, old, new = _ONE_CONSTANT_CHANGED[name]
+    terms = [dict(term) for term in golden.RECURRENCES[name]]
+    (term,) = [term for term in terms if term["factors"] == factors]
+    assert term["coeff"] == old, name
+    term["coeff"] = new
+    return terms
+
+
+@pytest.mark.parametrize("name", sorted(golden.RECURRENCES))
+def test_recurrence_is_an_identity_in_w(name):
+    """Each recurrence holds at every d, not only at the degrees a table
+    reaches: its identity is 0 in W, and the broken copy is not."""
+    assert differential_identity_wexpr(golden.RECURRENCES[name]).is_zero()
+    assert not differential_identity_wexpr(_broken_copy(name)).is_zero()
 
 
 @pytest.mark.parametrize("name", sorted(golden.RECURRENCES))
@@ -248,16 +259,22 @@ def test_recurrence_with_one_constant_changed_fails(name, deep_table):
     assert result["status"] == "fail"
     failing = [f["d"] for f in result["failures"]]
     assert failing and set(failing) <= set(d_range)
-    assert all(f["lhs"] != f["rhs"] for f in result["failures"])
+    assert all(Fraction(f["residual"]) != 0 for f in result["failures"])
 
 
 @pytest.mark.parametrize(
     "d_range", [range(1, 4), range(0, 3), range(2, 2)], ids=["from-1", "from-0", "empty"]
 )
 def test_recurrence_check_refuses_degrees_below_2(d_range, deep_table):
-    # genus 0 divides by d^2 - d, which is 0 at d = 1
-    with pytest.raises(ValueError, match="d >= 2"):
-        verify_recurrence(golden.RECURRENCES["genus0"], deep_table, d_range)
+    # a recurrence is read as its identity's [x^d] residual, which divides
+    # by no d^2 - d, so d = 1 is checked like any other degree; a range
+    # reaching d = 0, or an empty one, is refused
+    genus0 = golden.RECURRENCES["genus0"]
+    if d_range.start == 1:
+        assert verify_recurrence(genus0, deep_table, d_range)["status"] == "pass"
+        return
+    with pytest.raises(ValueError, match="d >= 1"):
+        verify_recurrence(genus0, deep_table, d_range)
 
 
 @pytest.mark.parametrize("name", sorted(golden.DIFFERENTIAL_IDENTITIES))
