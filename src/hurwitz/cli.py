@@ -361,24 +361,30 @@ def _suite_recursions(session: Session, dmax: int) -> list[dict]:
     if dmax < 2:
         raise ValueError(f"recurrence check would compare nothing: --dmax must be >= 2, got {dmax}")
     table = session.table(dmax, 3)
+    # RECURRENCES and DIFFERENTIAL_IDENTITIES share lists: each distinct list
+    # object is checked once on d = 1..dmax, and every check of it reads that run
+    every = (*golden.RECURRENCES.values(), *golden.DIFFERENTIAL_IDENTITIES.values())
+    runs = {
+        id(terms): simple_hurwitz.verify_recurrence(terms, table, range(1, dmax + 1))["failures"]
+        for terms in {id(t): t for t in every}.values()
+    }
     checks = []
     for name, terms in sorted(golden.RECURRENCES.items()):
-        failures = simple_hurwitz.verify_recurrence(terms, table, range(2, dmax + 1))["failures"]
-        checks.append(_check(f"recurrence-{name}-d{dmax}", not failures, {"failures": failures}))
+        # a recurrence is read from d = 2 on
+        failed = [f for f in runs[id(terms)] if f["d"] >= 2]
+        checks.append(_check(f"recurrence-{name}-d{dmax}", not failed, {"failures": failed}))
     for name, terms in sorted(golden.DIFFERENTIAL_IDENTITIES.items()):
         symbolic_zero = simple_hurwitz.differential_identity_wexpr(terms).is_zero()
-        numeric = simple_hurwitz.differential_identity_residuals(
-            terms, table, range(1, dmax + 1)
-        )
-        detail = {
-            "symbolic_zero": symbolic_zero,
-            "numeric_failures": {str(d): rational_str(v) for d, v in numeric.items()},
-        }
+        numeric = {str(f["d"]): f["residual"] for f in runs[id(terms)]}
+        detail = {"symbolic_zero": symbolic_zero, "numeric_failures": numeric}
         checks.append(_check(f"differential-{name}", symbolic_zero and not numeric, detail))
-    result = simple_hurwitz.search_recursions(
-        golden.SEARCH_FAMILY_26, table, d_verify=dmax
+    result = simple_hurwitz.search_recursions(golden.SEARCH_FAMILY_26, table, d_verify=dmax)
+    basis = [{i: c for i, c in enumerate(vec) if c} for vec in result["basis"]]
+    ok = (
+        result["dimension"] == golden.SEARCH_FAMILY_26_NULLITY
+        and basis == golden.SEARCH_FAMILY_26_BASIS
+        and not result["numeric_failures"]
     )
-    ok = result["dimension"] == golden.SEARCH_FAMILY_26_NULLITY and not result["numeric_failures"]
     checks.append(_check("search-family-26-nullity", ok, {"dimension": result["dimension"]}))
     return checks
 

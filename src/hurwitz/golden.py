@@ -2,10 +2,10 @@
 
 Laurent series in W = 1/(1-w) for the low-genus simple-Hurwitz generating
 series and their D-derivatives, pole-form coefficients in w, the 26-term
-search family, aggregate constant checks, and the recurrences on
-H^g_{(1^d)} as differential identities.  Every constant is an
-exact rational; tests and the CLI verification suites consume this module
-and never restate the numbers.
+search family and its null space, aggregate constant checks, and the
+recurrences on H^g_{(1^d)} as differential identities.  Every constant is
+an exact rational; tests and the CLI verification suites consume this
+module and never restate the numbers.
 
 Encodings
 ---------
@@ -35,6 +35,7 @@ __all__ = [
     "DIFFERENTIAL_IDENTITIES",
     "SEARCH_FAMILY_26",
     "SEARCH_FAMILY_26_NULLITY",
+    "SEARCH_FAMILY_26_BASIS",
     "RECURRENCES",
     "AGGREGATE_CONSTANT_CHECKS_G2",
     "SPOT_VALUES",
@@ -148,6 +149,70 @@ SEARCH_FAMILY_26: list[dict] = (
     + [{"factors": [(1, p)]} for p in range(1, 8)]
 )
 SEARCH_FAMILY_26_NULLITY = 11
+
+# The null space of the family as `search_recursions` returns it: one vector
+# per free member, 1 in that member's place, as {member index: coefficient}
+# over its nonzero entries (99 in all).  Members 12, 18 and 19 (D^4 H~_3,
+# D^5 H~_2 and D H~_1) appear in no vector.
+SEARCH_FAMILY_26_BASIS: list[dict[int, Fraction]] = [
+    {
+        1: Fraction(-1), 2: Fraction(-44963, 141), 3: Fraction(19886, 47),
+        4: Fraction(879520, 2961), 5: Fraction(50590, 329), 6: Fraction(1077215, 2961),
+        7: Fraction(729025, 987), 9: Fraction(-2), 10: Fraction(1),
+    },
+    {
+        0: Fraction(-2), 1: Fraction(-14), 2: Fraction(-203020, 141), 3: Fraction(87344, 47),
+        4: Fraction(3936320, 2961), 5: Fraction(698182, 987), 6: Fraction(4859146, 2961),
+        7: Fraction(3247240, 987), 9: Fraction(-4), 11: Fraction(1),
+    },
+    {
+        2: Fraction(53039861, 1410), 3: Fraction(-13248543, 235), 4: Fraction(-75988793, 2115),
+        5: Fraction(-23801221, 1410), 6: Fraction(-36832807, 846), 7: Fraction(-8643995, 94),
+        8: Fraction(126, 5), 9: Fraction(-623, 5), 15: Fraction(1),
+    },
+    {
+        2: Fraction(8117704, 141), 3: Fraction(-4033512, 47), 4: Fraction(-23293832, 423),
+        5: Fraction(-3687464, 141), 6: Fraction(-28176520, 423), 7: Fraction(-6595840, 47),
+        9: Fraction(-224), 16: Fraction(1),
+    },
+    {
+        2: Fraction(10836056, 141), 3: Fraction(-5391288, 47), 4: Fraction(-31140640, 423),
+        5: Fraction(-4957600, 141), 6: Fraction(-37740320, 423), 7: Fraction(-8814440, 47),
+        9: Fraction(-448), 17: Fraction(1),
+    },
+    {
+        2: Fraction(5185904465, 3384), 3: Fraction(-449966265, 188),
+        4: Fraction(-7427123795, 5076), 5: Fraction(-2151596615, 3384),
+        6: Fraction(-16893128525, 10152), 7: Fraction(-12856185125, 3384), 8: Fraction(-735, 2),
+        9: Fraction(-36995, 12), 13: Fraction(20), 14: Fraction(-35, 3), 20: Fraction(1),
+    },
+    {
+        2: Fraction(952179809, 282), 3: Fraction(-244053467, 47), 4: Fraction(-1363248467, 423),
+        5: Fraction(-393715399, 282), 6: Fraction(-3245603165, 846), 7: Fraction(-2352136325, 282),
+        8: Fraction(294), 9: Fraction(-7987), 14: Fraction(20), 21: Fraction(1),
+    },
+    {
+        2: Fraction(259599186, 47), 3: Fraction(-398989668, 47), 4: Fraction(-247855652, 47),
+        5: Fraction(-109217246, 47), 6: Fraction(-294377070, 47), 7: Fraction(-638825850, 47),
+        8: Fraction(-504), 9: Fraction(-13188), 22: Fraction(1),
+    },
+    {
+        2: Fraction(474436480, 47), 3: Fraction(-723784320, 47), 4: Fraction(-1359074720, 141),
+        5: Fraction(-203578640, 47), 6: Fraction(-1623878800, 141), 7: Fraction(-1165183200, 47),
+        9: Fraction(-26880), 23: Fraction(1),
+    },
+    {
+        2: Fraction(825050240, 47), 3: Fraction(-1251089280, 47), 4: Fraction(-2364505600, 141),
+        5: Fraction(-359483200, 47), 6: Fraction(-2834427200, 141), 7: Fraction(-2022288000, 47),
+        9: Fraction(-53760), 24: Fraction(1),
+    },
+    {
+        1: Fraction(-331776, 245), 2: Fraction(325092705152, 11515),
+        3: Fraction(-70316373888, 1645), 4: Fraction(-186519294464, 6909),
+        5: Fraction(-1000745596672, 80605), 6: Fraction(-160038727424, 4935),
+        7: Fraction(-1115434519680, 16121), 9: Fraction(-107520), 25: Fraction(1),
+    },
+]
 
 # The recurrences on H^g_{(1^d)} the paper prints, as differential
 # identities: [x^d] (2d+2g-2)! of an identity in genus g is its recurrence,

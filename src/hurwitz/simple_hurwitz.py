@@ -12,11 +12,12 @@ numerators over the lcm of the members' denominators.  Coefficient
 extraction [x^d] goes through the Lagrange double sum, with log W read
 through D log W = W^2 - W, independently of any series expansion.
 
-The numeric checks against a HurwitzTable (search vectors, differential
-identities, and the recurrences, which are identities read at [x^d]) read
-each genus's one-part column H^g_{(1^m)} once and then only convolve
-truncated coefficient lists.  A degree the table does not hold is refused
-rather than read as 0, since H^g_{(1^m)} > 0 for m >= 2.
+The two numeric checks against a HurwitzTable, `search_recursions` on its
+null vectors and `verify_recurrence` on a differential identity (a
+recurrence is an identity read at [x^d]), read each genus's one-part
+column H^g_{(1^m)} once and then only convolve truncated coefficient
+lists.  A degree the table does not hold is refused rather than read as 0,
+since H^g_{(1^m)} > 0 for m >= 2.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ __all__ = [
     "family_wexprs",
     "search_recursions",
     "differential_identity_wexpr",
-    "differential_identity_residuals",
     "verify_recurrence",
     "one_part_column",
     "closed_form_simple",
@@ -367,7 +367,7 @@ def search_recursions(
     family: list[dict],
     table: HurwitzTable,
     *,
-    d_verify: int = 10,
+    d_verify: int,
     exprs: list[WExpr] | None = None,
 ) -> dict:
     """Exact null space of a family of D^p H~_g products.
@@ -414,37 +414,24 @@ def differential_identity_wexpr(terms: list[dict]) -> WExpr:
     )
 
 
-def differential_identity_residuals(
-    terms: list[dict], table: HurwitzTable, d_range: range
-) -> dict[int, Fraction]:
-    """Numeric [x^d] residuals of a differential identity; empty means pass.
-    A d_range that is empty or holds a degree below 1 is refused, as is a
-    table lacking one of its degrees: neither check could fail."""
+# -- numeric identity check -------------------------------------------------------
+
+
+def verify_recurrence(terms: list[dict], table: HurwitzTable, d_range: range) -> dict:
+    """Exact check of a differential identity sum coeff * prod D^p H~_g = 0,
+    and so of a recurrence (the identity's [x^d] (2d+2g-2)! in genus g), as
+    its [x^d] residual at each d in d_range.  Returns a status and the
+    failing d with their residuals as rational strings.  A d_range that is
+    empty or holds a degree below 1 is refused, as is a table lacking one
+    of its degrees: neither check could fail."""
     if not d_range or min(d_range) < 1:
         raise ValueError(
             f"identity check needs a nonempty degree range from d >= 1, got {d_range}"
         )
     term_lists = _term_lists([term["factors"] for term in terms], table, max(d_range))
-    return _residuals([term["coeff"] for term in terms], term_lists, d_range)
-
-
-# -- numeric recurrences ----------------------------------------------------------
-
-
-def verify_recurrence(terms: list[dict], table: HurwitzTable, d_range: range) -> dict:
-    """Exact check of a recurrence on H^g_{(1^d)} held as a differential
-    identity: [x^d] (2d+2g-2)! of the identity is the recurrence at d, so it
-    holds at d when the identity's [x^d] residual is 0.  Returns a status
-    and the failing d values with their residuals; refuses what
-    `differential_identity_residuals` refuses."""
-    failures = [
-        {"d": d, "residual": rational_str(residual)}
-        for d, residual in differential_identity_residuals(terms, table, d_range).items()
-    ]
-    return {
-        "status": "pass" if not failures else "fail",
-        "failures": failures,
-    }
+    residuals = _residuals([term["coeff"] for term in terms], term_lists, d_range)
+    failures = [{"d": d, "residual": rational_str(r)} for d, r in residuals.items()]
+    return {"status": "fail" if failures else "pass", "failures": failures}
 
 
 # -- closed forms -----------------------------------------------------------------

@@ -312,6 +312,23 @@ def test_closed_forms_refuse_a_table_missing_a_degree(capsys, monkeypatch):
     assert "table lacks H^3_(1^5)" in err and "Traceback" not in err
 
 
+def _raise_entry(g, alpha):
+    """Raise one Hurwitz number by 1 in every table the session builds."""
+
+    def perturb(monkeypatch):
+        real = cli.hurwitz_via_cutjoin
+
+        def raised(*args):
+            table = real(*args)
+            if (g, Partition(alpha)) in table.entries:
+                table.entries[(g, Partition(alpha))] += 1
+            return table
+
+        monkeypatch.setattr(cli, "hurwitz_via_cutjoin", raised)
+
+    return perturb
+
+
 def _raise_first_constant(g):
     """Perturb the first fitted K_theta of genus g by 1."""
 
@@ -329,52 +346,117 @@ def _raise_first_constant(g):
     return perturb
 
 
+def _add_w(g, n):
+    """Add W to the pinned D^n H~_g, in a copy that replaces its entry;
+    [x^d] W is nonzero at every d >= 1."""
+
+    def perturb(monkeypatch):
+        entry = golden.PINNED_W_SERIES[(g, n)]
+        laurent = {**entry["laurent"], 1: entry["laurent"].get(1, 0) + 1}
+        monkeypatch.setitem(golden.PINNED_W_SERIES, (g, n), {**entry, "laurent": laurent})
+
+    return perturb
+
+
+def _raise_pole_coeff(g):
+    """Raise the first pinned pole-form coefficient of genus g by 1/5760."""
+
+    def perturb(monkeypatch):
+        coeffs = golden.POLE_FORM_COEFFS[g]
+        first = next(iter(coeffs))
+        monkeypatch.setitem(coeffs, first, coeffs[first] + Fraction(1, 5760))
+
+    return perturb
+
+
+def _raise_aggregate(monkeypatch):
+    agg = golden.AGGREGATE_CONSTANT_CHECKS_G2
+    monkeypatch.setitem(agg, "triple", agg["triple"] + 1)
+
+
+def _raise_p3_poly(monkeypatch):
+    first, *rest = simple_hurwitz.P3_POLY
+    monkeypatch.setattr(simple_hurwitz, "P3_POLY", (first + 1, *rest))
+
+
 def _raise_spot_value(monkeypatch):
     monkeypatch.setitem(golden.SPOT_VALUES, (1, 2), golden.SPOT_VALUES[(1, 2)] + 1)
 
 
-def _raise_a_series_coeff(monkeypatch):
-    real = simple_hurwitz.a_series_coeff
-    monkeypatch.setattr(
-        simple_hurwitz, "a_series_coeff", lambda k, d: real(k, d) + ((k, d) == (3, 12))
-    )
+def _raise_a_series_coeff(k, d):
+    def perturb(monkeypatch):
+        real = simple_hurwitz.a_series_coeff
+        monkeypatch.setattr(
+            simple_hurwitz, "a_series_coeff", lambda kk, dd: real(kk, dd) + ((kk, dd) == (k, d))
+        )
+
+    return perturb
 
 
-@pytest.mark.parametrize(
-    "perturb, failing",
-    [
-        # at g = 2 the W-form and the aggregates read the same sums by length
-        (_raise_first_constant(2), ["fitted-form-matches-display-g2", "fitted-aggregates-g2"]),
-        (_raise_first_constant(3), ["fitted-form-matches-display-g3"]),
-        (_raise_spot_value, ["spot-values"]),
-        (_raise_a_series_coeff, ["a-series-vs-lagrange"]),
-    ],
-    ids=["fitted-constant-g2", "fitted-constant-g3", "spot-value", "a-series-coeff"],
-)
-def test_closed_forms_checks_fail_on_their_own_input(capsys, monkeypatch, perturb, failing):
-    """The closed-forms checks that no table perturbation reaches each
-    fail, and no other check does, when their own input, a fitted
-    constant, a pinned value or one A_k(d), is off by 1."""
+# an input of `verify --suite closed-forms`, off by one -> the checks it must
+# turn to FAIL.  Inputs are shared: the pinned H~_g is the display, the
+# fitted form's target and the closed form's source; at g = 2 the W-form and
+# the aggregates read the same fitted sums by length; A_k(d) for d <= 10
+# feeds the genus-3 A-combination as well as its own check, which runs to 12.
+CLOSED_FORMS_PERTURBATIONS = {
+    "pinned-g0-n1": (_add_w(0, 1), ["w-series-display-g0-n1"]),
+    "pinned-g1-n0": (_add_w(1, 0), ["w-series-display-g1-n0", "closed-form-low-genus"]),
+    "pinned-g1-n1": (_add_w(1, 1), ["w-series-display-g1-n1"]),
+    "pinned-g2-n0": (
+        _add_w(2, 0),
+        ["w-series-display-g2-n0", "fitted-form-matches-display-g2", "closed-form-low-genus"],
+    ),
+    "pinned-g3-n0": (
+        _add_w(3, 0),
+        [
+            "w-series-display-g3-n0",
+            "fitted-form-matches-display-g3",
+            "a-combination-g3",
+            "closed-form-low-genus",
+        ],
+    ),
+    "fitted-constant-g2": (
+        _raise_first_constant(2),
+        ["fitted-form-matches-display-g2", "fitted-aggregates-g2"],
+    ),
+    "fitted-constant-g3": (_raise_first_constant(3), ["fitted-form-matches-display-g3"]),
+    "pole-form-g2": (_raise_pole_coeff(2), ["pole-form-display-g2"]),
+    "pole-form-g3": (_raise_pole_coeff(3), ["pole-form-display-g3"]),
+    "aggregate-triple": (_raise_aggregate, ["fitted-aggregates-g2"]),
+    "a-series-coeff-k4-d5": (
+        _raise_a_series_coeff(4, 5),
+        ["a-combination-g3", "a-series-vs-lagrange"],
+    ),
+    "p3-poly": (_raise_p3_poly, ["polynomial-form-g3"]),
+    "a-series-coeff": (_raise_a_series_coeff(3, 12), ["a-series-vs-lagrange"]),
+    "entry-g0-1^5": (
+        _raise_entry(0, (1,) * 5),
+        ["w-series-display-g0-n1", "closed-form-low-genus"],
+    ),
+    "spot-value": (_raise_spot_value, ["spot-values"]),
+}
+
+
+def test_every_closed_forms_check_has_a_perturbation(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "closed-forms")
+    assert code == 0
+    assert {line.removeprefix("PASS ") for line in out.splitlines()} == {
+        check for _, failing in CLOSED_FORMS_PERTURBATIONS.values() for check in failing
+    }
+
+
+@pytest.mark.parametrize("case", sorted(CLOSED_FORMS_PERTURBATIONS))
+def test_closed_forms_checks_fail_on_their_own_input(capsys, monkeypatch, case):
+    """Each closed-forms check fails when one input of its own, a pinned
+    series, a fitted constant, a pinned coefficient or value, one A_k(d) or
+    one Hurwitz number, is off by 1; the checks that share that input fail
+    with it, and no other check does."""
+    perturb, failing = CLOSED_FORMS_PERTURBATIONS[case]
     perturb(monkeypatch)
     code, out, _ = run_cli(capsys, "verify", "--suite", "closed-forms")
     assert code == 1
     assert [line for line in out.splitlines() if not line.startswith("PASS ")] == [
         f"FAIL {name}" for name in failing
-    ]
-
-
-@pytest.mark.parametrize("g", [2, 3])
-def test_pole_form_check_reads_the_pinned_coefficients(capsys, monkeypatch, g):
-    """The pole-form check expands the pinned coefficients and compares
-    them with the table: its first coefficient raised by 1/5760 fails
-    `pole-form-display-g{g}` and no other check."""
-    coeffs = golden.POLE_FORM_COEFFS[g]
-    first = next(iter(coeffs))
-    monkeypatch.setitem(coeffs, first, coeffs[first] + Fraction(1, 5760))
-    code, out, _ = run_cli(capsys, "verify", "--suite", "closed-forms")
-    assert code == 1
-    assert [line for line in out.splitlines() if not line.startswith("PASS ")] == [
-        f"FAIL pole-form-display-g{g}"
     ]
 
 
@@ -471,24 +553,6 @@ def test_genus_expansion_checks_fail_on_their_own_input(capsys, monkeypatch, che
     code, out, _ = run_cli(capsys, "verify", "--suite", "genus-expansion")
     assert code == 1
     assert f"FAIL {check}" in out.splitlines()
-
-
-
-def _raise_entry(g, alpha):
-    """Raise one Hurwitz number by 1 in every table the session builds."""
-
-    def perturb(monkeypatch):
-        real = cli.hurwitz_via_cutjoin
-
-        def raised(*args):
-            table = real(*args)
-            if (g, Partition(alpha)) in table.entries:
-                table.entries[(g, Partition(alpha))] += 1
-            return table
-
-        monkeypatch.setattr(cli, "hurwitz_via_cutjoin", raised)
-
-    return perturb
 
 
 # an input of `verify --suite change-theorem`, off by one -> the checks it
@@ -594,6 +658,69 @@ def test_recursions_checks_fail_on_their_own_input(capsys, monkeypatch, case):
     assert [line for line in out.splitlines() if not line.startswith("PASS ")] == [
         f"FAIL {name}" for name in failing
     ]
+
+
+def test_search_check_sees_a_shift_that_keeps_the_nullity(capsys, monkeypatch, deep_table):
+    """Member 0, (D H~_0)(D^3 H~_3), shifted to (D H~_0)(D^4 H~_3) leaves the
+    nullity at 11 and every null vector holds numerically; the pinned basis
+    still tells the two families apart."""
+    member = golden.SEARCH_FAMILY_26[0]
+    assert member["factors"] == [(0, 1), (3, 3)]
+    monkeypatch.setitem(member, "factors", [(0, 1), (3, 4)])
+    result = simple_hurwitz.search_recursions(golden.SEARCH_FAMILY_26, deep_table, d_verify=10)
+    assert (result["dimension"], result["numeric_failures"]) == (11, [])
+    code, out, _ = run_cli(capsys, "verify", "--suite", "recursions")
+    assert code == 1
+    assert [line for line in out.splitlines() if not line.startswith("PASS ")] == [
+        "FAIL search-family-26-nullity"
+    ]
+
+
+def test_recursions_check_each_term_list_once(capsys, monkeypatch):
+    """RECURRENCES and DIFFERENTIAL_IDENTITIES share four of their ten
+    lists, so the suite makes six identity checks, each over d = 1..dmax."""
+    calls, real = [], simple_hurwitz.verify_recurrence
+
+    def spy(terms, table, d_range):
+        calls.append((id(terms), d_range))
+        return real(terms, table, d_range)
+
+    monkeypatch.setattr(simple_hurwitz, "verify_recurrence", spy)
+    code, _, _ = run_cli(capsys, "verify", "--suite", "recursions")
+    assert code == 0
+    assert len(calls) == 6
+    lists = [*golden.RECURRENCES.values(), *golden.DIFFERENTIAL_IDENTITIES.values()]
+    assert {key for key, _ in calls} == {id(terms) for terms in lists}
+    assert {d_range for _, d_range in calls} == {range(1, 11)}
+
+
+# the commands of the benchmark's `tables` workload, which must stay on
+# cut-and-join slices, W-expressions and integer term lists
+TABLES_COMMANDS = [
+    ["table", "--method", "cutjoin", "--dmax", "13", "--gmax", "3"],
+    ["table", "--method", "cutjoin", "--dmax", "10", "--gmax", "3", "--format", "csv"],
+    ["search", "--dmax", "10"],
+    ["verify", "--suite", "recursions"],
+]
+
+
+def test_tables_commands_multiply_no_series_and_count_no_covers(capsys, monkeypatch):
+    calls = []
+
+    def forbidden(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} was called")
+
+        return call
+
+    monkeypatch.setattr(ExactSeries, "__mul__", forbidden("ExactSeries.__mul__"))
+    monkeypatch.setattr(ExactSeries, "__rmul__", forbidden("ExactSeries.__rmul__"))
+    monkeypatch.setattr(oracle, "count_factorizations", forbidden("count_factorizations"))
+    for argv in TABLES_COMMANDS:
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+    assert calls == []
 
 
 def test_vacuous_recurrence_check_exits_2(capsys):

@@ -15,7 +15,6 @@ from hurwitz.simple_hurwitz import (
     WExpr,
     a_series_coeff,
     closed_form_simple,
-    differential_identity_residuals,
     differential_identity_wexpr,
     extract_coeff,
     family_wexprs,
@@ -277,11 +276,17 @@ def test_recurrence_check_refuses_degrees_below_2(d_range, deep_table):
         verify_recurrence(genus0, deep_table, d_range)
 
 
+def _residuals(terms, table, d_range):
+    """The failures of `verify_recurrence` as {d: residual}."""
+    result = verify_recurrence(terms, table, d_range)
+    return {f["d"]: Fraction(f["residual"]) for f in result["failures"]}
+
+
 @pytest.mark.parametrize("name", sorted(golden.DIFFERENTIAL_IDENTITIES))
 def test_differential_identities(name, deep_table):
     terms = golden.DIFFERENTIAL_IDENTITIES[name]
     assert differential_identity_wexpr(terms).is_zero()
-    assert differential_identity_residuals(terms, deep_table, range(1, 11)) == {}
+    assert verify_recurrence(terms, deep_table, range(1, 11)) == {"status": "pass", "failures": []}
 
 
 def test_family_term_numeric_translation(deep_table):
@@ -314,7 +319,7 @@ def test_search_family_nullity(deep_table):
 def test_search_on_trivially_dependent_family(deep_table):
     # duplicated term: null space is exactly the difference vector's line
     family = [{"factors": [(1, 1)]}, {"factors": [(1, 1)]}]
-    result = search_recursions(family, deep_table)
+    result = search_recursions(family, deep_table, d_verify=10)
     assert result["numeric_failures"] == []
     assert result["dimension"] == 1
     vec = result["basis"][0]
@@ -331,7 +336,7 @@ def test_three_factor_products_match_lagrange_route(factors, deep_table):
     # convolved table columns must equal the W-expression's Lagrange extraction;
     # D^p H~_g starts at x^1 in genus 0 and at x^2 above (H^g_{(1)} = 0)
     term = {"coeff": 1, "factors": factors}
-    residuals = differential_identity_residuals([term], deep_table, range(1, 13))
+    residuals = _residuals([term], deep_table, range(1, 13))
     lowest = sum(1 if g == 0 else 2 for g, _ in factors)
     assert set(residuals) == set(range(lowest, 13))
     for d in range(1, 13):
@@ -351,10 +356,10 @@ def test_changed_entry_fails_identity_and_search(deep_table):
     terms = golden.DIFFERENTIAL_IDENTITIES["genus2-linear"]
     family = golden.SEARCH_FAMILY_26
     changed = _with_changed_entry(deep_table, 2, 7)
-    assert set(differential_identity_residuals(terms, changed, range(1, 11))) == {7}
+    assert set(_residuals(terms, changed, range(1, 11))) == {7}
     failing = {f["d"] for f in search_recursions(family, changed, d_verify=10)["numeric_failures"]}
     assert min(failing) == 7
-    assert differential_identity_residuals(terms, deep_table, range(1, 11)) == {}
+    assert _residuals(terms, deep_table, range(1, 11)) == {}
     assert search_recursions(family, deep_table, d_verify=10)["numeric_failures"] == []
 
 
@@ -366,9 +371,9 @@ def table_to_4():
 def test_identity_check_refuses_degrees_the_table_lacks(table_to_4):
     # D H~_1 = 0 is false; with degrees 5..11 missing it used to read 0 = 0
     false_identity = [{"coeff": 1, "factors": [(1, 1)]}]
-    assert differential_identity_residuals(false_identity, table_to_4, range(1, 5))
+    assert _residuals(false_identity, table_to_4, range(1, 5))
     with pytest.raises(ValueError, match="lacks"):
-        differential_identity_residuals(false_identity, table_to_4, range(5, 12))
+        verify_recurrence(false_identity, table_to_4, range(5, 12))
     with pytest.raises(ValueError, match="lacks"):
         verify_recurrence(golden.RECURRENCES["genus2"], table_to_4, range(2, 20))
     with pytest.raises(ValueError, match="lacks"):
@@ -379,7 +384,7 @@ def test_identity_check_refuses_degrees_the_table_lacks(table_to_4):
 def test_identity_check_refuses_vacuous_ranges(d_range, deep_table):
     terms = golden.DIFFERENTIAL_IDENTITIES["genus1-square"]
     with pytest.raises(ValueError, match="d >= 1"):
-        differential_identity_residuals(terms, deep_table, d_range)
+        verify_recurrence(terms, deep_table, d_range)
 
 
 @pytest.mark.parametrize("d_verify", [0, -1])
@@ -421,7 +426,7 @@ def test_search_reads_each_column_once(lookups, deep_table):
 def test_identity_reads_each_column_once(name, lookups, deep_table):
     terms = golden.DIFFERENTIAL_IDENTITIES[name]
     genera = {g for term in terms for g, _ in term["factors"]}
-    differential_identity_residuals(terms, deep_table, range(1, 11))
+    verify_recurrence(terms, deep_table, range(1, 11))
     assert len(lookups) <= len(genera) * 10
 
 
