@@ -41,7 +41,8 @@ doubled and halved exactly, and an odd sum is an error, never floored.
 The two users reach connected counts by different routes:
 
 * a table (`hurwitz_via_cutjoin`) evolves H directly (`connected_slices`),
-  pruned to the table's degree and genus, and takes no logarithm;
+  one degree at a time, pruned to the table's degree and genus, and takes
+  no logarithm;
 * one answer (`hurwitz_number`) evolves E only on the degrees of the
   sub-multisets of alpha, up to step r = riemann_hurwitz_r(g, alpha), and
   takes the slice-wise logarithm with only those sub-multisets kept.  A
@@ -225,51 +226,52 @@ def _mul_into(
                 out[k] = out.get(k, 0) + math.comb(da + db, da) * ca * cb
 
 
-def _derivatives(
-    slice_r: Slice, r: int, keys: ProfileKeys
-) -> dict[tuple[int, int], list]:
-    """The terms i * dH_r/dp_i of one connected slice, grouped by the
-    (degree, genus) of the profile they came from.
-
-    Each term is (i, rest, i * m_i * N): p_alpha with multiplicity m_i of
-    part i loses one copy of i and leaves the profile key `rest`.  A
-    profile of degree keys.d_max joins nothing, so it has no terms.
-    """
-    unit = keys.unit
-    out: dict[tuple[int, int], list] = {}
-    for key, c in slice_r.items():
-        d, n, pairs = keys[key]
-        if d == keys.d_max:
-            continue
-        items = out.setdefault((d, (r - d - n + 2) // 2), [])
-        for i, m in pairs:
-            items.append((i, key - unit[i], i * m * c))
-    return out
-
-
 def _join_into(
-    out: Slice,
+    out: dict[int, int],
     scale: int,
-    da: dict[tuple[int, int], list],
-    db: dict[tuple[int, int], list],
+    terms_a: list,
+    terms_b: list,
     keys: ProfileKeys,
     g_max: int,
+    width: int,
 ) -> None:
-    """Add scale times sum_{i,j} ij p_{i+j} dH_a/dp_i dH_b/dp_j into `out`,
-    in degree <= keys.d_max and genus <= g_max, in exponential units in x:
-    each pair of degrees (d_a, d_b) carries C(d_a + d_b, d_a).  Joining
-    two connected covers adds their genera."""
+    """Add scale times sum_{i,j} ij p_{i+j} dH_a/dp_i dH_b/dp_j, summed
+    over both orders of (a, b), into `out`, where H_a and H_b are the parts
+    of H in two degrees, given by their join terms.
+
+    The term of a profile alpha is (parts, values): parts lists (i, key of
+    alpha less one part i, i m_i), and values lists (g, r, N) by increasing
+    genus.  Joining two covers adds their genera and their steps, with
+    weight C(r_a + r_b, r_a), so a pair (alpha, beta) is weighted by one
+    genus convolution, and `out` maps a key to its sums at genus 0..g_max
+    packed in fields of `width` bits.  When both lists are one degree's,
+    each unordered pair is formed once and counted twice, except (alpha, i,
+    alpha, i), so every distinct (alpha, i, beta, j) updates `out` once.
+    """
     unit = keys.unit
-    for (deg_a, g_a), items_a in da.items():
-        for (deg_b, g_b), items_b in db.items():
-            if deg_a + deg_b > keys.d_max or g_a + g_b > g_max:
+    comb = math.comb
+    same = terms_a is terms_b
+    for at, (parts_a, values_a) in enumerate(terms_a):
+        for parts_b, values_b in terms_b[at:] if same else terms_b:
+            fields = [0] * (g_max + 1)
+            for g_a, r_a, n_a in values_a:
+                for g_b, r_b, n_b in values_b:
+                    if g_a + g_b > g_max:
+                        break
+                    fields[g_a + g_b] += comb(r_a + r_b, r_a) * n_a * n_b
+            once = 0
+            for n in reversed(fields):
+                once = once << width | n
+            if not once:
                 continue
-            binom = scale * math.comb(deg_a + deg_b, deg_a)
-            for i, rest_a, wa in items_a:
-                wa *= binom
-                for j, rest_b, wb in items_b:
+            once *= scale
+            twice = 2 * once
+            diagonal = parts_b is parts_a
+            for at_i, (i, rest_a, w_a) in enumerate(parts_a):
+                for j, rest_b, w_b in parts_b[at_i:] if diagonal else parts_b:
                     k = rest_a + rest_b + unit[i + j]
-                    out[k] = out.get(k, 0) + wa * wb
+                    w = once if diagonal and j == i else twice
+                    out[k] = out.get(k, 0) + w_a * w_b * w
 
 
 def connected_slices(keys: ProfileKeys, r_max: int, g_max: int) -> list[Slice]:
@@ -282,35 +284,63 @@ def connected_slices(keys: ProfileKeys, r_max: int, g_max: int) -> list[Slice]:
                     + 1/2 sum_{a+b=r} sum_{i,j} ij p_{i+j} dH_a/dp_i dH_b/dp_j,
     with Delta the operator of `cutjoin_step`.  In the units of `Slice`
     the factor r+1 cancels and the join of steps a and b carries C(r, a).
-    The sum over (a, b) is symmetric, so it runs over a <= b, doubled: with
-    weight 2 for a < b and 1 for a = b, and the total is halved exactly.
-    No term lowers degree or genus, so each step forms only the profiles
-    of degree <= keys.d_max and genus <= g_max, and the slices are exact.
+
+    Delta preserves degree and the join adds degrees, so the series is
+    evolved one degree at a time.  Once every degree below d is complete,
+    the join of degree d is summed over the pairs of lower degrees that add
+    to d (`_join_into`), doubled and halved exactly; then Delta runs through
+    the steps of degree d, each step forming only profiles of genus <=
+    g_max.  A profile with n parts sits at step d + n - 2 + 2g, one step
+    per genus, and the join takes all its genera at once, so each distinct
+    product (alpha, i, beta, j) forms its key once.  No term lowers degree
+    or genus, so the slices are exact.
 
     >>> keys = ProfileKeys(3)
     >>> sorted((keys.unpack(k), n) for k, n in connected_slices(keys, 4, 1)[2].items())
     [((1, 1), 1), ((3,), 6)]
     """
-    h: list[Slice] = [{1: 1} if keys.d_max >= 1 else {}]
-    derivs = [_derivatives(h[0], 0, keys)]
-    for r in range(r_max):
-        twice: Slice = {}
-        for a in range(r // 2 + 1):
-            weight = math.comb(r, a) * (1 if 2 * a == r else 2)
-            _join_into(twice, weight, derivs[a], derivs[r - a], keys, g_max)
-        # at step r + 1 a profile of degree d has genus <= g_max exactly
-        # when it has at least r + 3 - d - 2 g_max parts
-        reach = {d: range(r + 3 - d - 2 * g_max, d + 1) for d in range(keys.d_max + 1)}
-        nxt = cutjoin_step(h[r], keys, reach)
-        for k, v in twice.items():
-            half, odd = divmod(v, 2)
-            if odd:
-                raise AssertionError(
-                    f"odd doubled join at r={r + 1}, alpha={keys.unpack(k)}"
-                )
-            nxt[k] = nxt.get(k, 0) + half
-        h.append(nxt)
-        derivs.append(_derivatives(nxt, r + 1, keys))
+    unit = keys.unit
+    h: list[Slice] = [{} for _ in range(r_max + 1)]
+    terms: list[list] = [[]]  # terms[d]: the join terms of the profiles of degree d
+    for d in range(1, keys.d_max + 1):
+        # a degree-d profile of genus <= g_max sits at a step in [d - 1, top]
+        top = min(r_max, 2 * d - 2 + 2 * g_max)
+        layer: list[Slice] = [{} for _ in range(top + 1)]
+        if d == 1:
+            layer[0][1] = 1
+        # A field holds a doubled join, at most twice the number of r-tuples
+        # of transpositions in S_d, C(d, 2)^r, with r <= 2d - 2 + 2 g_max.
+        width = 1 + (2 * d - 2 + 2 * g_max) * math.comb(d, 2).bit_length()
+        twice: dict[int, int] = {}
+        for d_a in range(1, d // 2 + 1):
+            _join_into(twice, math.comb(d, d_a), terms[d_a], terms[d - d_a], keys, g_max, width)
+        mask = (1 << width) - 1
+        for k, packed in twice.items():
+            r = d + keys[k][1] - 2
+            while packed:
+                half, odd = divmod(packed & mask, 2)
+                if odd:
+                    raise AssertionError(f"odd doubled join at r={r}, alpha={keys.unpack(k)}")
+                if half and r <= top:
+                    layer[r][k] = half
+                packed >>= width
+                r += 2
+        for r in range(d - 1, top):
+            # at step r + 1 a profile of degree d has genus <= g_max exactly
+            # when it has at least r + 3 - d - 2 g_max parts
+            reach = {d: range(r + 3 - d - 2 * g_max, d + 1)}
+            nxt = layer[r + 1]
+            for k, v in cutjoin_step(layer[r], keys, reach).items():
+                nxt[k] = nxt.get(k, 0) + v
+        values: dict[int, list] = {}
+        for r, s in enumerate(layer):
+            h[r].update(s)
+            for k, v in s.items():
+                values.setdefault(k, []).append(((r - d - keys[k][1] + 2) // 2, r, v))
+        if d < keys.d_max:  # a profile of degree d_max joins nothing
+            terms.append(
+                [([(i, k - unit[i], i * m) for i, m in keys[k][2]], v) for k, v in values.items()]
+            )
     return h
 
 
@@ -363,7 +393,8 @@ def hurwitz_via_cutjoin(d_max: int, g_max: int) -> HurwitzTable:
     r_max = riemann_hurwitz_r(g_max, (1,) * d_max)
     keys = ProfileKeys(d_max)
     h = connected_slices(keys, r_max, g_max)
-    alphas = {k: Partition(keys.unpack(k)) for k in set().union(*h)}
+    # decoded parts are positive and sorted: no `Partition` check needed
+    alphas = {k: tuple.__new__(Partition, keys.unpack(k)) for k in set().union(*h)}
     fact = [math.factorial(d) for d in range(d_max + 1)]
     counts = (
         (r, alphas[k], Fraction(n, fact[keys[k][0]]))

@@ -60,7 +60,7 @@ class HurwitzTable:
             two_g = r - alpha.d - len(alpha) + 2
             if two_g % 2 or two_g < 0:
                 raise AssertionError(f"parity/genus violation at r={r}, alpha={alpha}")
-            if value < 0:
+            if value.numerator < 0:
                 raise ValueError(f"negative count at r={r}, alpha={alpha}: {value}")
             if two_g <= 2 * g_max:
                 entries[two_g // 2, alpha] = value
@@ -103,12 +103,13 @@ class HurwitzTable:
             return "[]"
         method = encode_basestring_ascii(self.method)
         records = []
-        for g, alpha in self.keys():
+        # the order of `keys`, with each degree summed once
+        for g, d, alpha in sorted((g, sum(alpha), alpha) for g, alpha in self.entries):
             parts = "[\n      " + ",\n      ".join(map(str, alpha)) + "\n    ]"
-            v = self.entries[(g, alpha)]
+            v = self.entries[g, alpha]
             records.append(
                 f'  {{\n    "g": {g},\n    "alpha": {parts if alpha else "[]"},\n'
-                f'    "r": {riemann_hurwitz_r(g, alpha)},\n'
+                f'    "r": {d + len(alpha) + 2 * g - 2},\n'
                 f'    "value": "{v.numerator}/{v.denominator}",\n'
                 f'    "method": {method}\n  }}'
             )

@@ -101,9 +101,10 @@ def test_connected_evolution_equals_log_of_all_covers(d_max):
     assert connected_slices(ProfileKeys(d_max), r_max, 3) == _log_route(d_max, r_max, 3)
 
 
-@pytest.mark.parametrize("d_max, r_max", [(3, 4), (5, 16), (6, 18)])
+@pytest.mark.parametrize("d_max, r_max", [(3, 4), (5, 16), (6, 18), (7, 22)])
 def test_connected_evolution_without_genus_cap(d_max, r_max):
-    # r >= 2g on every entry, so the cap r_max // 2 never prunes
+    # r >= 2g on every entry, so the cap r_max // 2 never prunes; at r = 22
+    # the join pairs profiles of every genus up to 10
     assert connected_slices(ProfileKeys(d_max), r_max, r_max // 2) == _log_route(d_max, r_max)
 
 
@@ -231,26 +232,65 @@ def test_pruned_slices_keep_every_reachable_coefficient(monkeypatch):
 
 @pytest.mark.parametrize("d_max, g_max", [(6, 0), (10, 3), (13, 3)])
 def test_connected_step_forms_nothing_it_would_drop(monkeypatch, d_max, g_max):
-    # A connected step is told which part counts keep genus <= g_max, so
-    # every profile it emits has genus <= g_max, and no prune follows it.
-    emitted = []
+    # A connected step is told which part counts keep genus <= g_max, and
+    # every profile it forms has one of them, so no prune follows it.
+    formed = []
     real_step = cutjoin.cutjoin_step
 
-    def spy(slice_r, *args):
-        emitted.append(real_step(slice_r, *args))
-        return emitted[-1]
+    def spy(slice_r, keys, reach):
+        out = real_step(slice_r, keys, reach)
+        formed.extend((keys[k][:2], reach) for k in out)
+        return out
 
     monkeypatch.setattr(cutjoin, "cutjoin_step", spy)
     keys = ProfileKeys(d_max)
-    r_max = riemann_hurwitz_r(g_max, (1,) * d_max)
-    connected_slices(keys, r_max, g_max)
-    assert len(emitted) == r_max
-    genera = {
-        (r - keys[k][0] - keys[k][1] + 2) // 2
-        for r, s in enumerate(emitted, start=1)
-        for k in s
-    }
+    h = connected_slices(keys, riemann_hurwitz_r(g_max, (1,) * d_max), g_max)
+    assert formed and all(n in reach[d] for (d, n), reach in formed)
+    genera = {(r - keys[k][0] - keys[k][1] + 2) // 2 for r, s in enumerate(h) for k in s}
     assert max(genera) == g_max
+
+
+def _distinct_joins(keys, h, g_max):
+    """The distinct (alpha, i, beta, j) of the connected join, up to order:
+    profiles of degrees adding to <= d_max whose lowest genera add to <=
+    g_max, and distinct parts i of alpha and j of beta."""
+    lowest = {}
+    for r, s in enumerate(h):
+        for k in s:
+            d, n, _ = keys[k]
+            lowest.setdefault(k, (r - d - n + 2) // 2)
+    terms = [k for k in lowest for _ in keys[k][2]]  # one per distinct part
+    return sum(
+        1
+        for a, ka in enumerate(terms)
+        for kb in terms[a:]
+        if keys[ka][0] + keys[kb][0] <= keys.d_max and lowest[ka] + lowest[kb] <= g_max
+    )
+
+
+@pytest.mark.parametrize("d_max, g_max, products", [(6, 0, 61), (10, 3, 1029), (13, 3, 5784)])
+def test_connected_join_updates_once_per_distinct_product(monkeypatch, d_max, g_max, products):
+    """Each distinct (alpha, i, beta, j) builds its key and updates the
+    doubled join once, over all the genera of alpha and beta together (a
+    step-by-step join made 9563 updates for the 1029 at d <= 10, g <= 3)."""
+    updates = []
+
+    class Counted(dict):
+        def get(self, key, default=None):
+            updates.append(key)
+            return super().get(key, default)
+
+    real = cutjoin._join_into
+
+    def spy(out, *args):
+        counted = Counted(out)
+        real(counted, *args)
+        out.update(counted)
+
+    monkeypatch.setattr(cutjoin, "_join_into", spy)
+    keys = ProfileKeys(d_max)
+    h = connected_slices(keys, riemann_hurwitz_r(g_max, (1,) * d_max), g_max)
+    assert len(updates) == _distinct_joins(keys, h, g_max) == products
 
 
 @pytest.mark.parametrize("d_max", [1, 7, 8, 15, 16])
