@@ -426,16 +426,6 @@ def _sum(parts: Iterable[tuple[int, int, Mapping[int, int]]]) -> tuple[int, dict
     return _canonical(den, acc)
 
 
-def _packed(
-    ring: SeriesRing, ratios: Iterable[tuple[tuple[int, ...], int, int]]
-) -> tuple[int, dict[int, int]]:
-    """The canonical (den, nums) of sum num/den x^exps over (exps, num, den)
-    triples with distinct vectors and den > 0, less what the ring does not admit."""
-    kept = [(e, n, d) for e, n, d in ratios if n and ring.admits(e)]
-    den, nums = over_lcm([(n, d) for _, n, d in kept])
-    return _canonical(den, {ring.key(e): n for (e, _, _), n in zip(kept, nums)})
-
-
 class ExactSeries:
     """A sparse truncated series: integer numerators over one denominator.
 
@@ -450,9 +440,9 @@ class ExactSeries:
     __slots__ = ("ring", "den", "nums", "_terms", "_sorted")
 
     def __init__(self, ring: SeriesRing, terms: Mapping[tuple[int, ...], Fraction]):
-        self.ring = ring
-        rationals = ((e, Fraction(c)) for e, c in terms.items())
-        self.den, self.nums = _packed(ring, ((e, c.numerator, c.denominator) for e, c in rationals))
+        rationals = [(e, Fraction(c)) for e, c in terms.items()]
+        series = self.from_ratios(ring, [(e, c.numerator, c.denominator) for e, c in rationals])
+        self.ring, self.den, self.nums = ring, series.den, series.nums
         self._terms = self._sorted = None
 
     @classmethod
@@ -472,7 +462,18 @@ class ExactSeries:
         """The series sum num/den x^exps over (exps, num, den) triples, with
         distinct vectors and den > 0, less the terms the ring does not admit:
         `ExactSeries(ring, terms)` from integers, with no Fraction built."""
-        return cls._of(ring, *_packed(ring, ratios))
+        return cls.from_keys(
+            ring, ((ring.key(e), n, d) for e, n, d in ratios if n and ring.admits(e))
+        )
+
+    @classmethod
+    def from_keys(cls, ring: SeriesRing, ratios: Iterable[tuple[int, int, int]]) -> "ExactSeries":
+        """The series sum num/den m over (key, num, den) triples, where key is
+        the packed key of a monomial m that the ring admits (unchecked), the
+        keys are distinct and den > 0."""
+        kept = [r for r in ratios if r[1]]
+        den, nums = over_lcm([(n, d) for _, n, d in kept])
+        return cls._of(ring, *_canonical(den, {k: n for (k, _, _), n in zip(kept, nums)}))
 
     @property
     def terms(self) -> dict[tuple[int, ...], Fraction]:

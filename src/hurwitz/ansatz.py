@@ -273,26 +273,26 @@ def assemble_G(g: int, table: HodgeTable, tctx: TContext) -> ExactSeries:
 
     Coefficient of prod t_i^{a_i} is (-1)^k <prod tau_i^{a_i} lambda_k>_g /
     prod a_i!, summed over 0 <= k <= g, restricted to stable sizes and to
-    subscripts within the ring's index range.
+    subscripts within the ring's index range.  Such a monomial has t-degree
+    at most the ring's cap, so the ring admits it, and its packed key is
+    the sum of those of its t_i.
     """
-    encode = tctx.ring.varset.theta_exps
+    ring, t_deg_max = tctx.ring, tctx.t_deg_max
+    t_key = [ring.key(ring.varset.theta_exps((i,))) for i in range(tctx.t_index_max + 1)]
+    top, n_min = 3 * g - 3, max(3 - 2 * g, 0)  # n_min: the fewest points of a stable key
     ratios = []
-    for n in range(tctx.t_deg_max + 1):
-        if 2 * g - 2 + n <= 0:
-            continue
-        for k in range(g + 1):
-            needed = 3 * g - 3 + n - k
-            if needed < 0:
+    for size in range(max(top + n_min - g, 0), top + t_deg_max + 1):
+        for q in partitions(size):
+            if q and q[-1] > tctx.t_index_max:
                 continue
-            for q in partitions(needed):
-                if len(q) > n or (q and q[-1] > tctx.t_index_max):
-                    continue
-                theta = (0,) * (n - len(q)) + q
-                value = evaluate(HodgeKey(g, theta, k), table)
-                # sum(theta) = 3g - 3 + n - k, so each theta comes once
-                num, den = (-1) ** k * value.numerator, value.denominator * aut_count(theta)
-                ratios.append((encode(theta), num, den))
-    return ExactSeries.from_ratios(tctx.ring, ratios)
+            q_key, q_aut = sum(t_key[i] for i in q), aut_count(q)
+            # theta = tau_0^(n - len q) q has k = 3g - 3 + n - size, so each theta comes once
+            for n in range(max(len(q), n_min, size - top), min(size - top + g, t_deg_max) + 1):
+                k, zeros = top + n - size, n - len(q)
+                value = evaluate((g, (0,) * zeros + q, k), table)
+                num, den = (-1) ** k * value.numerator, value.denominator * q_aut
+                ratios.append((q_key + zeros * t_key[0], num, den * math.factorial(zeros)))
+    return ExactSeries.from_keys(ring, ratios)
 
 
 def extract_weight_slice(series: ExactSeries, weight: int) -> ExactSeries:
@@ -306,14 +306,19 @@ def extract_weight_slice(series: ExactSeries, weight: int) -> ExactSeries:
 
 
 def hurwitz_series(table: HurwitzTable, g: int, ctx: XpContext) -> ExactSeries:
-    """H_g(x, p) = sum over profiles of H^g_alpha / r! p_alpha x^d."""
-    encode = ctx.ring.varset.profile_exps
+    """H_g(x, p) = sum over profiles of H^g_alpha / r! p_alpha x^d.
+
+    The ring admits x^d p_alpha for d <= d_max, and its packed key is the
+    sum of those of x^a p_a over the parts a of alpha."""
+    ring = ctx.ring
+    part_key = {a: ring.key(ring.varset.profile_exps((a,))) for a in range(1, ctx.d_max + 1)}
     ratios = []
     for (gg, alpha), value in table.entries.items():
         if gg == g and sum(alpha) <= ctx.d_max:
             r_fact = math.factorial(riemann_hurwitz_r(g, alpha))
-            ratios.append((encode(alpha), value.numerator, value.denominator * r_fact))
-    return ExactSeries.from_ratios(ctx.ring, ratios)
+            key = sum(part_key[a] for a in alpha)
+            ratios.append((key, value.numerator, value.denominator * r_fact))
+    return ExactSeries.from_keys(ring, ratios)
 
 
 def pair_correction_series(ctx: XpContext) -> ExactSeries:

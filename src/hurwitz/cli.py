@@ -11,7 +11,7 @@ deterministic for a fixed configuration.
 Exit codes: 0 success; 1 a verification or an internal check failed, a
 fit's contradictory rows included (one `error: internal check failed: ...`
 line on stderr, no traceback); 2 usage error; 3 too large: over the memory
-budget, or a recursion too deep, as reducing a bracket of 500 points is; 4
+budget, or a recursion too deep, as reducing a bracket of 991 points is; 4
 malformed family file; 141 stdout closed by its reader (128 + SIGPIPE).
 
 `run()` is the process entry point (`python -m hurwitz.cli` and the

@@ -57,8 +57,8 @@ class HodgeKey(NamedTuple):
 
     @classmethod
     def make(cls, g: int, theta, k: int) -> "HodgeKey":
-        theta = tuple(sorted(int(a) for a in theta))
-        if g < 0 or k < 0 or any(a < 0 for a in theta):
+        theta = tuple(sorted(map(int, theta)))
+        if g < 0 or k < 0 or (theta and theta[0] < 0):
             raise ValueError(f"bad bracket index g={g}, theta={theta}, k={k}")
         return cls(g, theta, k)
 
@@ -77,7 +77,7 @@ def validity_gate(key: HodgeKey) -> str:
     >>> validity_gate(HodgeKey.make(1, (1, 1), 1))
     'zero_dimension'
     """
-    g, theta, k = key.g, key.theta, key.k
+    g, theta, k = key
     n = len(theta)
     if 2 * g - 2 + n <= 0:
         return "zero_unstable"
@@ -99,7 +99,8 @@ class HodgeTable:
     """Primitive bracket values plus an evaluation memo.
 
     `primitives` holds base and fitted values (write-once); a key is a
-    base value exactly when it is in `_BASE_VALUES`.
+    base value exactly when it is in `_BASE_VALUES`.  `_memo` maps each
+    evaluation route (genus0, order) to that route's values by key.
     """
 
     def __init__(self) -> None:
@@ -147,54 +148,62 @@ def evaluate(
     "string" (pure string-equation recursion down to <tau_0^3>_0); the two
     must agree, which the test suite checks.  `order` switches whether a
     key containing both a 0 and a 1 subscript reduces by string or dilaton
-    first; the result is order-independent.
+    first; the result is order-independent.  Any other route name is
+    refused.
 
-    The key is made canonical here, once: every reduction below lowers the
-    first copy of a subscript or drops the first 0 or 1 of a sorted theta,
-    which keeps it sorted, so each sub-key is built directly.  Any other
-    route name is refused.
+    The key, a `HodgeKey` or any (g, theta, k) triple, is made canonical
+    and gated here, once; its reduction goes through the table's memo of
+    this route.
     """
     if genus0 not in ("closed_form", "string") or order not in ("string_first", "dilaton_first"):
         raise ValueError(f"unknown evaluation route genus0={genus0!r}, order={order!r}")
-    return _evaluate(HodgeKey.make(*key), table, genus0, order)
-
-
-def _evaluate(key: HodgeKey, table: HodgeTable, genus0: str, order: str) -> Fraction:
-    """`evaluate` of a canonical key, through the table's memo."""
-    memo_key = (key, genus0, order)
-    if memo_key not in table._memo:
-        table._memo[memo_key] = _reduce(key, table, genus0, order)
-    return table._memo[memo_key]
-
-
-def _reduce(key: HodgeKey, table: HodgeTable, genus0: str, order: str) -> Fraction:
+    key = HodgeKey.make(*key)
     if validity_gate(key) != "valid":
         return Fraction(0)
+    memo = table._memo.setdefault((genus0, order), {})
+    return _bracket(key, table, memo, genus0 == "closed_form", order == "string_first")
+
+
+def _bracket(
+    key: tuple, table: HodgeTable, memo: dict, closed: bool, string_first: bool
+) -> Fraction:
+    """The value of a valid (g, sorted theta, k) key through one route's
+    `memo`, one frame per string or dilaton step.  A step keeps the
+    dimension and k, and the only valid keys whose step would leave the
+    stable range are base values, so every sub-key is valid.  Lowering the
+    first copy of a subscript or dropping the first 0 or 1 keeps theta
+    sorted, so each sub-key is built directly as a plain tuple."""
+    value = memo.get(key)
+    if value is not None:
+        return value
+    g, theta, k = key
     if key in _BASE_VALUES:
-        return _BASE_VALUES[key]
-    g, theta, k = key.g, key.theta, key.k
-
-    if g == 0 and genus0 == "closed_form":
-        return multinomial(len(theta) - 3, theta)
-
-    if 0 in theta and (1 not in theta or order == "string_first"):
+        value = _BASE_VALUES[key]
+    elif g == 0 and closed:
+        value = multinomial(len(theta) - 3, theta)
+    elif theta[0] == 0 and (string_first or 1 not in theta):
         rest = theta[1:]  # theta is sorted, so its first subscript is the 0
-        terms = []
-        for v in sorted(set(rest) - {0}):
-            i = rest.index(v)  # lowering the first v keeps rest sorted
-            sub = HodgeKey(g, rest[:i] + (v - 1,) + rest[i + 1 :], k)
-            terms.append((rest.count(v), _evaluate(sub, table, genus0, order)))
+        terms = []  # (copies of v * numerator, denominator) per distinct v > 0
+        prev = 0
+        for i, v in enumerate(rest):
+            if v != prev:  # the first copy of v
+                prev = v
+                sub_key = (g, rest[:i] + (v - 1,) + rest[i + 1 :], k)
+                sub = _bracket(sub_key, table, memo, closed, string_first)
+                terms.append((rest.count(v) * sub.numerator, sub.denominator))
         # summed as integers over one denominator: one Fraction per key
-        den, nums = over_lcm((m * v.numerator, v.denominator) for m, v in terms)
-        return Fraction(sum(nums), den)
-    if 1 in theta:
+        den, nums = over_lcm(terms)
+        value = Fraction(sum(nums), den)
+    elif 1 in theta:
         i = theta.index(1)
         rest = theta[:i] + theta[i + 1 :]
-        return (2 * g - 2 + len(rest)) * _evaluate(HodgeKey(g, rest, k), table, genus0, order)
-
-    if key not in table.primitives:
-        raise MissingPrimitiveError(key)
-    return table.primitives[key]
+        value = (2 * g - 2 + len(rest)) * _bracket((g, rest, k), table, memo, closed, string_first)
+    elif key in table.primitives:
+        value = table.primitives[key]
+    else:
+        raise MissingPrimitiveError(HodgeKey(*key))
+    memo[key] = value
+    return value
 
 
 def elsv_hurwitz(g: int, alpha, table: HodgeTable) -> Fraction:

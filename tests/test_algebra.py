@@ -469,6 +469,15 @@ def test_terms_are_reduced_fractions_over_a_common_denominator():
     assert (half.den, sorted(half.nums.values())) == (2, [1, 3])
 
 
+def test_from_ratios_drops_what_the_ring_does_not_admit():
+    """`from_ratios` filters by `admits` before the keyed constructor, which
+    trusts its keys: a term over a cap is dropped, not packed."""
+    kept, over_x, over_weight = (4, 0, 0, 0, 0), (5, 0, 0, 0, 0), (0, 0, 0, 0, 2)
+    s = ExactSeries.from_ratios(RING4, [(kept, 1, 2), (over_x, 1, 3), (over_weight, 7, 1)])
+    assert s.terms == {kept: Fraction(1, 2)}
+    assert s == ExactSeries.from_keys(RING4, [(RING4.key(kept), 1, 2)])
+
+
 @pytest.mark.parametrize(
     "varset, trunc",
     [

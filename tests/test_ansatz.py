@@ -1,6 +1,7 @@
 """Generating-series layer: the t -> phi substitution, the assembled
 G_g potentials, the pole-form fits, and the structural verifiers."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,7 @@ from hurwitz.ansatz import (
     xi_substitute,
 )
 from hurwitz.cutjoin import hurwitz_via_cutjoin
-from hurwitz.hodge import HodgeTable
+from hurwitz.hodge import HodgeTable, evaluate
 from hurwitz.linalg import InconsistentSystemError
 from hurwitz.partitions import Partition, aut_count, partitions, primitive_thetas
 from hurwitz.table import HurwitzTable
@@ -147,6 +148,44 @@ def test_change_theorem_all_genera(deep_table, fitted):
     for g in (0, 1, 2):
         report = verify_change_theorem(g, deep_table, hodge, ctx)
         assert report["status"] == "pass", (g, report.get("first_mismatch"))
+
+
+# sha256 of repr((den, sorted (exponent vector, numerator) pairs)) of G_g
+# in TContext(3g - 3 + 8, 8), with the fitted g = 2 and g = 3 primitives
+G_SHA256 = {
+    0: "83cd98470b31fbf85f04bce6f8a2398437cec0da504f30374c9fd2811575a2e7",
+    1: "54bf61059c06d5952fb3f811de5d8527dea627bafb6c8e2d187a7c5412060bd1",
+    2: "371c2d86910e429ab31d79e6127000409823f600ad20b32db2b8d0d3818b49fe",
+    3: "deaa1d050981c513ef4e0bc979fd71834cbb6f40d8069cc93a939ccf41cd1b1a",
+}
+
+
+@pytest.mark.parametrize("g", sorted(G_SHA256))
+def test_assembled_brackets_agree_on_every_route(fitted, monkeypatch, g):
+    """Every bracket that `assemble_G` reads at t-degree <= 8 and subscripts
+    <= 3g - 3 + 8 has one value on all four routes (genus-0 closed form or
+    string, string or dilaton first), each reduced in a table of its own,
+    and G_g is exactly the recorded series."""
+    _, _, hodge = fitted
+    keys, real = [], ansatz.evaluate
+
+    def reading(key, table):
+        keys.append(key)
+        return real(key, table)
+
+    monkeypatch.setattr(ansatz, "evaluate", reading)
+    G = assemble_G(g, hodge, TContext(3 * g - 3 + 8, 8))
+    assert len(keys) == len(set(keys)) >= len(G.nums) > 0
+    values = set()
+    for genus0 in ("closed_form", "string"):
+        for order in ("string_first", "dilaton_first"):
+            table = HodgeTable()
+            for key, value in hodge.primitives.items():
+                table.set_primitive(key, value)
+            values.add(tuple(evaluate(key, table, genus0=genus0, order=order) for key in keys))
+    assert len(values) == 1
+    items = sorted((G.ring.exps(k), n) for k, n in G.nums.items())
+    assert hashlib.sha256(repr((G.den, items)).encode()).hexdigest() == G_SHA256[g]
 
 
 def test_pair_correction_is_symmetric_quadratic():

@@ -593,6 +593,26 @@ def test_change_theorem_checks_fail_on_their_own_input(capsys, monkeypatch, case
     ]
 
 
+@pytest.mark.parametrize("suite", ["change-theorem", "genus-expansion"])
+def test_keyed_series_hold_admitted_keys_only(capsys, monkeypatch, suite):
+    """`assemble_G` and `hurwitz_series` pack their keys without `admits`:
+    every key that reaches the keyed constructor in a suite's rings decodes
+    to a monomial the ring admits, and packs back to itself."""
+    real, seen = ExactSeries.from_keys.__func__, Counter()
+
+    def checked(cls, ring, ratios):
+        ratios = list(ratios)
+        for key, _, _ in ratios:
+            exps = ring.exps(key)
+            assert ring.admits(exps) and ring.key(exps) == key, (ring, exps)
+        seen[ring.varset.families[0]] += len(ratios)
+        return real(cls, ring, ratios)
+
+    monkeypatch.setattr(ExactSeries, "from_keys", classmethod(checked))
+    code, _, _ = run_cli(capsys, "verify", "--suite", suite)
+    assert code == 0 and seen["t"] and seen["x"]
+
+
 def _raise_coeff(pinned, name):
     """Raise the first coefficient of one pinned term list by 1, in a copy
     that replaces its entry: a list two maps share stays as it is."""

@@ -196,12 +196,13 @@ def test_genus_one_without_points_is_unstable():
 def test_unsorted_key_evaluates_as_its_sorted_twin(genus0, order, g, theta, k):
     """`evaluate` sorts a key once, on entry, and every sub-key of its
     reduction stays sorted: an unsorted key has its sorted twin's value,
-    and the memo holds sorted keys only."""
+    and the memo, one map per route, holds sorted keys only."""
     unsorted, table = HodgeKey(g, theta, k), HodgeTable()
     value = evaluate(unsorted, table, genus0=genus0, order=order)
     assert value == evaluate(HodgeKey.make(g, theta, k), HodgeTable(), genus0=genus0, order=order)
     assert value != 0
-    assert all(list(key.theta) == sorted(key.theta) for key, _, _ in table._memo)
+    assert list(table._memo) == [(genus0, order)]
+    assert all(list(key[1]) == sorted(key[1]) for key in table._memo[genus0, order])
 
 
 @pytest.mark.parametrize(
