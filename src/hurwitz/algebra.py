@@ -37,12 +37,10 @@ __all__ = [
     "SeriesError",
     "VarSetMismatchError",
     "ConstantTermError",
-    "DivergingFunctionalError",
     "VarSet",
     "Truncation",
     "SeriesRing",
     "ExactSeries",
-    "solve_graded_fixpoint",
     "lagrange_coeff",
     "over_lcm",
     "rational_str",
@@ -59,10 +57,6 @@ class VarSetMismatchError(SeriesError):
 
 class ConstantTermError(SeriesError):
     """A constant-term precondition (0 for exp, 1 for log, unit for inverse)."""
-
-
-class DivergingFunctionalError(SeriesError):
-    """A graded fixed-point iteration changed an already-determined slice."""
 
 
 _VAR_RE = re.compile(r"^(x|u|p_(\d+)|t_(\d+))$")
@@ -352,7 +346,7 @@ class SeriesRing:
         for c, s in pairs:
             self._require(s.ring)
             parts.append((c.numerator, c.denominator * s.den, s.nums))
-        return ExactSeries._of(self, *_sum(parts))
+        return ExactSeries(self, *_sum(parts))
 
     def _require(self, other: "SeriesRing") -> None:
         """Refuse an operand from another ring."""
@@ -360,7 +354,7 @@ class SeriesRing:
             raise VarSetMismatchError(f"operands in different rings: {self!r} vs {other!r}")
 
     def zero(self) -> "ExactSeries":
-        return ExactSeries(self, {})
+        return ExactSeries(self, 1, {})
 
     def one(self) -> "ExactSeries":
         return self.const(1)
@@ -439,29 +433,19 @@ class ExactSeries:
 
     __slots__ = ("ring", "den", "nums", "_terms", "_sorted")
 
-    def __init__(self, ring: SeriesRing, terms: Mapping[tuple[int, ...], Fraction]):
-        rationals = [(e, Fraction(c)) for e, c in terms.items()]
-        series = self.from_ratios(ring, [(e, c.numerator, c.denominator) for e, c in rationals])
-        self.ring, self.den, self.nums = ring, series.den, series.nums
+    def __init__(self, ring: SeriesRing, den: int, nums: dict[int, int]):
+        """Wrap a canonical (den, nums) of admitted keys, unchecked; a series
+        of rationals is built by `from_ratios` or `from_keys`."""
+        self.ring, self.den, self.nums = ring, den, nums
         self._terms = self._sorted = None
-
-    @classmethod
-    def _of(cls, ring: SeriesRing, den: int, nums: dict[int, int]) -> "ExactSeries":
-        """Wrap a canonical (den, nums) of admitted keys."""
-        series = object.__new__(cls)
-        series.ring = ring
-        series.den = den
-        series.nums = nums
-        series._terms = series._sorted = None
-        return series
 
     @classmethod
     def from_ratios(
         cls, ring: SeriesRing, ratios: Iterable[tuple[tuple[int, ...], int, int]]
     ) -> "ExactSeries":
         """The series sum num/den x^exps over (exps, num, den) triples, with
-        distinct vectors and den > 0, less the terms the ring does not admit:
-        `ExactSeries(ring, terms)` from integers, with no Fraction built."""
+        distinct vectors and den > 0, less the terms the ring does not admit,
+        with no Fraction built."""
         return cls.from_keys(
             ring, ((ring.key(e), n, d) for e, n, d in ratios if n and ring.admits(e))
         )
@@ -473,7 +457,7 @@ class ExactSeries:
         keys are distinct and den > 0."""
         kept = [r for r in ratios if r[1]]
         den, nums = over_lcm([(n, d) for _, n, d in kept])
-        return cls._of(ring, *_canonical(den, {k: n for (k, _, _), n in zip(kept, nums)}))
+        return cls(ring, *_canonical(den, {k: n for (k, _, _), n in zip(kept, nums)}))
 
     @property
     def terms(self) -> dict[tuple[int, ...], Fraction]:
@@ -492,7 +476,7 @@ class ExactSeries:
         """The terms whose exponent vector satisfies `keep`."""
         exps = self.ring.exps
         nums = {k: n for k, n in self.nums.items() if keep(exps(k))}
-        return ExactSeries._of(self.ring, *_canonical(self.den, nums))
+        return ExactSeries(self.ring, *_canonical(self.den, nums))
 
     # -- basics ----------------------------------------------------------
 
@@ -518,12 +502,6 @@ class ExactSeries:
     def __repr__(self) -> str:
         n = len(self.nums)
         return f"<ExactSeries {n} terms in {self.ring.varset.names}>"
-
-    def _moved(self, ring: SeriesRing) -> "ExactSeries":
-        """This series in a ring over the same variables, less the terms
-        that ring does not admit."""
-        exps, den = self.ring.exps, self.den
-        return ExactSeries.from_ratios(ring, ((exps(k), n, den) for k, n in self.nums.items()))
 
     # -- ring operations ---------------------------------------------------
 
@@ -553,7 +531,7 @@ class ExactSeries:
             return self.scale(other)
         self.ring._require(other.ring)
         nums = self.ring._product(self._items(), other._items())
-        return ExactSeries._of(self.ring, *_canonical(self.den * other.den, nums))
+        return ExactSeries(self.ring, *_canonical(self.den * other.den, nums))
 
     __rmul__ = __mul__
 
@@ -632,7 +610,7 @@ class ExactSeries:
             (p, {0: q}),
             lambda m, acc: _canonical(acc[0] * p, {k: -q * n for k, n in acc[1].items()}),
         )
-        return ExactSeries._of(self.ring, *_sum((1, *s) for s in slices.values()))
+        return ExactSeries(self.ring, *_sum((1, *s) for s in slices.values()))
 
     def exp(self) -> "ExactSeries":
         """Exponential; requires constant term 0.
@@ -644,7 +622,7 @@ class ExactSeries:
             raise ConstantTermError("exp requires constant term 0")
         fixed = {j: {k: j * n for k, n in s.items()} for j, s in self._slices().items()}
         slices = self._graded(fixed, (1, {0: 1}), lambda m, acc: _canonical(acc[0] * m, acc[1]))
-        return ExactSeries._of(self.ring, *_sum((1, *s) for s in slices.values()))
+        return ExactSeries(self.ring, *_sum((1, *s) for s in slices.values()))
 
     def log(self) -> "ExactSeries":
         """Logarithm; requires constant term 1.
@@ -660,7 +638,7 @@ class ExactSeries:
             (1, {}),
             lambda m, acc: _sum(((1, *acc), (m, self.den, e_slices.get(m, {})))),
         )
-        return ExactSeries._of(
+        return ExactSeries(
             self.ring, *_sum((1, d * m, nums) for m, (d, nums) in k_slices.items() if m)
         )
 
@@ -676,55 +654,15 @@ class ExactSeries:
             e = (k >> shift) & mask
             if e:
                 nums[k - unit] = e * n
-        return ExactSeries._of(ring, *_canonical(self.den, nums))
+        return ExactSeries(ring, *_canonical(self.den, nums))
 
     def euler(self, name: str) -> "ExactSeries":
         """The operator v * d/dv for the named variable (degree scaling)."""
         ring = self.ring
         shift, mask = ring._fields[ring.varset.position[name]]
-        return ExactSeries._of(
+        return ExactSeries(
             ring, *_canonical(self.den, {k: ((k >> shift) & mask) * n for k, n in self.nums.items()})
         )
-
-
-def solve_graded_fixpoint(
-    functional: Callable[[ExactSeries], ExactSeries],
-    ring: SeriesRing,
-    max_grade: int,
-    cap: str,
-) -> ExactSeries:
-    """Solve v = functional(v) where the functional raises the grading that
-    the ring's cap `cap` (a `Truncation` field, such as "x_max") bounds.
-
-    Starting from 0, iteration k determines the slices of grade <= k, so it
-    runs in the ring whose cap is lowered to k; the functional must build
-    its result in `v.ring`.  Truncation by a cap is a ring homomorphism, so
-    each lowered iteration is exact.  Each lowered ring packs its keys
-    differently, so the iterate is repacked into the next one.  The solver
-    confirms that previously determined slices never change, and that the
-    result is an exact fixed point in `ring`; otherwise raises
-    DivergingFunctionalError.
-    """
-
-    def lowered(k: int) -> SeriesRing:
-        return SeriesRing(ring.varset, ring.trunc._replace(**{cap: k}))
-
-    cur = lowered(0).zero()
-    for step in range(1, max_grade + 1):
-        sub = lowered(step)
-        nxt = functional(cur._moved(sub))
-        sub._require(nxt.ring)  # the functional must stay in the lowered ring
-        if nxt._moved(cur.ring) != cur:
-            raise DivergingFunctionalError(
-                f"slice of grade <= {step - 1} changed at iteration {step}"
-            )
-        cur = nxt
-    cur = cur._moved(ring)
-    if functional(cur) != cur:
-        raise DivergingFunctionalError(
-            f"no fixed point within grade {max_grade}"
-        )
-    return cur
 
 
 def lagrange_coeff(n: int, r: int, d: int) -> Fraction:

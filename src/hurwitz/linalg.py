@@ -101,16 +101,13 @@ def row_reduce(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[i
     return rref, pivots
 
 
-def nullspace(rows: list[list[Fraction]], ncols: int | None = None) -> list[list[Fraction]]:
-    """Basis of the right null space of the matrix, one vector per free column.
+def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Basis of the right null space of the matrix with `ncols` columns,
+    one vector per free column.
 
     Each basis vector has entry 1 in its free column and is supported on
     that free column plus pivot columns, in increasing free-column order.
     """
-    if ncols is None:
-        if not rows:
-            raise ValueError("empty matrix needs an explicit column count")
-        ncols = len(rows[0])
     rref, pivots = row_reduce(rows) if rows else ([], [])
     pivot_set = set(pivots)
     basis: list[list[Fraction]] = []

@@ -10,11 +10,11 @@ from fractions import Fraction
 
 from hurwitz import golden
 from hurwitz.algebra import (
+    ExactSeries,
     SeriesRing,
     Truncation,
     VarSet,
     lagrange_coeff,
-    solve_graded_fixpoint,
 )
 from hurwitz.ansatz import (
     XpContext,
@@ -213,9 +213,12 @@ def test_criterion_14_closed_forms(deep_table):
             assert genus3_a_form(d) == h, d
             assert genus3_p_form(d) == h, d
         ring = SeriesRing(VarSet(("x",)), Truncation(x_max=12))
-        w = solve_graded_fixpoint(
-            lambda cur: cur.ring.var("x") * cur.exp(), ring, 12, "x_max"
+        # the tree function w = x e^w in closed form; the map raises the
+        # x-degree, so one exact check proves its fixed point
+        w = ExactSeries.from_ratios(
+            ring, [((n,), n ** (n - 1), math.factorial(n)) for n in range(1, 13)]
         )
+        assert ring.var("x") * w.exp() == w
         inv = (ring.one() - w).inverse()
         for n in range(0, 4):
             for r in range(0, 5):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from hurwitz.algebra import (
     ConstantTermError,
-    DivergingFunctionalError,
     ExactSeries,
     SeriesRing,
     Truncation,
@@ -18,7 +17,6 @@ from hurwitz.algebra import (
     VarSetMismatchError,
     lagrange_coeff,
     rational_str,
-    solve_graded_fixpoint,
 )
 
 
@@ -40,8 +38,8 @@ def small_series(draw, ring, zero_const=False, max_terms=5):
             continue
         num = draw(st.integers(-9, 9))
         den = draw(st.integers(1, 9))
-        terms[exps] = Fraction(num, den)
-    s = ExactSeries(ring, terms)
+        terms[exps] = (num, den)
+    s = ExactSeries.from_ratios(ring, [(e, n, d) for e, (n, d) in terms.items()])
     if zero_const:
         s = s - ring.const(s.constant_term())
     return s
@@ -141,36 +139,26 @@ def test_exp_of_x_has_factorial_coefficients():
         assert e.coeff({"x": n}) == Fraction(1, math.factorial(n))
 
 
-def test_tree_function_via_graded_fixpoint():
-    # s = x * exp(s) has coefficients n^(n-1)/n!
-    ring = x_ring(8)
-    s = solve_graded_fixpoint(
-        lambda cur: cur.ring.var("x") * cur.exp(), ring, 8, "x_max"
+def tree_function(ring, d_max):
+    """w = sum_n n^(n-1)/n! x^n, the closed form of the tree function."""
+    return ExactSeries.from_ratios(
+        ring, [((n,), n ** (n - 1), math.factorial(n)) for n in range(1, d_max + 1)]
     )
-    for n in range(1, 9):
-        assert s.coeff({"x": n}) == Fraction(n ** (n - 1), math.factorial(n))
 
 
-def test_diverging_fixpoint_detected():
-    ring = x_ring(4)
-    with pytest.raises(DivergingFunctionalError):
-        solve_graded_fixpoint(
-            lambda cur: cur.ring.one() + cur, ring, 4, "x_max"
-        )
+def test_tree_function_via_graded_fixpoint():
+    # w = x * exp(w) raises the x-degree, so its fixed point is unique and
+    # one exact check proves the closed form
+    ring = x_ring(8)
+    w = tree_function(ring, 8)
+    assert ring.var("x") * w.exp() == w
 
 
-def test_fixpoint_lowers_only_the_cap_it_names():
-    # s = x * exp(s) in an (x, p) ring: iteration k = 1..4 runs with
-    # x_max = k and the p-weight cap untouched, then the full-ring check
-    ring = xp_ring(4)
-    seen = []
-
-    def spy(cur):
-        seen.append(cur.ring.trunc)
-        return cur.ring.var("x") * cur.exp()
-
-    solve_graded_fixpoint(spy, ring, 4, "x_max")
-    assert seen == [Truncation(x_max=k, p_weight_max=4) for k in (1, 2, 3, 4, 4)]
+def test_tree_function_check_sees_one_wrong_coefficient():
+    # the check that proves w can fail: [x^3] w + 1 is not a fixed point
+    ring = x_ring(8)
+    w = tree_function(ring, 8) + ring.monomial({"x": 3}, 1)
+    assert ring.var("x") * w.exp() != w
 
 
 def test_truncation_is_a_value_type():
@@ -186,31 +174,14 @@ def test_truncation_is_a_value_type():
         SeriesRing(VarSet(("x",)), Truncation(-1))
 
 
-def test_fixpoint_is_confirmed_in_the_full_ring():
-    # every lowered iteration keeps its earlier slices, but the top slice
-    # moves again on each evaluation: only the full-ring check sees it
-    def drifting(cur):
-        x = cur.ring.var("x")
-        return x + x**4 * (cur.coeff({"x": 4}) + 1)
-
-    with pytest.raises(DivergingFunctionalError, match="no fixed point"):
-        solve_graded_fixpoint(drifting, x_ring(4), 4, "x_max")
-
-
-def test_fixpoint_functional_must_stay_in_the_lowered_ring():
-    ring = x_ring(4)
-    with pytest.raises(VarSetMismatchError):
-        solve_graded_fixpoint(lambda cur: ring.var("x"), ring, 4, "x_max")
-
-
 def test_lagrange_coeff_matches_series_extraction():
-    # w is the tree function w = x e^w, built here independently as a
-    # graded fixed point so the closed double sum has a series oracle.
+    # w is the tree function w = x e^w, written down in closed form and
+    # proved by the fixed-point check, so the closed double sum has a
+    # series oracle.
     d_max = 12
     ring = x_ring(d_max)
-    s = solve_graded_fixpoint(
-        lambda cur: cur.ring.var("x") * cur.exp(), ring, d_max, "x_max"
-    )
+    s = tree_function(ring, d_max)
+    assert ring.var("x") * s.exp() == s
     # n <= 6 and r <= 10 cover every (m, r) of golden.POLE_FORM_COEFFS
     s_pows = s.powers(6)
     inv_pows = (ring.one() - s).inverse().powers(10)
@@ -267,7 +238,8 @@ def naive_mul(a, b):
             e = tuple(x + y for x, y in zip(ea, eb))
             if ring.admits(e):
                 acc[e] = acc.get(e, 0) + ca * cb
-    return ExactSeries(ring, acc)
+    ratios = [(e, c.numerator, c.denominator) for e, c in acc.items()]
+    return ExactSeries.from_ratios(ring, ratios)
 
 
 def naive_power_sum(a, coeffs):
@@ -290,8 +262,8 @@ def ring_series(draw, ring, graded=False, max_terms=6):
         if graded and not any(exps):
             continue
         if ring.admits(exps):
-            terms[exps] = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
-    return ExactSeries(ring, terms)
+            terms[exps] = (draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
+    return ExactSeries.from_ratios(ring, [(e, n, d) for e, (n, d) in terms.items()])
 
 
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=RING_IDS)
@@ -456,12 +428,13 @@ def test_equal_series_by_different_routes_compare_equal(data):
     assert ring.sum([a, b, -a]) == b
     unit = ring.const(c) + data.draw(ring_series(ring, graded=True))
     assert (a * unit) * unit.inverse() == a
-    assert ExactSeries(ring, a.terms) == a
+    ratios = [(e, q.numerator, q.denominator) for e, q in a.terms.items()]
+    assert ExactSeries.from_ratios(ring, ratios) == a
 
 
 def test_terms_are_reduced_fractions_over_a_common_denominator():
     ring = x_ring(4)
-    s = ExactSeries(ring, {(1,): Fraction(2, 4), (2,): Fraction(1, 6), (3,): 0})
+    s = ExactSeries.from_ratios(ring, [((1,), 2, 4), ((2,), 1, 6), ((3,), 0, 1)])
     assert (s.den, sorted(s.nums.values())) == (6, [1, 3])
     assert s.terms == {(1,): Fraction(1, 2), (2,): Fraction(1, 6)}
     assert_canonical(s)

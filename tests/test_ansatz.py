@@ -93,7 +93,9 @@ _t_series = st.dictionaries(
     st.tuples(*[st.integers(0, 3)] * 5).filter(lambda e: sum(e) <= 6),
     st.fractions(max_denominator=50),
     max_size=12,
-).map(lambda terms: ExactSeries(_T_RING, terms))
+).map(lambda terms: ExactSeries.from_ratios(
+    _T_RING, [(e, c.numerator, c.denominator) for e, c in terms.items()]
+))
 
 
 @given(_t_series, _t_series)

@@ -270,8 +270,9 @@ def test_oracle_mismatch_detail_is_rational(capsys, monkeypatch, key, oracle, cu
         (["table", "--dmax", "5", "--gmax", "1"], (5, 1)),
         (["table", "--dmax", "5", "--rmax", "4"], (5, 2)),
         (["verify", "--suite", "oracle-vs-cutjoin", "--dmax", "4", "--format", "json"], (4, 7)),
+        (["verify", "--suite", "recursions", "--dmax", "5"], (5, 3)),
     ],
-    ids=["table", "table-rmax", "oracle-vs-cutjoin"],
+    ids=["table", "table-rmax", "oracle-vs-cutjoin", "recursions"],
 )
 def test_every_cutjoin_table_comes_from_the_session(capsys, monkeypatch, argv, bounds):
     """The commands read their cut-and-join table from `Session.table` and
@@ -291,6 +292,8 @@ def test_every_cutjoin_table_comes_from_the_session(capsys, monkeypatch, argv, b
     if argv[0] == "table":
         [value] = [r["value"] for r in json.loads(out) if (r["g"], r["alpha"]) == (0, [1, 1])]
         assert (code, value) == (0, "3/2")
+    elif argv[2] == "recursions":
+        assert (code, out.count("FAIL ")) == (1, 9)
     else:
         [check] = json.loads(out)["checks"]
         assert (code, check["status"]) == (1, "fail")
