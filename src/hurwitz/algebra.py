@@ -221,7 +221,7 @@ class SeriesRing:
     """
 
     __slots__ = (
-        "varset", "trunc", "_weights", "_caps", "_fields", "_units",
+        "varset", "trunc", "_weights", "_caps", "_fields", "_units", "_var_at",
         "_deg_shift", "_deg_mask", "_top", "_limit", "_bias", "_guard",
     )
 
@@ -264,6 +264,7 @@ class SeriesRing:
             fields.append((shift, (1 << width) - 1))
             shift += width
         self._fields = tuple(fields)
+        self._var_at = tuple(pos for pos, m in enumerate(maxima) for _ in range(m.bit_length()))
         self._deg_shift = shift
         width = (2 * sum(caps)).bit_length()
         self._deg_mask = (1 << width) - 1
@@ -299,6 +300,11 @@ class SeriesRing:
     def exps(self, key: int) -> tuple[int, ...]:
         """The exponent vector of a packed key; the inverse of `key`."""
         return tuple((key >> s) & m for s, m in self._fields)
+
+    def split(self, key: int) -> tuple[int, int]:
+        """(position of the last variable, key of the rest) of a non-constant key."""
+        pos = self._var_at[(key & ((1 << self._deg_shift) - 1)).bit_length() - 1]
+        return pos, key - self._units[pos]
 
     def _product(self, a: list, b: list) -> dict[int, int]:
         """Numerators of the admitted products of two operands, each a list
@@ -472,6 +478,12 @@ class ExactSeries:
             self._sorted = sorted(self.nums.items())
         return self._sorted
 
+    def up_to_degree(self, m: int) -> "ExactSeries":
+        """The terms of total degree at most m, read from each key's degree field."""
+        shift, mask = self.ring._deg_shift, self.ring._deg_mask
+        nums = {k: n for k, n in self.nums.items() if (k >> shift) & mask <= m}
+        return ExactSeries(self.ring, *_canonical(self.den, nums))
+
     def where(self, keep: Callable[[tuple[int, ...]], bool]) -> "ExactSeries":
         """The terms whose exponent vector satisfies `keep`."""
         exps = self.ring.exps
@@ -534,6 +546,12 @@ class ExactSeries:
         return ExactSeries(self.ring, *_canonical(self.den * other.den, nums))
 
     __rmul__ = __mul__
+
+    def times_monomial(self, exps: tuple[int, ...]) -> "ExactSeries":
+        """This series times the monomial of `exps`: one key shift, under `_product`'s tests."""
+        ring = self.ring
+        nums = ring._product([(ring.key(exps), 1)], self._items()) if ring.admits(exps) else {}
+        return ExactSeries(ring, *_canonical(self.den, nums))
 
     def __pow__(self, n: int) -> "ExactSeries":
         if n < 0:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Iterator
+from typing import Callable
 
 from .algebra import (
     ExactSeries,
@@ -68,22 +68,38 @@ __all__ = [
 ]
 
 
-def _phi(ring: SeriesRing, k: int, z_pows: list[ExactSeries]) -> ExactSeries:
-    """phi_k(z, p) = sum_n n^(n+k)/n! p_n z^n, given z^0..z^d_max, each
-    coefficient built as an integer ratio (n^-(n+k) below when n + k < 0)."""
+def _phi(ring: SeriesRing, k: int, pz: list[ExactSeries]) -> ExactSeries:
+    """phi_k(z, p) = sum_n n^(n+k)/n! p_n z^n (n^-(n+k) below when n + k < 0),
+    one combination of the p_n z^n for n = 1..d_max, as `_p_times` lists them."""
+    return ring.combination(
+        (Fraction(n ** max(n + k, 0), math.factorial(n) * n ** max(-n - k, 0)), term)
+        for n, term in enumerate(pz, 1)
+    )
+
+
+def _p_times(ring: SeriesRing, z_pows: list[ExactSeries]) -> list[ExactSeries]:
+    """p_n z^n for n = 1..d_max, given z^0..z^d_max: each one key shift."""
     encode = ring.varset.profile_exps
+    return [z_pows[n].times_monomial(encode((n,), d=0)) for n in range(1, len(z_pows))]
 
-    def term(n: int) -> ExactSeries:
-        num, den = n ** max(n + k, 0), math.factorial(n) * n ** max(-n - k, 0)
-        return ExactSeries.from_ratios(ring, [(encode((n,), d=0), num, den)]) * z_pows[n]
 
-    return ring.sum(map(term, range(1, len(z_pows))))
+def _q_table(ring: SeriesRing, d_max: int) -> tuple[list[int], dict[int, tuple[int, int, int]]]:
+    """The keys of p_n x^n by n (0 at n = 0), and the key of p_mu x^|mu| ->
+    (|mu|, prod_j mu_j^mu_j, prod_j mu_j!) for every mu with |mu| <= d_max:
+    q_mu = prod_j q_{mu_j}, where q_n = n^n/n! p_n x^n."""
+    part = [0] + [ring.key(ring.varset.profile_exps((n,))) for n in range(1, d_max + 1)]
+    table = {}
+    for d in range(d_max + 1):
+        for mu in partitions(d):
+            weights = math.prod(a**a for a in mu), math.prod(map(math.factorial, mu))
+            table[sum(part[a] for a in mu)] = (d, *weights)
+    return part, table
 
 
 def _descend(ring: SeriesRing, k: int, v_pows: list[ExactSeries]) -> ExactSeries:
     """sum_i t_{k+i} v^i / i!, given v^0..v^n, over the t_j the ring has."""
     return ring.combination(
-        (Fraction(1, math.factorial(i)), ring.var(f"t_{k + i}") * v_pow)
+        (Fraction(1, math.factorial(i)), v_pow.times_monomial(ring.varset.theta_exps((k + i,))))
         for i, v_pow in enumerate(v_pows)
         if f"t_{k + i}" in ring.varset.names
     )
@@ -140,7 +156,7 @@ class _SeriesContext:
         self.ring = ring
         self._memo: dict = {}
 
-    def _once(self, key, build: Callable[[], ExactSeries | list[ExactSeries]]):
+    def _once(self, key, build: Callable[[], object]):
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
@@ -183,13 +199,9 @@ class XpContext(_SeriesContext):
 
     def phi_x(self, k: int) -> ExactSeries:
         """phi_k(x, p) = sum_n n^(n+k)/n! p_n x^n."""
-        return self._once(
-            ("phi_x", k), lambda: _phi(self.ring, k, self.ring.var("x").powers(self.d_max))
-        )
-
-    def xi_product(self, theta: tuple[int, ...]) -> ExactSeries:
-        """prod_i phi_{theta_i}(x, p), the image of the t-monomial t_theta."""
-        return self._prefix_product("xi", theta, self.phi_x)
+        ring = self.ring
+        pz = self._once(("pz", "x"), lambda: _p_times(ring, ring.var("x").powers(self.d_max)))
+        return self._once(("phi_x", k), lambda: _phi(ring, k, pz))
 
     def s_powers(self) -> list[ExactSeries]:
         """s^0..s^d_max for the series solution of s = x e^{phi_0(s, p)}.
@@ -202,15 +214,16 @@ class XpContext(_SeriesContext):
         ring = self.ring
         s = _s_series(ring, self.d_max)
         powers = s.powers(self.d_max)
-        phi0 = self._memo[("phi_s", 0)] = _phi(ring, 0, powers)
-        if ring.var("x") * phi0.exp() != s:
+        pz = self._memo[("pz", "s")] = _p_times(ring, powers)
+        phi0 = self._memo[("phi_s", 0)] = _phi(ring, 0, pz)
+        if phi0.exp().times_monomial(ring.varset.encode({"x": 1})) != s:
             raise AssertionError("s is not the fixed point of s = x e^{phi_0(s, p)}")
         return powers
 
     def phi_s(self, k: int) -> ExactSeries:
         """phi_k evaluated at z = s: sum_n n^(n+k)/n! p_n s^n."""
-        powers = self.s_powers()  # builds phi_s(0) on the way
-        return self._once(("phi_s", k), lambda: _phi(self.ring, k, powers))
+        self.s_powers()  # builds the p_n s^n and phi_s(0) on the way
+        return self._once(("phi_s", k), lambda: _phi(self.ring, k, self._memo[("pz", "s")]))
 
     F = phi_s
 
@@ -249,23 +262,36 @@ class TContext(_SeriesContext):
     F = I
 
 
-def _t_monomials(t_series: ExactSeries) -> Iterator[tuple[tuple[int, ...], int]]:
-    """(theta, numerator over `t_series.den`) of each monomial t_theta of a
-    t-series."""
-    ring = t_series.ring
-    theta, exps = ring.varset.theta, ring.exps
-    return ((theta(exps(k)), n) for k, n in t_series.nums.items())
-
-
 def xi_substitute(t_series: ExactSeries, ctx: XpContext) -> ExactSeries:
-    """Apply the homomorphism t_k -> phi_k(x, p) to a descendant series."""
-    if any(f != "t" for f in t_series.ring.varset.families):
+    """Apply the homomorphism t_k -> phi_k(x, p) to a descendant series.
+
+    phi_k = sum_n n^k q_n with q_n = n^n/n! p_n x^n, so t_theta maps to the
+    sum over n in Z_{>0}^len(theta) of prod_i n_i^theta_i q_{n_i}: integer
+    sums, one part n <= d_max - |mu| (what the ring admits) per prefix of
+    theta, shared per context and t-ring, weighted once per p_mu x^|mu|."""
+    t_ring = t_series.ring
+    if any(f != "t" for f in t_ring.varset.families):
         raise ValueError("xi_substitute expects a pure t-series")
-    # the image of a monomial of degree n starts at x^n
-    image = ctx.ring.combination(
-        (n, ctx.xi_product(theta)) for theta, n in _t_monomials(t_series) if len(theta) <= ctx.d_max
+    d_max, memo = ctx.d_max, ctx._once(("xi", t_ring), lambda: {0: {0: 1}})
+    part, table = ctx._once("q", lambda: _q_table(ctx.ring, d_max))
+
+    def sums(t_key: int) -> dict[int, int]:
+        if t_key not in memo:
+            pos, rest = t_ring.split(t_key)
+            row = [(part[n], n ** t_ring.varset.indices[pos]) for n in range(1, d_max + 1)]
+            acc = memo[t_key] = {}
+            for key, c in sums(rest).items():
+                for step, w in row[: d_max - table[key][0]]:
+                    acc[key + step] = acc.get(key + step, 0) + c * w
+        return memo[t_key]
+
+    image: dict[int, int] = {}
+    for t_key, num in t_series.nums.items():
+        for key, c in sums(t_key).items():
+            image[key] = image.get(key, 0) + num * c
+    return ExactSeries.from_keys(
+        ctx.ring, ((k, c * table[k][1], t_series.den * table[k][2]) for k, c in image.items())
     )
-    return image.scale(Fraction(1, t_series.den))
 
 
 def assemble_G(g: int, table: HodgeTable, tctx: TContext) -> ExactSeries:
@@ -540,10 +566,9 @@ def verify_genus_expansion(
 
     # Form 2: substitute t_0, t_1 -> 0, t_j -> I_j/(1-I_1) into G itself;
     # a monomial t_theta goes to prod I_theta_i (1 - I_1)^-(2g-2+len theta).
+    thetas = ((ring.varset.theta(ring.exps(k)), n) for k, n in G.nums.items())
     rhs2 = ring.combination(
-        (n, tctx.pole_term(g, theta))
-        for theta, n in _t_monomials(G)
-        if 0 not in theta and 1 not in theta
+        (n, tctx.pole_term(g, theta)) for theta, n in thetas if 0 not in theta and 1 not in theta
     ).scale(Fraction(1, G.den))
 
     return [
@@ -574,16 +599,13 @@ def verify_delta_annihilation(g: int, hodge_table: HodgeTable) -> dict:
     tctx = TContext(t_index_max, t_deg_max)
     ring = tctx.ring
     G = assemble_G(g, hodge_table, tctx)
+    theta_exps = ring.varset.theta_exps
     summands = [-G.diff("t_0")] + [
-        G.diff(f"t_{m}") * ring.var(f"t_{m + 1}") for m in range(t_index_max)
+        G.diff(f"t_{m}").times_monomial(theta_exps((m + 1,))) for m in range(t_index_max)
     ]
     image = ring.sum(summands)
-
-    def determined(exps: tuple[int, ...]) -> bool:
-        return sum(exps) <= t_deg_max - 1
-
-    complete = image.where(determined)
-    window = set().union(*(s.where(determined).nums for s in summands))
+    complete = image.up_to_degree(t_deg_max - 1)
+    window = set().union(*(s.up_to_degree(t_deg_max - 1).nums for s in summands))
     residue = ring.const(-G.coeff({"t_0": 1}))
     return compare_series(
         complete,
@@ -608,12 +630,12 @@ def verify_xi_on_I(k: int, ctx: XpContext, tctx: TContext) -> dict:
 
 
 def verify_phi_shift_expansion(k: int, ctx: XpContext) -> dict:
-    """phi_k(s, p) = sum_m phi_{k+m}(x, p) phi_0(s, p)^m / m!."""
+    """phi_k(s, p) = sum_m phi_{k+m}(x, p) phi_0(s, p)^m / m!, each power
+    of phi_0(s, p) formed once per context."""
     d_max = ctx.d_max
+    phi0s_pows = (ctx._prefix_product("F", (0,) * m, ctx.F) for m in range(d_max + 1))
     total = ctx.ring.combination(
         (Fraction(1, math.factorial(m)), ctx.phi_x(k + m) * phi0s_pow)
-        for m, phi0s_pow in enumerate(ctx.phi_s(0).powers(d_max))
+        for m, phi0s_pow in enumerate(phi0s_pows)
     )
-    return compare_series(
-        total, ctx.phi_s(k), f"phi-shift-expansion-k{k}", {"x_max": d_max}
-    )
+    return compare_series(total, ctx.phi_s(k), f"phi-shift-expansion-k{k}", {"x_max": d_max})

@@ -469,3 +469,64 @@ def test_ring_with_an_uncapped_variable_is_refused(varset, trunc):
 def test_sum_refuses_a_series_of_another_ring():
     with pytest.raises(VarSetMismatchError):
         RING4.sum([RING4.one(), xp_ring(3).one()])
+
+
+# -- the monomial shift, the key split and the degree window ---------------------
+
+# one cap of each kind that the change of variables meets
+SHIFT_RING = SeriesRing(
+    VarSet(("x", "p_1", "p_2", "t_0", "t_1")), Truncation(x_max=3, p_weight_max=4, t_deg_max=2)
+)
+SHIFT_RINGS = KERNEL_RINGS + [SHIFT_RING]
+SHIFT_IDS = RING_IDS + ["x-p-t"]
+
+
+@pytest.mark.parametrize(
+    "base, unit, over",
+    [
+        ((2, 0, 0, 0, 0), (1, 0, 0, 0, 0), (2, 0, 0, 0, 0)),
+        ((0, 0, 1, 0, 0), (0, 0, 1, 0, 0), (0, 1, 1, 0, 0)),
+        ((0, 0, 0, 1, 0), (0, 0, 0, 0, 1), (0, 0, 0, 1, 1)),
+    ],
+    ids=["x_max", "p_weight_max", "t_deg_max"],
+)
+def test_times_monomial_keeps_each_cap_and_drops_one_over(base, unit, over):
+    """base times unit sits at the cap and is kept; base times over is one
+    degree past it and is dropped, leaving the constant's shift reduced."""
+    series = ExactSeries.from_ratios(SHIFT_RING, [(base, 1, 6), ((0,) * 5, 1, 2)])
+    at_cap = tuple(map(sum, zip(base, unit)))
+    assert SHIFT_RING.admits(at_cap) and SHIFT_RING.admits(over)
+    assert not SHIFT_RING.admits(tuple(map(sum, zip(base, over))))
+    assert series.times_monomial(unit) == ExactSeries.from_ratios(
+        SHIFT_RING, [(at_cap, 1, 6), (unit, 1, 2)]
+    )
+    assert series.times_monomial(over) == ExactSeries.from_ratios(SHIFT_RING, [(over, 1, 2)])
+    assert series.times_monomial((0, 0, 0, 3, 0)).is_zero()  # itself over a cap
+
+
+@pytest.mark.parametrize("ring", SHIFT_RINGS, ids=SHIFT_IDS)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_times_monomial_matches_the_product(ring, data):
+    a = data.draw(ring_series(ring))
+    exps = tuple(data.draw(st.integers(0, 2)) for _ in ring.varset.names)
+    monomial = ExactSeries.from_ratios(ring, [(exps, 1, 1)])
+    assert a.times_monomial(exps) == a * monomial == naive_mul(a, monomial)
+
+
+@pytest.mark.parametrize("ring", SHIFT_RINGS, ids=SHIFT_IDS)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_split_takes_off_the_last_variable(ring, data):
+    for exps in data.draw(ring_series(ring, graded=True)).terms:
+        pos, rest = ring.split(ring.key(exps))
+        assert pos == max(i for i, e in enumerate(exps) if e)
+        assert ring.exps(rest) == exps[:pos] + (exps[pos] - 1,) + exps[pos + 1 :]
+
+
+@pytest.mark.parametrize("ring", SHIFT_RINGS, ids=SHIFT_IDS)
+@given(data=st.data(), m=st.integers(0, 4))
+@settings(max_examples=20, deadline=None)
+def test_up_to_degree_reads_the_total_degree(ring, data, m):
+    a = data.draw(ring_series(ring))
+    assert a.up_to_degree(m) == a.where(lambda e: sum(e) <= m)

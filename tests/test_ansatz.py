@@ -2,6 +2,7 @@
 G_g potentials, the pole-form fits, and the structural verifiers."""
 
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hurwitz import ansatz
-from hurwitz.algebra import ExactSeries
+from hurwitz.algebra import ExactSeries, SeriesRing
 from hurwitz.ansatz import (
     AnsatzForm,
     TContext,
@@ -63,9 +64,11 @@ def full_ring_fixpoint(functional, ring, max_grade):
 
 
 def test_fixed_points_match_full_ring_iteration():
-    xp, n = XpContext(7), 7
+    xp, n, phi = XpContext(7), 7, ansatz._phi
     s = full_ring_fixpoint(
-        lambda v: xp.ring.var("x") * ansatz._phi(xp.ring, 0, v.powers(n)).exp(), xp.ring, n
+        lambda v: xp.ring.var("x") * phi(xp.ring, 0, ansatz._p_times(xp.ring, v.powers(n))).exp(),
+        xp.ring,
+        n,
     )
     assert xp.s_powers()[1] == s
     t = TContext(6, 6)
@@ -107,6 +110,87 @@ def test_xi_substitute_matches_per_monomial_products(a, b):
     assert xi_substitute(a, ctx) == _reference_xi(a, ctx)
     assert xi_substitute(b, ctx) == _reference_xi(b, ctx)
     assert xi_substitute(a + b, ctx) == _reference_xi(a + b, ctx)
+
+
+# t_0..t_9 up to t-degree 8 against x-degree 8: the size of G_2's rings
+_G2_T_RING = TContext(9, 8).ring
+_g2_t_series = st.dictionaries(
+    st.lists(st.integers(0, 9), max_size=8).map(_G2_T_RING.varset.theta_exps),
+    st.fractions(max_denominator=50),
+    max_size=10,
+).map(lambda terms: ExactSeries.from_ratios(
+    _G2_T_RING, [(e, c.numerator, c.denominator) for e, c in terms.items()]
+))
+
+
+@given(_g2_t_series)
+@settings(max_examples=15, deadline=None)
+def test_xi_substitute_matches_per_monomial_products_at_g2_size(a):
+    assert xi_substitute(a, XpContext(8)) == _reference_xi(a, XpContext(8))
+
+
+def test_xi_image_of_G2_matches_per_monomial_products(fitted):
+    _, _, hodge = fitted
+    G = assemble_G(2, hodge, TContext(11, 8))
+    assert len(G.nums) == 362
+    assert xi_substitute(G, XpContext(8)) == _reference_xi(G, XpContext(8))
+
+
+def test_xi_substitute_forms_no_series_product(fitted, monkeypatch):
+    _, _, hodge = fitted
+    G = assemble_G(2, hodge, TContext(11, 8))
+    calls, real = [], SeriesRing._product
+
+    def spy(ring, a, b):
+        calls.append(1)
+        return real(ring, a, b)
+
+    monkeypatch.setattr(SeriesRing, "_product", spy)
+    image = xi_substitute(G, XpContext(8))
+    assert calls == [] and len(image.nums) > 0
+
+
+def _phi_by_products(ring, k, z_pows):
+    """phi_k(z, p) as a sum of full products, the one-term series
+    n^(n+k)/n! p_n times z^n."""
+    encode = ring.varset.profile_exps
+    return ring.sum(
+        ExactSeries.from_ratios(
+            ring, [(encode((n,), d=0), n ** max(n + k, 0), math.factorial(n) * n ** max(-n - k, 0))]
+        )
+        * z_pows[n]
+        for n in range(1, len(z_pows))
+    )
+
+
+@pytest.mark.parametrize("z", ["x", "s"])
+def test_shifted_phi_matches_the_product_route(z):
+    ctx = XpContext(7)
+    z_pows = ctx.ring.var("x").powers(7) if z == "x" else ctx.s_powers()
+    phi = ctx.phi_x if z == "x" else ctx.phi_s
+    for k in range(-3, 6):
+        reference = _phi_by_products(ctx.ring, k, z_pows)
+        assert phi(k) == ansatz._phi(ctx.ring, k, ansatz._p_times(ctx.ring, z_pows)) == reference, k
+
+
+def test_phi_shift_expansion_forms_each_phi0_s_power_once(monkeypatch):
+    """Past the first check, each of the genus-expansion suite's five
+    checks forms only its d_max + 1 products phi_{k+m}(x) phi_0(s)^m: the
+    d_max - 1 powers past phi_0(s) come from the context."""
+    d, ctx = 7, XpContext(7)
+    ctx.phi_s(0)
+    ctx.phi_x(0)  # the powers of s and of x are products too: build them first
+    products, real = [], ExactSeries.__mul__
+
+    def spy(a, b):
+        products[-1] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(ExactSeries, "__mul__", spy)
+    for k in range(5):
+        products.append(0)
+        assert verify_phi_shift_expansion(k, ctx)["status"] == "pass"
+    assert products == [2 * d] + [d + 1] * 4
 
 
 @pytest.mark.parametrize("g", (2, 3))
