@@ -30,15 +30,13 @@ import math
 import re
 from fractions import Fraction
 from operator import le, mul
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping
 
 __all__ = [
     "Fraction",
-    "SeriesError",
     "VarSetMismatchError",
     "ConstantTermError",
     "VarSet",
-    "Truncation",
     "SeriesRing",
     "ExactSeries",
     "lagrange_coeff",
@@ -47,15 +45,11 @@ __all__ = [
 ]
 
 
-class SeriesError(Exception):
-    """Base class for exact-series errors."""
-
-
-class VarSetMismatchError(SeriesError):
+class VarSetMismatchError(Exception):
     """Operands live in different rings (variables or truncation differ)."""
 
 
-class ConstantTermError(SeriesError):
+class ConstantTermError(Exception):
     """A constant-term precondition (0 for exp, 1 for log, unit for inverse)."""
 
 
@@ -186,19 +180,11 @@ class VarSet:
         return f"VarSet({self.names!r})"
 
 
-class Truncation(NamedTuple):
-    """Per-family degree caps.  ``None`` means uncapped for that family."""
-
-    x_max: int | None = None
-    u_max: int | None = None
-    p_weight_max: int | None = None
-    t_deg_max: int | None = None
-
-
 class SeriesRing:
-    """A VarSet plus a Truncation, with each cap stored as a linear load.
+    """A VarSet plus degree caps, each stored as a linear load; a cap left
+    ``None`` does not bound its family.
 
-    Every cap of the truncation is a bound ``sum_i w_i * e_i <= cap`` on the
+    Every cap is a bound ``sum_i w_i * e_i <= cap`` on the
     exponent vector ``e``, with every weight ``w_i >= 0``: x-degree,
     u-degree, p-weight and t-degree.  A monomial is admitted when its
     exponents are non-negative and every load is within its cap.  Since no
@@ -206,7 +192,8 @@ class SeriesRing:
     truncated multiplication is associative and the graded inverse/exp/log
     run in the ring itself.  A negative cap is refused: it would admit no
     monomial, not even the constant that `one` and `exp` need.  So is a
-    variable that no cap bounds, since the packing below needs a bound.
+    variable that no cap bounds, since the packing below needs a bound, and
+    so is a ring with no variables.
 
     An admitted monomial is packed into one int key.  From the low bits up:
     one field per variable, then the total degree, then every load after
@@ -221,26 +208,36 @@ class SeriesRing:
     """
 
     __slots__ = (
-        "varset", "trunc", "_weights", "_caps", "_fields", "_units", "_var_at",
+        "varset", "caps", "_weights", "_caps", "_fields", "_units", "_var_at",
         "_deg_shift", "_deg_mask", "_top", "_limit", "_bias", "_guard",
     )
 
-    def __init__(self, varset: VarSet, trunc: Truncation):
+    def __init__(
+        self,
+        varset: VarSet,
+        *,
+        x_max: int | None = None,
+        u_max: int | None = None,
+        p_weight_max: int | None = None,
+        t_deg_max: int | None = None,
+    ):
+        if not varset.names:
+            raise ValueError("a ring needs at least one variable")
         self.varset = varset
-        self.trunc = trunc
+        self.caps = (x_max, u_max, p_weight_max, t_deg_max)
         fams = varset.families
         rules = (
-            (trunc.x_max, lambda f, i: int(f == "x")),
-            (trunc.u_max, lambda f, i: int(f == "u")),
-            (trunc.p_weight_max, lambda f, i: i if f == "p" else 0),
-            (trunc.t_deg_max, lambda f, i: int(f == "t")),
+            (x_max, lambda f, i: int(f == "x")),
+            (u_max, lambda f, i: int(f == "u")),
+            (p_weight_max, lambda f, i: i if f == "p" else 0),
+            (t_deg_max, lambda f, i: int(f == "t")),
         )
         weights, caps = [], []
         for cap, weight in rules:
             if cap is None:
                 continue
             if cap < 0:
-                raise ValueError(f"truncation caps must be non-negative: {trunc!r}")
+                raise ValueError(f"truncation caps must be non-negative: {self!r}")
             w = tuple(weight(f, i) for f, i in zip(fams, varset.indices))
             if any(w):  # an empty load never fails
                 weights.append(w)
@@ -249,11 +246,8 @@ class SeriesRing:
         for pos, name in enumerate(varset.names):
             bounds = [cap // w[pos] for w, cap in zip(weights, caps) if w[pos]]
             if not bounds:
-                raise ValueError(f"no cap of {trunc!r} bounds the variable {name}")
+                raise ValueError(f"no cap of {self!r} bounds the variable {name}")
             maxima.append(min(bounds))
-        if not weights:  # no variables: the constant alone, under a zero load
-            weights.append(())
-            caps.append(0)
         self._weights = tuple(weights)
         self._caps = tuple(caps)
 
@@ -291,7 +285,7 @@ class SeriesRing:
         return tuple(sum(map(mul, w, exps)) for w in self._weights)
 
     def admits(self, exps: tuple[int, ...]) -> bool:
-        return min(exps, default=0) >= 0 and all(map(le, self._loads(exps), self._caps))
+        return min(exps) >= 0 and all(map(le, self._loads(exps), self._caps))
 
     def key(self, exps: tuple[int, ...]) -> int:
         """The packed key of an admitted exponent vector, as `nums` holds it."""
@@ -380,14 +374,16 @@ class SeriesRing:
         return (
             isinstance(other, SeriesRing)
             and self.varset == other.varset
-            and self.trunc == other.trunc
+            and self.caps == other.caps
         )
 
     def __hash__(self) -> int:
-        return hash((self.varset, self.trunc))
+        return hash((self.varset, self.caps))
 
     def __repr__(self) -> str:
-        return f"SeriesRing({self.varset!r}, {self.trunc!r})"
+        names = ("x_max", "u_max", "p_weight_max", "t_deg_max")
+        caps = "".join(f", {n}={c}" for n, c in zip(names, self.caps) if c is not None)
+        return f"SeriesRing({self.varset!r}{caps})"
 
 
 def _canonical(den: int, nums: Mapping[int, int]) -> tuple[int, dict[int, int]]:

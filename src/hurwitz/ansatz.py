@@ -35,7 +35,6 @@ from typing import Callable
 from .algebra import (
     ExactSeries,
     SeriesRing,
-    Truncation,
     VarSet,
     over_lcm,
     rational_str,
@@ -83,17 +82,16 @@ def _p_times(ring: SeriesRing, z_pows: list[ExactSeries]) -> list[ExactSeries]:
     return [z_pows[n].times_monomial(encode((n,), d=0)) for n in range(1, len(z_pows))]
 
 
-def _q_table(ring: SeriesRing, d_max: int) -> tuple[list[int], dict[int, tuple[int, int, int]]]:
-    """The keys of p_n x^n by n (0 at n = 0), and the key of p_mu x^|mu| ->
-    (|mu|, prod_j mu_j^mu_j, prod_j mu_j!) for every mu with |mu| <= d_max:
-    q_mu = prod_j q_{mu_j}, where q_n = n^n/n! p_n x^n."""
-    part = [0] + [ring.key(ring.varset.profile_exps((n,))) for n in range(1, d_max + 1)]
+def _q_table(part: list[int]) -> dict[int, tuple[int, int, int]]:
+    """Given the keys of p_n x^n by n <= d_max (0 at n = 0), the key of
+    p_mu x^|mu| -> (|mu|, prod_j mu_j^mu_j, prod_j mu_j!) for every mu with
+    |mu| <= d_max: q_mu = prod_j q_{mu_j}, where q_n = n^n/n! p_n x^n."""
     table = {}
-    for d in range(d_max + 1):
+    for d in range(len(part)):
         for mu in partitions(d):
             weights = math.prod(a**a for a in mu), math.prod(map(math.factorial, mu))
             table[sum(part[a] for a in mu)] = (d, *weights)
-    return part, table
+    return table
 
 
 def _descend(ring: SeriesRing, k: int, v_pows: list[ExactSeries]) -> ExactSeries:
@@ -110,7 +108,7 @@ def _s_series(ring: SeriesRing, d_max: int) -> ExactSeries:
     so for mu |- n - 1 with m_j parts j,
     [x^n p_mu] s = (1/n) [z^(n-1) p_mu] e^{n phi_0} = (1/n) prod_j (n j^j/j!)^m_j / m_j!.
 
-    >>> _s_series(SeriesRing(VarSet.xp(3), Truncation(x_max=3, p_weight_max=3)), 3).coeff(
+    >>> _s_series(SeriesRing(VarSet.xp(3), x_max=3, p_weight_max=3), 3).coeff(
     ...     {"x": 3, "p_1": 2})
     Fraction(3, 2)
     """
@@ -129,7 +127,7 @@ def _i0_series(ring: SeriesRing, t_index_max: int, t_deg_max: int) -> ExactSerie
     multisets theta of subscripts <= t_index_max with len theta <= t_deg_max
     and sum theta = len theta - 1 (the genus-0 brackets <tau_0^2 tau_theta>).
 
-    >>> _i0_series(SeriesRing(VarSet.tvars(2), Truncation(t_deg_max=3)), 2, 3).coeff(
+    >>> _i0_series(SeriesRing(VarSet.tvars(2), t_deg_max=3), 2, 3).coeff(
     ...     {"t_0": 2, "t_2": 1})
     Fraction(1, 2)
     """
@@ -189,13 +187,13 @@ class _SeriesContext:
 class XpContext(_SeriesContext):
     """Series in (x, p) with x-degree and part-weight capped at d_max:
     phi_k at x and at s, their powers and products, and the pole powers;
-    F is phi_s."""
+    F is phi_s.  `part_keys` holds the key of p_n x^n by n (0 at n = 0)."""
 
     def __init__(self, d_max: int):
         self.d_max = d_max
-        super().__init__(
-            SeriesRing(VarSet.xp(d_max), Truncation(x_max=d_max, p_weight_max=d_max))
-        )
+        super().__init__(SeriesRing(VarSet.xp(d_max), x_max=d_max, p_weight_max=d_max))
+        exps = self.ring.varset.profile_exps
+        self.part_keys = [0] + [self.ring.key(exps((n,))) for n in range(1, d_max + 1)]
 
     def phi_x(self, k: int) -> ExactSeries:
         """phi_k(x, p) = sum_n n^(n+k)/n! p_n x^n."""
@@ -235,9 +233,7 @@ class TContext(_SeriesContext):
     def __init__(self, t_index_max: int, t_deg_max: int):
         self.t_index_max = t_index_max
         self.t_deg_max = t_deg_max
-        super().__init__(
-            SeriesRing(VarSet.tvars(t_index_max), Truncation(t_deg_max=t_deg_max))
-        )
+        super().__init__(SeriesRing(VarSet.tvars(t_index_max), t_deg_max=t_deg_max))
 
     def _i0_powers(self) -> list[ExactSeries]:
         """I_0^0..I_0^t_deg_max for the fixed point I_0 = sum_i t_i I_0^i / i!.
@@ -273,7 +269,7 @@ def xi_substitute(t_series: ExactSeries, ctx: XpContext) -> ExactSeries:
     if any(f != "t" for f in t_ring.varset.families):
         raise ValueError("xi_substitute expects a pure t-series")
     d_max, memo = ctx.d_max, ctx._once(("xi", t_ring), lambda: {0: {0: 1}})
-    part, table = ctx._once("q", lambda: _q_table(ctx.ring, d_max))
+    part, table = ctx.part_keys, ctx._once("q", lambda: _q_table(ctx.part_keys))
 
     def sums(t_key: int) -> dict[int, int]:
         if t_key not in memo:
@@ -336,15 +332,13 @@ def hurwitz_series(table: HurwitzTable, g: int, ctx: XpContext) -> ExactSeries:
 
     The ring admits x^d p_alpha for d <= d_max, and its packed key is the
     sum of those of x^a p_a over the parts a of alpha."""
-    ring = ctx.ring
-    part_key = {a: ring.key(ring.varset.profile_exps((a,))) for a in range(1, ctx.d_max + 1)}
     ratios = []
     for (gg, alpha), value in table.entries.items():
         if gg == g and sum(alpha) <= ctx.d_max:
             r_fact = math.factorial(riemann_hurwitz_r(g, alpha))
-            key = sum(part_key[a] for a in alpha)
+            key = sum(ctx.part_keys[a] for a in alpha)
             ratios.append((key, value.numerator, value.denominator * r_fact))
-    return ExactSeries.from_keys(ring, ratios)
+    return ExactSeries.from_keys(ctx.ring, ratios)
 
 
 def pair_correction_series(ctx: XpContext) -> ExactSeries:

@@ -67,7 +67,6 @@ from .table import HurwitzTable, riemann_hurwitz_r
 
 __all__ = [
     "ProfileKeys",
-    "initial_slices",
     "cutjoin_step",
     "disconnected_slices",
     "connected_slices",
@@ -121,7 +120,7 @@ class ProfileKeys(dict):
         return tuple(i for i, m in self[key][2] for _ in range(m))
 
 
-def initial_slices(d_max: int) -> Slice:
+def _initial_slices(d_max: int) -> Slice:
     """Step-0 slice: exp(p_1 x) truncated at degree d_max, 1 on every 1^d
     (whose key is d)."""
     return dict.fromkeys(range(d_max + 1), 1)
@@ -191,7 +190,7 @@ def disconnected_slices(
             for d, bs in lengths.items()
         }
 
-    e0 = initial_slices(keys.d_max)
+    e0 = _initial_slices(keys.d_max)
     if keep is not None:
         # 1^d has key d, degree d and d parts
         within = reach(r_max)
@@ -274,10 +273,14 @@ def _join_into(
                     out[k] = out.get(k, 0) + w_a * w_b * w
 
 
-def connected_slices(keys: ProfileKeys, r_max: int, g_max: int) -> list[Slice]:
+def connected_slices(keys: ProfileKeys, g_max: int) -> list[Slice]:
     """Slices H_0..H_{r_max} of the connected series H = log E in degree
     <= keys.d_max and genus <= g_max, keyed by `keys`, with no logarithm
     taken.
+
+    Riemann-Hurwitz fixes the step count: r = d + l(alpha) + 2g - 2 is at
+    most its value r_max = 2*d_max + 2*g_max - 2 at genus g_max and profile
+    (1^d_max), so that many steps reach every entry.
 
     H evolves by the connected cut-and-join equation from H_0 = p_1 x:
     (r+1) H_{r+1} = Delta H_r
@@ -296,15 +299,15 @@ def connected_slices(keys: ProfileKeys, r_max: int, g_max: int) -> list[Slice]:
     or genus, so the slices are exact.
 
     >>> keys = ProfileKeys(3)
-    >>> sorted((keys.unpack(k), n) for k, n in connected_slices(keys, 4, 1)[2].items())
+    >>> sorted((keys.unpack(k), n) for k, n in connected_slices(keys, 1)[2].items())
     [((1, 1), 1), ((3,), 6)]
     """
     unit = keys.unit
-    h: list[Slice] = [{} for _ in range(r_max + 1)]
+    h: list[Slice] = [{} for _ in range(riemann_hurwitz_r(g_max, (1,) * keys.d_max) + 1)]
     terms: list[list] = [[]]  # terms[d]: the join terms of the profiles of degree d
     for d in range(1, keys.d_max + 1):
         # a degree-d profile of genus <= g_max sits at a step in [d - 1, top]
-        top = min(r_max, 2 * d - 2 + 2 * g_max)
+        top = 2 * d - 2 + 2 * g_max
         layer: list[Slice] = [{} for _ in range(top + 1)]
         if d == 1:
             layer[0][1] = 1
@@ -321,7 +324,7 @@ def connected_slices(keys: ProfileKeys, r_max: int, g_max: int) -> list[Slice]:
                 half, odd = divmod(packed & mask, 2)
                 if odd:
                     raise AssertionError(f"odd doubled join at r={r}, alpha={keys.unpack(k)}")
-                if half and r <= top:
+                if half:
                     layer[r][k] = half
                 packed >>= width
                 r += 2
@@ -364,7 +367,7 @@ def _log_slices(
 
     e = [cut(s) for s in e]
     # e0 = exp(p_1 x): its log is p_1 x.  Verify rather than assume.
-    if e[0] != cut(initial_slices(keys.d_max)):
+    if e[0] != cut(_initial_slices(keys.d_max)):
         raise AssertionError("step-0 slice is not exp(p_1 x)")
     e0_inv = cut({d: (-1) ** d for d in range(keys.d_max + 1)})
     h: list[Slice] = [cut({1: 1}) if keys.d_max >= 1 else {}]
@@ -382,17 +385,12 @@ def hurwitz_via_cutjoin(d_max: int, g_max: int) -> HurwitzTable:
     """Connected Hurwitz table of degree <= d_max and genus <= g_max from
     the cut-and-join iteration.
 
-    Riemann-Hurwitz fixes the step count: r = d + l(alpha) + 2g - 2 is at
-    most its value r_max = 2*d_max + 2*g_max - 2 at genus g_max and profile
-    (1^d_max), so that many steps reach every entry.
-
     >>> table = hurwitz_via_cutjoin(3, 1)
     >>> table.value(0, (3,)), table.value(1, (1, 1))
     (Fraction(1, 1), Fraction(1, 2))
     """
-    r_max = riemann_hurwitz_r(g_max, (1,) * d_max)
     keys = ProfileKeys(d_max)
-    h = connected_slices(keys, r_max, g_max)
+    h = connected_slices(keys, g_max)
     # decoded parts are positive and sorted: no `Partition` check needed
     alphas = {k: tuple.__new__(Partition, keys.unpack(k)) for k in set().union(*h)}
     fact = [math.factorial(d) for d in range(d_max + 1)]

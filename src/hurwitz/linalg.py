@@ -108,7 +108,7 @@ def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     Each basis vector has entry 1 in its free column and is supported on
     that free column plus pivot columns, in increasing free-column order.
     """
-    rref, pivots = row_reduce(rows) if rows else ([], [])
+    rref, pivots = row_reduce(rows)
     pivot_set = set(pivots)
     basis: list[list[Fraction]] = []
     for free in range(ncols):

@@ -28,7 +28,7 @@ import os
 from collections import Counter
 from fractions import Fraction
 
-from .algebra import ExactSeries, SeriesRing, Truncation, VarSet
+from .algebra import ExactSeries, SeriesRing, VarSet
 from .partitions import Partition, aut_count
 from .table import HurwitzTable, riemann_hurwitz_r
 
@@ -180,10 +180,7 @@ def connected_hurwitz(d_max: int, g_max: int, r_max: int) -> HurwitzTable:
     per retained monomial with genus from the branch-count formula.
     """
     _check_cost(d_max, r_max)
-    ring = SeriesRing(
-        VarSet.xup(d_max),
-        Truncation(x_max=d_max, u_max=r_max, p_weight_max=d_max),
-    )
+    ring = SeriesRing(VarSet.xup(d_max), x_max=d_max, u_max=r_max, p_weight_max=d_max)
     encode = ring.varset.profile_exps
     ratios = [(encode(()), 1, 1)]
     for d in range(1, d_max + 1):

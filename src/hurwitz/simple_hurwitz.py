@@ -30,7 +30,6 @@ from typing import Iterable
 from .algebra import (
     ExactSeries,
     SeriesRing,
-    Truncation,
     VarSet,
     _canonical,
     _sum,
@@ -221,7 +220,7 @@ def wexpr_to_xseries(expr: WExpr, d_max: int) -> ExactSeries:
     """Expand a WExpr as a truncated x-series by substituting the tree
     series for w.  Reference route for extract_coeff; O(d_max^2) series
     arithmetic."""
-    ring = SeriesRing(VarSet(("x",)), Truncation(x_max=d_max))
+    ring = SeriesRing(VarSet(("x",)), x_max=d_max)
     w = ExactSeries.from_ratios(
         ring, [((nn,), nn ** (nn - 1), math.factorial(nn)) for nn in range(1, d_max + 1)]
     )

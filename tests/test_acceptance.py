@@ -12,7 +12,6 @@ from hurwitz import golden
 from hurwitz.algebra import (
     ExactSeries,
     SeriesRing,
-    Truncation,
     VarSet,
     lagrange_coeff,
 )
@@ -212,7 +211,7 @@ def test_criterion_14_closed_forms(deep_table):
             h = deep_table.value(3, Partition((1,) * d))
             assert genus3_a_form(d) == h, d
             assert genus3_p_form(d) == h, d
-        ring = SeriesRing(VarSet(("x",)), Truncation(x_max=12))
+        ring = SeriesRing(VarSet(("x",)), x_max=12)
         # the tree function w = x e^w in closed form; the map raises the
         # x-degree, so one exact check proves its fixed point
         w = ExactSeries.from_ratios(

@@ -12,7 +12,6 @@ from hurwitz.algebra import (
     ConstantTermError,
     ExactSeries,
     SeriesRing,
-    Truncation,
     VarSet,
     VarSetMismatchError,
     lagrange_coeff,
@@ -21,11 +20,11 @@ from hurwitz.algebra import (
 
 
 def xp_ring(d_max: int) -> SeriesRing:
-    return SeriesRing(VarSet.xp(d_max), Truncation(x_max=d_max, p_weight_max=d_max))
+    return SeriesRing(VarSet.xp(d_max), x_max=d_max, p_weight_max=d_max)
 
 
 def x_ring(d_max: int) -> SeriesRing:
-    return SeriesRing(VarSet(("x",)), Truncation(x_max=d_max))
+    return SeriesRing(VarSet(("x",)), x_max=d_max)
 
 
 @st.composite
@@ -84,14 +83,11 @@ def test_powers_lists_one_product_per_power():
 def test_negative_cap_is_refused():
     # a ring with a negative cap admits no constant, so one() and exp()
     # could not agree on what 1 is
-    for trunc in (
-        Truncation(x_max=-1, p_weight_max=1),
-        Truncation(x_max=1, p_weight_max=-1),
-    ):
+    for caps in ({"x_max": -1, "p_weight_max": 1}, {"x_max": 1, "p_weight_max": -1}):
         with pytest.raises(ValueError):
-            SeriesRing(VarSet.xp(1), trunc)
+            SeriesRing(VarSet.xp(1), **caps)
     with pytest.raises(ValueError):
-        SeriesRing(VarSet.tvars(2), Truncation(t_deg_max=-1))
+        SeriesRing(VarSet.tvars(2), t_deg_max=-1)
 
 
 @given(small_series(RING4), small_series(RING4), small_series(RING4))
@@ -161,17 +157,23 @@ def test_tree_function_check_sees_one_wrong_coefficient():
     assert ring.var("x") * w.exp() != w
 
 
-def test_truncation_is_a_value_type():
-    trunc = Truncation(3)
-    fields = (3, None, None, None)
-    assert trunc == fields and hash(trunc) == hash(fields)
-    assert trunc == Truncation(x_max=3) and trunc != Truncation(x_max=3, u_max=0)
-    assert repr(trunc) == (
-        "Truncation(x_max=3, u_max=None, p_weight_max=None, t_deg_max=None)"
-    )
-    assert trunc._replace(t_deg_max=2) == Truncation(3, None, None, 2)
-    with pytest.raises(ValueError, match=r"Truncation\(x_max=-1, u_max=None"):
-        SeriesRing(VarSet(("x",)), Truncation(-1))
+def test_rings_with_equal_varset_and_caps_are_equal():
+    ring = SeriesRing(VarSet.xp(2), x_max=3, p_weight_max=2)
+    twin = SeriesRing(VarSet.xp(2), x_max=3, p_weight_max=2)
+    assert ring == twin and hash(ring) == hash(twin) and ring.caps == (3, None, 2, None)
+    assert ring != SeriesRing(VarSet.xp(2), x_max=3, p_weight_max=3)
+    assert ring != SeriesRing(VarSet.xp(2), x_max=4, p_weight_max=2)
+    assert ring != SeriesRing(VarSet.xp(2), x_max=3, u_max=0, p_weight_max=2)
+    assert repr(ring) == "SeriesRing(VarSet(('x', 'p_1', 'p_2')), x_max=3, p_weight_max=2)"
+    with pytest.raises(TypeError):
+        SeriesRing(VarSet(("x",)), 3)  # caps are keyword-only
+    with pytest.raises(ValueError, match=r"SeriesRing\(VarSet\(\('x',\)\), x_max=-1\)"):
+        SeriesRing(VarSet(("x",)), x_max=-1)
+
+
+def test_ring_with_no_variables_is_refused():
+    with pytest.raises(ValueError, match="at least one variable"):
+        SeriesRing(VarSet(()), x_max=3)
 
 
 def test_lagrange_coeff_matches_series_extraction():
@@ -208,15 +210,14 @@ def test_rational_str_roundtrip(num, den):
 
 # -- the product kernel against naive references on every kind of ring ----------
 
-ORACLE_RING = SeriesRing(VarSet.xup(3), Truncation(x_max=3, u_max=4, p_weight_max=3))
-T_RING = SeriesRing(VarSet.tvars(3), Truncation(t_deg_max=3))
+ORACLE_RING = SeriesRing(VarSet.xup(3), x_max=3, u_max=4, p_weight_max=3)
+T_RING = SeriesRing(VarSet.tvars(3), t_deg_max=3)
 KERNEL_RINGS = [RING4, ORACLE_RING, T_RING]
 RING_IDS = ["xp", "xup", "t-deg"]
 
 
 def family_admits(ring, exps):
-    """The truncation rule family by family, as the Truncation fields read."""
-    t = ring.trunc
+    """The truncation rule family by family, as the ring's caps read."""
     x = u = p = t_deg = 0
     for fam, idx, e in zip(ring.varset.families, ring.varset.indices, exps):
         if e < 0:
@@ -225,8 +226,7 @@ def family_admits(ring, exps):
         u += e if fam == "u" else 0
         p += idx * e if fam == "p" else 0
         t_deg += e if fam == "t" else 0
-    caps = [t.x_max, t.u_max, t.p_weight_max, t.t_deg_max]
-    return all(c is None or v <= c for v, c in zip([x, u, p, t_deg], caps))
+    return all(c is None or v <= c for v, c in zip([x, u, p, t_deg], ring.caps))
 
 
 def naive_mul(a, b):
@@ -340,14 +340,15 @@ EDGE_CAPS = st.sampled_from([0, 1, 2, 3, 4, 7, 8])
 def edge_ring(draw):
     kind = draw(st.sampled_from(["xp", "xup", "t"]))
     if kind == "xp":
-        trunc = Truncation(x_max=draw(EDGE_CAPS), p_weight_max=draw(EDGE_CAPS))
-        return SeriesRing(VarSet.xp(3), trunc)
+        return SeriesRing(VarSet.xp(3), x_max=draw(EDGE_CAPS), p_weight_max=draw(EDGE_CAPS))
     if kind == "xup":
-        trunc = Truncation(
-            x_max=draw(EDGE_CAPS), u_max=draw(EDGE_CAPS), p_weight_max=draw(EDGE_CAPS)
+        return SeriesRing(
+            VarSet.xup(2),
+            x_max=draw(EDGE_CAPS),
+            u_max=draw(EDGE_CAPS),
+            p_weight_max=draw(EDGE_CAPS),
         )
-        return SeriesRing(VarSet.xup(2), trunc)
-    return SeriesRing(VarSet.tvars(3), Truncation(t_deg_max=draw(EDGE_CAPS)))
+    return SeriesRing(VarSet.tvars(3), t_deg_max=draw(EDGE_CAPS))
 
 
 def ref_terms(ring, terms):
@@ -452,18 +453,18 @@ def test_from_ratios_drops_what_the_ring_does_not_admit():
 
 
 @pytest.mark.parametrize(
-    "varset, trunc",
+    "varset, caps",
     [
-        (VarSet(("x",)), Truncation()),
-        (VarSet.xp(2), Truncation(x_max=3)),
-        (VarSet.xup(1), Truncation(x_max=1, p_weight_max=1)),
-        (VarSet.tvars(2), Truncation(x_max=2)),
+        (VarSet(("x",)), {}),
+        (VarSet.xp(2), {"x_max": 3}),
+        (VarSet.xup(1), {"x_max": 1, "p_weight_max": 1}),
+        (VarSet.tvars(2), {"x_max": 2}),
     ],
     ids=["x-no-caps", "xp-no-p-weight", "xup-no-u", "t-x-cap-only"],
 )
-def test_ring_with_an_uncapped_variable_is_refused(varset, trunc):
+def test_ring_with_an_uncapped_variable_is_refused(varset, caps):
     with pytest.raises(ValueError, match="bounds the variable"):
-        SeriesRing(varset, trunc)
+        SeriesRing(varset, **caps)
 
 
 def test_sum_refuses_a_series_of_another_ring():
@@ -475,7 +476,7 @@ def test_sum_refuses_a_series_of_another_ring():
 
 # one cap of each kind that the change of variables meets
 SHIFT_RING = SeriesRing(
-    VarSet(("x", "p_1", "p_2", "t_0", "t_1")), Truncation(x_max=3, p_weight_max=4, t_deg_max=2)
+    VarSet(("x", "p_1", "p_2", "t_0", "t_1")), x_max=3, p_weight_max=4, t_deg_max=2
 )
 SHIFT_RINGS = KERNEL_RINGS + [SHIFT_RING]
 SHIFT_IDS = RING_IDS + ["x-p-t"]

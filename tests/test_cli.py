@@ -396,76 +396,6 @@ def _raise_a_series_coeff(k, d):
     return perturb
 
 
-# an input of `verify --suite closed-forms`, off by one -> the checks it must
-# turn to FAIL.  Inputs are shared: the pinned H~_g is the display, the
-# fitted form's target and the closed form's source; at g = 2 the W-form and
-# the aggregates read the same fitted sums by length; A_k(d) for d <= 10
-# feeds the genus-3 A-combination as well as its own check, which runs to 12.
-CLOSED_FORMS_PERTURBATIONS = {
-    "pinned-g0-n1": (_add_w(0, 1), ["w-series-display-g0-n1"]),
-    # the display expands the pinned series in x and reads the table, so a
-    # changed W^-2 coefficient fails it too
-    "pinned-g0-n1-W^-2": (_add_w(0, 1, -2, Fraction(1, 6)), ["w-series-display-g0-n1"]),
-    "pinned-g1-n0": (_add_w(1, 0), ["w-series-display-g1-n0", "closed-form-low-genus"]),
-    "pinned-g1-n1": (_add_w(1, 1), ["w-series-display-g1-n1"]),
-    "pinned-g2-n0": (
-        _add_w(2, 0),
-        ["w-series-display-g2-n0", "fitted-form-matches-display-g2", "closed-form-low-genus"],
-    ),
-    "pinned-g3-n0": (
-        _add_w(3, 0),
-        [
-            "w-series-display-g3-n0",
-            "fitted-form-matches-display-g3",
-            "a-combination-g3",
-            "closed-form-low-genus",
-        ],
-    ),
-    "fitted-constant-g2": (
-        _raise_first_constant(2),
-        ["fitted-form-matches-display-g2", "fitted-aggregates-g2"],
-    ),
-    "fitted-constant-g3": (_raise_first_constant(3), ["fitted-form-matches-display-g3"]),
-    "pole-form-g2": (_raise_pole_coeff(2), ["pole-form-display-g2"]),
-    "pole-form-g3": (_raise_pole_coeff(3), ["pole-form-display-g3"]),
-    "aggregate-triple": (_raise_aggregate, ["fitted-aggregates-g2"]),
-    "a-series-coeff-k4-d5": (
-        _raise_a_series_coeff(4, 5),
-        ["a-combination-g3", "a-series-vs-lagrange"],
-    ),
-    "p3-poly": (_raise_p3_poly, ["polynomial-form-g3"]),
-    "a-series-coeff": (_raise_a_series_coeff(3, 12), ["a-series-vs-lagrange"]),
-    "entry-g0-1^5": (
-        _raise_entry(0, (1,) * 5),
-        ["w-series-display-g0-n1", "closed-form-low-genus"],
-    ),
-    "spot-value": (_raise_spot_value, ["spot-values"]),
-}
-
-
-def test_every_closed_forms_check_has_a_perturbation(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "closed-forms")
-    assert code == 0
-    assert {line.removeprefix("PASS ") for line in out.splitlines()} == {
-        check for _, failing in CLOSED_FORMS_PERTURBATIONS.values() for check in failing
-    }
-
-
-@pytest.mark.parametrize("case", sorted(CLOSED_FORMS_PERTURBATIONS))
-def test_closed_forms_checks_fail_on_their_own_input(capsys, monkeypatch, case):
-    """Each closed-forms check fails when one input of its own, a pinned
-    series, a fitted constant, a pinned coefficient or value, one A_k(d) or
-    one Hurwitz number, is off by 1; the checks that share that input fail
-    with it, and no other check does."""
-    perturb, failing = CLOSED_FORMS_PERTURBATIONS[case]
-    perturb(monkeypatch)
-    code, out, _ = run_cli(capsys, "verify", "--suite", "closed-forms")
-    assert code == 1
-    assert [line for line in out.splitlines() if not line.startswith("PASS ")] == [
-        f"FAIL {name}" for name in failing
-    ]
-
-
 def _raise_constant(theta):
     """Perturb the fitted genus-2 K_theta by 1 in the form the checks read;
     the brackets the fit wrote into the table stay as they were."""
@@ -527,75 +457,6 @@ def _raise_phi_s(k):
     return perturb
 
 
-# each check of `verify --suite genus-expansion` -> an input of its own
-# that, off by one, must turn it to FAIL
-GENUS_EXPANSION_PERTURBATIONS = {
-    "genus-expansion-g2-constants-form": _raise_constant((2,)),
-    "genus-expansion-g2-substituted-form": _raise_bracket((2, (0, 4), 1)),
-    "genus-expansion-g2-forms-agree": _raise_constant((3,)),
-    # (4,) has lambda-degree 0, so it sits in the lambda-free slice
-    "genus-expansion-g2-lambda-free-slice": _raise_constant((4,)),
-    "delta-annihilation-g1": _raise_bracket((1, (0, 2), 0)),
-    "delta-annihilation-g2": _raise_bracket((2, (0, 2, 4), 0)),
-    **{f"xi-image-of-I{k}": _raise_I(k) for k in range(5)},
-    **{f"phi-shift-expansion-k{k}": _raise_phi_s(k) for k in range(5)},
-}
-
-
-def test_every_genus_expansion_check_has_a_perturbation(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "genus-expansion")
-    assert code == 0
-    assert sorted(line.removeprefix("PASS ") for line in out.splitlines()) == sorted(
-        GENUS_EXPANSION_PERTURBATIONS
-    )
-
-
-@pytest.mark.parametrize("check", sorted(GENUS_EXPANSION_PERTURBATIONS))
-def test_genus_expansion_checks_fail_on_their_own_input(capsys, monkeypatch, check):
-    """Each series identity of the suite fails when one input of its own,
-    a fitted constant, a bracket of G, or one coefficient of I_k or
-    phi_k(s, p), is off by 1: no check passes however its input moves."""
-    GENUS_EXPANSION_PERTURBATIONS[check](monkeypatch)
-    code, out, _ = run_cli(capsys, "verify", "--suite", "genus-expansion")
-    assert code == 1
-    assert f"FAIL {check}" in out.splitlines()
-
-
-# an input of `verify --suite change-theorem`, off by one -> the checks it
-# must turn to FAIL; H^2_(1^7) has degree 7, above the g = 2 fit's d_fit = 6,
-# so the fit does not see it
-CHANGE_THEOREM_PERTURBATIONS = {
-    "phi-s-0": (_raise_phi_s(0), ["euler-square-h0"]),
-    "entry-g0-111": (
-        _raise_entry(0, (1, 1, 1)),
-        ["euler-square-h0", "change-theorem-g0-decomposition"],
-    ),
-    "entry-g1-112": (_raise_entry(1, (1, 1, 2)), ["change-theorem-g1"]),
-    "entry-g2-1^7": (_raise_entry(2, (1,) * 7), ["change-theorem-g2"]),
-}
-
-
-def test_every_change_theorem_check_has_a_perturbation(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "change-theorem")
-    assert code == 0
-    assert {line.removeprefix("PASS ") for line in out.splitlines()} == {
-        check for _, failing in CHANGE_THEOREM_PERTURBATIONS.values() for check in failing
-    }
-
-
-@pytest.mark.parametrize("case", sorted(CHANGE_THEOREM_PERTURBATIONS))
-def test_change_theorem_checks_fail_on_their_own_input(capsys, monkeypatch, case):
-    """Each change-theorem check fails, and no other check does, when
-    phi_0(s, p) or one Hurwitz number it reads is off by 1."""
-    perturb, failing = CHANGE_THEOREM_PERTURBATIONS[case]
-    perturb(monkeypatch)
-    code, out, _ = run_cli(capsys, "verify", "--suite", "change-theorem")
-    assert code == 1
-    assert [line for line in out.splitlines() if not line.startswith("PASS ")] == [
-        f"FAIL {name}" for name in failing
-    ]
-
-
 @pytest.mark.parametrize("suite", ["change-theorem", "genus-expansion"])
 def test_keyed_series_hold_admitted_keys_only(capsys, monkeypatch, suite):
     """`assemble_G` and `hurwitz_series` pack their keys without `admits`:
@@ -640,51 +501,216 @@ def _lower_order(index):
     return perturb
 
 
-# an input of `verify --suite recursions`, off by one -> the checks it must
-# turn to FAIL; RECURRENCES and DIFFERENTIAL_IDENTITIES share four lists, so
-# each case replaces an entry of one map and leaves the other's list intact.
+def _fail_genus0_at(d):
+    """Report one failure of the genus-0 identity at degree d alone; that
+    list is both RECURRENCES["genus0"] and the genus0-quadratic identity."""
+
+    def perturb(monkeypatch):
+        real = simple_hurwitz.verify_recurrence
+
+        def failing(terms, table, d_range):
+            result = real(terms, table, d_range)
+            if terms is golden.RECURRENCES["genus0"]:
+                result["failures"].append({"d": d, "residual": "1/1"})
+            return result
+
+        monkeypatch.setattr(simple_hurwitz, "verify_recurrence", failing)
+
+    return perturb
+
+
+# suite -> case -> (an input of `verify --suite <suite>` off by one, the
+# checks it must turn to FAIL, and no other).
+#
+# closed-forms: inputs are shared.  The pinned H~_g is the display, the
+# fitted form's target and the closed form's source; at g = 2 the W-form and
+# the aggregates read the same fitted sums by length; A_k(d) for d <= 10
+# feeds the genus-3 A-combination as well as its own check, which runs to 12.
+#
+# change-theorem: H^2_(1^7) has degree 7, above the g = 2 fit's d_fit = 6,
+# so the fit does not see it.
+#
+# recursions: RECURRENCES and DIFFERENTIAL_IDENTITIES share four lists, so
+# each coefficient case replaces an entry of one map and leaves the other's
+# list intact.  A recurrence is read from d = 2 on, its identity from d = 1.
 # Member 12 of the family is D^4 H~_3; lowered to D^3 H~_3 it repeats
 # member 11, which raises the nullity to 12.
-RECURSIONS_PERTURBATIONS = {
-    **{
-        f"RECURRENCES[{name}]": (
-            _raise_coeff(golden.RECURRENCES, name),
-            [f"recurrence-{name}-d10"],
-        )
-        for name in golden.RECURRENCES
+PERTURBATIONS = {
+    "closed-forms": {
+        "pinned-g0-n1": (_add_w(0, 1), ["w-series-display-g0-n1"]),
+        # the display expands the pinned series in x and reads the table, so a
+        # changed W^-2 coefficient fails it too
+        "pinned-g0-n1-W^-2": (_add_w(0, 1, -2, Fraction(1, 6)), ["w-series-display-g0-n1"]),
+        "pinned-g1-n0": (_add_w(1, 0), ["w-series-display-g1-n0", "closed-form-low-genus"]),
+        "pinned-g1-n1": (_add_w(1, 1), ["w-series-display-g1-n1"]),
+        "pinned-g2-n0": (
+            _add_w(2, 0),
+            ["w-series-display-g2-n0", "fitted-form-matches-display-g2", "closed-form-low-genus"],
+        ),
+        "pinned-g3-n0": (
+            _add_w(3, 0),
+            [
+                "w-series-display-g3-n0",
+                "fitted-form-matches-display-g3",
+                "a-combination-g3",
+                "closed-form-low-genus",
+            ],
+        ),
+        "fitted-constant-g2": (
+            _raise_first_constant(2),
+            ["fitted-form-matches-display-g2", "fitted-aggregates-g2"],
+        ),
+        "fitted-constant-g3": (_raise_first_constant(3), ["fitted-form-matches-display-g3"]),
+        "pole-form-g2": (_raise_pole_coeff(2), ["pole-form-display-g2"]),
+        "pole-form-g3": (_raise_pole_coeff(3), ["pole-form-display-g3"]),
+        "aggregate-triple": (_raise_aggregate, ["fitted-aggregates-g2"]),
+        "a-series-coeff-k4-d5": (
+            _raise_a_series_coeff(4, 5),
+            ["a-combination-g3", "a-series-vs-lagrange"],
+        ),
+        "p3-poly": (_raise_p3_poly, ["polynomial-form-g3"]),
+        "a-series-coeff": (_raise_a_series_coeff(3, 12), ["a-series-vs-lagrange"]),
+        "entry-g0-1^5": (
+            _raise_entry(0, (1,) * 5),
+            ["w-series-display-g0-n1", "closed-form-low-genus"],
+        ),
+        "spot-value": (_raise_spot_value, ["spot-values"]),
     },
-    **{
-        f"DIFFERENTIAL_IDENTITIES[{name}]": (
-            _raise_coeff(golden.DIFFERENTIAL_IDENTITIES, name),
-            [f"differential-{name}"],
-        )
-        for name in golden.DIFFERENTIAL_IDENTITIES
+    "genus-expansion": {
+        # a fitted constant moves the constants form, and so its agreement
+        # with the substituted form
+        "genus-expansion-g2-constants-form": (
+            _raise_constant((2,)),
+            ["genus-expansion-g2-constants-form", "genus-expansion-g2-forms-agree"],
+        ),
+        # a bracket moves G, which both forms are compared with, and Delta G
+        "genus-expansion-g2-substituted-form": (
+            _raise_bracket((2, (0, 4), 1)),
+            [
+                "genus-expansion-g2-constants-form",
+                "genus-expansion-g2-substituted-form",
+                "delta-annihilation-g2",
+            ],
+        ),
+        "genus-expansion-g2-forms-agree": (
+            _raise_constant((3,)),
+            ["genus-expansion-g2-constants-form", "genus-expansion-g2-forms-agree"],
+        ),
+        # (4,) has lambda-degree 0, so it sits in the lambda-free slice
+        "genus-expansion-g2-lambda-free-slice": (
+            _raise_constant((4,)),
+            [
+                "genus-expansion-g2-constants-form",
+                "genus-expansion-g2-forms-agree",
+                "genus-expansion-g2-lambda-free-slice",
+            ],
+        ),
+        "delta-annihilation-g1": (_raise_bracket((1, (0, 2), 0)), ["delta-annihilation-g1"]),
+        # a lambda-free bracket of genus 2
+        "delta-annihilation-g2": (
+            _raise_bracket((2, (0, 2, 4), 0)),
+            [
+                "genus-expansion-g2-constants-form",
+                "genus-expansion-g2-substituted-form",
+                "genus-expansion-g2-lambda-free-slice",
+                "delta-annihilation-g2",
+            ],
+        ),
+        **{f"xi-image-of-I{k}": (_raise_I(k), [f"xi-image-of-I{k}"]) for k in range(5)},
+        # phi_k(s, p) is read by the xi image of I_k as well
+        **{
+            f"phi-shift-expansion-k{k}": (
+                _raise_phi_s(k),
+                [f"xi-image-of-I{k}", f"phi-shift-expansion-k{k}"],
+            )
+            for k in range(5)
+        },
     },
-    "SEARCH_FAMILY_26[12]": (_lower_order(12), ["search-family-26-nullity"]),
+    "change-theorem": {
+        "phi-s-0": (_raise_phi_s(0), ["euler-square-h0"]),
+        "entry-g0-111": (
+            _raise_entry(0, (1, 1, 1)),
+            ["euler-square-h0", "change-theorem-g0-decomposition"],
+        ),
+        "entry-g1-112": (_raise_entry(1, (1, 1, 2)), ["change-theorem-g1"]),
+        "entry-g2-1^7": (_raise_entry(2, (1,) * 7), ["change-theorem-g2"]),
+    },
+    "recursions": {
+        **{
+            f"RECURRENCES[{name}]": (
+                _raise_coeff(golden.RECURRENCES, name),
+                [f"recurrence-{name}-d10"],
+            )
+            for name in golden.RECURRENCES
+        },
+        **{
+            f"DIFFERENTIAL_IDENTITIES[{name}]": (
+                _raise_coeff(golden.DIFFERENTIAL_IDENTITIES, name),
+                [f"differential-{name}"],
+            )
+            for name in golden.DIFFERENTIAL_IDENTITIES
+        },
+        "genus0-fails-at-d2": (
+            _fail_genus0_at(2),
+            ["recurrence-genus0-d10", "differential-genus0-quadratic"],
+        ),
+        "genus0-fails-at-d1": (_fail_genus0_at(1), ["differential-genus0-quadratic"]),
+        "SEARCH_FAMILY_26[12]": (_lower_order(12), ["search-family-26-nullity"]),
+    },
+    "oracle-vs-cutjoin": {
+        "entry-g1-11": (_raise_entry(1, (1, 1)), ["oracle-vs-cutjoin-d5-r16"]),
+    },
 }
 
 
-def test_every_recursions_check_has_a_perturbation(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "recursions")
+@pytest.mark.parametrize("suite", sorted(cli._SUITE_RUNNERS))
+def test_every_check_of_every_suite_has_a_case(capsys, suite):
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite)
     assert code == 0
-    assert sorted(line.removeprefix("PASS ") for line in out.splitlines()) == sorted(
-        check for _, failing in RECURSIONS_PERTURBATIONS.values() for check in failing
-    )
+    assert {line.removeprefix("PASS ") for line in out.splitlines()} == {
+        check for _, failing in PERTURBATIONS[suite].values() for check in failing
+    }
 
 
-@pytest.mark.parametrize("case", sorted(RECURSIONS_PERTURBATIONS))
-def test_recursions_checks_fail_on_their_own_input(capsys, monkeypatch, case):
-    """Each recurrence, identity and the search fail, and no other check
-    does, when one coefficient or one family member of their own is off
-    by 1."""
-    perturb, failing = RECURSIONS_PERTURBATIONS[case]
+def _fails_exactly_its_listed_checks(capsys, monkeypatch, suite, case):
+    perturb, failing = PERTURBATIONS[suite][case]
     perturb(monkeypatch)
-    code, out, _ = run_cli(capsys, "verify", "--suite", "recursions")
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite)
     assert code == 1
     assert [line for line in out.splitlines() if not line.startswith("PASS ")] == [
         f"FAIL {name}" for name in failing
     ]
 
+
+# Each case fails exactly its listed checks: every check of a suite fails
+# when one input of its own is off by 1, the checks that share that input
+# fail with it, and no other check does.  One test per suite keeps the
+# names the cases have always run under.
+
+
+@pytest.mark.parametrize("case", sorted(PERTURBATIONS["closed-forms"]))
+def test_closed_forms_checks_fail_on_their_own_input(capsys, monkeypatch, case):
+    _fails_exactly_its_listed_checks(capsys, monkeypatch, "closed-forms", case)
+
+
+@pytest.mark.parametrize("case", sorted(PERTURBATIONS["genus-expansion"]))
+def test_genus_expansion_checks_fail_on_their_own_input(capsys, monkeypatch, case):
+    _fails_exactly_its_listed_checks(capsys, monkeypatch, "genus-expansion", case)
+
+
+@pytest.mark.parametrize("case", sorted(PERTURBATIONS["change-theorem"]))
+def test_change_theorem_checks_fail_on_their_own_input(capsys, monkeypatch, case):
+    _fails_exactly_its_listed_checks(capsys, monkeypatch, "change-theorem", case)
+
+
+@pytest.mark.parametrize("case", sorted(PERTURBATIONS["recursions"]))
+def test_recursions_checks_fail_on_their_own_input(capsys, monkeypatch, case):
+    _fails_exactly_its_listed_checks(capsys, monkeypatch, "recursions", case)
+
+
+@pytest.mark.parametrize("case", sorted(PERTURBATIONS["oracle-vs-cutjoin"]))
+def test_oracle_vs_cutjoin_checks_fail_on_their_own_input(capsys, monkeypatch, case):
+    _fails_exactly_its_listed_checks(capsys, monkeypatch, "oracle-vs-cutjoin", case)
 
 def test_search_check_sees_a_shift_that_keeps_the_nullity(capsys, monkeypatch, deep_table):
     """Member 0, (D H~_0)(D^3 H~_3), shifted to (D H~_0)(D^4 H~_3) leaves the

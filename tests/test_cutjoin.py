@@ -56,7 +56,7 @@ def test_slices_hold_ints_and_answers_are_fractions():
     keep = _sub_profiles(Partition((1, 2, 3)), keys)
     e = disconnected_slices(keys, 10, keep)
     slices = (
-        connected_slices(ProfileKeys(7), 16, 2) + disconnected_slices(keys, 10) + e
+        connected_slices(ProfileKeys(7), 2) + disconnected_slices(keys, 10) + e
         + _log_slices(e, keys, keep)
     )
     assert all(type(v) is int for s in slices for v in s.values())
@@ -78,7 +78,7 @@ def test_odd_doubled_join_is_refused(monkeypatch):
 
     monkeypatch.setattr(cutjoin, "_join_into", off_by_one)
     with pytest.raises(AssertionError, match="odd"):
-        connected_slices(ProfileKeys(4), 6, 2)
+        connected_slices(ProfileKeys(4), 2)
 
 
 def _log_route(d_max, r_max, g_max=None):
@@ -96,16 +96,17 @@ def _log_route(d_max, r_max, g_max=None):
 @pytest.mark.parametrize("d_max", range(1, 11))
 def test_connected_evolution_equals_log_of_all_covers(d_max):
     """The connected cut-and-join evolution, pruned at genus 3, equals the
-    logarithm of the all-covers series slice by slice and entry by entry."""
-    r_max = 2 * d_max + 4
-    assert connected_slices(ProfileKeys(d_max), r_max, 3) == _log_route(d_max, r_max, 3)
+    logarithm of the all-covers series slice by slice and entry by entry,
+    over the 2 d_max + 4 steps that genus 3 and profile 1^d_max need."""
+    assert connected_slices(ProfileKeys(d_max), 3) == _log_route(d_max, 2 * d_max + 4, 3)
 
 
 @pytest.mark.parametrize("d_max, r_max", [(3, 4), (5, 16), (6, 18), (7, 22)])
 def test_connected_evolution_without_genus_cap(d_max, r_max):
-    # r >= 2g on every entry, so the cap r_max // 2 never prunes; at r = 22
-    # the join pairs profiles of every genus up to 10
-    assert connected_slices(ProfileKeys(d_max), r_max, r_max // 2) == _log_route(d_max, r_max)
+    # r >= 2g on every entry, so the cap r_max // 2 never prunes the first
+    # r_max + 1 slices; at r = 22 the join pairs profiles of every genus up to 10
+    h = connected_slices(ProfileKeys(d_max), r_max // 2)
+    assert h[: r_max + 1] == _log_route(d_max, r_max)
 
 
 def test_low_degree_spot_values(deep_table):
@@ -244,7 +245,7 @@ def test_connected_step_forms_nothing_it_would_drop(monkeypatch, d_max, g_max):
 
     monkeypatch.setattr(cutjoin, "cutjoin_step", spy)
     keys = ProfileKeys(d_max)
-    h = connected_slices(keys, riemann_hurwitz_r(g_max, (1,) * d_max), g_max)
+    h = connected_slices(keys, g_max)
     assert formed and all(n in reach[d] for (d, n), reach in formed)
     genera = {(r - keys[k][0] - keys[k][1] + 2) // 2 for r, s in enumerate(h) for k in s}
     assert max(genera) == g_max
@@ -289,7 +290,7 @@ def test_connected_join_updates_once_per_distinct_product(monkeypatch, d_max, g_
 
     monkeypatch.setattr(cutjoin, "_join_into", spy)
     keys = ProfileKeys(d_max)
-    h = connected_slices(keys, riemann_hurwitz_r(g_max, (1,) * d_max), g_max)
+    h = connected_slices(keys, g_max)
     assert len(updates) == _distinct_joins(keys, h, g_max) == products
 
 
