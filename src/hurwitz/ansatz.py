@@ -13,9 +13,14 @@ The cast:
 * G_g(t), the signed generating series of brackets, assembled from the
   hodge module;
 * the pole form sum_theta (K_theta/Aut theta) prod F_{theta_i} (1 - F_1)^{-e},
-  evaluated with F_k = phi_k(s, p) in an `XpContext`, where its constants
-  K_theta are fitted against cut-and-join data by exact linear algebra, and
-  with F_k = I_k(t) in a `TContext`, where it is compared with G_g.
+  evaluated with F_k = I_k(t) in a `TContext`, where it is compared with
+  G_g, and with F_k = phi_k(s, p) in an `XpContext`, as series;
+* its constants K_theta, fitted against cut-and-join data by exact linear
+  algebra on integer columns with no series at all: since
+  s phi_0'(s) = phi_1(s), Lagrange's theorem in its second form gives
+  [x^d] Psi(s)/(1 - phi_1(s)) = [z^d] Psi(z) e^{d phi_0(z)}, and in z each
+  phi_k is a one-part sum, so each coefficient of the basis is a closed
+  form in integers once row alpha is scaled by D_alpha (`pole_basis_rows`).
 
 Each context builds every series it holds once, and every product of them
 once per distinct prefix of its factors; the CLI builds one context per
@@ -56,6 +61,7 @@ __all__ = [
     "pole_basis_series",
     "check_fit_size",
     "fit_rows",
+    "pole_basis_rows",
     "fit_constants",
     "verify_change_theorem",
     "verify_euler_square",
@@ -457,12 +463,105 @@ def check_fit_size(g: int, d_fit: int) -> None:
 
 
 def fit_rows(g: int, d_fit: int) -> list[tuple[int, ...]]:
-    """The fit's equations, known before any series is built: p_alpha x^d
+    """The fit's equations, known before any column is formed: p_alpha x^d
     for every alpha |- d <= d_fit, encoded as in `XpContext(d_fit)`, sorted,
     and enumerated only once `check_fit_size` has passed."""
     check_fit_size(g, d_fit)
     encode = VarSet.xp(d_fit).profile_exps
     return sorted(encode(alpha) for d in range(1, d_fit + 1) for alpha in partitions(d))
+
+
+def _row_scale(mults: tuple[int, ...]) -> Fraction:
+    """D_alpha = prod_j (j!/j^j)^m_j m_j! = prod_i alpha_i!/alpha_i^alpha_i
+    prod_j m_j! for the profile with m_j parts j: the factor that makes
+    every pole-basis entry of row alpha an integer."""
+    num = den = 1
+    for j, m in enumerate(mults, 1):
+        num *= math.factorial(j) ** m * math.factorial(m)
+        den *= j ** (j * m)
+    return Fraction(num, den)
+
+
+def pole_basis_rows(g: int, rows: list[tuple[int, ...]]) -> list[list[int]]:
+    """Per row of `fit_rows` (x^d p_alpha, m_j parts j), the integers
+    D_alpha Aut theta [x^d p_alpha] prod_i phi_theta_i(s, p) (1 - phi_1(s, p))^-e
+    for the theta of `primitive_thetas(g)` in that order, D_alpha as in
+    `_row_scale`.
+
+    By Lagrange's theorem (`fit_constants`), Aut theta times the coefficient
+    is [p_alpha] prod_i phi_theta_i(z) (1 - phi_1(z))^-(e-1) e^{d phi_0(z)}:
+    a sum over the sub-multisets beta of alpha with len theta parts, and
+    gamma = alpha - beta (c_j parts j, L parts), of the products of
+    * [p_beta] prod_i phi_theta_i = prod_beta n^n/n! S_theta(beta), with
+      S_theta(beta) the sum of prod_i n_i^theta_i over the arrangements
+      (n_i) of beta, and
+    * [p_gamma] (1 - phi_1)^-(e-1) e^{d phi_0} = prod_gamma n^n/n! / prod_j
+      c_j! T(gamma), with T(gamma) = sum_i (e-1)(e)...(e+i-2) d^(L-i)
+      e_i(gamma) and e_i the elementary symmetric polynomials of its parts.
+    D_alpha clears the weights n^n/n!, leaving S_theta(beta) T(gamma) prod_j
+    m_j!/c_j!, an integer.  The S_theta come from prefix sums shared by
+    every theta with the same prefix.  A multiset is packed as one int, a
+    weight field above one multiplicity field per part size, so adding a
+    part is one key shift.
+    """
+    d_fit = max(exps[0] for exps in rows)
+    bits = d_fit.bit_length()
+    top = bits * d_fit
+    part = [0] + [(n << top) + (1 << bits * (n - 1)) for n in range(1, d_fit + 1)]
+    sums: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
+    elementary: dict[int, list[int]] = {0: [1]}
+
+    def ordered(theta: tuple[int, ...]) -> dict[int, int]:
+        """beta -> S_theta(beta) over the beta of weight <= d_fit."""
+        if theta not in sums:
+            acc = sums[theta] = {}
+            steps = [(part[n], n ** theta[-1]) for n in range(1, d_fit + 1)]
+            for key, c in ordered(theta[:-1]).items():
+                for step, w in steps[: d_fit - (key >> top)]:
+                    acc[key + step] = acc.get(key + step, 0) + c * w
+        return sums[theta]
+
+    def elem(key: int) -> list[int]:
+        """e_0..e_L of the multiset packed in key, one part (1 + j y) at a time."""
+        if key not in elementary:
+            j = ((key & -key).bit_length() - 1) // bits + 1  # the smallest part
+            prev = elem(key - part[j])
+            elementary[key] = [a + j * b for a, b in zip(prev + [0], [0] + prev)]
+        return elementary[key]
+
+    # the theta of one length are consecutive in `primitive_thetas`, and their
+    # S_theta share one set of keys beta: one vector over those theta per beta
+    by_length: dict[int, list[dict[int, int]]] = {}
+    for theta, _, _ in primitive_thetas(g):
+        by_length.setdefault(len(theta), []).append(ordered(theta))
+    vectors = {l: {b: [s[b] for s in sums_l] for b in sums_l[0]} for l, sums_l in by_length.items()}
+    # (e-1)(e)...(e+i-2) for e = l + 2g - 2 and i <= d_fit, by l
+    rising = {l: [math.perm(l + 2 * g + i - 4, i) for i in range(d_fit + 1)] for l in by_length}
+    table = []
+    for exps in rows:
+        d, n = exps[0], sum(exps[1:])
+        subs = [(0, 0, 1)]  # (len beta, beta, prod_j m_j!/c_j!) over the sub-multisets
+        for j, m in enumerate(exps[1:], 1):
+            if m:
+                subs = [(l + k, b + k * part[j], f * math.perm(m, k))
+                        for l, b, f in subs for k in range(m + 1)]
+        alpha = subs[-1][1]  # every part taken
+        by_size: dict[int, list[tuple[int, int]]] = {}
+        for l, b, f in subs:
+            by_size.setdefault(l, []).append((b, f))
+        entries = []
+        for l, sums_l in by_length.items():
+            if l > n:
+                entries += [0] * len(sums_l)
+                continue
+            coef = [r * d ** (n - l - i) for i, r in enumerate(rising[l][: n - l + 1])]
+            acc = [0] * len(sums_l)
+            for b, f in by_size[l]:
+                w = f * sum(map(mul, coef, elem(alpha - b)))
+                acc = [a + w * x for a, x in zip(acc, vectors[l][b])]
+            entries += acc
+        table.append(entries)
+    return table
 
 
 def fit_constants(
@@ -473,12 +572,16 @@ def fit_constants(
 ) -> AnsatzForm:
     """Determine the K_theta exactly from Hurwitz data.
 
-    Equates coefficients of p_alpha x^d between the pole-form basis series
-    and the Hurwitz generating series on the rows of `fit_rows`, refused
-    there before any series is built.  Every series is read as integer
-    numerators over one common denominator (`over_lcm`), so each equation
-    is one integer row.  Each term of F_k = phi_k(s, p) carries one p_n, so
-    column theta is zero on every row with fewer than len theta parts
+    Equates coefficients of p_alpha x^d between the pole-form basis and the
+    Hurwitz generating series on the rows of `fit_rows`, refused there
+    before any column is formed.  Since s phi_0'(s) = phi_1(s) for the
+    Lagrange series s = x e^{phi_0(s, p)}, Lagrange's theorem in its second
+    form gives [x^d] Psi(s)/(1 - phi_1(s)) = [z^d] Psi(z) e^{d phi_0(z)},
+    and in z every phi_k is a one-part sum, so `pole_basis_rows` forms each
+    entry as an integer in closed form, row alpha scaled by D_alpha and
+    column theta by Aut theta, with no series product.  The right-hand side
+    is H^g_alpha / r! D_alpha, and a solution scales back by Aut theta.
+    Column theta is zero on every row with fewer than len theta parts
     (AssertionError otherwise): block l = 1..d_fit, the rows with l parts,
     goes to `solve_exact` for the theta with len theta = l, the shorter
     ones known, and checks every row once, as a zero-column system if l >
@@ -486,16 +589,16 @@ def fit_constants(
     <tau_theta lambda_k>_g = (-1)^k K_theta into `hodge_table`.
     """
     rows = fit_rows(g, d_fit)
-    ctx = XpContext(d_fit)
-    basis = pole_basis_series(g, ctx)
-    columns = [series for _, _, _, series in basis] + [hurwitz_series(hurwitz, g, ctx)]
-    _, scales = over_lcm((1, series.den) for series in columns)
-    scaled = [(series.nums, f) for series, f in zip(columns, scales)]
-    aug = [(sum(e[1:]), [nums.get(ctx.ring.key(e), 0) * f for nums, f in scaled]) for e in rows]
+    basis = primitive_thetas(g)
+    aug = []
+    for exps, row in zip(rows, pole_basis_rows(g, rows)):
+        alpha = tuple(j for j, m in enumerate(exps[1:], 1) for _ in range(m))
+        h = hurwitz.value(g, alpha) / math.factorial(riemann_hurwitz_r(g, alpha))
+        aug.append((len(alpha), row + [h * _row_scale(exps[1:])]))
     solution: list[Fraction] = []
     for l in range(1, d_fit + 1):
         block = [row for parts, row in aug if parts == l]
-        known, end = len(solution), len(solution) + sum(len(t) == l for t, _, _, _ in basis)
+        known, end = len(solution), len(solution) + sum(len(t) == l for t, _, _ in basis)
         if any(any(row[end:-1]) for row in block):
             raise AssertionError(f"a longer pole-basis column is nonzero on a row with {l} parts")
         den, nums = over_lcm((v.numerator, v.denominator) for v in solution)
@@ -504,9 +607,9 @@ def fit_constants(
             [row[-1] * den - sum(map(mul, row[:known], nums)) for row in block],
         )
     form = AnsatzForm(g)
-    for (theta, e, k, _), value in zip(basis, solution):
-        form.constants[theta] = value
-        hodge_table.set_primitive(HodgeKey.make(g, theta, k), (-1) ** k * value)
+    for (theta, e, k), value in zip(basis, solution):
+        form.constants[theta] = value * aut_count(theta)
+        hodge_table.set_primitive(HodgeKey.make(g, theta, k), (-1) ** k * form.constants[theta])
     return form
 
 

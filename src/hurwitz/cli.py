@@ -11,8 +11,9 @@ deterministic for a fixed configuration.
 Exit codes: 0 success; 1 a verification or an internal check failed, a
 fit's contradictory rows included (one `error: internal check failed: ...`
 line on stderr, no traceback); 2 usage error; 3 too large: over the memory
-budget, or a recursion too deep, as reducing a bracket of 991 points is; 4
-malformed family file; 141 stdout closed by its reader (128 + SIGPIPE).
+budget, out of memory, or a recursion too deep, as reducing a bracket of
+991 points is; 4 malformed family file; 141 stdout closed by its reader
+(128 + SIGPIPE).
 
 `run()` is the process entry point (`python -m hurwitz.cli` and the
 installed `hurwitz` script); `main(argv)` is the in-process API.  `run`
@@ -70,6 +71,8 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_FAMILY = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader gone
+
+FIT_G_MAX = 5  # the largest genus whose primitive brackets the fit serves
 
 
 class FamilyFormatError(ValueError):
@@ -185,8 +188,8 @@ def _cmd_hurwitz(args: SimpleNamespace, session: Session) -> int:
     elif args.method == "cutjoin":
         value = hurwitz_number(g, alpha)
     elif args.method == "elsv":
-        if g > 3:
-            raise ValueError("elsv needs fitted primitives; supported for g <= 3")
+        if g > FIT_G_MAX:
+            raise ValueError(f"elsv needs fitted primitives; supported for g <= {FIT_G_MAX}")
         value = elsv_hurwitz(g, alpha, session.brackets(g))
     else:  # closed-form
         if set(alpha) != {1}:
@@ -229,8 +232,8 @@ def _cmd_fit(args: SimpleNamespace, session: Session) -> int:
 def _cmd_hodge(args: SimpleNamespace, session: Session) -> int:
     theta = _parse_parts(args.theta, minimum=0)
     key = HodgeKey.make(args.g, theta, args.k)
-    if args.g > 3:
-        raise ValueError("primitive brackets are fitted for g <= 3 only")
+    if args.g > FIT_G_MAX:
+        raise ValueError(f"primitive brackets are fitted for g <= {FIT_G_MAX} only")
     # a key the gate zeroes needs no fitted primitives
     valid = validity_gate(key) == "valid"
     value = evaluate(key, session.brackets(args.g) if valid else session.hodge)
@@ -552,6 +555,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BUDGET
     except RecursionError:
         print("error: too large: recursion deeper than the interpreter allows", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print("error: too large: out of memory", file=sys.stderr)
         return EXIT_BUDGET
     except FamilyFormatError as ex:
         print(f"error: {ex}", file=sys.stderr)

@@ -418,12 +418,16 @@ def hurwitz_number(g: int, alpha: Iterable[int]) -> Fraction:
     sub-multisets of alpha only, and takes the log with only those
     sub-multisets kept; see the module docstring for why this is exact.
 
+    A degree-1 profile at g >= 1 is 0 at once: S_1 has no transposition.
+
     >>> hurwitz_number(1, (3,)), hurwitz_number(0, (1, 1)), hurwitz_number(1, (1,))
     (Fraction(9, 1), Fraction(1, 2), Fraction(0, 1))
     """
     alpha = Partition.of(alpha)
     if g < 0 or not alpha:
         raise ValueError(f"need g >= 0 and a non-empty profile, got g={g}, alpha={alpha}")
+    if alpha.d == 1 and g >= 1:
+        return Fraction(0)
     r = riemann_hurwitz_r(g, alpha)
     keys = ProfileKeys(alpha.d)
     keep = _sub_profiles(alpha, keys)

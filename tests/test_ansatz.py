@@ -23,6 +23,7 @@ from hurwitz.ansatz import (
     fit_rows,
     hurwitz_series,
     pair_correction_series,
+    pole_basis_rows,
     pole_basis_series,
     verify_change_theorem,
     verify_delta_annihilation,
@@ -323,6 +324,45 @@ def test_fit_rows_are_the_monomials_its_series_hold(g, count):
     assert rows == sorted(monomials) and len(rows) == count
     encode = ctx.ring.varset.profile_exps
     assert rows == sorted(encode(a) for d in range(1, d_fit + 1) for a in partitions(d))
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_pole_basis_rows_are_the_series_columns(g):
+    """Every integer entry, read back over D_alpha Aut theta, is the
+    coefficient that `pole_basis_series` forms by series products in the
+    (x, p) ring, zeros included: the closed form is the whole column."""
+    d_fit = 2 * g + 2
+    rows = fit_rows(g, d_fit)
+    ctx = XpContext(d_fit)
+    scales = []
+    for exps in rows:
+        alpha = ctx.ring.varset.profile(exps)[2]
+        weights = (Fraction(math.factorial(a), a**a) for a in alpha)
+        scales.append(aut_count(alpha) * math.prod(weights))
+    table = pole_basis_rows(g, rows)
+    assert len(table) == len(rows) and {len(row) for row in table} == {len(primitive_thetas(g))}
+    for i, (theta, _, _, series) in enumerate(pole_basis_series(g, ctx)):
+        read = {e: row[i] / (f * aut_count(theta)) for e, row, f in zip(rows, table, scales)}
+        assert {e: v for e, v in read.items() if v} == series.terms, theta
+
+
+def test_fit_forms_no_series_product_and_no_xp_ring(deep_table, fitted, monkeypatch):
+    """The fit's columns come from integer kernels alone: no `XpContext`,
+    no series product, and the same constants as the g = 3 fixture."""
+    calls = []
+
+    def spy(name, real):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(ExactSeries, "__mul__", spy("mul", ExactSeries.__mul__))
+    monkeypatch.setattr(SeriesRing, "_product", spy("product", SeriesRing._product))
+    monkeypatch.setattr(XpContext, "__init__", spy("XpContext", XpContext.__init__))
+    form = fit_constants(3, deep_table, 8, HodgeTable())
+    assert calls == [] and form.constants == fitted[1].constants
 
 
 def test_fit_detects_corrupted_data(deep_table):

@@ -19,7 +19,9 @@ from hurwitz import ansatz, cli, cutjoin, golden, oracle, partitions, simple_hur
 from hurwitz.algebra import ExactSeries, rational_str
 from hurwitz.cli import Session, main
 from hurwitz.cutjoin import hurwitz_via_cutjoin
+from hurwitz.hodge import HodgeTable, elsv_hurwitz
 from hurwitz.partitions import Partition
+from hurwitz.table import HurwitzTable
 
 
 RECORDED = json.loads(
@@ -950,9 +952,9 @@ def test_cutjoin_table_takes_no_log(capsys, monkeypatch):
 
 
 def test_genus_expansion_builds_s_and_i0_once_per_ring(capsys, monkeypatch):
-    # s in the fit's (x, p) ring and in the (x, p) ring of the xi-image and
-    # phi-shift checks; I_0 in the genus expansion's t ring and in the t ring
-    # the xi-image checks share
+    # s in the (x, p) ring of the xi-image and phi-shift checks (the fit
+    # forms its columns in closed form, with no s); I_0 in the genus
+    # expansion's t ring and in the t ring the xi-image checks share
     built = []
     for name in ("_s_series", "_i0_series"):
 
@@ -963,7 +965,7 @@ def test_genus_expansion_builds_s_and_i0_once_per_ring(capsys, monkeypatch):
         monkeypatch.setattr(ansatz, name, spy)
     code, out, _ = run_cli(capsys, "verify", "--suite", "genus-expansion", "--dmax", "7")
     assert code == 0 and "FAIL" not in out
-    assert len(built) == len(set(built)) == 4
+    assert len(built) == len(set(built)) == 3
 
 
 def test_a_perturbed_fixed_point_fails_its_check(capsys, monkeypatch):
@@ -1015,16 +1017,20 @@ def test_contradictory_fit_rows_exit_1(capsys, monkeypatch):
 )
 def test_too_small_a_fit_is_refused_before_any_work(capsys, monkeypatch, g, line):
     """A genus whose profiles up to d_fit = 2g + 2 give too few equations
-    exits 2 from the row count alone: no table and no pole basis is built."""
+    exits 2 from the row count alone: no table and no pole-basis column is
+    formed."""
 
     def no_work(*args, **kwargs):
         raise AssertionError("work was done before the refusal")
 
     monkeypatch.setattr(cutjoin, "connected_slices", no_work)
-    monkeypatch.setattr(ansatz, "pole_basis_series", no_work)
+    monkeypatch.setattr(ansatz, "pole_basis_rows", no_work)
     code, out, err = run_cli(capsys, "fit", "--g", str(g))
     assert (code, out) == (2, "")
     assert err == f"error: {line}; need 10 surplus — increase d_fit\n"
+    # the fit refuses on its own too, before it forms a column
+    with pytest.raises(ValueError, match=f"^{line};"):
+        ansatz.fit_constants(g, HurwitzTable("cutjoin"), 2 * g + 2, HodgeTable())
 
 
 def test_fit_refusal_enumerates_nothing(capsys, monkeypatch):
@@ -1045,15 +1051,16 @@ def test_fit_block_structure_is_checked(capsys, monkeypatch):
     """A pole-basis column of length 2 given an entry on a one-part row
     breaks the block structure the fit solves by: exit 1, one line."""
 
-    def widened(g, ctx, real=ansatz.pole_basis_series):
-        basis = real(g, ctx)
-        i = next(i for i, (theta, *_) in enumerate(basis) if len(theta) == 2)
-        theta, e, k, series = basis[i]
-        assert series.coeff({"x": 3, "p_3": 1}) == 0
-        basis[i] = (theta, e, k, series + ctx.ring.monomial({"x": 3, "p_3": 1}, 1))
-        return basis
+    def widened(g, rows, real=ansatz.pole_basis_rows):
+        table = real(g, rows)
+        thetas = [theta for theta, _, _ in partitions.primitive_thetas(g)]
+        i = next(i for i, theta in enumerate(thetas) if len(theta) == 2)
+        (r,) = [r for r, exps in enumerate(rows) if exps[0] == 3 and exps[3] == 1]
+        assert table[r][i] == 0
+        table[r][i] = 1
+        return table
 
-    monkeypatch.setattr(ansatz, "pole_basis_series", widened)
+    monkeypatch.setattr(ansatz, "pole_basis_rows", widened)
     code, out, err = run_cli(capsys, "fit", "--g", "2")
     assert (code, out) == (1, "")
     assert err == (
@@ -1187,7 +1194,7 @@ def test_usage_errors_exit_2(capsys):
         run_cli(capsys, "hurwitz", "--g", "0", "--alpha", "2", "--method", "closed-form")[0]
         == 2
     )
-    assert run_cli(capsys, "hodge", "--g", "4", "--theta", "2", "--k", "0")[0] == 2
+    assert run_cli(capsys, "hodge", "--g", "6", "--theta", "2", "--k", "0")[0] == 2
 
 
 @pytest.mark.parametrize(
@@ -1361,6 +1368,67 @@ def test_genus3_ten_simple_branch_points(capsys, method):
     )
     assert code == 0
     assert json.loads(out)["value"] == "524746976911216327876608000/1"
+
+
+@pytest.mark.parametrize("g", [4, 5])
+def test_elsv_equals_cutjoin_at_every_fitted_genus(g):
+    """With the primitives that the fit serves at g = 4 and 5, ELSV equals
+    cut-and-join on every profile with at most 4 parts and degree <= 12."""
+    session = Session()
+    brackets, table = session.brackets(g), session.table(12, g)
+    profiles = [a for d in range(1, 13) for a in partitions.partitions(d) if len(a) <= 4]
+    assert len(profiles) == 154
+    assert [a for a in profiles if elsv_hurwitz(g, a, brackets) != table.value(g, a)] == []
+
+
+def test_elsv_and_hodge_serve_every_fitted_genus(capsys):
+    """Both guards read `FIT_G_MAX`: a key the dimension gate zeroes prints
+    0 at g = 4 and 5, ELSV answers at g = 4, and the genus above the fit
+    exits 2."""
+    for g in ("4", "5"):
+        code, out, _ = run_cli(capsys, "hodge", "--g", g, "--theta", "2", "--k", "0")
+        assert (code, json.loads(out)["value"]) == (0, "0/1")
+    values = [
+        json.loads(run_cli(capsys, "hurwitz", "--g", "4", "--alpha", "10,10", "--method", m)[1])
+        for m in ("elsv", "cutjoin")
+    ]
+    assert values[0]["value"] == values[1]["value"] != "0/1"
+    g = str(cli.FIT_G_MAX + 1)
+    assert run_cli(capsys, "hodge", "--g", g, "--theta", "2", "--k", "0") == (
+        2, "", f"error: primitive brackets are fitted for g <= {cli.FIT_G_MAX} only\n"
+    )
+    assert run_cli(capsys, "hurwitz", "--g", g, "--alpha", "2", "--method", "elsv") == (
+        2, "", f"error: elsv needs fitted primitives; supported for g <= {cli.FIT_G_MAX}\n"
+    )
+
+
+def test_out_of_memory_exits_3(capsys, monkeypatch):
+    """A kernel that runs out of memory gives one `error: too large` line
+    and exit 3, with no traceback."""
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cutjoin, "ProfileKeys", exhausted)
+    code, out, err = run_cli(capsys, "hurwitz", "--g", "2", "--alpha", "99999999999999999999")
+    assert (code, out, err) == (3, "", "error: too large: out of memory\n")
+
+
+def test_degree_one_profile_answers_without_slices(capsys, monkeypatch):
+    """S_1 has no transposition, so a degree-1 profile at g >= 1 prints 0
+    with no slice built, even at g = 100000; g = 0 still runs its one slice."""
+    calls = []
+
+    def spy(*args, real=cutjoin.disconnected_slices):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cutjoin, "disconnected_slices", spy)
+    for g in ("1", "100000"):
+        code, out, _ = run_cli(capsys, "hurwitz", "--g", g, "--alpha", "1")
+        assert (code, json.loads(out)["value"], calls) == (0, "0/1", [])
+    code, out, _ = run_cli(capsys, "hurwitz", "--g", "0", "--alpha", "1")
+    assert (code, json.loads(out)["value"], len(calls)) == (0, "1/1", 1)
 
 
 # <tau_0^2000 tau_2001>_1: its string reduction recurses once per tau_0
