@@ -186,6 +186,8 @@ def connected_hurwitz(d_max: int, g_max: int, r_max: int) -> HurwitzTable:
     for d in range(1, d_max + 1):
         d_fact = math.factorial(d)
         for r, bins in enumerate(count_factorizations(d, r_max)):
+            if not bins:  # every step r >= 1 of degree 1, which has no transposition
+                continue
             r_fact = math.factorial(r)
             for alpha, count in bins.items():
                 ratios.append((encode(alpha, r), count, d_fact * r_fact))

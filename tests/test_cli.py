@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from hurwitz import ansatz, cli, cutjoin, golden, oracle, partitions, simple_hurwitz
+from hurwitz import ansatz, cli, cutjoin, golden, oracle, partitions, simple_hurwitz, suites
 from hurwitz.algebra import ExactSeries, rational_str
 from hurwitz.cli import Session, main
 from hurwitz.cutjoin import hurwitz_via_cutjoin
@@ -247,7 +247,7 @@ def test_verify_output_is_pinned(capsys, suite):
 def test_oracle_mismatch_detail_is_rational(capsys, monkeypatch, key, oracle, cutjoin):
     """A wrong oracle entry fails the suite, and the detail gives both
     sides as n/d, reading an absent entry as 0/1."""
-    real = cli.connected_hurwitz
+    real = suites.connected_hurwitz
     key = (key[0], Partition(key[1]))
 
     def broken(*args):
@@ -258,7 +258,7 @@ def test_oracle_mismatch_detail_is_rational(capsys, monkeypatch, key, oracle, cu
             table.entries[key] += 1
         return table
 
-    monkeypatch.setattr(cli, "connected_hurwitz", broken)
+    monkeypatch.setattr(suites, "connected_hurwitz", broken)
     code, out, _ = run_cli(capsys, "verify", "--suite", "oracle-vs-cutjoin", "--format", "json")
     [check] = json.loads(out)["checks"]
     assert (code, check["status"]) == (1, "fail")
@@ -665,7 +665,7 @@ PERTURBATIONS = {
 }
 
 
-@pytest.mark.parametrize("suite", sorted(cli._SUITE_RUNNERS))
+@pytest.mark.parametrize("suite", sorted(suites.SUITES))
 def test_every_check_of_every_suite_has_a_case(capsys, suite):
     code, out, _ = run_cli(capsys, "verify", "--suite", suite)
     assert code == 0
@@ -1069,12 +1069,10 @@ def test_fit_block_structure_is_checked(capsys, monkeypatch):
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
-    import hurwitz.cli as cli
-
     def broken_suite(session, dmax):
         return [{"check": "probe", "status": "fail", "detail": {}}]
 
-    monkeypatch.setitem(cli._SUITE_RUNNERS, "oracle-vs-cutjoin", (broken_suite, 4))
+    monkeypatch.setitem(suites.SUITES, "oracle-vs-cutjoin", (broken_suite, 4))
     code, out, _ = run_cli(capsys, "verify", "--suite", "oracle-vs-cutjoin")
     assert code == 1
     assert out.startswith("FAIL probe")
@@ -1660,6 +1658,13 @@ def test_cli_import_loads_no_heavy_modules():
     heavy = {"dataclasses", "inspect", "ast", "dis", "csv", "numpy", "sympy", "argparse"}
     heavy |= {"gettext", "locale"}
     assert added & heavy == set()
+
+
+def test_suites_import_no_cli():
+    """The verify suites take the command's `Session` as a parameter, so
+    `hurwitz.suites` loads without the command-line surface."""
+    loaded = loaded_modules("import hurwitz.suites; ")
+    assert "hurwitz.suites" in loaded and "hurwitz.cli" not in loaded
 
 
 ROUTES = ("oracle", "cutjoin", "hodge", "simple_hurwitz")

@@ -81,6 +81,17 @@ def test_odd_doubled_join_is_refused(monkeypatch):
         connected_slices(ProfileKeys(4), 2)
 
 
+def test_step_of_the_wrong_parity_is_refused(monkeypatch):
+    """A profile of degree d with n parts appears only at steps r with
+    r - d + n even; a step that emits (1, 1) at r = 1 raises and names
+    both."""
+    keys = ProfileKeys(2)
+    monkeypatch.setattr(cutjoin, "cutjoin_step", lambda *args: {keys.pack((1, 1)): 1})
+    with pytest.raises(AssertionError) as info:
+        disconnected_slices(keys, 1)
+    assert str(info.value) == "parity violation at r=1, alpha=(1, 1)"
+
+
 def _log_route(d_max, r_max, g_max=None):
     """H = log E from the all-covers slices, cut to genus <= g_max."""
     keys = ProfileKeys(d_max)

@@ -156,6 +156,17 @@ def test_connected_spot_values(oracle_table):
     assert (1, Partition((1,))) not in oracle_table.entries
 
 
+def test_degree_one_forms_no_factorial_of_an_empty_step(monkeypatch):
+    """S_1 has no transposition, so every degree-1 step r >= 1 holds no
+    count, and the oracle forms r! only for a step that holds counts: at
+    r_max = 100 it takes the factorials of 0 and 1 alone."""
+    args, real = [], math.factorial
+    monkeypatch.setattr(math, "factorial", lambda n: args.append(n) or real(n))
+    table = connected_hurwitz(1, 50, 100)
+    assert set(args) == {0, 1}
+    assert table.entries == {(0, Partition((1,))): 1}
+
+
 def test_disconnected_minus_connected():
     # H^0_{(1,1)} = 1/2: the two-sheet cover branched at two points,
     # weighted by its automorphism
