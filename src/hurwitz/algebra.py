@@ -591,12 +591,15 @@ class ExactSeries:
         finish: Callable[[int, tuple], tuple],
     ) -> dict[int, tuple]:
         """The nonzero slices out_m of the recurrence above, by degree m;
-        `fixed` holds numerators over `den`."""
+        `fixed` holds numerators over `den`.  No term, nor anything `finish`
+        adds, has a degree past max(out) + max(fixed), so the loop stops there."""
         ring, den = self.ring, self.den
         fixed_ops = [(j, sorted(s.items())) for j, s in sorted(fixed.items()) if j]
         out = {0: first}
         ops = {0: (first[0], sorted(first[1].items()))}
         for m in range(1, ring.max_total_degree() + 1):
+            if m > max(out) + max(fixed, default=0):
+                break
             acc = _sum(
                 (1, den * ops[m - j][0], ring._product(op, ops[m - j][1]))
                 for j, op in fixed_ops

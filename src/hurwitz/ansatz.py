@@ -46,7 +46,7 @@ from .algebra import (
 )
 from .hodge import HodgeKey, HodgeTable, evaluate
 from .linalg import solve_exact
-from .partitions import ThetaPartition, aut_count, partitions, primitive_thetas
+from .partitions import ProfileKeys, ThetaPartition, aut_count, partitions, primitive_thetas
 from .table import HurwitzTable, riemann_hurwitz_r
 
 __all__ = [
@@ -88,16 +88,18 @@ def _p_times(ring: SeriesRing, z_pows: list[ExactSeries]) -> list[ExactSeries]:
     return [z_pows[n].times_monomial(encode((n,), d=0)) for n in range(1, len(z_pows))]
 
 
-def _q_table(part: list[int]) -> dict[int, tuple[int, int, int]]:
-    """Given the keys of p_n x^n by n <= d_max (0 at n = 0), the key of
-    p_mu x^|mu| -> (|mu|, prod_j mu_j^mu_j, prod_j mu_j!) for every mu with
-    |mu| <= d_max: q_mu = prod_j q_{mu_j}, where q_n = n^n/n! p_n x^n."""
-    table = {}
-    for d in range(len(part)):
-        for mu in partitions(d):
-            weights = math.prod(a**a for a in mu), math.prod(map(math.factorial, mu))
-            table[sum(part[a] for a in mu)] = (d, *weights)
-    return table
+def _extend(keys: ProfileKeys, sums: dict[int, int], e: int) -> dict[int, int]:
+    """One more factor of an arrangement sum: S'(beta + (n,)) = sum n^e S(beta)
+    over the beta of `sums`, packed by `keys`, and every n keeping |beta| + n <= d_max."""
+    top, d_max = keys.top, keys.d_max
+    steps = [(unit, n**e) for n, unit in enumerate(keys.unit[1:], 1)]
+    acc: dict[int, int] = {}
+    get = acc.get
+    for key, c in sums.items():
+        for step, w in steps[: d_max - (key >> top)]:
+            k = key + step
+            acc[k] = get(k, 0) + c * w
+    return acc
 
 
 def _descend(ring: SeriesRing, k: int, v_pows: list[ExactSeries]) -> ExactSeries:
@@ -269,30 +271,32 @@ def xi_substitute(t_series: ExactSeries, ctx: XpContext) -> ExactSeries:
 
     phi_k = sum_n n^k q_n with q_n = n^n/n! p_n x^n, so t_theta maps to the
     sum over n in Z_{>0}^len(theta) of prod_i n_i^theta_i q_{n_i}: integer
-    sums, one part n <= d_max - |mu| (what the ring admits) per prefix of
-    theta, shared per context and t-ring, weighted once per p_mu x^|mu|."""
+    sums over the multisets mu of the context's `ProfileKeys`, one `_extend`
+    by a part n <= d_max - |mu| (what the ring admits) per prefix of theta,
+    shared per context and t-ring, each mu mapped once per context to p_mu x^|mu|."""
     t_ring = t_series.ring
     if any(f != "t" for f in t_ring.varset.families):
         raise ValueError("xi_substitute expects a pure t-series")
-    d_max, memo = ctx.d_max, ctx._once(("xi", t_ring), lambda: {0: {0: 1}})
-    part, table = ctx.part_keys, ctx._once("q", lambda: _q_table(ctx.part_keys))
+    keys = ctx._once("keys", lambda: ProfileKeys(ctx.d_max))
+    memo = ctx._once(("xi", t_ring), lambda: {0: {0: 1}})
 
     def sums(t_key: int) -> dict[int, int]:
         if t_key not in memo:
             pos, rest = t_ring.split(t_key)
-            row = [(part[n], n ** t_ring.varset.indices[pos]) for n in range(1, d_max + 1)]
-            acc = memo[t_key] = {}
-            for key, c in sums(rest).items():
-                for step, w in row[: d_max - table[key][0]]:
-                    acc[key + step] = acc.get(key + step, 0) + c * w
+            memo[t_key] = _extend(keys, sums(rest), t_ring.varset.indices[pos])
         return memo[t_key]
 
     image: dict[int, int] = {}
     for t_key, num in t_series.nums.items():
         for key, c in sums(t_key).items():
             image[key] = image.get(key, 0) + num * c
+    q = ctx._once("q", dict)  # packed mu -> (key of p_mu x^|mu|, prod mu_j^mu_j, prod mu_j!)
+    for key in image.keys() - q.keys():
+        mu = keys.unpack(key)
+        weights = math.prod(a**a for a in mu), math.prod(map(math.factorial, mu))
+        q[key] = (sum(ctx.part_keys[a] for a in mu), *weights)
     return ExactSeries.from_keys(
-        ctx.ring, ((k, c * table[k][1], t_series.den * table[k][2]) for k, c in image.items())
+        ctx.ring, ((q[k][0], c * q[k][1], t_series.den * q[k][2]) for k, c in image.items())
     )
 
 
@@ -500,31 +504,24 @@ def pole_basis_rows(g: int, rows: list[tuple[int, ...]]) -> list[list[int]]:
       e_i(gamma) and e_i the elementary symmetric polynomials of its parts.
     D_alpha clears the weights n^n/n!, leaving S_theta(beta) T(gamma) prod_j
     m_j!/c_j!, an integer.  The S_theta come from prefix sums shared by
-    every theta with the same prefix.  A multiset is packed as one int, a
-    weight field above one multiplicity field per part size, so adding a
-    part is one key shift.
+    every theta with the same prefix, one `_extend` per prefix, over
+    multisets packed by `ProfileKeys`, so adding a part is one key shift.
     """
-    d_fit = max(exps[0] for exps in rows)
-    bits = d_fit.bit_length()
-    top = bits * d_fit
-    part = [0] + [(n << top) + (1 << bits * (n - 1)) for n in range(1, d_fit + 1)]
+    keys = ProfileKeys(max(exps[0] for exps in rows))
+    d_fit, part = keys.d_max, keys.unit
     sums: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
     elementary: dict[int, list[int]] = {0: [1]}
 
     def ordered(theta: tuple[int, ...]) -> dict[int, int]:
         """beta -> S_theta(beta) over the beta of weight <= d_fit."""
         if theta not in sums:
-            acc = sums[theta] = {}
-            steps = [(part[n], n ** theta[-1]) for n in range(1, d_fit + 1)]
-            for key, c in ordered(theta[:-1]).items():
-                for step, w in steps[: d_fit - (key >> top)]:
-                    acc[key + step] = acc.get(key + step, 0) + c * w
+            sums[theta] = _extend(keys, ordered(theta[:-1]), theta[-1])
         return sums[theta]
 
     def elem(key: int) -> list[int]:
         """e_0..e_L of the multiset packed in key, one part (1 + j y) at a time."""
         if key not in elementary:
-            j = ((key & -key).bit_length() - 1) // bits + 1  # the smallest part
+            j = ((key & -key).bit_length() - 1) // keys.width + 1  # the smallest part
             prev = elem(key - part[j])
             elementary[key] = [a + j * b for a, b in zip(prev + [0], [0] + prev)]
         return elementary[key]

@@ -20,16 +20,11 @@ closed under the operator, which preserves |alpha|, so no truncation loss
 occurs inside a run.  A `Fraction` is made only where a count is returned:
 H^g_alpha = N / d!.
 
-A profile is keyed by one int (`ProfileKeys`): the multiplicity of part i
-sits in a field of w = d_max.bit_length() bits at offset w (i - 1).  A
-multiplicity is at most the degree, which is at most d_max, so no field
-carries into the next, and every move of the operator is integer addition
-of unit keys: a cut of v into a + b adds unit[a] + unit[b] - unit[v], and
-a product of slices adds keys.  1^d packs to d itself.  Each builder call
-owns one `ProfileKeys`, which decodes a key into its degree, part count and
-(part, multiplicity) pairs once and remembers the answer; a table unpacks
-each distinct key once into a `Partition` and hands its counts to
-`HurwitzTable.from_counts`, the table boundary the oracle shares.
+A profile is keyed by one int of the `partitions.ProfileKeys` codec, so
+every move of the operator and every product of slices adds keys.  Each
+builder call owns one `ProfileKeys`; a table unpacks each distinct key once
+into a `Partition` and hands its counts to `HurwitzTable.from_counts`, the
+table boundary the oracle shares.
 
 The connected series H = log E has an equation of its own (Goulden and
 Jackson, 1997): the same operator plus a quadratic term that joins two
@@ -62,11 +57,10 @@ import math
 from fractions import Fraction
 from typing import Container, Iterable
 
-from .partitions import Partition
+from .partitions import Partition, ProfileKeys
 from .table import HurwitzTable, riemann_hurwitz_r
 
 __all__ = [
-    "ProfileKeys",
     "cutjoin_step",
     "disconnected_slices",
     "connected_slices",
@@ -78,52 +72,9 @@ __all__ = [
 Slice = dict[int, int]
 
 
-class ProfileKeys(dict):
-    """The packed keys of profiles of degree <= d_max, and a memo of their
-    decodings: ``keys[key]`` is (degree, part count, ((part, multiplicity),
-    ...)) with parts increasing.
-
-    >>> keys = ProfileKeys(5)
-    >>> keys.pack((1, 1, 3)), keys[keys.pack((1, 1, 3))], keys.unpack(66)
-    (66, (5, 3, ((1, 2), (3, 1))), (1, 1, 3))
-    """
-
-    def __init__(self, d_max: int) -> None:
-        super().__init__()
-        self.d_max = d_max
-        self.width = d_max.bit_length()
-        # unit[i] is the key of the profile (i,); unit[0] is no profile.
-        self.unit = [0] + [1 << self.width * (i - 1) for i in range(1, d_max + 1)]
-
-    def __missing__(self, key: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
-        mask = (1 << self.width) - 1
-        pairs = []
-        rest, i = key, 1
-        while rest:
-            if rest & mask:
-                pairs.append((i, rest & mask))
-            rest >>= self.width
-            i += 1
-        decoded = (sum(i * m for i, m in pairs), sum(m for _, m in pairs), tuple(pairs))
-        self[key] = decoded
-        return decoded
-
-    def pack(self, alpha: Iterable[int]) -> int:
-        """The key of the profile with parts alpha, in any order."""
-        alpha = tuple(alpha)
-        if any(a < 1 for a in alpha) or sum(alpha) > self.d_max:
-            raise ValueError(f"{alpha} is not a profile of degree <= {self.d_max}")
-        return sum(self.unit[a] for a in alpha)
-
-    def unpack(self, key: int) -> tuple[int, ...]:
-        """The parts of the profile of a key, sorted."""
-        return tuple(i for i, m in self[key][2] for _ in range(m))
-
-
-def _initial_slices(d_max: int) -> Slice:
-    """Step-0 slice: exp(p_1 x) truncated at degree d_max, 1 on every 1^d
-    (whose key is d)."""
-    return dict.fromkeys(range(d_max + 1), 1)
+def _initial_slices(keys: ProfileKeys) -> Slice:
+    """Step-0 slice: exp(p_1 x) truncated at degree keys.d_max, 1 on every 1^d."""
+    return {keys.pack((1,) * d): 1 for d in range(keys.d_max + 1)}
 
 
 def cutjoin_step(
@@ -190,11 +141,10 @@ def disconnected_slices(
             for d, bs in lengths.items()
         }
 
-    e0 = _initial_slices(keys.d_max)
+    e0 = _initial_slices(keys)
     if keep is not None:
-        # 1^d has key d, degree d and d parts
         within = reach(r_max)
-        e0 = {d: c for d, c in e0.items() if d in within.get(d, ())}
+        e0 = {k: c for k, c in e0.items() if keys[k][1] in within.get(keys[k][0], ())}
     slices = [e0]
     for r in range(r_max):
         nxt = cutjoin_step(slices[-1], keys, reach(r_max - r - 1))
@@ -215,14 +165,13 @@ def _mul_into(
     """Add scale times the product of two slices into `out`, in degree <=
     keys.d_max, with the binomial C(d_a + d_b, d_a) that the exponential
     units in x carry.  With `keep`, no key outside it is formed."""
-    b_items = [(kb, keys[kb][0], cb) for kb, cb in b.items()]
+    top, d_max = keys.top, keys.d_max
     for ka, ca in a.items():
-        da = keys[ka][0]
-        ca *= scale
-        for kb, db, cb in b_items:
+        da, ca = ka >> top, ca * scale
+        for kb, cb in b.items():
             k = ka + kb
-            if da + db <= keys.d_max and (keep is None or k in keep):
-                out[k] = out.get(k, 0) + math.comb(da + db, da) * ca * cb
+            if k >> top <= d_max and (keep is None or k in keep):
+                out[k] = out.get(k, 0) + math.comb(k >> top, da) * ca * cb
 
 
 def _join_into(
@@ -310,7 +259,7 @@ def connected_slices(keys: ProfileKeys, g_max: int) -> list[Slice]:
         top = 2 * d - 2 + 2 * g_max
         layer: list[Slice] = [{} for _ in range(top + 1)]
         if d == 1:
-            layer[0][1] = 1
+            layer[0][unit[1]] = 1
         # A field holds a doubled join, at most twice the number of r-tuples
         # of transpositions in S_d, C(d, 2)^r, with r <= 2d - 2 + 2 g_max.
         width = 1 + (2 * d - 2 + 2 * g_max) * math.comb(d, 2).bit_length()
@@ -355,8 +304,8 @@ def _log_slices(
     Uses the derivative-of-log convolution in the step variable:
     (r+1) E_{r+1} = sum_k (k+1) H_{k+1} E_{r-k}, solved for H_{r+1} with
     E_0^{-1} = exp(-p_1 x).  In the units of `Slice` the term of k carries
-    C(r, k), the slice product carries the binomial in degree, and
-    E_0^{-1} is (-1)^d on 1^d.  With `keep`, a set of keys of profiles
+    C(r, k), the slice product carries the binomial in degree, E_0^{-1} is
+    (-1)^d on 1^d and H_0 is 1 on (1,).  With `keep`, a set of keys of profiles
     closed under taking sub-multisets, every slice is also cut to `keep`:
     the profiles outside it span a monomial ideal, so the kept coefficients
     are exact.
@@ -367,10 +316,10 @@ def _log_slices(
 
     e = [cut(s) for s in e]
     # e0 = exp(p_1 x): its log is p_1 x.  Verify rather than assume.
-    if e[0] != cut(_initial_slices(keys.d_max)):
+    if e[0] != cut(_initial_slices(keys)):
         raise AssertionError("step-0 slice is not exp(p_1 x)")
-    e0_inv = cut({d: (-1) ** d for d in range(keys.d_max + 1)})
-    h: list[Slice] = [cut({1: 1}) if keys.d_max >= 1 else {}]
+    e0_inv = cut({k: (-1) ** (k >> keys.top) for k in _initial_slices(keys)})
+    h: list[Slice] = [cut({keys.unit[1]: 1}) if keys.d_max >= 1 else {}]
     for r in range(len(e) - 1):
         acc: Slice = dict(e[r + 1])
         for k in range(r):

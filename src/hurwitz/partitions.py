@@ -1,4 +1,4 @@
-"""Integer partitions, automorphism counts, and indexing for primitive keys.
+"""Integer partitions, automorphism counts, primitive-key indexing, profile keys.
 
 Partitions are tuples of positive parts sorted non-decreasingly; `Partition`
 is a validating tuple subclass so instances hash and compare exactly like
@@ -10,10 +10,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import groupby
-from typing import Iterator
+from typing import Iterable, Iterator
 
 __all__ = [
     "Partition",
+    "ProfileKeys",
     "ThetaPartition",
     "aut_count",
     "partitions",
@@ -67,6 +68,57 @@ class ThetaPartition(Partition):
         if any(a < 2 for a in self):
             raise ValueError(f"all parts must be >= 2: {tuple(self)}")
         return self
+
+
+class ProfileKeys(dict):
+    """The one packing of a profile (a multiset of positive parts) of degree
+    <= d_max into an int, and a memo of decodings: ``keys[key]`` is (degree,
+    part count, ((part, multiplicity), ...)) with parts increasing.
+
+    The multiplicity of part i fills a field of w = d_max.bit_length() bits
+    at offset w (i - 1), and the degree the field above, at ``top`` = w d_max,
+    so ``key >> top`` is the degree.  No multiplicity exceeds d_max, so no
+    field carries into the next: ``unit[i]``, the key of (i,), adds a part
+    i, a cut of v into a + b adds unit[a] + unit[b] - unit[v], a multiset
+    union adds keys (its degree field exceeds d_max exactly when its degree
+    does), and 1^d packs to d unit[1].  ``key & -key`` falls in the field of
+    the smallest part.
+
+    >>> keys = ProfileKeys(5)
+    >>> keys.pack((1, 1, 3)), keys[163906], keys.unpack(163906), 163906 >> keys.top
+    (163906, (5, 3, ((1, 2), (3, 1))), (1, 1, 3), 5)
+    """
+
+    def __init__(self, d_max: int) -> None:
+        super().__init__()
+        self.d_max = d_max
+        self.width = w = d_max.bit_length()
+        self.top = w * d_max
+        self.unit = [0] + [(i << self.top) + (1 << w * (i - 1)) for i in range(1, d_max + 1)]
+
+    def __missing__(self, key: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+        mask = (1 << self.width) - 1
+        pairs = []
+        rest, i = key & ((1 << self.top) - 1), 1
+        while rest:
+            if rest & mask:
+                pairs.append((i, rest & mask))
+            rest >>= self.width
+            i += 1
+        decoded = (key >> self.top, sum(m for _, m in pairs), tuple(pairs))
+        self[key] = decoded
+        return decoded
+
+    def pack(self, alpha: Iterable[int]) -> int:
+        """The key of the profile with parts alpha, in any order."""
+        alpha = tuple(alpha)
+        if any(a < 1 for a in alpha) or sum(alpha) > self.d_max:
+            raise ValueError(f"{alpha} is not a profile of degree <= {self.d_max}")
+        return sum(self.unit[a] for a in alpha)
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        """The parts of the profile of a key, sorted."""
+        return tuple(i for i, m in self[key][2] for _ in range(m))
 
 
 def aut_count(parts) -> int:

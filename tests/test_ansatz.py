@@ -151,6 +151,23 @@ def test_xi_substitute_forms_no_series_product(fitted, monkeypatch):
     assert calls == [] and len(image.nums) > 0
 
 
+def test_one_context_builds_one_profile_codec(monkeypatch):
+    """Repeated substitutions into one `XpContext`, from two t-rings, share
+    the context's one `ProfileKeys`, and still match the reference."""
+    built, real = [], ansatz.ProfileKeys
+
+    def spy(d_max):
+        built.append(d_max)
+        return real(d_max)
+
+    monkeypatch.setattr(ansatz, "ProfileKeys", spy)
+    ctx = XpContext(5)
+    series = [TContext(4, 5).I(0), TContext(3, 4).I(1), TContext(4, 5).I(2)]
+    for t_series in series + series:
+        assert xi_substitute(t_series, ctx) == _reference_xi(t_series, ctx)
+    assert built == [5]
+
+
 def _phi_by_products(ring, k, z_pows):
     """phi_k(z, p) as a sum of full products, the one-term series
     n^(n+k)/n! p_n times z^n."""

@@ -9,7 +9,6 @@ import pytest
 
 from hurwitz import cutjoin
 from hurwitz.cutjoin import (
-    ProfileKeys,
     _log_slices,
     _sub_profiles,
     connected_slices,
@@ -19,7 +18,7 @@ from hurwitz.cutjoin import (
 )
 from hurwitz.hodge import elsv_hurwitz
 from hurwitz.oracle import connected_hurwitz, count_factorizations
-from hurwitz.partitions import Partition, partitions
+from hurwitz.partitions import Partition, ProfileKeys, partitions
 from hurwitz.simple_hurwitz import closed_form_simple
 from hurwitz.table import riemann_hurwitz_r
 

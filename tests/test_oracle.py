@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from hurwitz import oracle
+from hurwitz import algebra, oracle
 from hurwitz.cutjoin import hurwitz_via_cutjoin
 from hurwitz.oracle import (
     BudgetExceededError,
@@ -165,6 +165,21 @@ def test_degree_one_forms_no_factorial_of_an_empty_step(monkeypatch):
     table = connected_hurwitz(1, 50, 100)
     assert set(args) == {0, 1}
     assert table.entries == {(0, Partition((1,))): 1}
+
+
+def test_degree_one_log_stops_past_the_last_slice(monkeypatch):
+    """The degree-1 series holds only u^0 terms, so its log's graded
+    recurrence stops just past its last nonzero slice: the `_sum` calls do
+    not grow with r_max (4005 at r_max = 2000 when the recurrence ran over
+    every degree the ring admits)."""
+    calls, real = [], algebra._sum
+    monkeypatch.setattr(algebra, "_sum", lambda parts: calls.append(1) or real(parts))
+    counts = []
+    for r_max in (20, 2000):
+        calls.clear()
+        assert connected_hurwitz(1, r_max // 2, r_max).entries == {(0, Partition((1,))): 1}
+        counts.append(len(calls))
+    assert counts[0] == counts[1] < 20
 
 
 def test_disconnected_minus_connected():

@@ -1,14 +1,17 @@
-"""Partition plumbing: enumeration, automorphism counts, and the
-primitive index sets used by the pole-form fits."""
+"""Partition plumbing: enumeration, automorphism counts, the primitive
+index sets used by the pole-form fits, and the packed-profile codec."""
 
+from collections import Counter
 from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hurwitz import cutjoin, partitions as partitions_module
 from hurwitz.partitions import (
     Partition,
+    ProfileKeys,
     ThetaPartition,
     aut_count,
     multinomial,
@@ -39,6 +42,36 @@ def test_theta_partition_needs_parts_at_least_two():
 @settings(max_examples=13, deadline=None)
 def test_partition_counts(d):
     assert len(list(partitions(d))) == PARTITION_COUNTS[d]
+
+
+def test_profile_keys_round_trip_with_degree_and_smallest_part():
+    """Every partition of d <= 12 packs and unpacks to itself at d_max 12;
+    its key carries the degree above the multiplicity fields, its lowest
+    set bit names its smallest part, and a multiset union adds keys, whose
+    degree field reads above 12 exactly when the union's degree is."""
+    keys = ProfileKeys(12)
+    every = [keys.pack(alpha) for d in range(13) for alpha in partitions(d)]
+    assert all(
+        ((ka + kb) >> keys.top > 12) == ((ka >> keys.top) + (kb >> keys.top) > 12)
+        for ka in every
+        for kb in every
+    )
+    for d in range(13):
+        for alpha in partitions(d):
+            key = keys.pack(alpha)
+            pairs = tuple(sorted(Counter(alpha).items()))
+            assert keys.unpack(key) == alpha
+            assert keys[key] == (d, len(alpha), pairs)
+            assert key >> keys.top == d
+            if alpha:
+                assert ((key & -key).bit_length() - 1) // keys.width + 1 == alpha[0]
+            for beta in partitions(12 - d):
+                assert key + keys.pack(beta) == keys.pack(alpha + beta)
+    assert [u >> keys.top for u in keys.unit] == list(range(13))
+
+
+def test_cutjoin_uses_the_one_profile_codec():
+    assert cutjoin.ProfileKeys is partitions_module.ProfileKeys
 
 
 def test_partitions_respect_bounds():
