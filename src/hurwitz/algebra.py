@@ -353,9 +353,6 @@ class SeriesRing:
         if other is not self and other != self:
             raise VarSetMismatchError(f"operands in different rings: {self!r} vs {other!r}")
 
-    def zero(self) -> "ExactSeries":
-        return ExactSeries(self, 1, {})
-
     def one(self) -> "ExactSeries":
         return self.const(1)
 
@@ -513,53 +510,28 @@ class ExactSeries:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other) -> "ExactSeries":
-        if not isinstance(other, ExactSeries):
-            other = self.ring.const(other)
+    def __add__(self, other: "ExactSeries") -> "ExactSeries":
         return self.ring.sum((self, other))
-
-    __radd__ = __add__
 
     def __neg__(self) -> "ExactSeries":
         return self.scale(-1)
 
-    def __sub__(self, other) -> "ExactSeries":
-        if not isinstance(other, ExactSeries):
-            other = self.ring.const(other)
+    def __sub__(self, other: "ExactSeries") -> "ExactSeries":
         return self.ring.combination(((1, self), (-1, other)))
-
-    def __rsub__(self, other) -> "ExactSeries":
-        return self.ring.const(other) - self
 
     def scale(self, c) -> "ExactSeries":
         return self.ring.combination(((Fraction(c), self),))
 
-    def __mul__(self, other) -> "ExactSeries":
-        if not isinstance(other, ExactSeries):
-            return self.scale(other)
+    def __mul__(self, other: "ExactSeries") -> "ExactSeries":
         self.ring._require(other.ring)
         nums = self.ring._product(self._items(), other._items())
         return ExactSeries(self.ring, *_canonical(self.den * other.den, nums))
-
-    __rmul__ = __mul__
 
     def times_monomial(self, exps: tuple[int, ...]) -> "ExactSeries":
         """This series times the monomial of `exps`: one key shift, under `_product`'s tests."""
         ring = self.ring
         nums = ring._product([(ring.key(exps), 1)], self._items()) if ring.admits(exps) else {}
         return ExactSeries(ring, *_canonical(self.den, nums))
-
-    def __pow__(self, n: int) -> "ExactSeries":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
 
     def powers(self, n: int) -> list["ExactSeries"]:
         """[1, a, a^2, ..., a^n], each power one product from the last."""

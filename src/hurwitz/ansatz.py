@@ -179,7 +179,9 @@ class _SeriesContext:
     def inv_pole_power(self, e: int) -> ExactSeries:
         """(1 - F_1)^(-e) for e >= 0, one product per new e."""
         return self._prefix_product(
-            "inv", (1,) * e, lambda _: self._once("inv", lambda: (1 - self.F(1)).inverse())
+            "inv",
+            (1,) * e,
+            lambda _: self._once("inv", lambda: (self.ring.one() - self.F(1)).inverse()),
         )
 
     def pole_term(self, g: int, theta: tuple[int, ...]) -> ExactSeries:
@@ -195,13 +197,13 @@ class _SeriesContext:
 class XpContext(_SeriesContext):
     """Series in (x, p) with x-degree and part-weight capped at d_max:
     phi_k at x and at s, their powers and products, and the pole powers;
-    F is phi_s.  `part_keys` holds the key of p_n x^n by n (0 at n = 0)."""
+    F is phi_s.  `part_keys` maps n to the key of p_n x^n."""
 
     def __init__(self, d_max: int):
         self.d_max = d_max
         super().__init__(SeriesRing(VarSet.xp(d_max), x_max=d_max, p_weight_max=d_max))
         exps = self.ring.varset.profile_exps
-        self.part_keys = [0] + [self.ring.key(exps((n,))) for n in range(1, d_max + 1)]
+        self.part_keys = {n: self.ring.key(exps((n,))) for n in range(1, d_max + 1)}
 
     def phi_x(self, k: int) -> ExactSeries:
         """phi_k(x, p) = sum_n n^(n+k)/n! p_n x^n."""

@@ -11,9 +11,10 @@ deterministic for a fixed configuration.
 Exit codes: 0 success; 1 a verification or an internal check failed, a
 fit's contradictory rows included (one `error: internal check failed: ...`
 line on stderr, no traceback); 2 usage error; 3 too large: over the memory
-budget, out of memory, or a recursion too deep, as reducing a bracket of
-991 points is; 4 malformed family file; 141 stdout closed by its reader
-(128 + SIGPIPE).
+budget, out of memory, a recursion too deep, as reducing a bracket of 991
+points is, or an integer too large for a machine-sized field, as a
+20-digit degree is; 4 malformed family file; 141 stdout closed by its
+reader (128 + SIGPIPE).
 
 `run()` is the process entry point (`python -m hurwitz.cli` and the
 installed `hurwitz` script); `main(argv)` is the in-process API.  `run`
@@ -384,6 +385,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BUDGET
     except MemoryError:
         print("error: too large: out of memory", file=sys.stderr)
+        return EXIT_BUDGET
+    except OverflowError as ex:
+        print(f"error: too large: {ex}", file=sys.stderr)
         return EXIT_BUDGET
     except FamilyFormatError as ex:
         print(f"error: {ex}", file=sys.stderr)

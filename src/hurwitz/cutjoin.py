@@ -210,8 +210,6 @@ def _join_into(
             once = 0
             for n in reversed(fields):
                 once = once << width | n
-            if not once:
-                continue
             once *= scale
             twice = 2 * once
             diagonal = parts_b is parts_a
@@ -342,9 +340,8 @@ def hurwitz_via_cutjoin(d_max: int, g_max: int) -> HurwitzTable:
     h = connected_slices(keys, g_max)
     # decoded parts are positive and sorted: no `Partition` check needed
     alphas = {k: tuple.__new__(Partition, keys.unpack(k)) for k in set().union(*h)}
-    fact = [math.factorial(d) for d in range(d_max + 1)]
     counts = (
-        (r, alphas[k], Fraction(n, fact[keys[k][0]]))
+        (r, alphas[k], Fraction(n, math.factorial(k >> keys.top)))
         for r, s in enumerate(h)
         for k, n in s.items()
     )

@@ -69,7 +69,7 @@ def _cost_budget() -> int:
             f"{MEMORY_BUDGET_ENV} must be a non-negative integer number of bytes, "
             f"got {env!r}"
         )
-    return max(int(env) // _BYTES_PER_CELL, 1)
+    return int(env) // _BYTES_PER_CELL
 
 
 def _check_cost(d: int, r_max: int) -> None:
@@ -164,6 +164,8 @@ def count_factorizations(d: int, r_max: int) -> list[dict[Partition, int]]:
     counts = [0] * len(ids)
     counts[0] = 1  # the identity, alone in class 0
     out = [binned(counts)]
+    if not taus:  # S_d has no transposition when d <= 1: every step r >= 1 is empty
+        return out + [{} for _ in range(r_max)]
     for _ in range(r_max):
         counts = [sum(f * counts[c2] for c2, f in row.items()) for row in action]
         out.append(binned(counts))

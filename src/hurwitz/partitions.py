@@ -150,10 +150,10 @@ def partitions(d: int, min_part: int = 1) -> Iterator[tuple[int, ...]]:
 def primitive_thetas(g: int) -> list[tuple[ThetaPartition, int, int]]:
     """Index set for the genus-g primitive constants, as (theta, e, k).
 
-    theta runs over partitions with parts >= 2, length l in [1, 3g-3] and
-    size n in [l + 2g - 3, l + 3g - 3]; e = l + 2g - 2 is the associated
-    pole order and k = 3g - 3 + l - n the lambda-degree (0 <= k <= g by
-    construction of the range).
+    theta runs over partitions with parts >= 2 whose length l and size n
+    give a lambda-degree k = 3g - 3 + l - n in [0, g], ordered by (l, n);
+    e = l + 2g - 2 is the associated pole order.  Parts >= 2 make l <= n/2,
+    so n <= 6g - 6 and l <= 3g - 3.
 
     >>> len(primitive_thetas(2)), len(primitive_thetas(3))
     (6, 26)
@@ -167,9 +167,9 @@ def primitive_thetas(g: int) -> list[tuple[ThetaPartition, int, int]]:
             by_length.setdefault((len(theta), n), []).append(theta)
     return [
         (ThetaPartition(theta), l + 2 * g - 2, 3 * g - 3 + l - n)
-        for l in range(1, 3 * g - 3 + 1)
-        for n in range(l + 2 * g - 3, l + 3 * g - 3 + 1)
-        for theta in by_length.get((l, n), ())
+        for (l, n), thetas in sorted(by_length.items())
+        if 0 <= 3 * g - 3 + l - n <= g
+        for theta in thetas
     ]
 
 

@@ -75,15 +75,14 @@ class WExpr:
     `nums` maps each (l, j) to a nonzero numerator and `den` is positive
     with gcd(den, *nums) == 1, as in `ExactSeries`, so equal expressions
     have equal fields.  `WExpr(laurent, logpart)` builds one from the
-    rational log-free and log W coefficients by exponent; `laurent` and
-    `logpart` read them back as Fractions.  Immutable by convention: all
-    operations return new instances.
+    rational log-free and log W coefficients by exponent.  Immutable by
+    convention: all operations return new instances.
 
-    >>> e = WExpr({1: Fraction(1)}, {})          # W
-    >>> (e * e).laurent
-    {2: Fraction(1, 1)}
-    >>> e.apply_D().laurent                      # D W = W^3 - W^2
-    {3: Fraction(1, 1), 2: Fraction(-1, 1)}
+    >>> e = WExpr({1: 1})                        # W
+    >>> e * e == WExpr({2: 1})
+    True
+    >>> e.apply_D() == WExpr({3: 1, 2: -1})      # D W = W^3 - W^2
+    True
     """
 
     __slots__ = ("den", "nums")
@@ -111,14 +110,6 @@ class WExpr:
         integer numerators, over one common denominator."""
         return cls._of(*_sum((c.numerator, c.denominator * e.den, e.nums) for c, e in pairs))
 
-    @property
-    def laurent(self) -> dict[int, Fraction]:
-        return {j: Fraction(n, self.den) for (l, j), n in self.nums.items() if not l}
-
-    @property
-    def logpart(self) -> dict[int, Fraction]:
-        return {j: Fraction(n, self.den) for (l, j), n in self.nums.items() if l}
-
     def is_zero(self) -> bool:
         return not self.nums
 
@@ -129,9 +120,6 @@ class WExpr:
         if not isinstance(other, WExpr):
             return NotImplemented
         return self.den == other.den and self.nums == other.nums
-
-    def scale(self, c: Fraction | int) -> "WExpr":
-        return WExpr.combination(((c, self),))
 
     def __mul__(self, other: "WExpr") -> "WExpr":
         nums: dict[tuple[int, int], int] = {}
@@ -155,7 +143,7 @@ class WExpr:
         return WExpr._of(*_canonical(self.den, nums))
 
     def __repr__(self):
-        return f"WExpr({self.laurent!r}, {self.logpart!r})"
+        return f"<WExpr {self.nums!r} / {self.den}>"
 
 
 def pinned(g: int, n: int) -> WExpr:
@@ -182,12 +170,11 @@ def wexpr_for(g: int, n: int) -> WExpr:
     2g-2+n > 0 comes out a log-free polynomial.  Bases are pinned for
     g <= 3 only.
 
-    >>> wexpr_for(0, 2).laurent == {0: Fraction(1), -1: Fraction(-1)}
+    >>> wexpr_for(0, 2) == WExpr({0: 1, -1: -1})
     True
-    >>> wexpr_for(0, 3).laurent == {1: Fraction(1), 0: Fraction(-1)}
+    >>> wexpr_for(0, 3) == WExpr({1: 1, 0: -1})
     True
-    >>> wexpr_for(1, 1).laurent == {2: Fraction(1, 24), 1: Fraction(-1, 12),
-    ...                             0: Fraction(1, 24)}
+    >>> wexpr_for(1, 1) == WExpr({2: Fraction(1, 24), 1: Fraction(-1, 12), 0: Fraction(1, 24)})
     True
     """
     if g == 0 and n == 0:

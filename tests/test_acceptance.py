@@ -109,10 +109,7 @@ def test_criterion_05_w_table_displays():
             }
         )
         shift = WExpr({1: Fraction(1), 0: Fraction(-1)})
-        product = (quartic * shift * shift * WExpr({4: Fraction(1)})).scale(
-            Fraction(1, 725760)
-        )
-        assert product == wexpr_for(3, 0)
+        assert quartic * shift * shift * WExpr({4: Fraction(1, 725760)}) == wexpr_for(3, 0)
 
     run_criterion("05 w-table-five-displays", body)
 
@@ -218,12 +215,12 @@ def test_criterion_14_closed_forms(deep_table):
             ring, [((n,), n ** (n - 1), math.factorial(n)) for n in range(1, 13)]
         )
         assert ring.var("x") * w.exp() == w
-        inv = (ring.one() - w).inverse()
+        w_pows, inv_pows = w.powers(3), (ring.one() - w).inverse().powers(4)
         for n in range(0, 4):
             for r in range(0, 5):
                 if n == 0 and r == 0:
                     continue
-                series = (w**n) * (inv**r)
+                series = w_pows[n] * inv_pows[r]
                 for d in range(1, 13):
                     assert lagrange_coeff(n, r, d) == series.coeff({"x": d}), (n, r, d)
         for k in range(1, 11):

@@ -57,7 +57,7 @@ def test_s_fixpoint_property():
 def full_ring_fixpoint(functional, ring, max_grade):
     """Iterate from 0 with every iteration in the full ring: the reference
     for the solver's lowered-cap iterations."""
-    cur = ring.zero()
+    cur = ring.const(0)
     for _ in range(max_grade):
         cur = functional(cur)
     assert functional(cur) == cur
@@ -81,7 +81,7 @@ def _reference_xi(t_series, ctx):
     """t_k -> phi_k(x, p) one monomial at a time: the constant times one
     phi_x(k) per unit of each exponent, summed term by term."""
     indices = t_series.ring.varset.indices
-    total = ctx.ring.zero()
+    total = ctx.ring.const(0)
     for exps, coeff in t_series.terms.items():
         term = ctx.ring.const(coeff)
         for pos, a in enumerate(exps):
@@ -103,7 +103,7 @@ _t_series = st.dictionaries(
 
 
 @given(_t_series, _t_series)
-@example(_T_RING.zero(), _T_RING.var("t_4") ** 5)
+@example(_T_RING.const(0), _T_RING.monomial({"t_4": 5}, 1))
 @settings(max_examples=40, deadline=None)
 def test_xi_substitute_matches_per_monomial_products(a, b):
     # one context for both series, so the second reuses the first's products
@@ -215,7 +215,8 @@ def test_phi_shift_expansion_forms_each_phi0_s_power_once(monkeypatch):
 def test_pole_basis_is_the_plain_factor_chain(g):
     for ctx in (XpContext(2 * g + 2), TContext(3 * g + 2, 5)):
         for theta, e, _, series in pole_basis_series(g, ctx):
-            plain = (ctx.ring.one() - ctx.F(1)).inverse() ** e * Fraction(1, aut_count(theta))
+            plain = (ctx.ring.one() - ctx.F(1)).inverse().powers(e)[e]
+            plain = plain.scale(Fraction(1, aut_count(theta)))
             for part in theta:
                 plain = plain * ctx.F(part)
             assert series == plain, theta
@@ -452,8 +453,8 @@ def test_delta_annihilation(fitted):
 def test_ansatz_series_equals_hurwitz_series(deep_table, fitted):
     form2, _, _ = fitted
     ctx = XpContext(6)
-    lhs = ctx.ring.sum(
-        series * form2.constants[theta] for theta, _, _, series in pole_basis_series(2, ctx)
+    lhs = ctx.ring.combination(
+        (form2.constants[theta], series) for theta, _, _, series in pole_basis_series(2, ctx)
     )
     rhs = hurwitz_series(deep_table, 2, ctx)
     assert lhs == rhs
@@ -479,11 +480,11 @@ def test_weight_slice_partition():
     tctx = TContext(5, 4)
     hodge = HodgeTable()
     G = assemble_G(1, hodge, tctx)
-    total = tctx.ring.zero()
+    total = tctx.ring.const(0)
     for w in range(-6, 7):
         total = total + extract_weight_slice(G, w)
     assert total == G
-    assert extract_weight_slice(G, -1) != tctx.ring.zero()
+    assert extract_weight_slice(G, -1) != tctx.ring.const(0)
 
 
 def test_form_json_roundtrip(fitted):
@@ -497,7 +498,7 @@ def test_form_json_roundtrip(fitted):
 def test_compare_series_reports_first_mismatch():
     ctx = XpContext(3)
     x = ctx.ring.var("x")
-    record = compare_series(x, x + x**2, "probe", {"x_max": 3})
+    record = compare_series(x, x + ctx.ring.monomial({"x": 2}, 1), "probe", {"x_max": 3})
     assert record == {
         "check": "probe",
         "truncation": {"x_max": 3},

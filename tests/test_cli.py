@@ -437,7 +437,7 @@ def _raise_I(k):
         monkeypatch.setattr(
             ansatz.TContext,
             "I",
-            lambda self, j: real(self, j) + (self.ring.var(f"t_{k}") if j == k else 0),
+            lambda self, j: real(self, j) + self.ring.monomial({f"t_{k}": 1}, int(j == k)),
         )
 
     return perturb
@@ -452,8 +452,7 @@ def _raise_phi_s(k):
         monkeypatch.setattr(
             ansatz.XpContext,
             "phi_s",
-            lambda self, j: real(self, j)
-            + (self.ring.monomial({"x": 1, "p_1": 1}, 1) if j == k else 0),
+            lambda self, j: real(self, j) + self.ring.monomial({"x": 1, "p_1": 1}, int(j == k)),
         )
 
     return perturb
@@ -769,7 +768,6 @@ def test_tables_commands_multiply_no_series_and_count_no_covers(capsys, monkeypa
         return call
 
     monkeypatch.setattr(ExactSeries, "__mul__", forbidden("ExactSeries.__mul__"))
-    monkeypatch.setattr(ExactSeries, "__rmul__", forbidden("ExactSeries.__rmul__"))
     monkeypatch.setattr(oracle, "count_factorizations", forbidden("count_factorizations"))
     for argv in TABLES_COMMANDS:
         code, _, err = run_cli(capsys, *argv)
@@ -1410,6 +1408,27 @@ def test_out_of_memory_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(cutjoin, "ProfileKeys", exhausted)
     code, out, err = run_cli(capsys, "hurwitz", "--g", "2", "--alpha", "99999999999999999999")
     assert (code, out, err) == (3, "", "error: too large: out of memory\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "hurwitz --g 2 --alpha 99999999999999999999",
+        "hurwitz --g 2 --alpha 99999999999999999999 --method oracle",
+        "hurwitz --g 2 --alpha 99999999999999999999 --method elsv",
+        "table --dmax 99999999999999999999",
+        "verify --suite recursions --dmax 99999999999999999999",
+        "search --dmax 99999999999999999999",
+        "fit --g 99999999999999999999",
+    ],
+)
+def test_integer_past_a_machine_word_exits_3(capsys, argv):
+    """A 20-digit part, degree or genus overflows a machine-sized field (a
+    key shift, a factorial, an index) before any memory is taken: one
+    `error: too large` line and exit 3, with no traceback."""
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (3, "")
+    assert err.startswith("error: too large: ") and err.count("\n") == 1
 
 
 def test_degree_one_profile_answers_without_slices(capsys, monkeypatch):

@@ -4,6 +4,7 @@ The table container's own tests are in test_table.py."""
 
 import gc
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -165,6 +166,29 @@ def test_degree_one_forms_no_factorial_of_an_empty_step(monkeypatch):
     table = connected_hurwitz(1, 50, 100)
     assert set(args) == {0, 1}
     assert table.entries == {(0, Partition((1,))): 1}
+
+
+def test_degree_one_counts_no_empty_step():
+    """S_1 has no transposition, so `count_factorizations` returns its empty
+    steps at once: the calls made in the oracle module, Python and builtin,
+    do not grow with r_max."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event in ("call", "c_call") and frame.f_code.co_filename == oracle.__file__:
+            calls.append(event)
+
+    counts = []
+    for r_max in (10, 1000):
+        calls.clear()
+        sys.setprofile(profile)
+        try:
+            bins = count_factorizations(1, r_max)
+        finally:
+            sys.setprofile(None)
+        assert bins == [{Partition((1,)): 1}] + [{}] * r_max
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_degree_one_log_stops_past_the_last_slice(monkeypatch):
